@@ -280,60 +280,6 @@ func BenchmarkEngineStepFaults(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineStepChecker measures the overhead the invariant checker
-// adds to every interval: the full state snapshot plus the six-law sweep,
-// against the same run with the checker detached.
-func BenchmarkEngineStepChecker(b *testing.B) {
-	g := dataflow.EvalGraph()
-	obj, err := PaperSigma(g, 20, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prof, err := rates.NewConstant(20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, checked := range []bool{false, true} {
-		name := "checker=off"
-		if checked {
-			name = "checker=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			intervals := int64(0)
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				h, err := NewHeuristic(Options{Strategy: Global, Dynamic: true, Adaptive: true, Objective: obj})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := sim.Config{
-					Graph:      g,
-					Menu:       MustMenu(AWS2013Classes()),
-					Perf:       trace.MustReplayed(trace.ReplayedConfig{Seed: 1}),
-					Inputs:     map[int]rates.Profile{0: prof},
-					HorizonSec: 3600,
-				}
-				if checked {
-					cfg.Checker = NewStrictInvariantChecker()
-				}
-				e, err := sim.NewEngine(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				sum, err := e.Run(h)
-				if err != nil {
-					b.Fatal(err)
-				}
-				intervals += int64(sum.Intervals)
-			}
-			if b.Elapsed() > 0 {
-				b.ReportMetric(float64(intervals)/b.Elapsed().Seconds(), "steps/s")
-			}
-		})
-	}
-}
-
 // BenchmarkTraceGeneration measures four-day synthetic CPU trace
 // generation.
 func BenchmarkTraceGeneration(b *testing.B) {

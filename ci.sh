@@ -15,10 +15,12 @@
 # passes, the zero-alloc guarantees for the disabled-tracer,
 # disabled-checker, and detached stage-profiler hot paths plus the
 # steady-state large-DAG and 8-tenant steps themselves, an
-# attached-profiler overhead-ratio guard, and an engine-step benchmark
-# snapshot written to BENCH_step.json. The flow-stage differential battery
-# (TestFlowParallelByteIdentical) and the parallel-flow race stress test
-# ride the `go test -race ./...` pass above. Run from the repo root.
+# attached-profiler overhead-ratio guard, an allocation and adapt/step ratio
+# guard on the global heuristic's Adapt at 1000 PEs, and an engine-step and
+# Adapt benchmark snapshot written to BENCH_step.json. The flow-stage
+# differential battery (TestFlowParallelByteIdentical) and the parallel-flow
+# race stress test ride the `go test -race ./...` pass above. Run from the
+# repo root.
 set -eu
 
 fmt=$(gofmt -l .)
@@ -130,12 +132,36 @@ echo "$bench" | grep -q ' 0 allocs/op' || {
 
 # The arena-backed engine must step a 1000-PE DAG with zero steady-state
 # heap allocations — the core guarantee of the hot-path flattening.
-bench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStepLargeDAG/steady' -benchtime 100x -benchmem)
-echo "$bench"
-echo "$bench" | grep -q ' 0 allocs/op' || {
+stepbench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStepLargeDAG/steady' -benchtime 100x -benchmem)
+echo "$stepbench"
+echo "$stepbench" | grep -q ' 0 allocs/op' || {
     echo "steady-state engine step allocates on the large-DAG hot path" >&2
     exit 1
 }
+
+# The scheduler must keep pace with the engine: one converged Adapt of the
+# global heuristic on the same 1000-PE layered DAG (about 1,300 VMs) may
+# allocate at most 512 objects and cost at most 3x the steady engine step
+# above. Both sides come from this run, so machine speed largely cancels.
+adaptbench=$(go test ./internal/core -run '^$' -bench 'BenchmarkAdaptLargeDAG' -benchtime 100x -benchmem)
+echo "$adaptbench"
+printf '%s\n%s\n' "$stepbench" "$adaptbench" | awk '
+    function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
+    /^BenchmarkEngineStepLargeDAG\/steady/ { step = field("ns/op") }
+    /^BenchmarkAdaptLargeDAG/ { adapt = field("ns/op"); allocs = field("allocs/op") }
+    END {
+        if (step == "" || adapt == "" || allocs == "") { print "adapt guard: benchmarks missing" > "/dev/stderr"; exit 1 }
+        ratio = adapt / step
+        printf "adapt/step ratio: %.2fx, %d allocs per adapt\n", ratio, allocs
+        if (allocs > 512) {
+            printf "converged Adapt allocates %d objects (limit 512)\n", allocs > "/dev/stderr"
+            exit 1
+        }
+        if (ratio > 3.0) {
+            printf "converged Adapt costs %.2fx the steady engine step (limit 3.0x)\n", ratio > "/dev/stderr"
+            exit 1
+        }
+    }'
 
 # The same 0-alloc guarantee must hold with the tenant dimension hot:
 # 8 tenants x 125 PEs with per-tenant Ω/Γ/spend folds every interval.
@@ -147,7 +173,7 @@ echo "$bench" | grep -q ' 0 allocs/op' || {
 }
 
 # An attached stage profiler must stay cheap: with allocation sampling it
-# reads the heap counter on ~1/33rd of calls, so a profiled run may cost at
+# reads the heap counter on ~1/31st of calls, so a profiled run may cost at
 # most 8x an unprofiled one (observed ~4x; the pre-sampling regression was
 # well past this). Both sides come from one invocation so machine noise
 # largely cancels.
@@ -166,16 +192,26 @@ echo "$bench" | awk '
         }
     }'
 
-# Benchmark snapshot: run the engine-step benchmark suite with -benchmem and
-# record ns/op, B/op, allocs/op per benchmark as BENCH_step.json, so perf
-# regressions show up in review diffs. The numbers are machine-dependent;
-# the file is a tracked observation, not a gate.
-go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStep' -benchtime 100x -benchmem |
-    awk 'BEGIN { print "[" }
-        /^Benchmark/ {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            if (n++) printf ",\n"
-            printf "  {\"name\": \"%s\", \"nsPerOp\": %s, \"bytesPerOp\": %s, \"allocsPerOp\": %s}", name, $3, $5, $7
-        }
-        END { print "\n]" }' > BENCH_step.json
+# Benchmark snapshot: run the engine-step benchmark suite with -benchmem,
+# add the Adapt benchmark measured above, and record ns/op, B/op, allocs/op
+# per benchmark as BENCH_step.json, so perf regressions show up in review
+# diffs. Each row names what one op is: an engine step, a whole one-hour
+# run, one disabled-hook call, or one Adapt call. The numbers are
+# machine-dependent; the file is a tracked observation, not a gate.
+{
+    go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStep' -benchtime 100x -benchmem
+    echo "$adaptbench"
+} | awk '
+    function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
+    BEGIN { print "[" }
+    /^Benchmark/ {
+        name = $1; sub(/-[0-9]+$/, "", name)
+        unit = "step"
+        if (name ~ /^BenchmarkAdapt/) unit = "adapt"
+        else if (name ~ /\/hook\//) unit = "call"
+        else if (name ~ /\/run\//) unit = "run"
+        if (n++) printf ",\n"
+        printf "  {\"name\": \"%s\", \"unit\": \"%s\", \"nsPerOp\": %s, \"bytesPerOp\": %s, \"allocsPerOp\": %s}", name, unit, field("ns/op"), field("B/op"), field("allocs/op")
+    }
+    END { print "\n]" }' > BENCH_step.json
 cat BENCH_step.json

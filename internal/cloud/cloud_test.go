@@ -235,18 +235,6 @@ func TestHourlyBurnRate(t *testing.T) {
 	}
 }
 
-func TestActiveByHourBoundary(t *testing.T) {
-	m := MustMenu(AWS2013Classes())
-	f := NewFleet(m)
-	s, _ := m.ByName("m1.small")
-	a, _ := f.Acquire(s, 0)    // boundary at 3600
-	b, _ := f.Acquire(s, 3000) // boundary at 6600
-	order := f.ActiveByHourBoundary(3500)
-	if order[0].ID != a.ID || order[1].ID != b.ID {
-		t.Fatalf("order = %v, %v", order[0].ID, order[1].ID)
-	}
-}
-
 func TestPropertyBillingMonotoneAndMinimum(t *testing.T) {
 	c := AWS2013Classes()[1]
 	f := func(startRaw, d1Raw, d2Raw uint32) bool {

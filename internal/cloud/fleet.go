@@ -3,7 +3,6 @@ package cloud
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // SecondsPerHour is the billing quantum: VM usage is rounded up to the next
@@ -306,15 +305,4 @@ func (f *Fleet) HourlyBurnRate() float64 {
 		}
 	}
 	return total
-}
-
-// ActiveByHourBoundary returns active VMs sorted by ascending seconds to
-// their next paid hour boundary — the preferred release order when scaling
-// in.
-func (f *Fleet) ActiveByHourBoundary(now int64) []*VM {
-	out := f.Active()
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].SecondsToHourBoundary(now) < out[j].SecondsToHourBoundary(now)
-	})
-	return out
 }

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
-	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/obs"
 	"dynamicdf/internal/sim"
 )
@@ -17,6 +17,51 @@ func decisionSink(act sim.Control) sim.DecisionSink {
 		return ds
 	}
 	return nil
+}
+
+// scratch is the resource stage's working memory, reused across Adapt calls
+// so that walking the fleet allocates nothing once the buffers have grown
+// to its size. Every buffer is refilled
+// before it is read: nothing carries over from one call to the next, and
+// nothing here is checkpointed.
+type scratch struct {
+	vms      []sim.VMInfo     // the active fleet, id order
+	asg      []sim.Assignment // one PE's allocation
+	eff      []float64        // effectiveECU's result
+	required []float64        // resourceStage's per-PE target ECU
+	shed     []shedOption     // removeCore's candidates
+
+	// consolidate's fleet index: positions are indices into vms.
+	pos    []int   // VM id -> position
+	order  []int   // positions in victim order
+	free   []int   // free cores by position
+	start  []int   // chunks of position i are chunks[start[i]:start[i+1]]
+	flat   []chunk // every assignment, PE order
+	chunks []chunk // flat bucketed by position
+	moves  []move  // the victim being planned
+}
+
+// chunk is one PE's cores on the VM at position at.
+type chunk struct{ pe, at, cores int }
+
+// move plans a PE's cores on the victim as need cores on position dst.
+type move struct{ pe, cores, dst, need int }
+
+// shedOption is one core removeCore may take away.
+type shedOption struct {
+	vmID     int
+	contrib  float64
+	usedOnVM int
+	spot     bool
+}
+
+// resize returns buf with length n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // resourceStage is Alg. 2's resource re-deployment: grow bottleneck PEs
@@ -32,9 +77,10 @@ func (h *Heuristic) resourceStage(v *sim.View, act sim.Control) error {
 		return err
 	}
 	target := h.targetOmega(v.MeanOmega())
-	eff := effectiveECU(v)
+	eff := h.effectiveECU(v)
 
-	required := make([]float64, g.N())
+	h.scratch.required = resize(h.scratch.required, g.N())
+	required := h.scratch.required
 	for pe := range required {
 		required[pe] = demand[pe] * target
 	}
@@ -53,6 +99,8 @@ func (h *Heuristic) resourceStage(v *sim.View, act sim.Control) error {
 	// Scale up: repeatedly grow the PE with the worst capacity ratio.
 	// With UseSpot, capacity beyond the PE's constraint-critical base
 	// (demand * OmegaHat, on-demand) spills onto the spot market.
+	// One fleet snapshot serves the whole loop: addCore keeps it current.
+	h.scratch.vms = v.ActiveVMsInto(h.scratch.vms[:0])
 	grown := 0
 	for grown < h.opts.MaxGrowPerInterval {
 		bottleneck, worst := -1, 1e18
@@ -153,20 +201,27 @@ func (h *Heuristic) resourceStage(v *sim.View, act sim.Control) error {
 // cheapest preemptible class instead. It returns the effective ECU added
 // (0 when the fleet cap blocks). A non-nil dec is filled with the
 // candidates weighed, their scores, and why the losers lost.
+//
+// The active fleet comes from h.scratch.vms, which the caller fills;
+// addCore applies its own assignment or acquisition to it, so it still
+// matches the fleet for the next call. Nothing else changes the fleet
+// while the grow loop runs.
 func (h *Heuristic) addCore(v *sim.View, act sim.Control, pe int, deficitECU float64, spill bool, dec *obs.Decision) (float64, error) {
-	hosting := map[int]bool{}
-	for _, a := range v.Assignments(pe) {
-		hosting[a.VMID] = true
-	}
+	s := &h.scratch
+	s.asg = v.AssignmentsInto(pe, s.asg[:0])
 	var best sim.VMInfo
-	found := false
+	bestAt := -1
 	bestScore := -1.0
-	for _, vm := range v.ActiveVMs() {
+	hosted := s.asg // the PE's VMs not yet passed; both lists ascend by id
+	for at, vm := range s.vms {
+		for len(hosted) > 0 && hosted[0].VMID < vm.ID {
+			hosted = hosted[1:]
+		}
 		if vm.FreeCores <= 0 {
 			continue
 		}
 		score := vm.Class.CoreSpeed * vm.CPUCoeff
-		if hosting[vm.ID] {
+		if len(hosted) > 0 && hosted[0].VMID == vm.ID {
 			score *= 4 // strongly prefer collocating with the PE's instances
 		}
 		if dec != nil {
@@ -176,13 +231,15 @@ func (h *Heuristic) addCore(v *sim.View, act sim.Control, pe int, deficitECU flo
 		if score > bestScore {
 			bestScore = score
 			best = vm
-			found = true
+			bestAt = at
 		}
 	}
-	if found {
+	if bestAt >= 0 {
 		if err := act.AssignCores(pe, best.ID, 1); err != nil {
 			return 0, err
 		}
+		s.vms[bestAt].UsedCores++
+		s.vms[bestAt].FreeCores--
 		if dec != nil {
 			chosen := fmt.Sprintf("free core on vm-%d (%s)", best.ID, best.Class.Name)
 			for i := range dec.Options {
@@ -266,6 +323,9 @@ func (h *Heuristic) addCore(v *sim.View, act sim.Control, pe int, deficitECU flo
 	if err := act.AssignCores(pe, id, 1); err != nil {
 		return 0, err
 	}
+	if vm, ok := v.VM(id); ok {
+		s.vms = append(s.vms, vm)
+	}
 	if dec != nil {
 		dec.Chosen = fmt.Sprintf("acquire %s (vm-%d)", class.Name, id)
 		if spill {
@@ -287,9 +347,10 @@ func (h *Heuristic) addCore(v *sim.View, act sim.Control, pe int, deficitECU flo
 // removable). A non-nil dec is filled with the shed candidates in order
 // and why the skipped ones were kept.
 func (h *Heuristic) removeCore(v *sim.View, act sim.Control, pe int, maxRemove float64, dec *obs.Decision) (float64, error) {
-	as := v.Assignments(pe)
+	s := &h.scratch
+	s.asg = v.AssignmentsInto(pe, s.asg[:0])
 	totalCores := 0
-	for _, a := range as {
+	for _, a := range s.asg {
 		totalCores += a.Cores
 	}
 	if totalCores <= 1 {
@@ -298,35 +359,33 @@ func (h *Heuristic) removeCore(v *sim.View, act sim.Control, pe int, maxRemove f
 		}
 		return 0, nil
 	}
-	type option struct {
-		vmID     int
-		contrib  float64
-		usedOnVM int
-		spot     bool
-	}
-	var opts []option
-	for _, a := range as {
+	opts := s.shed[:0]
+	for _, a := range s.asg {
 		vm, ok := v.VM(a.VMID)
 		if !ok {
 			continue
 		}
-		opts = append(opts, option{
+		opts = append(opts, shedOption{
 			vmID:     a.VMID,
 			contrib:  vm.Class.CoreSpeed * vm.CPUCoeff,
 			usedOnVM: vm.UsedCores,
 			spot:     vm.Class.Preemptible,
 		})
 	}
-	sort.SliceStable(opts, func(i, j int) bool {
+	s.shed = opts
+	slices.SortStableFunc(opts, func(a, b shedOption) int {
 		// Shed spot headroom before on-demand capacity, then prefer
 		// emptying the emptiest VM, then the weakest core.
-		if opts[i].spot != opts[j].spot {
-			return opts[i].spot
+		if a.spot != b.spot {
+			if a.spot {
+				return -1
+			}
+			return 1
 		}
-		if opts[i].usedOnVM != opts[j].usedOnVM {
-			return opts[i].usedOnVM < opts[j].usedOnVM
+		if a.usedOnVM != b.usedOnVM {
+			return cmp.Compare(a.usedOnVM, b.usedOnVM)
 		}
-		return opts[i].contrib < opts[j].contrib
+		return cmp.Compare(a.contrib, b.contrib)
 	})
 	for i, o := range opts {
 		if o.contrib > maxRemove+1e-9 {
@@ -367,59 +426,90 @@ func (h *Heuristic) removeCore(v *sim.View, act sim.Control, pe int, maxRemove f
 // stage by moving its core chunks into free cores elsewhere, so the idle VM
 // can be released at its hour boundary. Chunk conversion preserves rated
 // capacity: n cores at speed s need ceil(n*s/s') cores at speed s'.
+//
+// Victims are tried in stable ascending-utilization order; each chunk goes
+// to the tightest-fitting destination, the lowest VM id among ties. The
+// fleet is indexed once per call — positions in id order, per-VM chunk
+// lists in PE order — and each victim is planned against one free-core
+// array that a failed plan gives back.
 func (h *Heuristic) consolidate(v *sim.View, act sim.Control) error {
-	vms := v.ActiveVMs()
-	sort.SliceStable(vms, func(i, j int) bool {
-		ui := float64(vms[i].UsedCores) / float64(vms[i].Class.Cores)
-		uj := float64(vms[j].UsedCores) / float64(vms[j].Class.Cores)
-		return ui < uj
+	s := &h.scratch
+	s.vms = v.ActiveVMsInto(s.vms[:0])
+	vms := s.vms
+	if len(vms) == 0 {
+		return nil
+	}
+	// pos maps an active VM's id to its position in vms (id order); ids of
+	// inactive VMs keep stale entries, but assignments name only active VMs.
+	s.pos = resize(s.pos, vms[len(vms)-1].ID+1)
+	s.free = resize(s.free, len(vms))
+	s.order = resize(s.order, len(vms))
+	for i, vm := range vms {
+		s.pos[vm.ID] = i
+		s.free[i] = vm.FreeCores
+		s.order[i] = i
+	}
+	slices.SortStableFunc(s.order, func(a, b int) int {
+		ua := float64(vms[a].UsedCores) / float64(vms[a].Class.Cores)
+		ub := float64(vms[b].UsedCores) / float64(vms[b].Class.Cores)
+		switch {
+		case ua < ub:
+			return -1
+		case ub < ua:
+			return 1
+		}
+		return 0
 	})
+	// Bucket every assignment by VM position (a counting sort): start[i]
+	// counts position i's chunks, the prefix sums turn the counts into
+	// range ends, and filling in reverse walks each end back to its range's
+	// start, so the chunks of position i are chunks[start[i]:start[i+1]],
+	// in PE order.
 	g := v.Graph()
-	for _, victim := range vms {
+	s.flat = s.flat[:0]
+	s.start = resize(s.start, len(vms)+1)
+	clear(s.start)
+	for pe := 0; pe < g.N(); pe++ {
+		s.asg = v.AssignmentsInto(pe, s.asg[:0])
+		for _, a := range s.asg {
+			at := s.pos[a.VMID]
+			s.flat = append(s.flat, chunk{pe: pe, at: at, cores: a.Cores})
+			s.start[at]++
+		}
+	}
+	for i := 1; i < len(s.start); i++ {
+		s.start[i] += s.start[i-1]
+	}
+	s.chunks = resize(s.chunks, len(s.flat))
+	for i := len(s.flat) - 1; i >= 0; i-- {
+		c := s.flat[i]
+		s.start[c.at]--
+		s.chunks[s.start[c.at]] = c
+	}
+
+	for _, vp := range s.order {
+		victim := vms[vp]
 		if victim.UsedCores == 0 {
 			continue
 		}
-		// Gather the victim's chunks.
-		type chunk struct{ pe, cores int }
-		var chunks []chunk
-		for pe := 0; pe < g.N(); pe++ {
-			for _, a := range v.Assignments(pe) {
-				if a.VMID == victim.ID {
-					chunks = append(chunks, chunk{pe: pe, cores: a.Cores})
-				}
-			}
-		}
-		// Plan destinations using a free-core snapshot; iterate candidate
-		// VMs in id order so tie-breaking is deterministic.
-		free := map[int]int{}
-		var dstIDs []int
-		for _, vm := range vms {
-			if vm.ID == victim.ID {
-				continue
-			}
-			free[vm.ID] = vm.FreeCores
-			dstIDs = append(dstIDs, vm.ID)
-		}
-		sort.Ints(dstIDs)
-		type move struct{ pe, dst, cores int }
-		var moves []move
+		s.moves = s.moves[:0]
 		ok := true
-		for _, c := range chunks {
+		for _, c := range s.chunks[s.start[vp]:s.start[vp+1]] {
 			ecu := float64(c.cores) * victim.Class.CoreSpeed
 			bestDst, bestNeed := -1, 0
-			for _, dst := range dstIDs {
-				dstClass := classOf(vms, dst)
+			for dst := range vms {
+				dstClass := vms[dst].Class
 				// Never consolidate on-demand capacity onto spot VMs: the
 				// constraint-critical base must survive reclamations.
-				if dstClass.Preemptible && !victim.Class.Preemptible {
+				if dst == vp || dstClass.Preemptible && !victim.Class.Preemptible {
 					continue
 				}
-				f := free[dst]
+				f := s.free[dst]
 				need := coresNeeded(ecu, dstClass)
 				if need == 0 {
 					need = 1
 				}
-				if need <= f && (bestDst < 0 || f-need < free[bestDst]-bestNeed) {
+				if need <= f && (bestDst < 0 || f-need < s.free[bestDst]-bestNeed) {
 					bestDst, bestNeed = dst, need
 				}
 			}
@@ -427,30 +517,24 @@ func (h *Heuristic) consolidate(v *sim.View, act sim.Control) error {
 				ok = false
 				break
 			}
-			free[bestDst] -= bestNeed
-			moves = append(moves, move{pe: c.pe, dst: bestDst, cores: bestNeed})
+			s.free[bestDst] -= bestNeed
+			s.moves = append(s.moves, move{pe: c.pe, cores: c.cores, dst: bestDst, need: bestNeed})
 		}
 		if !ok {
+			for _, m := range s.moves {
+				s.free[m.dst] += m.need
+			}
 			continue
 		}
-		for i, m := range moves {
-			if err := act.AssignCores(m.pe, m.dst, m.cores); err != nil {
+		for _, m := range s.moves {
+			if err := act.AssignCores(m.pe, vms[m.dst].ID, m.need); err != nil {
 				return err
 			}
-			if err := act.UnassignCores(chunks[i].pe, victim.ID, chunks[i].cores); err != nil {
+			if err := act.UnassignCores(m.pe, victim.ID, m.cores); err != nil {
 				return err
 			}
 		}
 		return nil // one consolidation per stage damps churn
-	}
-	return nil
-}
-
-func classOf(vms []sim.VMInfo, id int) *cloud.Class {
-	for _, vm := range vms {
-		if vm.ID == id {
-			return vm.Class
-		}
 	}
 	return nil
 }
@@ -463,7 +547,9 @@ func (h *Heuristic) releaseIdle(v *sim.View, act sim.Control) error {
 	if window == 0 {
 		window = 2 * v.IntervalSec()
 	}
-	for _, vm := range v.ActiveVMs() {
+	s := &h.scratch
+	s.vms = v.ActiveVMsInto(s.vms[:0])
+	for _, vm := range s.vms {
 		if vm.UsedCores != 0 {
 			continue
 		}

@@ -58,6 +58,9 @@ type Options struct {
 type Heuristic struct {
 	opts  Options
 	ticks int
+	// scratch is working memory, not state (see scratch): one Heuristic
+	// drives one engine at a time.
+	scratch scratch
 }
 
 // NewHeuristic validates options, applies defaults, and returns the policy.
@@ -216,20 +219,24 @@ func (h *Heuristic) demandECU(v *sim.View, sel dataflow.Selection) ([]float64, e
 }
 
 // effectiveECU returns each PE's allocated capacity in standard cores,
-// scaled by the monitored per-VM CPU coefficients.
-func effectiveECU(v *sim.View) []float64 {
-	g := v.Graph()
-	out := make([]float64, g.N())
-	for pe := 0; pe < g.N(); pe++ {
-		for _, a := range v.Assignments(pe) {
+// scaled by the monitored per-VM CPU coefficients. The result is scratch:
+// valid until the next effectiveECU call.
+func (h *Heuristic) effectiveECU(v *sim.View) []float64 {
+	s := &h.scratch
+	n := v.Graph().N()
+	s.eff = resize(s.eff, n)
+	clear(s.eff)
+	for pe := 0; pe < n; pe++ {
+		s.asg = v.AssignmentsInto(pe, s.asg[:0])
+		for _, a := range s.asg {
 			vm, ok := v.VM(a.VMID)
 			if !ok {
 				continue
 			}
-			out[pe] += float64(a.Cores) * vm.Class.CoreSpeed * vm.CPUCoeff
+			s.eff[pe] += float64(a.Cores) * vm.Class.CoreSpeed * vm.CPUCoeff
 		}
 	}
-	return out
+	return s.eff
 }
 
 // alternateStage is Alg. 2's ALTERNATE_REDEPLOY: build the feasible set per
@@ -251,7 +258,7 @@ func (h *Heuristic) alternateStage(v *sim.View, act sim.Control) error {
 	if err != nil {
 		return err
 	}
-	available := effectiveECU(v)
+	available := h.effectiveECU(v)
 	var downCosts [][]float64
 	if h.opts.Strategy == Global {
 		downCosts, err = dataflow.DownstreamCostsRouted(g, sel, v.Routing())

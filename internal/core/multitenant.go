@@ -42,7 +42,8 @@ func (e *DeniedError) Error() string {
 // taken on the scarcity path.
 func (a Arbiter) arbitrate(v *sim.View, ten int, sink sim.DecisionSink) error {
 	maxVMs := v.MaxVMs()
-	free := maxVMs - len(v.ActiveVMs()) - len(v.PendingVMs())
+	active, pending := v.FleetCounts()
+	free := maxVMs - active - pending
 	if float64(free) > a.ScarceFrac*float64(maxVMs) {
 		return nil // abundance: no arbitration, no provenance noise
 	}

@@ -11,7 +11,8 @@ import (
 )
 
 // StageProfiler records per-stage wall time and heap-allocation deltas for
-// the engine's named-stage step pipeline. It is a measurement instrument,
+// the engine's named-stage step pipeline and the scheduler's deploy and
+// adapt phases around it. It is a measurement instrument,
 // not a trace source: wall-clock readings are non-deterministic and must
 // never enter an NDJSON event stream, so the profiler accumulates in
 // memory (and, when bound to a Registry, into sim_stage_* series) and
@@ -39,10 +40,11 @@ type StageProfiler struct {
 }
 
 // allocSampleEvery is the allocation-sampling period in Begin calls. It is
-// coprime to the pipeline length (8 stages), so the sampled call rotates
-// through every stage instead of pinning to one; the first call is sampled,
-// so even a single-shot profile reports allocation data.
-const allocSampleEvery = 33
+// coprime to the calls an engine interval makes (8 stages, 9 with the
+// scheduler's adapt phase), so the sampled call rotates through every stage
+// instead of pinning to a few; the first call is sampled, so even a
+// single-shot profile reports allocation data.
+const allocSampleEvery = 31
 
 // stageAcc accumulates one stage's samples.
 type stageAcc struct {

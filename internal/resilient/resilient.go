@@ -163,7 +163,8 @@ func (s *Scheduler) maybeDegrade(v *sim.View, act sim.Control) error {
 		return nil
 	}
 	now := v.Now()
-	impaired := len(v.PendingVMs()) > 0 || s.anyBreakerOpen(now)
+	_, pending := v.FleetCounts()
+	impaired := pending > 0 || s.anyBreakerOpen(now)
 	if !impaired || v.Omega() >= s.cfg.DegradeOmega {
 		return nil
 	}

@@ -313,7 +313,10 @@ func (e *Engine) RunUntil(ctx context.Context, s Scheduler, untilSec int64) erro
 					PE: pe, N: e.sel[pe], Detail: alt.Name})
 			}
 		}
-		if err := s.Deploy(view, act); err != nil {
+		mark := e.profBegin()
+		err := s.Deploy(view, act)
+		e.profEnd(profDeploy, mark)
+		if err != nil {
 			return fmt.Errorf("sim: deploy (%s): %w", s.Name(), err)
 		}
 		e.deployed = true
@@ -333,7 +336,10 @@ func (e *Engine) RunUntil(ctx context.Context, s Scheduler, untilSec int64) erro
 		// (clock 0 right after Deploy) — the same cadence on a resumed
 		// engine, whose clock is past 0, as on an uninterrupted one.
 		if e.clock > 0 {
-			if err := s.Adapt(view, act); err != nil {
+			mark := e.profBegin()
+			err := s.Adapt(view, act)
+			e.profEnd(profAdapt, mark)
+			if err != nil {
 				return fmt.Errorf("sim: adapt (%s) at %d: %w", s.Name(), e.clock, err)
 			}
 		}

@@ -140,17 +140,26 @@ func (e *Engine) step() error {
 	return nil
 }
 
-// registerStages maps the pipeline's stage positions onto the attached
-// profiler's dense indices. Idempotent; a no-op with no profiler.
+// RunUntil profiles the scheduler's Deploy and Adapt calls as two more
+// phases, in the profiler slots after the step stages.
+var (
+	profDeploy = len(stepStages)
+	profAdapt  = len(stepStages) + 1
+)
+
+// registerStages maps the pipeline's stage positions, then the deploy and
+// adapt phases, onto the attached profiler's dense indices. Idempotent; a
+// no-op with no profiler.
 func (e *Engine) registerStages() {
 	if e.profiler == nil {
 		e.profIdx = nil
 		return
 	}
-	e.profIdx = make([]int, len(stepStages))
-	for i, st := range stepStages {
-		e.profIdx[i] = e.profiler.StageIndex(st.name)
+	e.profIdx = make([]int, 0, len(stepStages)+2)
+	for _, st := range stepStages {
+		e.profIdx = append(e.profIdx, e.profiler.StageIndex(st.name))
 	}
+	e.profIdx = append(e.profIdx, e.profiler.StageIndex("deploy"), e.profiler.StageIndex("adapt"))
 }
 
 // profBegin/profEnd are the per-stage profiler hook. Like the tracer and

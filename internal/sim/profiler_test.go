@@ -8,7 +8,8 @@ import (
 
 // TestProfilerRecordsStages runs an engine with the stage profiler attached
 // and asserts every pipeline stage was sampled once per interval, in
-// pipeline order.
+// pipeline order, followed by the scheduler's phases: deploy once, adapt
+// before every interval but the first.
 func TestProfilerRecordsStages(t *testing.T) {
 	cfg := baseConfig(chainGraph(1), 4, 3600)
 	cfg.Profiler = obs.NewStageProfiler(nil)
@@ -20,16 +21,25 @@ func TestProfilerRecordsStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	type want struct {
+		name  string
+		count int64
+	}
+	var wants []want
+	for _, st := range stepStages {
+		wants = append(wants, want{st.name, int64(sum.Intervals)})
+	}
+	wants = append(wants, want{"deploy", 1}, want{"adapt", int64(sum.Intervals - 1)})
 	stats := cfg.Profiler.Snapshot()
-	if len(stats) != len(stepStages) {
-		t.Fatalf("profiled %d stages, pipeline has %d", len(stats), len(stepStages))
+	if len(stats) != len(wants) {
+		t.Fatalf("profiled %d stages, want %d pipeline stages + deploy + adapt", len(stats), len(stepStages))
 	}
 	for i, s := range stats {
-		if s.Name != stepStages[i].name {
-			t.Fatalf("stage %d profiled as %q, pipeline names it %q", i, s.Name, stepStages[i].name)
+		if s.Name != wants[i].name {
+			t.Fatalf("stage %d profiled as %q, want %q", i, s.Name, wants[i].name)
 		}
-		if s.Count != int64(sum.Intervals) {
-			t.Fatalf("stage %q sampled %d times over %d intervals", s.Name, s.Count, sum.Intervals)
+		if s.Count != wants[i].count {
+			t.Fatalf("stage %q sampled %d times over %d intervals, want %d", s.Name, s.Count, sum.Intervals, wants[i].count)
 		}
 	}
 }
@@ -46,7 +56,7 @@ func TestProfilerAttachedLate(t *testing.T) {
 	if _, err := e.Run(&fixed{deploy: deployEven}); err != nil {
 		t.Fatal(err)
 	}
-	if stats := p.Snapshot(); len(stats) != len(stepStages) || stats[0].Count == 0 {
+	if stats := p.Snapshot(); len(stats) != len(stepStages)+2 || stats[0].Count == 0 {
 		t.Fatalf("late-attached profiler recorded nothing: %+v", stats)
 	}
 }

@@ -122,21 +122,37 @@ type VMInfo struct {
 	StartSec int64
 }
 
-// ActiveVMs lists the running VMs.
-func (v *View) ActiveVMs() []VMInfo {
-	var out []VMInfo
-	for _, vm := range v.e.fleet.Active() {
-		out = append(out, VMInfo{
-			ID:                 vm.ID,
-			Class:              vm.Class,
-			UsedCores:          vm.UsedCores,
-			FreeCores:          vm.FreeCores(),
-			CPUCoeff:           v.e.vmMon.CPUCoeff(vm.ID, 1.0),
-			SecsToHourBoundary: vm.SecondsToHourBoundary(v.e.clock),
-			StartSec:           vm.StartSec,
-		})
+// ActiveVMs lists the running VMs, in id order.
+func (v *View) ActiveVMs() []VMInfo { return v.ActiveVMsInto(nil) }
+
+// ActiveVMsInto appends the running VMs to dst, in id order, and returns it —
+// ActiveVMs for policies reusing a buffer across calls.
+func (v *View) ActiveVMsInto(dst []VMInfo) []VMInfo {
+	for _, vm := range v.e.fleet.All() {
+		if vm.Active() {
+			dst = append(dst, v.vmInfo(vm))
+		}
 	}
-	return out
+	return dst
+}
+
+// FleetCounts returns how many VMs are running and how many are still
+// provisioning, without building either list.
+func (v *View) FleetCounts() (active, pending int) {
+	return v.e.fleet.ActiveCount(), v.e.fleet.PendingCount()
+}
+
+// vmInfo is the scheduler's picture of one VM.
+func (v *View) vmInfo(vm *cloud.VM) VMInfo {
+	return VMInfo{
+		ID:                 vm.ID,
+		Class:              vm.Class,
+		UsedCores:          vm.UsedCores,
+		FreeCores:          vm.FreeCores(),
+		CPUCoeff:           v.e.vmMon.CPUCoeff(vm.ID, 1.0),
+		SecsToHourBoundary: vm.SecondsToHourBoundary(v.e.clock),
+		StartSec:           vm.StartSec,
+	}
 }
 
 // PendingVM describes one VM still provisioning: acquired (and possibly
@@ -171,15 +187,7 @@ func (v *View) VM(id int) (VMInfo, bool) {
 	if err != nil || !vm.Active() {
 		return VMInfo{}, false
 	}
-	return VMInfo{
-		ID:                 vm.ID,
-		Class:              vm.Class,
-		UsedCores:          vm.UsedCores,
-		FreeCores:          vm.FreeCores(),
-		CPUCoeff:           v.e.vmMon.CPUCoeff(vm.ID, 1.0),
-		SecsToHourBoundary: vm.SecondsToHourBoundary(v.e.clock),
-		StartSec:           vm.StartSec,
-	}, true
+	return v.vmInfo(vm), true
 }
 
 // Assignment is one (VM, cores) slice of a PE's data-parallel allocation.
@@ -188,9 +196,14 @@ type Assignment struct {
 	Cores int
 }
 
-// Assignments returns the PE's current core allocation, in VM id order.
-func (v *View) Assignments(pe int) []Assignment {
-	var out []Assignment
+// Assignments returns the PE's current core allocation on running VMs, in
+// VM id order.
+func (v *View) Assignments(pe int) []Assignment { return v.AssignmentsInto(pe, nil) }
+
+// AssignmentsInto appends the PE's current core allocation on running VMs to
+// dst, in VM id order, and returns it — Assignments for policies reusing a
+// buffer across calls.
+func (v *View) AssignmentsInto(pe int, dst []Assignment) []Assignment {
 	p := &v.e.pes[v.gpe(pe)]
 	for s, vmID := range p.vms {
 		n := p.cores[s]
@@ -201,9 +214,9 @@ func (v *View) Assignments(pe int) []Assignment {
 		if err != nil || !vm.Active() {
 			continue
 		}
-		out = append(out, Assignment{VMID: vmID, Cores: n})
+		dst = append(dst, Assignment{VMID: vmID, Cores: n})
 	}
-	return out
+	return dst
 }
 
 // AssignedCores returns the PE's total core count.
