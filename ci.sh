@@ -16,8 +16,10 @@
 # disabled-checker, and detached stage-profiler hot paths plus the
 # steady-state large-DAG and 8-tenant steps themselves, an
 # attached-profiler overhead-ratio guard, an allocation and adapt/step ratio
-# guard on the global heuristic's Adapt at 1000 PEs, and an engine-step and
-# Adapt benchmark snapshot written to BENCH_step.json. The flow-stage
+# guard on the global heuristic's Adapt at 1000 PEs, a memory and
+# deploy/step ratio guard on its Deploy (Alg. 1's planner) on the same DAG,
+# and an engine-step, Adapt and Deploy benchmark snapshot written to
+# BENCH_step.json. The flow-stage
 # differential battery (TestFlowParallelByteIdentical) and the parallel-flow
 # race stress test ride the `go test -race ./...` pass above. Run from the
 # repo root.
@@ -163,6 +165,31 @@ printf '%s\n%s\n' "$stepbench" "$adaptbench" | awk '
         }
     }'
 
+# Deployment must scale too: one Deploy of the global heuristic on the same
+# 1000-PE DAG (alternate selection, the planner, materializing about 1,000
+# VMs) may cost at most 10x the steady engine step above and allocate at
+# most 4 MB (observed ~3x and 0.7 MB; the map-based planner took ~200x and
+# 94 MB).
+deploybench=$(go test ./internal/core -run '^$' -bench 'BenchmarkDeployLargeDAG' -benchtime 100x -benchmem)
+echo "$deploybench"
+printf '%s\n%s\n' "$stepbench" "$deploybench" | awk '
+    function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
+    /^BenchmarkEngineStepLargeDAG\/steady/ { step = field("ns/op") }
+    /^BenchmarkDeployLargeDAG/ { deploy = field("ns/op"); bytes = field("B/op") }
+    END {
+        if (step == "" || deploy == "" || bytes == "") { print "deploy guard: benchmarks missing" > "/dev/stderr"; exit 1 }
+        ratio = deploy / step
+        printf "deploy/step ratio: %.2fx, %.2f MB per deploy\n", ratio, bytes / 1048576
+        if (bytes > 4 * 1048576) {
+            printf "Deploy allocates %.2f MB (limit 4 MB)\n", bytes / 1048576 > "/dev/stderr"
+            exit 1
+        }
+        if (ratio > 10.0) {
+            printf "Deploy costs %.2fx the steady engine step (limit 10.0x)\n", ratio > "/dev/stderr"
+            exit 1
+        }
+    }'
+
 # The same 0-alloc guarantee must hold with the tenant dimension hot:
 # 8 tenants x 125 PEs with per-tenant Ω/Γ/spend folds every interval.
 bench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStepMultiTenant' -benchtime 100x -benchmem)
@@ -193,14 +220,16 @@ echo "$bench" | awk '
     }'
 
 # Benchmark snapshot: run the engine-step benchmark suite with -benchmem,
-# add the Adapt benchmark measured above, and record ns/op, B/op, allocs/op
-# per benchmark as BENCH_step.json, so perf regressions show up in review
-# diffs. Each row names what one op is: an engine step, a whole one-hour
-# run, one disabled-hook call, or one Adapt call. The numbers are
-# machine-dependent; the file is a tracked observation, not a gate.
+# add the Adapt and Deploy benchmarks measured above, and record ns/op,
+# B/op, allocs/op per benchmark as BENCH_step.json, so perf regressions show
+# up in review diffs. Each row names what one op is: an engine step, a
+# whole one-hour run, one disabled-hook call, one Adapt call, or one
+# Deploy. The numbers are machine-dependent; the file is a tracked
+# observation, not a gate.
 {
     go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStep' -benchtime 100x -benchmem
     echo "$adaptbench"
+    echo "$deploybench"
 } | awk '
     function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
     BEGIN { print "[" }
@@ -208,6 +237,7 @@ echo "$bench" | awk '
         name = $1; sub(/-[0-9]+$/, "", name)
         unit = "step"
         if (name ~ /^BenchmarkAdapt/) unit = "adapt"
+        else if (name ~ /^BenchmarkDeploy/) unit = "deploy"
         else if (name ~ /\/hook\//) unit = "call"
         else if (name ~ /\/run\//) unit = "run"
         if (n++) printf ",\n"

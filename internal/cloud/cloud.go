@@ -10,6 +10,7 @@ package cloud
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -172,14 +173,14 @@ func (m *Menu) SmallestFitting(need float64) *Class {
 }
 
 // OnDemand returns a menu restricted to non-preemptible classes. Policies
-// that cannot tolerate preemption plan against this view.
+// that cannot tolerate preemption plan against this view. A menu with no
+// preemptible class, or no other kind, is its own view.
 func (m *Menu) OnDemand() *Menu {
-	var keep []*Class
-	for _, c := range m.classes {
-		if !c.Preemptible {
-			keep = append(keep, c)
-		}
+	preemptible := func(c *Class) bool { return c.Preemptible }
+	if !slices.ContainsFunc(m.classes, preemptible) {
+		return m
 	}
+	keep := slices.DeleteFunc(slices.Clone(m.classes), preemptible)
 	if len(keep) == 0 {
 		return m
 	}

@@ -45,7 +45,7 @@ func TestWithSpotMarket(t *testing.T) {
 func TestOnDemandView(t *testing.T) {
 	m := MustMenu(WithSpotMarket(AWS2013Classes(), 0.3))
 	od := m.OnDemand()
-	if len(od.Classes()) != 4 {
+	if od == m || len(od.Classes()) != 4 {
 		t.Fatalf("on-demand classes = %d", len(od.Classes()))
 	}
 	for _, c := range od.Classes() {
@@ -59,6 +59,10 @@ func TestOnDemandView(t *testing.T) {
 	}
 	if c := od.SmallestFitting(1); c == nil || c.Preemptible {
 		t.Fatalf("smallest fitting = %v", c)
+	}
+	// A menu without spot twins is its own on-demand view, not a copy.
+	if plain := MustMenu(AWS2013Classes()); plain.OnDemand() != plain {
+		t.Fatal("on-demand view of an on-demand menu is a new menu")
 	}
 	// A menu with no on-demand classes returns itself rather than nothing.
 	spotOnly := MustMenu([]*Class{{Name: "s", Cores: 1, CoreSpeed: 1, NetMbps: 1, PricePerHour: 0.01, Preemptible: true}})

@@ -23,13 +23,10 @@ func (t timedAdapt) Adapt(v *sim.View, act sim.Control) error {
 	return err
 }
 
-// BenchmarkAdaptLargeDAG measures one converged Adapt call of the global
-// adaptive heuristic on the 1002-PE layered DAG (50 chains of 20 stages, 3
-// alternates each) under a 1 msg/s wave on replayed infrastructure. Ten
-// warm-up intervals grow the fleet to about 1,300 VMs; each op then steps
-// one interval and times only its Adapt. ci.sh gates its allocs/op and its
-// ns/op against BenchmarkEngineStepLargeDAG/steady.
-func BenchmarkAdaptLargeDAG(b *testing.B) {
+// largeDAG builds the scheduler benchmarks' run: the global adaptive
+// heuristic on the 1002-PE layered DAG (50 chains of 20 stages, 3
+// alternates each) under a 1 msg/s wave on replayed infrastructure.
+func largeDAG(b *testing.B) *scenario.Built {
 	gs, choices := scenario.FromGraph(dataflow.LayeredGraph(50, 20, 3))
 	sc := scenario.Scenario{
 		Graph:        gs,
@@ -46,6 +43,37 @@ func BenchmarkAdaptLargeDAG(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return built
+}
+
+// BenchmarkDeployLargeDAG measures the global heuristic's Deploy (Alg. 1:
+// alternate selection, the planner, materializing about 1,000 VMs) on the
+// largeDAG run. Each op builds a fresh run with the timer stopped and times
+// only RunUntil(ctx, sched, 0), which deploys and steps nothing. ci.sh
+// gates its ns/op against BenchmarkEngineStepLargeDAG/steady and its B/op.
+func BenchmarkDeployLargeDAG(b *testing.B) {
+	ctx := context.Background()
+	var built *scenario.Built
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		built = largeDAG(b)
+		b.StartTimer()
+		if err := built.Engine.RunUntil(ctx, built.Scheduler, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(built.Engine.Fleet().ActiveCount()), "vms")
+}
+
+// BenchmarkAdaptLargeDAG measures one converged Adapt call on the largeDAG
+// run. Ten warm-up intervals grow the fleet to about 1,300 VMs; each op
+// then steps one interval and times only its Adapt. ci.sh gates its
+// allocs/op and its ns/op against BenchmarkEngineStepLargeDAG/steady.
+func BenchmarkAdaptLargeDAG(b *testing.B) {
+	built := largeDAG(b)
 	eng := built.Engine
 	ctx := context.Background()
 	interval := built.Config.IntervalSec

@@ -202,10 +202,9 @@ func minCostPlan(menu *cloud.Menu, demand []float64) (*Plan, error) {
 		for _, w := range ws {
 			for i := 0; i < w.cores; i++ {
 				if open == nil || open.FreeCores() == 0 {
-					open = &PlanVM{Class: class, Cores: map[int]int{}}
-					plan.VMs = append(plan.VMs, open)
+					open = plan.openVM(class)
 				}
-				open.Cores[w.pe]++
+				open.add(w.pe, 1)
 			}
 		}
 	}

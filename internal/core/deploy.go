@@ -71,7 +71,8 @@ func SelectAlternates(g *dataflow.Graph, strategy Strategy) (dataflow.Selection,
 // grow the bottleneck PE — the one with the lowest predicted relative
 // throughput — until the predicted application throughput reaches target.
 // The global strategy then repacks (RepackPE + iterative repacking +
-// downgrade). Rates are the estimated input rates; VM performance is
+// downgrade) and grows again, since the integral-core conversions may cost
+// throughput. Rates are the estimated input rates; VM performance is
 // assumed rated, as the paper does at deployment time.
 func PlanAllocation(g *dataflow.Graph, menu *cloud.Menu, sel dataflow.Selection,
 	routing dataflow.Routing, est dataflow.InputRates, target float64, strategy Strategy) (*Plan, error) {
@@ -82,45 +83,16 @@ func PlanAllocation(g *dataflow.Graph, menu *cloud.Menu, sel dataflow.Selection,
 	for _, pe := range g.ForwardBFS() {
 		plan.AddCore(pe)
 	}
-	// Incremental bottleneck-driven growth (INCREMENTAL_ALLOCATION).
-	inRate, _, err := dataflow.PropagateRatesRouted(g, sel, routing, est)
+	flow, err := dataflow.NewRoutedFlow(g, sel, routing, est)
 	if err != nil {
 		return nil, err
 	}
 	maxCores := 64 * g.N() * (1 + int(totalRate(est)))
-	for iter := 0; ; iter++ {
-		caps := plan.Capacities(g, sel)
-		omega, err := dataflow.PredictOmegaRouted(g, sel, routing, est, caps)
-		if err != nil {
-			return nil, err
-		}
-		if omega >= target-1e-9 {
-			break
-		}
-		if iter > maxCores {
-			return nil, fmt.Errorf("core: allocation did not converge after %d cores (omega %.3f < %.3f)", iter, omega, target)
-		}
-		th, err := dataflow.PEThroughputsRouted(g, sel, routing, est, caps)
-		if err != nil {
-			return nil, err
-		}
-		bottleneck := -1
-		worst := math.Inf(1)
-		for pe := 0; pe < g.N(); pe++ {
-			if inRate[pe] <= 0 {
-				continue
-			}
-			if th[pe] < worst {
-				worst = th[pe]
-				bottleneck = pe
-			}
-		}
-		if bottleneck < 0 {
-			break // nothing carries load; one core each suffices
-		}
-		plan.AddCore(bottleneck)
+	if err := plan.grow(g, sel, flow, target, maxCores); err != nil {
+		return nil, err
 	}
 	if strategy == Global {
+		inRate := flow.InRates()
 		demand := make([]float64, g.N())
 		for pe := 0; pe < g.N(); pe++ {
 			demand[pe] = inRate[pe] * sel.Alt(g, pe).Cost * target
@@ -128,32 +100,40 @@ func PlanAllocation(g *dataflow.Graph, menu *cloud.Menu, sel dataflow.Selection,
 		plan.RepackPE(demand)
 		plan.IterativeRepack()
 		plan.Downgrade()
-		// Repacking may round capacities down; restore the target if the
-		// integral-core conversions cost throughput.
-		for iter := 0; iter <= maxCores; iter++ {
-			caps := plan.Capacities(g, sel)
-			omega, err := dataflow.PredictOmegaRouted(g, sel, routing, est, caps)
-			if err != nil {
-				return nil, err
-			}
-			if omega >= target-1e-9 {
-				break
-			}
-			th, _ := dataflow.PEThroughputsRouted(g, sel, routing, est, caps)
-			bottleneck, worst := -1, math.Inf(1)
-			for pe := 0; pe < g.N(); pe++ {
-				if inRate[pe] > 0 && th[pe] < worst {
-					worst = th[pe]
-					bottleneck = pe
-				}
-			}
-			if bottleneck < 0 {
-				break
-			}
-			plan.AddCore(bottleneck)
+		if err := plan.grow(g, sel, flow, target, maxCores); err != nil {
+			return nil, err
 		}
 	}
 	return plan, nil
+}
+
+// grow is Alg. 1's incremental bottleneck-driven growth
+// (INCREMENTAL_ALLOCATION): while the predicted Ω is below target, add a
+// core to the loaded PE with the lowest predicted throughput (the lowest
+// index on ties). Each added core costs one capped pass and a recount of
+// the grown PE's capacity.
+func (p *Plan) grow(g *dataflow.Graph, sel dataflow.Selection, flow *dataflow.RoutedFlow, target float64, maxCores int) error {
+	inRate := flow.InRates()
+	tracked := p.trackCapacities(g, sel)
+	for iter := 0; ; iter++ {
+		omega, th := flow.Capped(tracked.caps)
+		if omega >= target-1e-9 {
+			return nil
+		}
+		if iter > maxCores {
+			return fmt.Errorf("core: allocation did not converge after %d cores (omega %.3f < %.3f)", iter, omega, target)
+		}
+		bottleneck, worst := -1, math.Inf(1)
+		for pe, r := range inRate {
+			if r > 0 && th[pe] < worst {
+				worst, bottleneck = th[pe], pe
+			}
+		}
+		if bottleneck < 0 {
+			return nil // nothing carries load; one core each suffices
+		}
+		tracked.addCore(bottleneck)
+	}
 }
 
 func totalRate(in dataflow.InputRates) float64 {

@@ -193,9 +193,8 @@ func TestPlanIterativeRepackMerges(t *testing.T) {
 	menu := awsMenu()
 	p := NewPlan(menu)
 	// Two xlarges, each hosting 1 core — mergeable into one.
-	vm1 := &PlanVM{Class: menu.Largest(), Cores: map[int]int{0: 1}}
-	vm2 := &PlanVM{Class: menu.Largest(), Cores: map[int]int{1: 1}}
-	p.VMs = []*PlanVM{vm1, vm2}
+	p.openVM(menu.Largest()).add(0, 1)
+	p.openVM(menu.Largest()).add(1, 1)
 	p.IterativeRepack()
 	if len(p.VMs) != 1 {
 		t.Fatalf("VMs after repack = %d", len(p.VMs))
@@ -208,7 +207,7 @@ func TestPlanIterativeRepackMerges(t *testing.T) {
 func TestPlanDowngrade(t *testing.T) {
 	menu := awsMenu()
 	p := NewPlan(menu)
-	p.VMs = []*PlanVM{{Class: menu.Largest(), Cores: map[int]int{0: 1}}}
+	p.openVM(menu.Largest()).add(0, 1)
 	p.Downgrade()
 	// 1 core at speed 2 (2 ECU) fits an m1.medium (1 core x 2 ECU).
 	if p.VMs[0].Class.Name != "m1.medium" {

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -154,6 +155,164 @@ func TestLayeredGraphShape(t *testing.T) {
 		for _, a := range p.Alternates {
 			if a.Value <= 0 || a.Value > 1 || a.Cost <= 0 {
 				t.Fatalf("bad ladder entry %+v", a)
+			}
+		}
+	}
+}
+
+// referencePredictOmegaRouted and referencePEThroughputsRouted are the
+// one-shot capped passes that RoutedFlow replaced, kept verbatim as the
+// reference TestRoutedFlowMatchesReference diffs against.
+func referencePredictOmegaRouted(g *Graph, sel Selection, routing Routing, in InputRates, capacity []float64) (float64, error) {
+	_, exp, err := PropagateRatesRouted(g, sel, routing, in)
+	if err != nil {
+		return 0, err
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		return 0, err
+	}
+	arr := make([]float64, g.N())
+	got := make([]float64, g.N())
+	for pe, r := range in {
+		arr[pe] = r
+	}
+	for _, v := range order {
+		p := arr[v]
+		if v < len(capacity) && p > capacity[v] {
+			p = capacity[v]
+		}
+		got[v] = p * sel.Alt(g, v).Selectivity
+		for _, w := range g.ActiveSuccessors(v, routing) {
+			arr[w] += got[v]
+		}
+	}
+	outs := g.Outputs()
+	omega := 0.0
+	for _, pe := range outs {
+		if exp[pe] <= 0 {
+			omega++
+			continue
+		}
+		r := got[pe] / exp[pe]
+		if r > 1 {
+			r = 1
+		}
+		omega += r
+	}
+	return omega / float64(len(outs)), nil
+}
+
+func referencePEThroughputsRouted(g *Graph, sel Selection, routing Routing, in InputRates, capacity []float64) ([]float64, error) {
+	if err := sel.Validate(g); err != nil {
+		return nil, err
+	}
+	if err := routing.Validate(g); err != nil {
+		return nil, err
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	arr := make([]float64, g.N())
+	for pe, r := range in {
+		arr[pe] = r
+	}
+	th := make([]float64, g.N())
+	processedOut := make([]float64, g.N())
+	for _, v := range order {
+		p := arr[v]
+		if v < len(capacity) && p > capacity[v] {
+			p = capacity[v]
+		}
+		processedOut[v] = p * sel.Alt(g, v).Selectivity
+		for _, w := range g.ActiveSuccessors(v, routing) {
+			arr[w] += processedOut[v]
+		}
+	}
+	for v := range th {
+		if arr[v] <= 0 {
+			th[v] = 1
+			continue
+		}
+		p := arr[v]
+		if v < len(capacity) && p > capacity[v] {
+			p = capacity[v]
+		}
+		th[v] = p / arr[v]
+	}
+	return th, nil
+}
+
+// TestRoutedFlowMatchesReference scores random capacity vectors — some
+// short, most throttling a few PEs — through one reused RoutedFlow and
+// through the one-shot reference passes, and requires bit-equal Ω and
+// per-PE throughputs across selections, routings and input rates.
+func TestRoutedFlowMatchesReference(t *testing.T) {
+	twoChoices := NewBuilder().
+		AddPE("in", Alt("e", 1, 0.1, 1.3)).
+		AddPE("a", Alt("x", 1, 0.7, 0.8), Alt("y", 0.8, 0.3, 1.1)).
+		AddPE("b", Alt("e", 0.9, 0.5, 0.6)).
+		AddPE("c", Alt("e", 1, 1.1, 1.7)).
+		AddPE("d", Alt("e", 1, 0.9, 0.9), Alt("f", 0.7, 0.2, 0.4)).
+		AddPE("e", Alt("e", 1, 0.4, 1)).
+		AddPE("out", Alt("e", 1, 0.1, 1)).
+		AddPE("tap", Alt("e", 1, 0.1, 1)).
+		AddChoice("first", "in", "a", "b").
+		Connect("in", "d").
+		Connect("a", "c").
+		Connect("b", "c").
+		AddChoice("second", "c", "e", "out").
+		Connect("e", "out").
+		Connect("d", "out").
+		Connect("d", "tap").
+		MustBuild()
+	graphs := []*Graph{Fig1Graph(), EvalGraph(), DiamondGraph(), LayeredGraph(5, 3, 3), choiceGraph(), twoChoices}
+	rng := rand.New(rand.NewSource(7))
+	for gi, g := range graphs {
+		for trial := 0; trial < 40; trial++ {
+			sel := DefaultSelection(g)
+			for pe := range sel {
+				sel[pe] = rng.Intn(len(g.PEs[pe].Alternates))
+			}
+			routing := DefaultRouting(g)
+			for i, c := range g.Choices {
+				routing[i] = rng.Intn(len(c.Targets))
+			}
+			in := InputRates{}
+			for _, pe := range g.Inputs() {
+				if trial%5 != 0 {
+					in[pe] = rng.Float64() * 40
+				} else {
+					in[pe] = 0
+				}
+			}
+			f, err := NewRoutedFlow(g, sel, routing, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pass := 0; pass < 6; pass++ {
+				caps := make([]float64, g.N()-rng.Intn(2))
+				for i := range caps {
+					caps[i] = rng.Float64() * 30
+				}
+				omega, th := f.Capped(caps)
+				wantOmega, err := referencePredictOmegaRouted(g, sel, routing, in, caps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantTh, err := referencePEThroughputsRouted(g, sel, routing, in, caps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(omega) != math.Float64bits(wantOmega) {
+					t.Fatalf("graph %d trial %d pass %d: omega %v, reference %v", gi, trial, pass, omega, wantOmega)
+				}
+				for pe := range wantTh {
+					if math.Float64bits(th[pe]) != math.Float64bits(wantTh[pe]) {
+						t.Fatalf("graph %d trial %d pass %d: PE %d throughput %v, reference %v", gi, trial, pass, pe, th[pe], wantTh[pe])
+					}
+				}
 			}
 		}
 	}

@@ -196,91 +196,131 @@ func PropagateRatesRouted(g *Graph, sel Selection, routing Routing, in InputRate
 	return inRate, outRate, nil
 }
 
-// PredictOmegaRouted predicts the relative application throughput for a
-// capacity vector under routing (PredictOmega generalized to dynamic
-// paths). Output PEs unreachable under the routing contribute 1 (they are
-// expected to emit nothing, and do).
-func PredictOmegaRouted(g *Graph, sel Selection, routing Routing, in InputRates, capacity []float64) (float64, error) {
-	_, exp, err := PropagateRatesRouted(g, sel, routing, in)
+// RoutedFlow is a graph's steady-state flow under one selection, routing
+// and set of external input rates, prepared once so that many capacity
+// vectors can be scored against it: the topological order, every PE's
+// active successors and the uncapped rates are computed at construction,
+// and each Capped pass reuses the same buffers. Alg. 1's deployment planner
+// keeps one across every core it adds; PredictOmegaRouted and
+// PEThroughputsRouted are its one-shot forms.
+type RoutedFlow struct {
+	order       []int
+	succ        [][]int
+	selectivity []float64
+	outs        []int
+	// base holds the external input rates; inRate/outRate the uncapped
+	// steady state.
+	base, inRate, outRate []float64
+	// arr, got and th are the capped pass's buffers.
+	arr, got, th []float64
+}
+
+// NewRoutedFlow validates the selection, routing and input rates and
+// prepares their flow.
+func NewRoutedFlow(g *Graph, sel Selection, routing Routing, in InputRates) (*RoutedFlow, error) {
+	inRate, outRate, err := PropagateRatesRouted(g, sel, routing, in)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	order, err := g.TopoOrder()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	arr := make([]float64, g.N())
-	got := make([]float64, g.N())
+	n := g.N()
+	f := &RoutedFlow{
+		order:       order,
+		succ:        make([][]int, n),
+		selectivity: make([]float64, n),
+		outs:        g.Outputs(),
+		base:        make([]float64, n),
+		inRate:      inRate,
+		outRate:     outRate,
+		arr:         make([]float64, n),
+		got:         make([]float64, n),
+		th:          make([]float64, n),
+	}
+	for v := 0; v < n; v++ {
+		f.succ[v] = g.ActiveSuccessors(v, routing)
+		f.selectivity[v] = sel.Alt(g, v).Selectivity
+	}
 	for pe, r := range in {
-		arr[pe] = r
+		f.base[pe] = r
 	}
-	for _, v := range order {
+	return f, nil
+}
+
+// InRates returns every PE's uncapped arrival rate (msg/s). The slice is
+// shared; callers must not mutate it.
+func (f *RoutedFlow) InRates() []float64 { return f.inRate }
+
+// Capped runs one capped pass: each PE, in topological order, processes
+// min(arrival, capacity) and emits that times its selectivity. It returns
+// the predicted relative application throughput — the mean over output
+// PEs of capped/uncapped output, where an output expected to emit nothing
+// (unreachable under the routing, or no input) counts 1 — and each PE's
+// predicted relative throughput, processed/arrival at the capped rates (1
+// for PEs with no arrivals). The throughput slice is reused by the next
+// pass. A PE beyond len(capacity) is uncapped.
+func (f *RoutedFlow) Capped(capacity []float64) (omega float64, th []float64) {
+	arr, got := f.arr, f.got
+	copy(arr, f.base)
+	for _, v := range f.order {
 		p := arr[v]
 		if v < len(capacity) && p > capacity[v] {
 			p = capacity[v]
 		}
-		got[v] = p * sel.Alt(g, v).Selectivity
-		for _, w := range g.ActiveSuccessors(v, routing) {
+		got[v] = p * f.selectivity[v]
+		for _, w := range f.succ[v] {
 			arr[w] += got[v]
 		}
 	}
-	outs := g.Outputs()
-	omega := 0.0
-	for _, pe := range outs {
-		if exp[pe] <= 0 {
+	for _, pe := range f.outs {
+		if f.outRate[pe] <= 0 {
 			omega++
 			continue
 		}
-		r := got[pe] / exp[pe]
+		r := got[pe] / f.outRate[pe]
 		if r > 1 {
 			r = 1
 		}
 		omega += r
 	}
-	return omega / float64(len(outs)), nil
-}
-
-// PEThroughputsRouted returns each PE's predicted relative throughput
-// (processed/arrival at capped rates) under routing; PEs with no arrivals
-// report 1. The bottleneck-growth loops rank PEs by this.
-func PEThroughputsRouted(g *Graph, sel Selection, routing Routing, in InputRates, capacity []float64) ([]float64, error) {
-	if err := sel.Validate(g); err != nil {
-		return nil, err
-	}
-	if err := routing.Validate(g); err != nil {
-		return nil, err
-	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	arr := make([]float64, g.N())
-	for pe, r := range in {
-		arr[pe] = r
-	}
-	th := make([]float64, g.N())
-	processedOut := make([]float64, g.N())
-	for _, v := range order {
-		p := arr[v]
-		if v < len(capacity) && p > capacity[v] {
-			p = capacity[v]
-		}
-		processedOut[v] = p * sel.Alt(g, v).Selectivity
-		for _, w := range g.ActiveSuccessors(v, routing) {
-			arr[w] += processedOut[v]
-		}
-	}
-	for v := range th {
+	for v := range f.th {
 		if arr[v] <= 0 {
-			th[v] = 1
+			f.th[v] = 1
 			continue
 		}
 		p := arr[v]
 		if v < len(capacity) && p > capacity[v] {
 			p = capacity[v]
 		}
-		th[v] = p / arr[v]
+		f.th[v] = p / arr[v]
 	}
+	return omega / float64(len(f.outs)), f.th
+}
+
+// PredictOmegaRouted predicts the relative application throughput for a
+// capacity vector under routing (PredictOmega generalized to dynamic
+// paths). Output PEs unreachable under the routing contribute 1 (they are
+// expected to emit nothing, and do).
+func PredictOmegaRouted(g *Graph, sel Selection, routing Routing, in InputRates, capacity []float64) (float64, error) {
+	f, err := NewRoutedFlow(g, sel, routing, in)
+	if err != nil {
+		return 0, err
+	}
+	omega, _ := f.Capped(capacity)
+	return omega, nil
+}
+
+// PEThroughputsRouted returns each PE's predicted relative throughput
+// (processed/arrival at capped rates) under routing; PEs with no arrivals
+// report 1. Input rates are validated as PropagateRatesRouted does.
+func PEThroughputsRouted(g *Graph, sel Selection, routing Routing, in InputRates, capacity []float64) ([]float64, error) {
+	f, err := NewRoutedFlow(g, sel, routing, in)
+	if err != nil {
+		return nil, err
+	}
+	_, th := f.Capped(capacity)
 	return th, nil
 }
 
