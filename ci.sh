@@ -11,14 +11,15 @@
 # pre-refactor fixture (the multi-tenant refactor must stay byte-invisible
 # to single-tenant runs), a multi-tenant example smoke, the dfcalib
 # calibration loopback (parameter recovery + digital-twin validation), the
-# invariant-conservation, snapshot-decoder and Prometheus-importer fuzz
-# passes, the zero-alloc guarantees for the disabled-tracer,
+# invariant-conservation, snapshot-decoder, Prometheus-importer and
+# sweep-expansion fuzz passes, the zero-alloc guarantees for the disabled-tracer,
 # disabled-checker, and detached stage-profiler hot paths plus the
 # steady-state large-DAG and 8-tenant steps themselves, an
 # attached-profiler overhead-ratio guard, an allocation and adapt/step ratio
 # guard on the global heuristic's Adapt at 1000 PEs, a memory and
 # deploy/step ratio guard on its Deploy (Alg. 1's planner) on the same DAG,
-# and an engine-step, Adapt and Deploy benchmark snapshot written to
+# an allocations-per-job guard on expanding the fig67 sweep grid, and an
+# engine-step, Adapt, Deploy and Expand benchmark snapshot written to
 # BENCH_step.json. The flow-stage
 # differential battery (TestFlowParallelByteIdentical) and the parallel-flow
 # race stress test ride the `go test -race ./...` pass above. Run from the
@@ -108,6 +109,11 @@ go test ./internal/state -run '^$' -fuzz 'FuzzDecode' -fuzztime 10s
 # and anything accepted must be a render fixed point.
 go test ./internal/calibration -run '^$' -fuzz 'FuzzParsePrometheus' -fuzztime 10s
 
+# Sweep-spec fuzzing: dfserve expands spec JSON taken over HTTP. Arbitrary
+# bytes through ParseSpec + Expand must never panic, and must give the same
+# jobs (or the same error) as the original byte-level expansion.
+go test ./internal/sweep -run '^$' -fuzz 'FuzzExpand' -fuzztime 10s
+
 # The trace hook must cost 0 allocs/op while tracing is disabled.
 bench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStep/hook/disabled' -benchtime 100x -benchmem)
 echo "$bench"
@@ -190,6 +196,24 @@ printf '%s\n%s\n' "$stepbench" "$deploybench" | awk '
         }
     }'
 
+# Expanding a sweep grid must stay cheap per job: the fig67 grid at the
+# default configuration with 4 replicas (96 jobs) may allocate at most 600
+# objects per job (observed ~330; merging byte documents took ~1,170).
+expandbench=$(go test ./internal/sweep -run '^$' -bench 'BenchmarkExpand' -benchtime 20x -benchmem)
+echo "$expandbench"
+echo "$expandbench" | awk '
+    function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
+    /^BenchmarkExpand/ { jobs = field("jobs/op"); allocs = field("allocs/op") }
+    END {
+        if (jobs == "" || allocs == "" || jobs == 0) { print "expand guard: benchmark missing" > "/dev/stderr"; exit 1 }
+        per = allocs / jobs
+        printf "expand: %.0f allocs per job over %d jobs\n", per, jobs
+        if (per > 600) {
+            printf "Expand allocates %.0f objects per job (limit 600)\n", per > "/dev/stderr"
+            exit 1
+        }
+    }'
+
 # The same 0-alloc guarantee must hold with the tenant dimension hot:
 # 8 tenants x 125 PEs with per-tenant Ω/Γ/spend folds every interval.
 bench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStepMultiTenant' -benchtime 100x -benchmem)
@@ -220,16 +244,17 @@ echo "$bench" | awk '
     }'
 
 # Benchmark snapshot: run the engine-step benchmark suite with -benchmem,
-# add the Adapt and Deploy benchmarks measured above, and record ns/op,
-# B/op, allocs/op per benchmark as BENCH_step.json, so perf regressions show
-# up in review diffs. Each row names what one op is: an engine step, a
-# whole one-hour run, one disabled-hook call, one Adapt call, or one
-# Deploy. The numbers are machine-dependent; the file is a tracked
-# observation, not a gate.
+# add the Adapt, Deploy and Expand benchmarks measured above, and record
+# ns/op, B/op, allocs/op per benchmark as BENCH_step.json, so perf
+# regressions show up in review diffs. Each row names what one op is: an
+# engine step, a whole one-hour run, one disabled-hook call, one Adapt call,
+# one Deploy, or one expansion of the 96-job fig67 grid. The numbers are
+# machine-dependent; the file is a tracked observation, not a gate.
 {
     go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStep' -benchtime 100x -benchmem
     echo "$adaptbench"
     echo "$deploybench"
+    echo "$expandbench"
 } | awk '
     function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
     BEGIN { print "[" }
@@ -238,6 +263,7 @@ echo "$bench" | awk '
         unit = "step"
         if (name ~ /^BenchmarkAdapt/) unit = "adapt"
         else if (name ~ /^BenchmarkDeploy/) unit = "deploy"
+        else if (name ~ /^BenchmarkExpand/) unit = "expand"
         else if (name ~ /\/hook\//) unit = "call"
         else if (name ~ /\/run\//) unit = "run"
         if (n++) printf ",\n"

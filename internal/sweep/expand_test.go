@@ -1,0 +1,436 @@
+package sweep_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"dynamicdf/internal/experiments"
+	"dynamicdf/internal/scenario"
+	"dynamicdf/internal/sweep"
+)
+
+// referenceExpand is the original Expand, kept verbatim as the oracle for
+// the tree-based one: it merges patches as byte documents, decoding and
+// re-encoding the whole document once per axis, once for the prefix, and
+// once for the seed.
+func referenceExpand(s *sweep.Spec) ([]sweep.Job, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	seeds := s.Seeds
+	if len(seeds) == 0 {
+		base, err := scenario.ParseBytes(s.Base)
+		if err != nil {
+			return nil, err
+		}
+		seeds = []int64{base.Seed}
+	}
+
+	var jobs []sweep.Job
+	idx := make([]int, len(s.Axes))
+	for {
+		doc := append([]byte(nil), s.Base...)
+		prefixDoc := append([]byte(nil), s.Base...)
+		var labels []string
+		for a, ax := range s.Axes {
+			v := ax.Values[idx[a]]
+			var err error
+			doc, err = referenceMergePatch(doc, v.Patch)
+			if err != nil {
+				return nil, fmt.Errorf("sweep: axis %q value %q: %w", ax.Name, v.Label, err)
+			}
+			if s.WarmStart != nil && !ax.Warm {
+				// The prefix identity is the job with warm-axis patches
+				// dropped: jobs differing only along warm axes converge on
+				// one prefix document.
+				prefixDoc, err = referenceMergePatch(prefixDoc, v.Patch)
+				if err != nil {
+					return nil, fmt.Errorf("sweep: axis %q value %q: %w", ax.Name, v.Label, err)
+				}
+			}
+			labels = append(labels, ax.Name+"="+v.Label)
+		}
+		group := strings.Join(labels, "/")
+		for _, seed := range seeds {
+			seedPatch := []byte(fmt.Sprintf(`{"seed": %d}`, seed))
+			seeded, err := referenceMergePatch(doc, seedPatch)
+			if err != nil {
+				return nil, err
+			}
+			sc, err := scenario.ParseBytes(seeded)
+			if err != nil {
+				id := group
+				if id != "" {
+					id += "/"
+				}
+				return nil, fmt.Errorf("sweep: job %sseed=%d: %w", id, seed, err)
+			}
+			canonical, err := sc.CanonicalJSON()
+			if err != nil {
+				return nil, err
+			}
+			id := fmt.Sprintf("seed=%d", seed)
+			if group != "" {
+				id = group + "/" + id
+			}
+			job := sweep.Job{
+				ID:        id,
+				Group:     group,
+				Seed:      seed,
+				Scenario:  sc,
+				Canonical: canonical,
+				Key:       sweep.JobKey(canonical),
+			}
+			if s.WarmStart != nil {
+				seededPrefix, err := referenceMergePatch(prefixDoc, seedPatch)
+				if err != nil {
+					return nil, err
+				}
+				psc, err := scenario.ParseBytes(seededPrefix)
+				if err != nil {
+					return nil, fmt.Errorf("sweep: job %s prefix: %w", id, err)
+				}
+				pCanonical, err := psc.CanonicalJSON()
+				if err != nil {
+					return nil, err
+				}
+				job.Prefix = psc
+				job.PrefixKey = sweep.JobKey(pCanonical)
+			}
+			jobs = append(jobs, job)
+		}
+		// Advance the mixed-radix axis counter, fastest at the end.
+		a := len(idx) - 1
+		for ; a >= 0; a-- {
+			idx[a]++
+			if idx[a] < len(s.Axes[a].Values) {
+				break
+			}
+			idx[a] = 0
+		}
+		if a < 0 {
+			break
+		}
+	}
+	keySeen := map[string]string{}
+	for _, j := range jobs {
+		if prev, dup := keySeen[j.Key]; dup {
+			return nil, fmt.Errorf("sweep: jobs %q and %q resolve to the same scenario (key %s)", prev, j.ID, j.Key)
+		}
+		keySeen[j.Key] = j.ID
+	}
+	return jobs, nil
+}
+
+// referenceMergePatch is the original byte-level MergePatch, kept verbatim
+// so the oracle shares no merge code with the package under test.
+func referenceMergePatch(target, patch []byte) ([]byte, error) {
+	if len(bytes.TrimSpace(patch)) == 0 {
+		return target, nil
+	}
+	var pv interface{}
+	if err := referenceDecodeNumbers(patch, &pv); err != nil {
+		return nil, fmt.Errorf("merge patch: %w", err)
+	}
+	pObj, ok := pv.(map[string]interface{})
+	if !ok {
+		// A non-object patch replaces the whole document.
+		return json.Marshal(pv)
+	}
+	var tv interface{}
+	if len(bytes.TrimSpace(target)) > 0 {
+		if err := referenceDecodeNumbers(target, &tv); err != nil {
+			return nil, fmt.Errorf("merge target: %w", err)
+		}
+	}
+	tObj, ok := tv.(map[string]interface{})
+	if !ok {
+		tObj = map[string]interface{}{}
+	}
+	return json.Marshal(referenceMergeObjects(tObj, pObj))
+}
+
+// referenceMergeObjects merges patch into target per RFC 7386, mutating
+// target.
+func referenceMergeObjects(target, patch map[string]interface{}) map[string]interface{} {
+	for k, pv := range patch {
+		if pv == nil {
+			delete(target, k)
+			continue
+		}
+		if pObj, ok := pv.(map[string]interface{}); ok {
+			if tObj, ok := target[k].(map[string]interface{}); ok {
+				target[k] = referenceMergeObjects(tObj, pObj)
+				continue
+			}
+			target[k] = referenceMergeObjects(map[string]interface{}{}, pObj)
+			continue
+		}
+		target[k] = pv
+	}
+	return target
+}
+
+// referenceDecodeNumbers unmarshals with json.Number so integer fields keep
+// full precision through the patch round trip.
+func referenceDecodeNumbers(data []byte, v interface{}) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	return nil
+}
+
+// sameExpansion reports the first difference between two expansions of one
+// spec: an error present on one side only or worded differently, a job
+// count, or any job field. It returns "" when they agree.
+func sameExpansion(got []sweep.Job, gotErr error, want []sweep.Job, wantErr error) string {
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		return fmt.Sprintf("error %v, reference %v", gotErr, wantErr)
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d jobs, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		switch {
+		case g.ID != w.ID || g.Group != w.Group || g.Seed != w.Seed:
+			return fmt.Sprintf("job %d is %s (group %q, seed %d), reference %s (group %q, seed %d)",
+				i, g.ID, g.Group, g.Seed, w.ID, w.Group, w.Seed)
+		case !bytes.Equal(g.Canonical, w.Canonical):
+			return fmt.Sprintf("job %s canonical\n%s\nreference\n%s", w.ID, g.Canonical, w.Canonical)
+		case g.Key != w.Key || g.PrefixKey != w.PrefixKey:
+			return fmt.Sprintf("job %s keys %s/%s, reference %s/%s", w.ID, g.Key, g.PrefixKey, w.Key, w.PrefixKey)
+		case !reflect.DeepEqual(g.Scenario, w.Scenario):
+			return fmt.Sprintf("job %s scenario %+v, reference %+v", w.ID, g.Scenario, w.Scenario)
+		case !reflect.DeepEqual(g.Prefix, w.Prefix):
+			return fmt.Sprintf("job %s prefix %+v, reference %+v", w.ID, g.Prefix, w.Prefix)
+		}
+	}
+	return ""
+}
+
+// randomBase is the random specs' base scenario: testBase's graph with
+// nested objects under rate, policy, control (including a map the patches
+// add to and delete from), check and infra.
+const randomBase = `{
+  "graph": {
+    "pes": [
+      {"name": "src", "alternates": [{"name": "e", "value": 1, "cost": 0.2, "selectivity": 1}]},
+      {"name": "work", "alternates": [
+        {"name": "full", "value": 1.0, "cost": 1.0, "selectivity": 1},
+        {"name": "lite", "value": 0.8, "cost": 0.5, "selectivity": 1}
+      ]}
+    ],
+    "edges": [["src", "work"]]
+  },
+  "rate": {"kind": "constant", "mean": 5, "seed": 3},
+  "policy": {"kind": "global", "dynamic": true},
+  "control": {"meanBootSec": 60, "perClassFailProb": {"m1.small": 0.1, "m1.large": 0.2}},
+  "check": {"enabled": true, "epsilon": 0.001},
+  "infra": {"kind": "ideal", "cpu": {"mean": 1, "sigma": 0.1}},
+  "horizonHours": 0.1,
+  "intervalSec": 60,
+  "maxVMs": 40,
+  "seed": 1
+}`
+
+// patchMembers are the top-level members random patches draw from. %d takes
+// a small random integer. They delete existing and absent members at every
+// depth, create objects that carry nulls, replace objects and arrays
+// wholesale, and carry integers past float64's exact range.
+var patchMembers = []string{
+	`"rate": {"mean": %d}`,
+	`"rate": {"mean": null, "seed": 9007199254740993}`,
+	`"rate": {"kind": "wave", "amplitude": %d, "absent": null}`,
+	`"policy": {"kind": "local"}`,
+	`"policy": {"dynamic": null}`,
+	`"policy": {"dynamic": false, "static": true}`,
+	`"control": {"perClassFailProb": {"m1.small": null, "m2.large": 0.%d}}`,
+	`"control": {"perClassFailProb": null}`,
+	`"control": {"meanBootSec": null, "seed": 9007199254740993}`,
+	`"control": {"acquireFailProb": 0.%d, "perClassFailProb": {"m1.large": 0.%d}}`,
+	`"check": null`,
+	`"check": {"strict": true, "epsilon": null}`,
+	`"infra": {"cpu": {"sigma": null, "theta": 0.%d}}`,
+	`"infra": {"cpu": null, "latency": {"mean": %d, "min": null}}`,
+	`"graph": {"edges": [["work", "src"]]}`,
+	`"graph": {"defaultMsgBytes": %d}`,
+	`"maxVMs": %d`,
+	`"maxVMs": null`,
+	`"omegaHat": 0.%d`,
+	`"absent": null`,
+	`"seed": 9007199254740993`,
+}
+
+// badMembers fail the strict scenario parse: a scalar or array where the
+// schema wants an object, and an unknown field.
+var badMembers = []string{`"rate": 7`, `"control": [1, 2]`, `"typo": 1`}
+
+// randomPatch draws one axis value's patch.
+func randomPatch(r *rand.Rand) json.RawMessage {
+	switch p := r.Intn(100); {
+	case p < 5:
+		return nil // missing
+	case p < 8:
+		return json.RawMessage(" \n")
+	case p < 15:
+		return json.RawMessage(`{}`)
+	case p < 18:
+		// A non-object patch replaces the whole document.
+		return json.RawMessage([]string{`5`, `[1, {"a": null}]`, `null`, `"doc"`}[r.Intn(4)])
+	case p < 20:
+		return json.RawMessage(`{"rate": `) // malformed
+	case p < 21:
+		return json.RawMessage(`{"omegaHat": 0.5} trailing`)
+	}
+	var members []string
+	for n := 1 + r.Intn(3); len(members) < n; {
+		m := patchMembers[r.Intn(len(patchMembers))]
+		if r.Intn(40) == 0 {
+			m = badMembers[r.Intn(len(badMembers))]
+		}
+		members = append(members, strings.ReplaceAll(m, "%d", fmt.Sprint(1+r.Intn(9))))
+	}
+	return json.RawMessage("{" + strings.Join(members, ", ") + "}")
+}
+
+// randomSpec draws a spec of up to three axes of up to three values, half
+// of them under warm start with a random subset of warm axes, and an empty
+// or explicit seed list.
+func randomSpec(r *rand.Rand, i int) *sweep.Spec {
+	s := &sweep.Spec{Name: fmt.Sprintf("random-%d", i), Base: json.RawMessage(randomBase)}
+	warm := r.Intn(2) == 0
+	if warm {
+		s.WarmStart = &sweep.WarmStartSpec{PrefixSec: 120}
+	}
+	for a := r.Intn(4); a > 0; a-- {
+		ax := sweep.Axis{Name: fmt.Sprintf("a%d", len(s.Axes)), Warm: warm && r.Intn(2) == 0}
+		for v := 1 + r.Intn(3); v > 0; v-- {
+			ax.Values = append(ax.Values, sweep.AxisValue{Label: fmt.Sprintf("v%d", len(ax.Values)), Patch: randomPatch(r)})
+		}
+		s.Axes = append(s.Axes, ax)
+	}
+	if r.Intn(2) == 0 {
+		for _, seed := range []int64{2, -4, 9007199254740993} {
+			if r.Intn(2) == 0 {
+				s.Seeds = append(s.Seeds, seed)
+			}
+		}
+	}
+	return s
+}
+
+// TestExpandMatchesReference diffs Expand against referenceExpand on every
+// named grid, the package's test specs and seeded random specs: every job
+// field and every error must match, so journals keyed by the original
+// expansion keep hitting.
+func TestExpandMatchesReference(t *testing.T) {
+	// check reports whether the reference expanded s and whether the two
+	// expansions agree.
+	check := func(name string, s *sweep.Spec) (expanded, same bool) {
+		t.Helper()
+		jobs, err := s.Expand()
+		ref, refErr := referenceExpand(s)
+		diff := sameExpansion(jobs, err, ref, refErr)
+		if diff != "" {
+			t.Errorf("%s: %s", name, diff)
+		}
+		return refErr == nil, diff == ""
+	}
+	for _, name := range experiments.GridNames() {
+		for _, replicas := range []int{1, 4} {
+			s, err := experiments.NamedGrid(name, experiments.Default(), replicas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("grid %s x%d", name, replicas), s)
+		}
+	}
+	for i, doc := range sweep.TestSpecDocs {
+		s, err := sweep.ParseSpec([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("test spec %d", i), s)
+	}
+	r := rand.New(rand.NewSource(1))
+	var expanded, failed int
+	for i := 0; i < 300; i++ {
+		s := randomSpec(r, i)
+		ok, same := check(s.Name, s)
+		if ok {
+			expanded++
+		}
+		if !same {
+			failed++
+		}
+		if failed >= 5 {
+			t.Fatal("stopping after 5 differing random specs")
+		}
+	}
+	// The draw must not be dominated by specs that fail to expand, or the
+	// job comparison above tests little.
+	if expanded < 100 {
+		t.Fatalf("only %d of 300 random specs expand", expanded)
+	}
+}
+
+// FuzzExpand feeds arbitrary spec documents through ParseSpec and both
+// expansions: they must agree job for job, or both fail with the same
+// error, and neither may panic.
+func FuzzExpand(f *testing.F) {
+	for _, doc := range sweep.TestSpecDocs {
+		f.Add([]byte(doc))
+	}
+	f.Add([]byte(`{"name": "n", "base": ` + randomBase + `, "axes": [
+	  {"name": "a", "values": [{"label": "x", "patch": {"control": {"perClassFailProb": {"m1.small": null}}}},
+	                           {"label": "y", "patch": [1]}]},
+	  {"name": "b", "warm": true, "values": [{"label": "z", "patch": {"rate": {"mean": null}}}]}],
+	  "warmStart": {"prefixSec": 120}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := sweep.ParseSpec(data)
+		if err != nil {
+			return
+		}
+		n := max(len(s.Seeds), 1)
+		for _, ax := range s.Axes {
+			n *= len(ax.Values)
+		}
+		if n > 256 {
+			t.Skip("spec expands to more than 256 jobs")
+		}
+		jobs, err := s.Expand()
+		ref, refErr := referenceExpand(s)
+		if diff := sameExpansion(jobs, err, ref, refErr); diff != "" {
+			t.Fatal(diff)
+		}
+	})
+}
+
+// benchJobs keeps BenchmarkExpand's result alive.
+var benchJobs []sweep.Job
+
+// BenchmarkExpand expands the fig67 named grid at the default
+// configuration with 4 replicas (96 jobs) and reports the job count, so
+// ci.sh can gate allocations per job.
+func BenchmarkExpand(b *testing.B) {
+	s, err := experiments.NamedGrid("fig67", experiments.Default(), 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchJobs, err = s.Expand(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(benchJobs)), "jobs/op")
+}

@@ -1,0 +1,6 @@
+package sweep
+
+// TestSpecDocs are this package's test spec documents — the acceptance
+// grid, the warm-start grid and its cold control — shared with the
+// external test package's differential and fuzz tests.
+var TestSpecDocs = []string{acceptSpecDoc, warmSpecDoc(true), warmSpecDoc(false)}

@@ -147,16 +147,28 @@ func (s *Server) Submit(spec *Spec) (string, bool, error) {
 		return "", false, err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return "", false, fmt.Errorf("sweep: service is shutting down")
+	known, err := s.admitLocked(id)
+	s.mu.Unlock()
+	if err != nil {
+		return "", false, err
 	}
-	if _, ok := s.sweeps[id]; ok {
+	if known {
 		return id, false, nil
 	}
+	// Expand without the lock: every handler and Shutdown take s.mu, and a
+	// large spec takes a while to expand. A concurrent submit of the same
+	// spec or a shutdown is caught by the second check below.
 	jobs, err := spec.Expand()
 	if err != nil {
 		return "", false, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if known, err = s.admitLocked(id); err != nil {
+		return "", false, err
+	}
+	if known {
+		return id, false, nil
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	run := &sweepRun{
@@ -175,6 +187,17 @@ func (s *Server) Submit(spec *Spec) (string, bool, error) {
 	s.wg.Add(1)
 	go s.execute(ctx, run)
 	return id, true, nil
+}
+
+// admitLocked reports whether campaign id is already registered, and
+// refuses every submission once the service is draining. The caller holds
+// s.mu.
+func (s *Server) admitLocked(id string) (bool, error) {
+	if s.draining {
+		return false, fmt.Errorf("sweep: service is shutting down")
+	}
+	_, ok := s.sweeps[id]
+	return ok, nil
 }
 
 // execute drives one campaign to completion.

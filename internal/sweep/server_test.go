@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -266,6 +267,52 @@ func TestServerErrors(t *testing.T) {
 		t.Fatalf("running results = %d", resp.StatusCode)
 	}
 	waitDone(t, ts, sub.ID)
+}
+
+// TestServerConcurrentSubmit races submissions of one spec. Submit expands
+// outside the server lock, so the racers must still attach to a single
+// campaign, exactly one of them starting it.
+func TestServerConcurrentSubmit(t *testing.T) {
+	srv := NewServer(ServerConfig{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	spec, err := ParseSpec([]byte(twoJobSpec()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const racers = 8
+	ids := make([]string, racers)
+	created := make([]bool, racers)
+	errs := make([]error, racers)
+	var wg sync.WaitGroup
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ids[i], created[i], errs[i] = srv.Submit(spec)
+		}(i)
+	}
+	wg.Wait()
+	starts := 0
+	for i := range ids {
+		if errs[i] != nil {
+			t.Fatalf("submit %d: %v", i, errs[i])
+		}
+		if ids[i] != ids[0] {
+			t.Fatalf("submits named campaigns %q and %q", ids[0], ids[i])
+		}
+		if created[i] {
+			starts++
+		}
+	}
+	if starts != 1 {
+		t.Fatalf("%d submits started the campaign, want 1", starts)
+	}
+	srv.mu.Lock()
+	registered := len(srv.order)
+	srv.mu.Unlock()
+	if registered != 1 {
+		t.Fatalf("%d campaigns registered, want 1", registered)
+	}
 }
 
 func TestServerShutdownDrains(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"dynamicdf/internal/scenario"
@@ -165,6 +166,11 @@ func (s *Spec) Validate() error {
 			}
 			valSeen[v.Label] = true
 		}
+		// Checked before every product, so a wide spec cannot wrap the
+		// count past the cap.
+		if len(ax.Values) > MaxJobs/jobs {
+			return fmt.Errorf("sweep: spec %q expands to more than %d jobs", s.Name, MaxJobs)
+		}
 		jobs *= len(ax.Values)
 	}
 	seedSeen := map[int64]bool{}
@@ -174,11 +180,8 @@ func (s *Spec) Validate() error {
 		}
 		seedSeen[seed] = true
 	}
-	if n := len(s.Seeds); n > 0 {
-		jobs *= n
-	}
-	if jobs > MaxJobs {
-		return fmt.Errorf("sweep: spec %q expands to %d jobs (max %d)", s.Name, jobs, MaxJobs)
+	if len(s.Seeds) > MaxJobs/jobs {
+		return fmt.Errorf("sweep: spec %q expands to more than %d jobs", s.Name, MaxJobs)
 	}
 	if warmAxes && s.WarmStart == nil {
 		return fmt.Errorf("sweep: spec %q marks axes warm without a warmStart block", s.Name)
@@ -230,6 +233,13 @@ func (s *Spec) ID() (string, error) {
 
 // Expand resolves the full grid into jobs, in deterministic order: axes
 // vary slowest-first in declaration order, seeds fastest.
+//
+// The base document and every axis value's patch are decoded once. Each
+// axis level keeps its merged tree, and under warm start its prefix tree;
+// when the axis counter advances, only the levels from the changed axis on
+// are merged again. Merges are copy-on-write, so levels share every
+// subtree a patch leaves alone and no tree changes once built. Each job
+// and prefix document is then encoded once and parsed strictly.
 func (s *Spec) Expand() ([]Job, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -242,53 +252,63 @@ func (s *Spec) Expand() ([]Job, error) {
 		}
 		seeds = []int64{base.Seed}
 	}
+	seedPatches := make([]interface{}, len(seeds))
+	seedLabels := make([]string, len(seeds))
+	for i, seed := range seeds {
+		seedPatches[i] = map[string]interface{}{"seed": json.Number(strconv.FormatInt(seed, 10))}
+		seedLabels[i] = fmt.Sprintf("seed=%d", seed)
+	}
+	// A patch that fails to decode is reported when the enumeration first
+	// reaches it, so errors come in job order.
+	n := len(s.Axes)
+	total := len(seeds)
+	patches := make([][]decodedPatch, n)
+	for a, ax := range s.Axes {
+		total *= len(ax.Values)
+		patches[a] = make([]decodedPatch, len(ax.Values))
+		for v, val := range ax.Values {
+			patches[a][v] = decodePatch(val.Patch)
+		}
+	}
 
-	var jobs []Job
-	idx := make([]int, len(s.Axes))
-	for {
-		doc := append([]byte(nil), s.Base...)
-		prefixDoc := append([]byte(nil), s.Base...)
-		var labels []string
-		for a, ax := range s.Axes {
-			v := ax.Values[idx[a]]
-			var err error
-			doc, err = MergePatch(doc, v.Patch)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: axis %q value %q: %w", ax.Name, v.Label, err)
+	// docs[a] is the base merged with the current values of axes 0..a-1,
+	// prefixes[a] the same with warm axes left out, and labels[a] names
+	// axis a's current value.
+	docs := make([]interface{}, n+1)
+	prefixes := make([]interface{}, n+1)
+	if err := decodeNumbers(s.Base, &docs[0]); err != nil {
+		return nil, fmt.Errorf("sweep: spec %q base: %w", s.Name, err)
+	}
+	prefixes[0] = docs[0]
+	labels := make([]string, n)
+	idx := make([]int, n)
+	jobs := make([]Job, 0, total)
+	for changed := 0; ; {
+		for a := changed; a < n; a++ {
+			ax, v := s.Axes[a], idx[a]
+			p := patches[a][v]
+			if p.err != nil {
+				return nil, fmt.Errorf("sweep: axis %q value %q: merge patch: %w", ax.Name, ax.Values[v].Label, p.err)
 			}
+			docs[a+1] = p.apply(docs[a])
+			prefixes[a+1] = prefixes[a]
 			if s.WarmStart != nil && !ax.Warm {
 				// The prefix identity is the job with warm-axis patches
 				// dropped: jobs differing only along warm axes converge on
 				// one prefix document.
-				prefixDoc, err = MergePatch(prefixDoc, v.Patch)
-				if err != nil {
-					return nil, fmt.Errorf("sweep: axis %q value %q: %w", ax.Name, v.Label, err)
-				}
+				prefixes[a+1] = p.apply(prefixes[a])
 			}
-			labels = append(labels, ax.Name+"="+v.Label)
+			labels[a] = ax.Name + "=" + ax.Values[v].Label
 		}
 		group := strings.Join(labels, "/")
-		for _, seed := range seeds {
-			seedPatch := []byte(fmt.Sprintf(`{"seed": %d}`, seed))
-			seeded, err := MergePatch(doc, seedPatch)
-			if err != nil {
-				return nil, err
-			}
-			sc, err := scenario.ParseBytes(seeded)
-			if err != nil {
-				id := group
-				if id != "" {
-					id += "/"
-				}
-				return nil, fmt.Errorf("sweep: job %sseed=%d: %w", id, seed, err)
-			}
-			canonical, err := sc.CanonicalJSON()
-			if err != nil {
-				return nil, err
-			}
-			id := fmt.Sprintf("seed=%d", seed)
+		for i, seed := range seeds {
+			id := seedLabels[i]
 			if group != "" {
 				id = group + "/" + id
+			}
+			sc, canonical, err := resolve(docs[n], seedPatches[i], id, "")
+			if err != nil {
+				return nil, err
 			}
 			job := Job{
 				ID:        id,
@@ -299,15 +319,7 @@ func (s *Spec) Expand() ([]Job, error) {
 				Key:       JobKey(canonical),
 			}
 			if s.WarmStart != nil {
-				seededPrefix, err := MergePatch(prefixDoc, seedPatch)
-				if err != nil {
-					return nil, err
-				}
-				psc, err := scenario.ParseBytes(seededPrefix)
-				if err != nil {
-					return nil, fmt.Errorf("sweep: job %s prefix: %w", id, err)
-				}
-				pCanonical, err := psc.CanonicalJSON()
+				psc, pCanonical, err := resolve(prefixes[n], seedPatches[i], id, " prefix")
 				if err != nil {
 					return nil, err
 				}
@@ -317,7 +329,7 @@ func (s *Spec) Expand() ([]Job, error) {
 			jobs = append(jobs, job)
 		}
 		// Advance the mixed-radix axis counter, fastest at the end.
-		a := len(idx) - 1
+		a := n - 1
 		for ; a >= 0; a-- {
 			idx[a]++
 			if idx[a] < len(s.Axes[a].Values) {
@@ -328,8 +340,9 @@ func (s *Spec) Expand() ([]Job, error) {
 		if a < 0 {
 			break
 		}
+		changed = a
 	}
-	keySeen := map[string]string{}
+	keySeen := make(map[string]string, len(jobs))
 	for _, j := range jobs {
 		if prev, dup := keySeen[j.Key]; dup {
 			return nil, fmt.Errorf("sweep: jobs %q and %q resolve to the same scenario (key %s)", prev, j.ID, j.Key)
@@ -337,6 +350,26 @@ func (s *Spec) Expand() ([]Job, error) {
 		keySeen[j.Key] = j.ID
 	}
 	return jobs, nil
+}
+
+// resolve splices a seed patch into a merged document, encodes the result
+// once and parses it strictly, so a job's scenario and canonical bytes are
+// those of the same document read from a file. A parse error names the job
+// id followed by what.
+func resolve(doc, seed interface{}, id, what string) (*scenario.Scenario, []byte, error) {
+	b, err := json.Marshal(merge(doc, seed))
+	if err != nil {
+		return nil, nil, err
+	}
+	sc, err := scenario.ParseBytes(b)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sweep: job %s%s: %w", id, what, err)
+	}
+	canonical, err := sc.CanonicalJSON()
+	if err != nil {
+		return nil, nil, err
+	}
+	return sc, canonical, nil
 }
 
 // JobKey computes the content-addressed cache key for a canonical scenario
@@ -359,49 +392,69 @@ func JobKey(canonical []byte) string {
 // replaces the target wholesale. Numbers pass through as json.Number, so
 // 64-bit seeds survive unmangled.
 func MergePatch(target, patch []byte) ([]byte, error) {
-	if len(bytes.TrimSpace(patch)) == 0 {
+	p := decodePatch(patch)
+	if p.empty {
 		return target, nil
 	}
-	var pv interface{}
-	if err := decodeNumbers(patch, &pv); err != nil {
-		return nil, fmt.Errorf("merge patch: %w", err)
+	if p.err != nil {
+		return nil, fmt.Errorf("merge patch: %w", p.err)
 	}
-	pObj, ok := pv.(map[string]interface{})
-	if !ok {
-		// A non-object patch replaces the whole document.
-		return json.Marshal(pv)
-	}
-	var tv interface{}
-	if len(bytes.TrimSpace(target)) > 0 {
-		if err := decodeNumbers(target, &tv); err != nil {
+	var doc interface{}
+	// A non-object patch replaces the whole document, so only an object
+	// patch reads its target.
+	if _, ok := p.tree.(map[string]interface{}); ok && len(bytes.TrimSpace(target)) > 0 {
+		if err := decodeNumbers(target, &doc); err != nil {
 			return nil, fmt.Errorf("merge target: %w", err)
 		}
 	}
-	tObj, ok := tv.(map[string]interface{})
-	if !ok {
-		tObj = map[string]interface{}{}
-	}
-	return json.Marshal(mergeObjects(tObj, pObj))
+	return json.Marshal(merge(doc, p.tree))
 }
 
-// mergeObjects merges patch into target per RFC 7386, mutating target.
-func mergeObjects(target, patch map[string]interface{}) map[string]interface{} {
-	for k, pv := range patch {
-		if pv == nil {
-			delete(target, k)
-			continue
-		}
-		if pObj, ok := pv.(map[string]interface{}); ok {
-			if tObj, ok := target[k].(map[string]interface{}); ok {
-				target[k] = mergeObjects(tObj, pObj)
-				continue
-			}
-			target[k] = mergeObjects(map[string]interface{}{}, pObj)
-			continue
-		}
-		target[k] = pv
+// decodedPatch is a merge patch decoded once, to be applied many times.
+type decodedPatch struct {
+	tree  interface{}
+	empty bool // a blank patch leaves the document as it is
+	err   error
+}
+
+func decodePatch(raw []byte) decodedPatch {
+	if len(bytes.TrimSpace(raw)) == 0 {
+		return decodedPatch{empty: true}
 	}
-	return target
+	var p decodedPatch
+	p.err = decodeNumbers(raw, &p.tree)
+	return p
+}
+
+func (p decodedPatch) apply(doc interface{}) interface{} {
+	if p.empty {
+		return doc
+	}
+	return merge(doc, p.tree)
+}
+
+// merge applies a decoded RFC 7386 merge patch to a decoded document. It
+// is copy-on-write: new maps are allocated only along the patch's object
+// paths, and the result shares every other subtree with doc and patch,
+// so neither input is modified and no tree may be modified afterwards.
+func merge(doc, patch interface{}) interface{} {
+	pObj, ok := patch.(map[string]interface{})
+	if !ok {
+		return patch
+	}
+	dObj, _ := doc.(map[string]interface{})
+	out := make(map[string]interface{}, len(dObj)+len(pObj))
+	for k, v := range dObj {
+		out[k] = v
+	}
+	for k, pv := range pObj {
+		if pv == nil {
+			delete(out, k)
+			continue
+		}
+		out[k] = merge(dObj[k], pv)
+	}
+	return out
 }
 
 // decodeNumbers unmarshals with json.Number so integer fields keep full

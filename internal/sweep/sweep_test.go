@@ -30,12 +30,10 @@ const testBase = `{
   "seed": 1
 }`
 
-// testSpec builds the acceptance grid: 3 scenario variants x 4 seeds.
-func testSpec(t *testing.T) *Spec {
-	t.Helper()
-	doc := fmt.Sprintf(`{
+// acceptSpecDoc is the acceptance grid: 3 scenario variants x 4 seeds.
+const acceptSpecDoc = `{
 	  "name": "accept",
-	  "base": %s,
+	  "base": ` + testBase + `,
 	  "axes": [
 	    {"name": "rate", "values": [
 	      {"label": "low",  "patch": {"rate": {"mean": 3}}},
@@ -44,8 +42,12 @@ func testSpec(t *testing.T) *Spec {
 	    ]}
 	  ],
 	  "seeds": [1, 2, 3, 4]
-	}`, testBase)
-	s, err := ParseSpec([]byte(doc))
+	}`
+
+// testSpec parses the acceptance grid.
+func testSpec(t *testing.T) *Spec {
+	t.Helper()
+	s, err := ParseSpec([]byte(acceptSpecDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +61,9 @@ func TestMergePatch(t *testing.T) {
 		{`{"a":1}`, `{"a":{"nested":true}}`, `{"a":{"nested":true}}`},
 		{`{"a":1}`, `{}`, `{"a":1}`},
 		{`{"a":1}`, `{"big":9007199254740993}`, `{"a":1,"big":9007199254740993}`},
+		{`{"a":1}`, `[1,{"b":null}]`, `[1,{"b":null}]`},              // non-object patch replaces the document
+		{`[1,2]`, `{"a":{"b":1}}`, `{"a":{"b":1}}`},                  // object patch over a non-object target
+		{`{"a":1}`, `{"b":{"c":null,"d":2}}`, `{"a":1,"b":{"d":2}}`}, // null inside a created object
 	}
 	for _, c := range cases {
 		got, err := MergePatch([]byte(c.target), []byte(c.patch))
@@ -128,12 +133,36 @@ func TestSpecValidation(t *testing.T) {
 		`{"name": "x", "base": ` + testBase + `, "axes": [{"name": "a=b", "values": [{"label": "v", "patch": {}}]}]}`, // reserved char
 		`{"name": "x", "base": ` + testBase + `, "seeds": [1, 1]}`,                                                    // duplicate seed
 		`{"name": "x", "base": ` + testBase + `, "typo": 1}`,                                                          // unknown field
+		wideSpecDoc(64),           // 2^64 jobs: a product wrapping to 0 must not pass the cap
+		seedsSpecDoc(MaxJobs + 1), // one seed over the cap
 	}
 	for i, doc := range bad {
 		if _, err := ParseSpec([]byte(doc)); err == nil {
 			t.Fatalf("case %d: bad spec accepted", i)
 		}
 	}
+	// The cap itself is accepted.
+	if _, err := ParseSpec([]byte(seedsSpecDoc(MaxJobs))); err != nil {
+		t.Fatalf("spec of exactly MaxJobs jobs: %v", err)
+	}
+}
+
+// wideSpecDoc is a spec of n two-valued axes.
+func wideSpecDoc(n int) string {
+	axes := make([]string, n)
+	for i := range axes {
+		axes[i] = fmt.Sprintf(`{"name": "a%d", "values": [{"label": "x", "patch": {}}, {"label": "y", "patch": {}}]}`, i)
+	}
+	return `{"name": "wide", "base": ` + testBase + `, "axes": [` + strings.Join(axes, ", ") + `]}`
+}
+
+// seedsSpecDoc is a spec without axes whose seed list has n seeds.
+func seedsSpecDoc(n int) string {
+	seeds := make([]string, n)
+	for i := range seeds {
+		seeds[i] = fmt.Sprint(i)
+	}
+	return `{"name": "seeds", "base": ` + testBase + `, "seeds": [` + strings.Join(seeds, ",") + `]}`
 }
 
 func TestSpecIDStable(t *testing.T) {
