@@ -3,7 +3,6 @@ package dynamicdf
 import (
 	"testing"
 
-	"dynamicdf/internal/binpack"
 	"dynamicdf/internal/dataflow"
 	"dynamicdf/internal/experiments"
 	"dynamicdf/internal/rates"
@@ -289,26 +288,6 @@ func BenchmarkTraceGeneration(b *testing.B) {
 		_ = p.CPUCoeff(0, 0)
 	}
 	_ = cfg
-}
-
-// BenchmarkBinpackGlobal measures the global packing pipeline on 64 items.
-func BenchmarkBinpackGlobal(b *testing.B) {
-	classes := []*binpack.BinClass{
-		{Name: "small", Capacity: 1, Cost: 0.06},
-		{Name: "medium", Capacity: 2, Cost: 0.12},
-		{Name: "large", Capacity: 4, Cost: 0.24},
-		{Name: "xlarge", Capacity: 8, Cost: 0.48},
-	}
-	items := make([]binpack.Item, 64)
-	for i := range items {
-		items[i] = binpack.Item{ID: i, Size: 0.25 + float64(i%13)*0.55}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := binpack.PackGlobal(items, classes); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkRatePropagation measures uncapped and capped rate propagation

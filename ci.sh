@@ -11,19 +11,16 @@
 # pre-refactor fixture (the multi-tenant refactor must stay byte-invisible
 # to single-tenant runs), a multi-tenant example smoke, the dfcalib
 # calibration loopback (parameter recovery + digital-twin validation), the
-# invariant-conservation, snapshot-decoder, Prometheus-importer and
-# sweep-expansion fuzz passes, the zero-alloc guarantees for the disabled-tracer,
-# disabled-checker, and detached stage-profiler hot paths plus the
-# steady-state large-DAG and 8-tenant steps themselves, an
-# attached-profiler overhead-ratio guard, an allocation and adapt/step ratio
-# guard on the global heuristic's Adapt at 1000 PEs, a memory and
-# deploy/step ratio guard on its Deploy (Alg. 1's planner) on the same DAG,
-# an allocations-per-job guard on expanding the fig67 sweep grid, and an
-# engine-step, Adapt, Deploy and Expand benchmark snapshot written to
-# BENCH_step.json. The flow-stage
-# differential battery (TestFlowParallelByteIdentical) and the parallel-flow
-# race stress test ride the `go test -race ./...` pass above. Run from the
-# repo root.
+# invariant-conservation, snapshot-decoder, Prometheus-importer,
+# sweep-expansion and fabric results-wire fuzz passes, the zero-alloc
+# guarantees for the disabled-tracer, disabled-checker, and detached
+# stage-profiler hot paths plus the steady-state large-DAG and 8-tenant
+# steps themselves, an attached-profiler overhead-ratio guard, an
+# allocation and adapt/step ratio guard on the global heuristic's Adapt at
+# 1000 PEs, a memory and deploy/step ratio guard on its Deploy (Alg. 1's
+# planner) on the same DAG, an allocations-per-job guard on expanding the
+# fig67 sweep grid, and an engine-step, per-run, Adapt, Deploy and Expand
+# benchmark snapshot written to BENCH_step.json. Run from the repo root.
 set -eu
 
 fmt=$(gofmt -l .)
@@ -113,6 +110,12 @@ go test ./internal/calibration -run '^$' -fuzz 'FuzzParsePrometheus' -fuzztime 1
 # bytes through ParseSpec + Expand must never panic, and must give the same
 # jobs (or the same error) as the original byte-level expansion.
 go test ./internal/sweep -run '^$' -fuzz 'FuzzExpand' -fuzztime 10s
+
+# Results-wire fuzzing: the coordinator takes NDJSON result lines over HTTP.
+# Arbitrary bytes must never panic the route, every non-blank line gets one
+# ack, and a leased job's first delivery is acked, every later one a
+# duplicate.
+go test ./internal/sweep/fabric -run '^$' -fuzz 'FuzzResultsWire' -fuzztime 10s
 
 # The trace hook must cost 0 allocs/op while tracing is disabled.
 bench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStep/hook/disabled' -benchtime 100x -benchmem)
@@ -225,33 +228,33 @@ echo "$bench" | grep -q ' 0 allocs/op' || {
 
 # An attached stage profiler must stay cheap: with allocation sampling it
 # reads the heap counter on ~1/31st of calls, so a profiled run may cost at
-# most 8x an unprofiled one (observed ~4x; the pre-sampling regression was
-# well past this). Both sides come from one invocation so machine noise
-# largely cancels.
-bench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStepProfiler/run' -benchtime 200x)
+# most 8x a bare one (observed ~4x; the pre-sampling regression was well
+# past this). Both sides come from one invocation so machine noise largely
+# cancels.
+bench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkEngineRun/(bare|profiler)$' -benchtime 200x)
 echo "$bench"
 echo "$bench" | awk '
-    /profiler=off/ { off = $3 }
-    /profiler=on/  { on = $3 }
+    /^BenchmarkEngineRun\/bare/     { off = $3 }
+    /^BenchmarkEngineRun\/profiler/ { on = $3 }
     END {
         if (off == "" || on == "") { print "profiler ratio guard: benchmarks missing" > "/dev/stderr"; exit 1 }
         ratio = on / off
         printf "profiler overhead ratio: %.2fx\n", ratio
         if (ratio > 8.0) {
-            printf "attached stage profiler costs %.2fx the unprofiled step (limit 8.0x)\n", ratio > "/dev/stderr"
+            printf "attached stage profiler costs %.2fx the bare run (limit 8.0x)\n", ratio > "/dev/stderr"
             exit 1
         }
     }'
 
-# Benchmark snapshot: run the engine-step benchmark suite with -benchmem,
-# add the Adapt, Deploy and Expand benchmarks measured above, and record
-# ns/op, B/op, allocs/op per benchmark as BENCH_step.json, so perf
+# Benchmark snapshot: run the engine-step and per-run benchmark suites with
+# -benchmem, add the Adapt, Deploy and Expand benchmarks measured above, and
+# record ns/op, B/op, allocs/op per benchmark as BENCH_step.json, so perf
 # regressions show up in review diffs. Each row names what one op is: an
 # engine step, a whole one-hour run, one disabled-hook call, one Adapt call,
 # one Deploy, or one expansion of the 96-job fig67 grid. The numbers are
 # machine-dependent; the file is a tracked observation, not a gate.
 {
-    go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStep' -benchtime 100x -benchmem
+    go test ./internal/sim -run '^$' -bench 'BenchmarkEngine(Step|Run)' -benchtime 100x -benchmem
     echo "$adaptbench"
     echo "$deploybench"
     echo "$expandbench"
@@ -264,8 +267,8 @@ echo "$bench" | awk '
         if (name ~ /^BenchmarkAdapt/) unit = "adapt"
         else if (name ~ /^BenchmarkDeploy/) unit = "deploy"
         else if (name ~ /^BenchmarkExpand/) unit = "expand"
+        else if (name ~ /^BenchmarkEngineRun/) unit = "run"
         else if (name ~ /\/hook\//) unit = "call"
-        else if (name ~ /\/run\//) unit = "run"
         if (n++) printf ",\n"
         printf "  {\"name\": \"%s\", \"unit\": \"%s\", \"nsPerOp\": %s, \"bytesPerOp\": %s, \"allocsPerOp\": %s}", name, unit, field("ns/op"), field("B/op"), field("allocs/op")
     }

@@ -85,7 +85,6 @@ func main() {
 	checkpointPath := flag.String("checkpoint", "", "write a state/v1 snapshot here at -checkpoint-sec, then continue")
 	checkpointSec := flag.Int64("checkpoint-sec", 0, "simulated second to checkpoint at (an interval boundary; with -checkpoint)")
 	restorePath := flag.String("restore", "", "resume from a state/v1 snapshot instead of starting at t=0")
-	flowWorkers := flag.Int("flow-workers", 0, "shard the engine's flow stage across this many workers (0 = serial; results are byte-identical either way)")
 	example := flag.Bool("example", false, "print an example scenario and exit")
 	flag.Parse()
 
@@ -112,9 +111,6 @@ func main() {
 	}
 	if *check {
 		sc.Check = &scenario.CheckSpec{Enabled: true, Strict: true}
-	}
-	if *flowWorkers > 0 {
-		sc.FlowWorkers = *flowWorkers
 	}
 
 	built, err := sc.Build()

@@ -45,10 +45,6 @@ type Scenario struct {
 	// keeps the canonical JSON of scenarios that do not use it unchanged, so
 	// existing sweep-journal cache keys stay valid.
 	Check *CheckSpec `json:"check,omitempty"`
-	// FlowWorkers shards the engine's flow stage across a worker pool
-	// (sim.Config.FlowWorkers). 0 — and hence the canonical JSON of existing
-	// scenarios — runs it serially; any value produces byte-identical output.
-	FlowWorkers int `json:"flowWorkers,omitempty"`
 	// Tenants declares a multi-tenant run: N dataflows, each with its own
 	// graph, rate, Ω floor and priority, sharing one fleet under a fairness
 	// arbiter (see tenants.go). Mutually exclusive with the top-level graph
@@ -349,7 +345,6 @@ func (sc *Scenario) Build() (*Built, error) {
 		Audit:         sc.Audit,
 		OmegaFloor:    obj.OmegaHat,
 		Checker:       checker,
-		FlowWorkers:   sc.FlowWorkers,
 	}
 	engine, err := sim.NewEngine(cfg)
 	if err != nil {
@@ -400,8 +395,21 @@ func addGraphSpec(b *dataflow.Builder, gs GraphSpec, choices []ChoiceSpec, prefi
 }
 
 // platform assembles the VM menu and failure models shared by the single-
-// and multi-tenant build paths.
+// and multi-tenant build paths. A negative fault-model field is an error:
+// zero means "off", and a negative MTBF would make every VM immortal.
 func (sc *Scenario) platform() (*cloud.Menu, sim.FailureModel, sim.FailureModel, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"failureMTBFHours", sc.FailureMTBFHrs},
+		{"spot.priceFraction", sc.Spot.PriceFraction},
+		{"spot.preemptMTBFHours", sc.Spot.PreemptMTBFHours},
+	} {
+		if f.v < 0 {
+			return nil, nil, nil, fmt.Errorf("scenario: %s %v must not be negative", f.name, f.v)
+		}
+	}
 	classes := cloud.AWS2013Classes()
 	var preemption sim.FailureModel
 	if sc.Spot.PriceFraction > 0 {

@@ -51,9 +51,14 @@ func TestParseAndBuildMinimal(t *testing.T) {
 }
 
 func TestParseRejectsUnknownFields(t *testing.T) {
-	in := `{"graph": {"pes": [], "edges": []}, "typoField": 1}`
-	if _, err := Parse(strings.NewReader(in)); err == nil {
-		t.Fatal("unknown field accepted")
+	for _, in := range []string{
+		`{"graph": {"pes": [], "edges": []}, "typoField": 1}`,
+		// The retired flow-worker knob must fail loudly, not be ignored.
+		`{"flowWorkers": 4}`,
+	} {
+		if _, err := Parse(strings.NewReader(in)); err == nil {
+			t.Errorf("unknown field accepted: %s", in)
+		}
 	}
 }
 
@@ -87,6 +92,17 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if err := mutate(func(s *Scenario) { s.Infra = InfraSpec{Kind: "csvdir", Dir: "/nonexistent"} }); err == nil {
 		t.Fatal("missing trace dir accepted")
+	}
+	// Negative fault-model fields used to be ignored or, for the spot MTBF,
+	// to make every spot VM immortal. The error must name the field.
+	for field, mut := range map[string]func(*Scenario){
+		"failureMTBFHours":      func(s *Scenario) { s.FailureMTBFHrs = -2 },
+		"spot.priceFraction":    func(s *Scenario) { s.Spot.PriceFraction = -0.5 },
+		"spot.preemptMTBFHours": func(s *Scenario) { s.Spot = SpotSpec{PriceFraction: 0.3, PreemptMTBFHours: -1} },
+	} {
+		if err := mutate(mut); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("negative %s: err = %v, want an error naming the field", field, err)
+		}
 	}
 }
 

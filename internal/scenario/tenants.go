@@ -161,7 +161,6 @@ func (sc *Scenario) buildTenants() (*Built, error) {
 		Audit:         sc.Audit,
 		OmegaFloor:    obj.OmegaHat,
 		Checker:       checker,
-		FlowWorkers:   sc.FlowWorkers,
 		Tenants:       tenants,
 	}
 	engine, err := sim.NewEngine(cfg)

@@ -122,6 +122,9 @@ func TestTenantBuildErrors(t *testing.T) {
 	if err := mutate(func(s *Scenario) { s.Tenants[0].InputWeights = []float64{1, 2} }); err == nil {
 		t.Fatal("input weight count mismatch accepted")
 	}
+	if err := mutate(func(s *Scenario) { s.FailureMTBFHrs = -2 }); err == nil || !strings.Contains(err.Error(), "failureMTBFHours") {
+		t.Fatalf("negative failureMTBFHours accepted for tenants: %v", err)
+	}
 }
 
 // TestTenantPolicyOverride: a per-tenant policy block replaces the

@@ -38,14 +38,10 @@ type peState struct {
 	host   []bool    // cores > 0 and the VM is active (the perVM key set)
 	rshare []float64 // rated share (>0 exactly on host slots)
 
-	// Output split, read by successors' gather while the level barrier
+	// Output split, read by successors' gather; the topological order
 	// guarantees this PE's flow already ran.
 	oshare   []float64
 	srcEmpty bool
-
-	// latTerms collects this PE's queueing-latency terms in phase order so
-	// the global latency fold can replay them serially in topological order.
-	latTerms []float64
 }
 
 // newPEState returns an arena row holding only the virtual unassigned slot.
@@ -255,30 +251,4 @@ func (e *Engine) rebuildFlowCaches() {
 		}
 	}
 	e.gammaDirty = true
-}
-
-// buildLevels groups PEs by depth (longest predecessor chain) over the full
-// graph — routing-independent, so it is computed once. PEs within a level
-// share no flow dependencies and may run concurrently; levels execute in
-// order, each behind a barrier.
-func (e *Engine) buildLevels() {
-	g := e.cfg.Graph
-	depth := make([]int, g.N())
-	maxd := 0
-	for _, v := range e.topoOrder {
-		d := 0
-		for _, u := range g.Predecessors(v) {
-			if depth[u]+1 > d {
-				d = depth[u] + 1
-			}
-		}
-		depth[v] = d
-		if d > maxd {
-			maxd = d
-		}
-	}
-	e.levels = make([][]int, maxd+1)
-	for _, v := range e.topoOrder {
-		e.levels[depth[v]] = append(e.levels[depth[v]], v)
-	}
 }

@@ -12,8 +12,7 @@ import (
 
 // largeLayeredDAG builds a levels x width layered graph (level 0 PEs are the
 // inputs). Each PE in level L>0 reads from the same column of level L-1, and
-// every other PE also reads a neighbouring column, so levels are wide (good
-// for sharding) while PEs still have mixed fan-in.
+// every other PE also reads a neighbouring column, so PEs have mixed fan-in.
 func largeLayeredDAG(levels, width int) *dataflow.Graph {
 	b := dataflow.NewBuilder()
 	name := func(level, col int) string { return fmt.Sprintf("pe_%d_%d", level, col) }
@@ -73,11 +72,10 @@ func deployLargeDAG(v *View, act Control) error {
 }
 
 // BenchmarkEngineStepLargeDAG measures steady-state stepping on a 1000-PE
-// layered DAG (50 levels x 20 columns, 250 VMs): the workload ISSUE 9 targets
-// with the arena refactor and the level-sharded flow stage.
+// layered DAG (50 levels x 20 columns, 250 VMs).
 func BenchmarkEngineStepLargeDAG(b *testing.B) {
-	bench := func(b *testing.B, cfg Config) {
-		e, err := NewEngine(cfg)
+	b.Run("steady", func(b *testing.B) {
+		e, err := NewEngine(largeDAGConfig(50, 20))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,39 +97,5 @@ func BenchmarkEngineStepLargeDAG(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("steady", func(b *testing.B) {
-		bench(b, largeDAGConfig(50, 20))
 	})
-	// The benchmark drives e.step() directly (bypassing RunUntil, which owns
-	// the pool lifecycle), so the workers subcases attach a pool by hand.
-	for _, workers := range []int{4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := largeDAGConfig(50, 20)
-			cfg.FlowWorkers = workers
-			e, err := NewEngine(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := e.RunUntil(context.Background(), &fixed{deploy: deployLargeDAG}, 0); err != nil {
-				b.Fatal(err)
-			}
-			pool := newFlowPool(e, workers)
-			e.flowPool = pool
-			defer func() { pool.close(); e.flowPool = nil }()
-			for i := 0; i < 3; i++ {
-				if err := e.step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			e.Collector().Reserve(b.N)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := e.step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -87,12 +87,6 @@ type Config struct {
 	// *invariant.Violation; a lenient one records violations (readable via
 	// Engine.Checker) and emits an invariant-violation trace event.
 	Checker *invariant.Checker
-	// FlowWorkers shards the flow stage's per-PE computation across a worker
-	// pool, one topological level at a time. 0 (the default) runs the stage
-	// serially on the stepping goroutine. Any worker count produces results
-	// byte-identical to the serial engine: the order-sensitive float folds
-	// always run serially after the parallel section.
-	FlowWorkers int
 	// Tenants partitions Graph into independent dataflows sharing the fleet:
 	// each entry scopes a contiguous PE (and choice-group) range of the
 	// composite graph to one tenant with its own Ω floor and priority. Empty
@@ -174,9 +168,6 @@ func (c *Config) normalize() error {
 	}
 	if c.OmegaFloor < 0 || c.OmegaFloor > 1 {
 		return fmt.Errorf("sim: omega floor %v outside [0,1]", c.OmegaFloor)
-	}
-	if c.FlowWorkers < 0 {
-		return fmt.Errorf("sim: flow workers %d < 0", c.FlowWorkers)
 	}
 	if err := c.validateTenants(); err != nil {
 		return err

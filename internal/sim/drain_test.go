@@ -3,14 +3,12 @@ package sim
 import (
 	"math"
 	"testing"
-
-	"dynamicdf/internal/queueing"
 )
 
 // TestFluidDrainMatchesAnalyticModel cross-validates the engine's queue
-// dynamics against internal/queueing's fluid-drain formula: a backlog
-// built during an undersized phase must drain in the time the analytic
-// model predicts once capacity is added.
+// dynamics against the fluid-drain formula: a backlog built during an
+// undersized phase must drain in backlog / (capacity - arrival) seconds
+// once capacity is added.
 func TestFluidDrainMatchesAnalyticModel(t *testing.T) {
 	g := chainGraph(1) // work: 1 core-sec/msg
 	const rate = 4.0
@@ -78,10 +76,7 @@ func TestFluidDrainMatchesAnalyticModel(t *testing.T) {
 	if backlogAtScale < 1000 {
 		t.Fatalf("backlog at scale-up = %v, expected ~3600 (3 msg/s x 1200 s)", backlogAtScale)
 	}
-	want, err := queueing.FluidDrainSec(backlogAtScale, rate, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := backlogAtScale / (8 - rate) // xlarge capacity 8 msg/s
 	got := float64(drainedAt - scaledAt)
 	// Interval granularity (60 s) bounds the agreement.
 	if math.Abs(got-want) > 120 {
@@ -89,10 +84,9 @@ func TestFluidDrainMatchesAnalyticModel(t *testing.T) {
 	}
 }
 
-// TestSteadyStateUtilization checks the engine realizes exactly the
-// utilization the queueing model defines: at capacity c*mu and arrival
-// lambda, throughput is min(1, 1/rho_inverse)... i.e. omega equals
-// capacity/arrival when saturated.
+// TestSteadyStateUtilization checks that a saturated fluid system runs at
+// capacity: two cores of 2 msg/s each under 8 msg/s of arrivals process
+// 4 msg/s, so Omega settles at capacity/arrival = 0.5.
 func TestSteadyStateUtilization(t *testing.T) {
 	g := chainGraph(1)
 	const rate = 8.0
@@ -124,10 +118,6 @@ func TestSteadyStateUtilization(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := e.Collector().Summarize()
-	m := queueing.MMC{Lambda: rate, Mu: 2, C: 2} // two 2-ECU cores at cost 1
-	if m.Stable() {
-		t.Fatal("setup: system should be saturated")
-	}
 	// Saturated fluid system: omega = capacity/lambda = 4/8.
 	if math.Abs(sum.MeanOmega-0.5) > 0.01 {
 		t.Fatalf("omega = %v, want 0.5 (= capacity/arrival)", sum.MeanOmega)

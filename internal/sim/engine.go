@@ -68,21 +68,17 @@ type Engine struct {
 	isInput   []bool
 	outputs   []int
 
-	// Routing-dependent flow topology (rebuilt by rebuildFlowCaches) and the
-	// static level schedule for the sharded flow stage (buildLevels).
+	// Routing-dependent flow topology, rebuilt by rebuildFlowCaches.
 	activeSucc [][]int
 	flowPreds  [][]int
-	levels     [][]int
 
 	// gammaV caches dataflow.RoutedValue, which only changes when the
 	// selection or routing does; gammaDirty forces a recompute.
 	gammaV     float64
 	gammaDirty bool
 
-	// ctx is the reused per-interval stage context; flowPool is the level
-	// sharding pool, non-nil only while a FlowWorkers > 0 run is active.
-	ctx      stepContext
-	flowPool *flowPool
+	// ctx is the reused per-interval stage context.
+	ctx stepContext
 
 	// Run lifecycle. deployed flips once the scheduler's Deploy phase has
 	// run, so a restored engine resumes without redeploying; sched is the
@@ -163,7 +159,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e.outputs = cfg.Graph.Outputs()
 	e.rebuildFlowCaches()
-	e.buildLevels()
 	e.ctx = stepContext{
 		extRate:     make([]float64, n),
 		inRate:      make([]float64, n),
@@ -291,14 +286,6 @@ func (e *Engine) RunUntil(ctx context.Context, s Scheduler, untilSec int64) erro
 			untilSec, e.cfg.IntervalSec, e.clock, e.cfg.HorizonSec)
 	}
 	e.sched = s
-	if e.cfg.FlowWorkers > 0 && e.flowPool == nil {
-		pool := newFlowPool(e, e.cfg.FlowWorkers)
-		e.flowPool = pool
-		defer func() {
-			pool.close()
-			e.flowPool = nil
-		}()
-	}
 	view := &View{e: e}
 	act := &Actions{e: e}
 	if !e.deployed {

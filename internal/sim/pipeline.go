@@ -263,33 +263,12 @@ func (e *Engine) stageRehome(c *stepContext) error {
 // capacity, backlog drain, queueing-latency accumulation, and delivery to
 // successors capped by pairwise bandwidth — then derives Omega (Def. 4).
 //
-// Each PE's computation (processPE) is independent of its level peers: it
-// pulls arrivals from predecessor output finalized in earlier levels rather
-// than pushing to successors, so with FlowWorkers > 0 the PEs of one
-// topological level shard across the pool, level by level. The
-// order-sensitive float folds (latency, backlog, Omega) run serially
-// afterwards in topological order, making parallel runs byte-identical to
-// serial ones. Mutates: arena queues/shares, invState.In/Processed.
+// PEs run in topological order, each pulling its arrivals from predecessor
+// output already computed this interval (processPE). Mutates: arena
+// queues/shares, invState.In/Processed.
 func (e *Engine) stageFlow(c *stepContext) error {
-	if e.flowPool != nil {
-		for _, level := range e.levels {
-			e.flowPool.run(c, level)
-		}
-	} else {
-		for _, pe := range e.topoOrder {
-			e.processPE(c, pe)
-		}
-	}
-
 	for _, pe := range e.topoOrder {
-		p := &e.pes[pe]
-		for _, t := range p.latTerms {
-			c.latencyAccum += t
-		}
-		c.latencyN += len(p.latTerms)
-		for s := range p.queue {
-			c.totalBacklog += p.queue[s]
-		}
+		e.processPE(c, pe)
 	}
 
 	// Relative application throughput (Def. 4): mean over output PEs of
@@ -334,9 +313,9 @@ func (e *Engine) stageFlow(c *stepContext) error {
 // processPE runs one PE's slice of the flow stage: gather this interval's
 // arrivals (external feed, then each active predecessor's delivery — the
 // same accumulation sequence the push-based engine produced), process
-// per-VM bounded by capacity, drain backlog, and publish the output split
-// for successors. Writes only this PE's arena row and per-PE cells of the
-// context, so level peers can run it concurrently.
+// per-VM bounded by capacity, drain backlog, fold its queueing-latency
+// terms and final backlog into the interval totals, and publish the output
+// split for successors.
 func (e *Engine) processPE(c *stepContext, pe int) {
 	g := e.cfg.Graph
 	p := &e.pes[pe]
@@ -412,7 +391,6 @@ func (e *Engine) processPE(c *stepContext, pe int) {
 	// capacity; then backlog on VMs with no arrivals this interval.
 	processed := 0.0
 	arrivalTotal := 0.0
-	p.latTerms = p.latTerms[:0]
 	for s := 0; s < nslots; s++ {
 		if !p.hasArr[s] {
 			continue
@@ -433,7 +411,8 @@ func (e *Engine) processPE(c *stepContext, pe int) {
 		p.hasQ[s] = true
 		processed += pr
 		if vcap > 0 {
-			p.latTerms = append(p.latTerms, newQ/vcap)
+			c.latencyAccum += newQ / vcap
+			c.latencyN++
 		}
 	}
 	for s := 0; s < nslots; s++ {
@@ -453,8 +432,14 @@ func (e *Engine) processPE(c *stepContext, pe int) {
 		p.queue[s] = newQ
 		processed += pr
 		if vcap > 0 {
-			p.latTerms = append(p.latTerms, newQ/vcap)
+			c.latencyAccum += newQ / vcap
+			c.latencyN++
 		}
+	}
+	// Slot by slot rather than via totalQueue: a per-PE subtotal would round
+	// differently and move the Backlog column.
+	for s := range p.queue {
+		c.totalBacklog += p.queue[s]
 	}
 	c.observedIn[pe] = arrivalTotal
 	out := processed * alt.Selectivity

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dynamicdf/internal/invariant"
 	"dynamicdf/internal/obs"
 )
 
@@ -150,9 +151,8 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineStep measures engine stepping with tracing disabled and
-// enabled. The hook/disabled case must report 0 allocs/op — the guarantee
-// ci.sh enforces.
+// BenchmarkEngineStep measures the trace hook with tracing disabled. It
+// must report 0 allocs/op — the guarantee ci.sh enforces.
 func BenchmarkEngineStep(b *testing.B) {
 	b.Run("hook/disabled", func(b *testing.B) {
 		e, err := NewEngine(baseConfig(chainGraph(1), 4, 3600))
@@ -165,19 +165,27 @@ func BenchmarkEngineStep(b *testing.B) {
 			e.trace(obs.Event{Type: obs.EventStep, Phase: obs.PhaseStart, Value: 0.5})
 		}
 	})
-	for _, traced := range []bool{false, true} {
-		name := "run/tracer=off"
-		if traced {
-			name = "run/tracer=on"
-		}
-		b.Run(name, func(b *testing.B) {
+}
+
+// BenchmarkEngineRun times one whole run (Deploy plus 60 one-minute
+// intervals of a two-PE chain) bare and with each observation hook
+// attached: the tracer, the strict invariant checker, and the stage
+// profiler. ci.sh bounds profiler/bare.
+func BenchmarkEngineRun(b *testing.B) {
+	for _, hook := range []struct {
+		name   string
+		attach func(*Config)
+	}{
+		{"bare", func(*Config) {}},
+		{"tracer", func(cfg *Config) { cfg.Tracer = obs.NewTracer(new(bytes.Buffer)) }},
+		{"checker", func(cfg *Config) { cfg.Checker = invariant.NewStrict() }},
+		{"profiler", func(cfg *Config) { cfg.Profiler = obs.NewStageProfiler(nil) }},
+	} {
+		b.Run(hook.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				cfg := baseConfig(chainGraph(1), 4, 3600)
-				var sink bytes.Buffer
-				if traced {
-					cfg.Tracer = obs.NewTracer(&sink)
-				}
+				hook.attach(&cfg)
 				e, err := NewEngine(cfg)
 				if err != nil {
 					b.Fatal(err)
