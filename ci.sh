@@ -31,6 +31,9 @@ if [ -n "$fmt" ]; then
 fi
 
 go vet ./...
+# bench/ is a module of its own, so the root vet skips it; it calls
+# scenario.Build, sweep.ExecuteJob and trace.NewReplayed, so vet it too.
+(cd bench && go vet ./...)
 go build ./...
 go test -race ./...
 go test -race -count=1 ./internal/obs
@@ -229,35 +232,51 @@ echo "$bench" | grep -q ' 0 allocs/op' || {
 # An attached stage profiler must stay cheap: with allocation sampling it
 # reads the heap counter on ~1/31st of calls, so a profiled run may cost at
 # most 8x a bare one (observed ~4x; the pre-sampling regression was well
-# past this). Both sides come from one invocation so machine noise largely
-# cancels.
-bench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkEngineRun/(bare|profiler)$' -benchtime 200x)
+# past this). An attached strict checker must not allocate per step: a
+# checked run may allocate at most 8 objects more than a bare one (observed
+# 5; the fleet law's per-step map and tally made it ~64). Both sides of each
+# guard come from one invocation so machine noise largely cancels.
+bench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkEngineRun/(bare|checker|profiler)$' -benchtime 200x -benchmem)
 echo "$bench"
 echo "$bench" | awk '
-    /^BenchmarkEngineRun\/bare/     { off = $3 }
-    /^BenchmarkEngineRun\/profiler/ { on = $3 }
+    function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
+    /^BenchmarkEngineRun\/bare/     { off = field("ns/op"); offAllocs = field("allocs/op") }
+    /^BenchmarkEngineRun\/checker/  { checkAllocs = field("allocs/op") }
+    /^BenchmarkEngineRun\/profiler/ { on = field("ns/op") }
     END {
-        if (off == "" || on == "") { print "profiler ratio guard: benchmarks missing" > "/dev/stderr"; exit 1 }
+        if (off == "" || on == "" || offAllocs == "" || checkAllocs == "") { print "run guards: benchmarks missing" > "/dev/stderr"; exit 1 }
         ratio = on / off
         printf "profiler overhead ratio: %.2fx\n", ratio
         if (ratio > 8.0) {
             printf "attached stage profiler costs %.2fx the bare run (limit 8.0x)\n", ratio > "/dev/stderr"
             exit 1
         }
+        printf "checker allocations: %d per run vs %d bare\n", checkAllocs, offAllocs
+        if (checkAllocs > offAllocs + 8) {
+            printf "a strict-checked run allocates %d objects, bare %d (limit bare + 8)\n", checkAllocs, offAllocs > "/dev/stderr"
+            exit 1
+        }
     }'
 
+# Trace generation layer: one default replayed pool (24 traces of 5,760
+# samples), recorded in the snapshot below.
+poolbench=$(go test ./internal/trace -run '^$' -bench 'BenchmarkNewReplayed' -benchtime 50x -benchmem)
+echo "$poolbench"
+
 # Benchmark snapshot: run the engine-step and per-run benchmark suites with
-# -benchmem, add the Adapt, Deploy and Expand benchmarks measured above, and
-# record ns/op, B/op, allocs/op per benchmark as BENCH_step.json, so perf
-# regressions show up in review diffs. Each row names what one op is: an
-# engine step, a whole one-hour run, one disabled-hook call, one Adapt call,
-# one Deploy, or one expansion of the 96-job fig67 grid. The numbers are
+# -benchmem, add the Adapt, Deploy, Expand and NewReplayed benchmarks
+# measured above, and record ns/op, B/op, allocs/op per benchmark as
+# BENCH_step.json, so perf regressions show up in review diffs. Each row
+# names what one op is: an engine step, a whole one-hour run, one
+# disabled-hook call, one Adapt call, one Deploy, one expansion of the
+# 96-job fig67 grid, or one generated trace pool. The numbers are
 # machine-dependent; the file is a tracked observation, not a gate.
 {
     go test ./internal/sim -run '^$' -bench 'BenchmarkEngine(Step|Run)' -benchtime 100x -benchmem
     echo "$adaptbench"
     echo "$deploybench"
     echo "$expandbench"
+    echo "$poolbench"
 } | awk '
     function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
     BEGIN { print "[" }
@@ -267,6 +286,7 @@ echo "$bench" | awk '
         if (name ~ /^BenchmarkAdapt/) unit = "adapt"
         else if (name ~ /^BenchmarkDeploy/) unit = "deploy"
         else if (name ~ /^BenchmarkExpand/) unit = "expand"
+        else if (name ~ /^BenchmarkNewReplayed/) unit = "pool"
         else if (name ~ /^BenchmarkEngineRun/) unit = "run"
         else if (name ~ /\/hook\//) unit = "call"
         if (n++) printf ",\n"

@@ -81,6 +81,13 @@ type State struct {
 	// TenantOmega is each tenant's interval Ω in a multi-tenant run (nil
 	// otherwise). Each entry obeys the same [0, 1] bound as Omega.
 	TenantOmega []float64
+
+	// fleetIndex and fleetCores are the fleet law's scratch (VM id → index
+	// into VMs, and the cores placed per VM). They live with the State the
+	// engine reuses, so checking the fleet allocates nothing once they have
+	// grown to the fleet's size.
+	fleetIndex map[int]int
+	fleetCores []int
 }
 
 // VMState is the billing- and capacity-relevant view of one VM.
@@ -184,7 +191,6 @@ type Checker struct {
 
 	mu         sync.Mutex
 	violations []Violation
-	assigned   []int // scratch: per-VM cores summed from placements
 }
 
 // New returns a lenient checker with the default laws.

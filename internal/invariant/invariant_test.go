@@ -3,6 +3,7 @@ package invariant
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -159,5 +160,103 @@ func TestDefaultLawsIsACopy(t *testing.T) {
 	laws[0] = Law{Name: "clobbered", Check: func(*State, float64) string { return "" }}
 	if defaultLaws[0].Name != LawConservation {
 		t.Fatal("DefaultLaws exposed the shared slice")
+	}
+}
+
+// referenceCheckFleet is the fleet law as it was before it kept its
+// scratch with the State: a fresh id map and core tally on every call.
+func referenceCheckFleet(st *State) string {
+	byID := make(map[int]int, len(st.VMs))
+	for i, vm := range st.VMs {
+		byID[vm.ID] = i
+		if vm.UsedCores < 0 {
+			return fmt.Sprintf("VM %d has negative used cores %d", vm.ID, vm.UsedCores)
+		}
+		if vm.UsedCores > vm.RatedCores {
+			return fmt.Sprintf("VM %d oversubscribed: %d used > %d rated cores", vm.ID, vm.UsedCores, vm.RatedCores)
+		}
+	}
+	assigned := make([]int, len(st.VMs))
+	for _, p := range st.Placements {
+		if p.Cores <= 0 {
+			return fmt.Sprintf("PE %d holds a non-positive placement of %d cores on VM %d", p.PE, p.Cores, p.VM)
+		}
+		i, ok := byID[p.VM]
+		if !ok {
+			return fmt.Sprintf("PE %d placed on unknown VM %d", p.PE, p.VM)
+		}
+		if st.VMs[i].Stopped {
+			return fmt.Sprintf("PE %d placed on stopped VM %d", p.PE, p.VM)
+		}
+		assigned[i] += p.Cores
+	}
+	for i, vm := range st.VMs {
+		if assigned[i] != vm.UsedCores {
+			return fmt.Sprintf("VM %d: %d cores placed vs %d used", vm.ID, assigned[i], vm.UsedCores)
+		}
+	}
+	return ""
+}
+
+// TestFleetLawMatchesReference drives one reused State through random
+// fleets (consecutive ids as the engine numbers them, some out of order or
+// repeated, growing and shrinking) and requires the fleet law's verdict to
+// match the original, which allocated afresh, on every call.
+func TestFleetLawMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	st := &State{}
+	tripped := 0
+	for k := 0; k < 5000; k++ {
+		n := rng.Intn(40)
+		base := rng.Intn(100)
+		st.VMs = st.VMs[:0]
+		for i := 0; i < n; i++ {
+			vm := VMState{ID: base + i, RatedCores: 1 + rng.Intn(8), Stopped: rng.Intn(8) == 0}
+			if rng.Intn(10) == 0 {
+				vm.ID = rng.Intn(50) // out of order or repeated
+			}
+			st.VMs = append(st.VMs, vm)
+		}
+		st.Placements = st.Placements[:0]
+		for p := 0; n > 0 && p < rng.Intn(30); p++ {
+			i := rng.Intn(n)
+			pl := Placement{PE: p, VM: st.VMs[i].ID, Cores: 1 + rng.Intn(3)}
+			switch rng.Intn(30) {
+			case 0:
+				pl.VM = base + n + rng.Intn(3) // unknown, just past the end
+			case 1:
+				pl.VM = base - 1 - rng.Intn(3) // unknown, just before the start
+			case 2:
+				pl.Cores = -rng.Intn(2)
+			}
+			st.Placements = append(st.Placements, pl)
+			if !st.VMs[i].Stopped && rng.Intn(10) != 0 {
+				st.VMs[i].UsedCores += pl.Cores
+			}
+		}
+		if want, got := referenceCheckFleet(st), checkFleet(st, 0); got != want {
+			t.Fatalf("state %d: fleet law says %q, reference %q\nVMs %+v\nplacements %+v", k, got, want, st.VMs, st.Placements)
+		} else if got != "" {
+			tripped++
+		}
+	}
+	if tripped < 500 || tripped > 4500 {
+		t.Fatalf("%d of 5000 random fleets tripped the law: the generator is lopsided", tripped)
+	}
+}
+
+// TestFleetLawAllocatesNothing: once its scratch has grown, checking a
+// reused State's fleet allocates nothing.
+func TestFleetLawAllocatesNothing(t *testing.T) {
+	st := cleanState()
+	for i := 2; i < 64; i++ {
+		st.VMs = append(st.VMs, VMState{ID: i, RatedCores: 2, UsedCores: 1})
+		st.Placements = append(st.Placements, Placement{PE: 0, VM: i, Cores: 1})
+	}
+	if msg := checkFleet(st, 0); msg != "" {
+		t.Fatal(msg)
+	}
+	if a := testing.AllocsPerRun(100, func() { checkFleet(st, 0) }); a != 0 {
+		t.Fatalf("fleet law allocates %v objects per check", a)
 	}
 }

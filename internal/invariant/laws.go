@@ -102,7 +102,11 @@ func checkBilling(st *State, eps float64) string {
 // cores, every placement references a live (non-stopped) VM with a positive
 // core count, and each VM's UsedCores equals the sum of its placements.
 func checkFleet(st *State, _ float64) string {
-	byID := make(map[int]int, len(st.VMs))
+	if st.fleetIndex == nil {
+		st.fleetIndex = make(map[int]int, len(st.VMs))
+	}
+	byID := st.fleetIndex
+	clear(byID)
 	for i, vm := range st.VMs {
 		byID[vm.ID] = i
 		if vm.UsedCores < 0 {
@@ -112,7 +116,11 @@ func checkFleet(st *State, _ float64) string {
 			return fmt.Sprintf("VM %d oversubscribed: %d used > %d rated cores", vm.ID, vm.UsedCores, vm.RatedCores)
 		}
 	}
-	assigned := make([]int, len(st.VMs))
+	if cap(st.fleetCores) < len(st.VMs) {
+		st.fleetCores = make([]int, len(st.VMs), 2*len(st.VMs))
+	}
+	assigned := st.fleetCores[:len(st.VMs)]
+	clear(assigned)
 	for _, p := range st.Placements {
 		if p.Cores <= 0 {
 			return fmt.Sprintf("PE %d holds a non-positive placement of %d cores on VM %d", p.PE, p.Cores, p.VM)

@@ -25,7 +25,7 @@ func TestInfraGenSpecOverridesProvider(t *testing.T) {
 	sc.Infra.Kind = "replayed"
 	// A degenerate constant generator: every coefficient is exactly 0.5.
 	sc.Infra.CPU = &GenSpec{Mean: 0.5, Min: 0.5, Max: 0.5, PeriodSec: 60}
-	perf, err := sc.perf()
+	perf, err := sc.perf(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +41,12 @@ func TestInfraGenSpecOverridesProvider(t *testing.T) {
 
 	// An invalid override surfaces the generator's validation error.
 	sc.Infra.CPU = &GenSpec{Mean: 2, Min: 0, Max: 1, PeriodSec: 60}
-	if _, err := sc.perf(); err == nil || !strings.Contains(err.Error(), "infra cpu") {
+	if _, err := sc.perf(nil); err == nil || !strings.Contains(err.Error(), "infra cpu") {
 		t.Fatalf("invalid cpu override error = %v", err)
 	}
 	sc.Infra.CPU = nil
 	sc.Infra.Bandwidth = &GenSpec{Mean: 50, Min: 60, Max: 40, PeriodSec: 60}
-	if _, err := sc.perf(); err == nil || !strings.Contains(err.Error(), "infra bandwidth") {
+	if _, err := sc.perf(nil); err == nil || !strings.Contains(err.Error(), "infra bandwidth") {
 		t.Fatalf("invalid bandwidth override error = %v", err)
 	}
 }

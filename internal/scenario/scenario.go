@@ -286,12 +286,18 @@ type Built struct {
 }
 
 // Build validates the scenario and constructs the engine and scheduler.
-func (sc *Scenario) Build() (*Built, error) {
+func (sc *Scenario) Build() (*Built, error) { return sc.BuildWith(nil) }
+
+// BuildWith is Build drawing a replayed infrastructure from pools, the memo
+// of the campaign the scenario runs in: scenarios that replay the same
+// config share one read-only provider. A nil pools generates afresh, as
+// Build does. The run is the same either way.
+func (sc *Scenario) BuildWith(pools *trace.Pools) (*Built, error) {
 	if len(sc.Tenants) > 0 {
 		if len(sc.Graph.PEs) > 0 {
 			return nil, fmt.Errorf("scenario: graph and tenants blocks are mutually exclusive")
 		}
-		return sc.buildTenants()
+		return sc.buildTenants(pools)
 	}
 	g, err := buildGraph(sc.Graph, sc.Choices)
 	if err != nil {
@@ -302,7 +308,7 @@ func (sc *Scenario) Build() (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	perf, err := sc.perf()
+	perf, err := sc.perf(pools)
 	if err != nil {
 		return nil, err
 	}
@@ -504,7 +510,10 @@ func (m *wavewalk) Rate(sec int64) float64 { return (m.a.Rate(sec) + m.b.Rate(se
 func (m *wavewalk) Mean() float64          { return (m.a.Mean() + m.b.Mean()) / 2 }
 func (m *wavewalk) Name() string           { return "wave+walk" }
 
-func (sc *Scenario) perf() (trace.Provider, error) {
+// perf builds the infrastructure provider. A replayed one comes from pools;
+// a csvdir one writes its loaded traces into a provider of its own, so it is
+// never shared.
+func (sc *Scenario) perf(pools *trace.Pools) (trace.Provider, error) {
 	switch sc.Infra.Kind {
 	case "ideal", "":
 		return trace.NewIdeal(), nil
@@ -528,7 +537,7 @@ func (sc *Scenario) perf() (trace.Provider, error) {
 				return nil, fmt.Errorf("scenario: infra bandwidth: %w", err)
 			}
 		}
-		return trace.NewReplayed(cfg)
+		return pools.Replayed(cfg)
 	case "csvdir":
 		pool, err := trace.LoadDir(sc.Infra.Dir)
 		if err != nil {

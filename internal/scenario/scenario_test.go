@@ -1,10 +1,14 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"dynamicdf/internal/rates"
+	"dynamicdf/internal/trace"
 	"dynamicdf/internal/workload"
 )
 
@@ -102,6 +106,94 @@ func TestBuildErrors(t *testing.T) {
 	} {
 		if err := mutate(mut); err == nil || !strings.Contains(err.Error(), field) {
 			t.Errorf("negative %s: err = %v, want an error naming the field", field, err)
+		}
+	}
+	// A replay period whose span over the trace (period × 5,760 samples)
+	// overflows an int64 used to build, then panic the run on a wrapped
+	// span of 0. The error must name the dimension.
+	huge := &GenSpec{Mean: 0.8, Min: 0.5, Max: 1, PeriodSec: 1 << 57}
+	for dim, infra := range map[string]InfraSpec{
+		"cpu":       {Kind: "replayed", Seed: 1, CPU: huge},
+		"latency":   {Kind: "replayed", Seed: 1, Latency: huge},
+		"bandwidth": {Kind: "replayed", Seed: 1, Bandwidth: huge},
+	} {
+		sc, err := Parse(strings.NewReader(minimal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Infra = infra
+		built, err := sc.Build()
+		if err == nil {
+			_, err = built.Engine.Run(built.Scheduler)
+			t.Errorf("%s period 2^57 built (run: %v), want an overflow error", dim, err)
+		} else if !strings.Contains(err.Error(), dim) || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("%s period 2^57: err = %v, want an overflow error naming %s", dim, err, dim)
+		}
+	}
+}
+
+// TestBuildWithSharesReplayedPools: scenarios built through one memo share
+// the provider of a replayed infra config, while a csvdir scenario of the
+// same seed, which writes its loaded traces into its provider, leaves that
+// shared provider untouched in either order.
+func TestBuildWithSharesReplayedPools(t *testing.T) {
+	dir := t.TempDir()
+	s, err := trace.NewSeries(60, []float64{0.5, 0.6, 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(dir, "cpu.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteCSV(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := trace.NewReplayed(trace.ReplayedConfig{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(pools *trace.Pools, infra InfraSpec) trace.Provider {
+		t.Helper()
+		sc, err := Parse(strings.NewReader(minimal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Infra = infra
+		built, err := sc.BuildWith(pools)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return built.Config.Perf
+	}
+	replayed := InfraSpec{Kind: "replayed", Seed: 4}
+	csvdir := InfraSpec{Kind: "csvdir", Seed: 4, Dir: dir}
+	for _, csvFirst := range []bool{true, false} {
+		pools := new(trace.Pools)
+		var loaded trace.Provider
+		if csvFirst {
+			loaded = build(pools, csvdir)
+		}
+		shared := build(pools, replayed)
+		if !csvFirst {
+			loaded = build(pools, csvdir)
+		}
+		if again := build(pools, replayed); again != shared {
+			t.Fatal("two builds of one replayed config did not share a provider")
+		}
+		if loaded == shared {
+			t.Fatal("the csvdir build shares the replayed provider")
+		}
+		if !reflect.DeepEqual(shared, trace.Provider(fresh)) {
+			t.Fatalf("csvFirst=%v: the shared replayed provider differs from a fresh one", csvFirst)
+		}
+		switch c := loaded.CPUCoeff(1, 0); c {
+		case 0.5, 0.6, 0.7:
+		default:
+			t.Fatalf("csvdir provider does not replay the loaded trace: coefficient %v", c)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"dynamicdf/internal/rates"
 	"dynamicdf/internal/resilient"
 	"dynamicdf/internal/sim"
+	"dynamicdf/internal/trace"
 	"dynamicdf/internal/workload"
 )
 
@@ -40,7 +41,7 @@ type TenantSpec struct {
 // graph is lowered onto one composite dataflow, its rate fanned across its
 // input PEs, its own Θ objective calibrated, and one core.MultiTenant
 // scheduler arbitrates the per-tenant heuristics over the shared fleet.
-func (sc *Scenario) buildTenants() (*Built, error) {
+func (sc *Scenario) buildTenants(pools *trace.Pools) (*Built, error) {
 	hours := sc.HorizonHours
 	if hours == 0 {
 		hours = 4
@@ -137,7 +138,7 @@ func (sc *Scenario) buildTenants() (*Built, error) {
 			Seed: sc.Seed, DegradeOmega: sc.Policy.DegradeOmega})
 	}
 
-	perf, err := sc.perf()
+	perf, err := sc.perf(pools)
 	if err != nil {
 		return nil, err
 	}

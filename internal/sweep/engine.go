@@ -11,6 +11,7 @@ import (
 	"dynamicdf/internal/scenario"
 	"dynamicdf/internal/sim"
 	"dynamicdf/internal/state"
+	"dynamicdf/internal/trace"
 )
 
 // ErrDrained is returned by Engine.Run when a drain request stopped the
@@ -146,6 +147,11 @@ func (e *Engine) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	jobs, err := spec.Expand()
 	if err != nil {
 		return nil, err
+	}
+	// The run's jobs and warm-start prefixes share its replayed trace pools.
+	pools := new(trace.Pools)
+	for i := range jobs {
+		jobs[i].Pools = pools
 	}
 	report := &Report{Name: spec.Name, Total: len(jobs)}
 	results := make([]*Result, len(jobs))
@@ -361,11 +367,12 @@ type prefixRun struct {
 // warm-starting is an optimization, never a new failure mode. No tracer or
 // gauges are attached — the prefix's events would otherwise appear once for
 // the whole group instead of once per job, breaking per-job trace
-// accounting. Both the in-process pool and fabric workers share this path,
-// so warm and cold runs stay byte-equivalent across topologies.
-func RunPrefix(ctx context.Context, sc *scenario.Scenario, untilSec int64) (snap *state.Snapshot) {
+// accounting. The prefix builds through pools, its campaign's trace memo
+// (nil generates afresh). Both the in-process pool and fabric workers share
+// this path, so warm and cold runs stay byte-equivalent across topologies.
+func RunPrefix(ctx context.Context, sc *scenario.Scenario, untilSec int64, pools *trace.Pools) (snap *state.Snapshot) {
 	defer func() { recover() }() // a panicking prefix falls back to cold runs
-	built, err := sc.Build()
+	built, err := sc.BuildWith(pools)
 	if err != nil {
 		return nil
 	}
@@ -384,7 +391,7 @@ func RunPrefix(ctx context.Context, sc *scenario.Scenario, untilSec int64) (snap
 func (e *Engine) runJob(ctx context.Context, idx int, job Job, pr *prefixRun) (Result, bool) {
 	var snap *state.Snapshot
 	if pr != nil {
-		pr.once.Do(func() { pr.snap = RunPrefix(ctx, job.Prefix, pr.untilSec) })
+		pr.once.Do(func() { pr.snap = RunPrefix(ctx, job.Prefix, pr.untilSec, job.Pools) })
 		snap = pr.snap
 	}
 	return ExecuteJob(ctx, job, snap, e.Tracer, e.Gauges, idx)
@@ -397,8 +404,10 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job, pr *prefixRun) (R
 // job's outcome (Value = Theta, or the error in Detail) with n tagging the
 // span. A non-nil snap forks the job from a warm-start prefix checkpoint
 // when restorable; any warm-start failure silently degrades to a cold run.
-// Fabric workers share this path with the in-process pool, so a job's
-// result is identical regardless of where it executes.
+// The job builds through job.Pools, its campaign's trace memo; a job as
+// Expand returns it has none and generates its own traces. Fabric workers
+// share this path with the in-process pool, so a job's result is identical
+// regardless of where it executes.
 func ExecuteJob(ctx context.Context, job Job, snap *state.Snapshot, tracer *obs.Tracer, gauges *obs.RunGauges, n int) (res Result, canceled bool) {
 	res = Result{JobID: job.ID, Key: job.Key, Group: job.Group, Seed: job.Seed}
 	defer func() {
@@ -415,7 +424,7 @@ func ExecuteJob(ctx context.Context, job Job, snap *state.Snapshot, tracer *obs.
 		}
 		tracer.Emit(ev)
 	}()
-	built, err := job.Scenario.Build()
+	built, err := job.Scenario.BuildWith(job.Pools)
 	if err != nil {
 		res.Error = err.Error()
 		return res, false

@@ -11,6 +11,7 @@ import (
 	"dynamicdf/internal/scenario"
 	"dynamicdf/internal/state"
 	"dynamicdf/internal/sweep"
+	"dynamicdf/internal/trace"
 )
 
 // ErrCrashed is returned by Worker.Run when an injected crash fault killed
@@ -48,12 +49,22 @@ type WorkerConfig struct {
 // the cadence the coordinator dictates; when a heartbeat response revokes
 // a lease (expired, re-assigned, campaign gone) the matching run is
 // cancelled. Warm-start prefixes are simulated once per fork group per
-// worker and forked per job.
+// worker and forked per job, and replayed trace pools are generated once
+// per campaign per worker.
 type Worker struct {
 	cfg WorkerConfig
 
-	mu       sync.Mutex
-	held     map[LeaseRef]context.CancelFunc
+	mu        sync.Mutex
+	held      map[LeaseRef]context.CancelFunc
+	campaigns map[string]*campaignState
+}
+
+// campaignState is what a worker keeps for one campaign it is working on:
+// the trace memo its jobs build through and its fork groups' prefix
+// checkpoints. It lives while the worker works on the campaign (see enter).
+type campaignState struct {
+	active   int // leases of the campaign in process on this worker
+	pools    trace.Pools
 	prefixes map[string]*prefixOnce
 }
 
@@ -72,9 +83,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg.PollInterval = 200 * time.Millisecond
 	}
 	return &Worker{
-		cfg:      cfg,
-		held:     map[LeaseRef]context.CancelFunc{},
-		prefixes: map[string]*prefixOnce{},
+		cfg:       cfg,
+		held:      map[LeaseRef]context.CancelFunc{},
+		campaigns: map[string]*campaignState{},
 	}
 }
 
@@ -180,6 +191,36 @@ func (w *Worker) release(ref LeaseRef) {
 	w.mu.Unlock()
 }
 
+// enter returns the state of a campaign the worker takes a lease from,
+// counting the lease in until leave. Taking it first drops every other
+// campaign with no lease in process, so a long-lived worker keeps pools and
+// prefix snapshots only for the campaigns it is working on. A dropped
+// campaign that leases again starts from empty state; its results are the
+// same.
+func (w *Worker) enter(campaign string) *campaignState {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for id, c := range w.campaigns {
+		if id != campaign && c.active == 0 {
+			delete(w.campaigns, id)
+		}
+	}
+	c := w.campaigns[campaign]
+	if c == nil {
+		c = &campaignState{prefixes: map[string]*prefixOnce{}}
+		w.campaigns[campaign] = c
+	}
+	c.active++
+	return c
+}
+
+// leave ends one lease's hold on its campaign's state.
+func (w *Worker) leave(c *campaignState) {
+	w.mu.Lock()
+	c.active--
+	w.mu.Unlock()
+}
+
 // process runs one leased job end to end. The only non-nil return is a
 // crash fault; every other failure becomes a deterministic job error or a
 // silently abandoned lease (the coordinator's TTL recovers it).
@@ -189,6 +230,8 @@ func (w *Worker) process(ctx context.Context, lease *Lease) error {
 		w.logf("worker %s: CRASH fault on %s attempt %d", w.cfg.ID, lease.JobID, lease.Attempt)
 		return ErrCrashed
 	}
+	camp := w.enter(lease.Campaign)
+	defer w.leave(camp)
 	jobCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ref := LeaseRef{Campaign: lease.Campaign, Key: lease.Key}
@@ -212,7 +255,7 @@ func (w *Worker) process(ctx context.Context, lease *Lease) error {
 		}
 	}
 
-	res := w.runLease(jobCtx, lease)
+	res := w.runLease(jobCtx, lease, camp)
 	if res == nil {
 		return nil // cancelled: shutdown or lease revoked; no ack
 	}
@@ -232,20 +275,22 @@ func (w *Worker) process(ctx context.Context, lease *Lease) error {
 	return nil
 }
 
-// runLease rebuilds the job from the lease and executes it; nil means the
-// run was cancelled before completing. The worker's tracer is stamped with
-// the lease's trace context so every event this run emits carries the
-// campaign trace id, the job's span, and this worker's identity — the
-// capture stitches against the coordinator's by span.
-func (w *Worker) runLease(ctx context.Context, lease *Lease) *sweep.Result {
+// runLease rebuilds the job from the lease and executes it through its
+// campaign's state; nil means the run was cancelled before completing. The
+// worker's tracer is stamped with the lease's trace context so every event
+// this run emits carries the campaign trace id, the job's span, and this
+// worker's identity — the capture stitches against the coordinator's by
+// span.
+func (w *Worker) runLease(ctx context.Context, lease *Lease, camp *campaignState) *sweep.Result {
 	job, err := JobFromLease(lease)
 	if err != nil {
 		return &sweep.Result{JobID: lease.JobID, Key: lease.Key, Group: lease.Group,
 			Seed: lease.Seed, Error: err.Error()}
 	}
+	job.Pools = &camp.pools
 	var snap *state.Snapshot
 	if job.Prefix != nil && lease.PrefixSec > 0 && lease.PrefixKey != "" {
-		snap = w.prefixSnapshot(ctx, lease.PrefixKey, job.Prefix, lease.PrefixSec)
+		snap = w.prefixSnapshot(ctx, camp, lease.PrefixKey, job, lease.PrefixSec)
 	}
 	tracer := w.cfg.Tracer.With(lease.TraceID, lease.SpanID, w.cfg.ID)
 	tracer.Emit(obs.Event{Type: obs.EventSweepJob, Phase: obs.PhaseStart,
@@ -257,18 +302,18 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) *sweep.Result {
 	return &res
 }
 
-// prefixSnapshot simulates the fork group's prefix at most once on this
-// worker and returns its checkpoint (nil on any failure: the job runs
-// cold).
-func (w *Worker) prefixSnapshot(ctx context.Context, key string, sc *scenario.Scenario, untilSec int64) *state.Snapshot {
+// prefixSnapshot simulates the job's fork-group prefix at most once per
+// campaign on this worker and returns its checkpoint (nil on any failure:
+// the job runs cold).
+func (w *Worker) prefixSnapshot(ctx context.Context, camp *campaignState, key string, job sweep.Job, untilSec int64) *state.Snapshot {
 	w.mu.Lock()
-	p := w.prefixes[key]
+	p := camp.prefixes[key]
 	if p == nil {
 		p = &prefixOnce{}
-		w.prefixes[key] = p
+		camp.prefixes[key] = p
 	}
 	w.mu.Unlock()
-	p.once.Do(func() { p.snap = sweep.RunPrefix(ctx, sc, untilSec) })
+	p.once.Do(func() { p.snap = sweep.RunPrefix(ctx, job.Prefix, untilSec, job.Pools) })
 	return p.snap
 }
 

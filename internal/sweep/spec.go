@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"dynamicdf/internal/scenario"
+	"dynamicdf/internal/trace"
 )
 
 // SchemaVersion names the simulator semantics a cached result depends on.
@@ -109,6 +110,10 @@ type Job struct {
 	// unless the spec sets warmStart.
 	Prefix    *scenario.Scenario
 	PrefixKey string
+	// Pools, when set, is the memo of replayed trace pools the job and its
+	// prefix build through, shared by the campaign's jobs. Expand leaves it
+	// nil; the runners set it on their own copies of the jobs.
+	Pools *trace.Pools
 }
 
 // ParseSpec decodes and validates a sweep spec document.

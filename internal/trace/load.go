@@ -48,6 +48,9 @@ func validatePool(kind string, pool []*Series) error {
 		if s.PeriodSec <= 0 {
 			return fmt.Errorf("trace: %s pool entry %d has period %d", kind, i, s.PeriodSec)
 		}
+		if err := checkSpan(fmt.Sprintf("%s pool entry %d", kind, i), s.PeriodSec, len(s.Samples)); err != nil {
+			return err
+		}
 		for j, v := range s.Samples {
 			if v < 0 {
 				return fmt.Errorf("trace: %s pool entry %d sample %d negative (%v)", kind, i, j, v)

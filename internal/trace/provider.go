@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -72,6 +74,44 @@ type ReplayedConfig struct {
 
 // NewReplayed generates the trace pools and returns the provider.
 func NewReplayed(cfg ReplayedConfig) (*Replayed, error) {
+	cfg = cfg.resolved()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	// Kinds that share a period share one diurnal table.
+	shapes := map[int64][]float64{}
+	shape := func(c GenConfig) []float64 {
+		if c.DiurnalAmp == 0 {
+			return nil
+		}
+		s, ok := shapes[c.PeriodSec]
+		if !ok {
+			s = diurnalShape(c.PeriodSec, cfg.Samples)
+			shapes[c.PeriodSec] = s
+		}
+		return s
+	}
+	cpuShape, latShape, bwShape := shape(cfg.CPU), shape(cfg.Latency), shape(cfg.Bandwidth)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	p := &Replayed{
+		cpu:  make([]*Series, cfg.CPUTraces),
+		lat:  make([]*Series, cfg.NetTraces),
+		bw:   make([]*Series, cfg.NetTraces),
+		seed: cfg.Seed,
+	}
+	for i := range p.cpu {
+		p.cpu[i] = cfg.CPU.generate(rng, cfg.Samples, cpuShape)
+	}
+	for i := range p.lat {
+		p.lat[i] = cfg.Latency.generate(rng, cfg.Samples, latShape)
+		p.bw[i] = cfg.Bandwidth.generate(rng, cfg.Samples, bwShape)
+	}
+	return p, nil
+}
+
+// resolved returns cfg with every unset field replaced by its default: the
+// configuration NewReplayed generates from.
+func (cfg ReplayedConfig) resolved() ReplayedConfig {
 	if cfg.CPUTraces <= 0 {
 		cfg.CPUTraces = 8
 	}
@@ -90,28 +130,34 @@ func NewReplayed(cfg ReplayedConfig) (*Replayed, error) {
 	if cfg.Bandwidth.PeriodSec == 0 {
 		cfg.Bandwidth = DefaultBandwidthConfig()
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	p := &Replayed{seed: cfg.Seed}
-	for i := 0; i < cfg.CPUTraces; i++ {
-		s, err := cfg.CPU.Generate(rng, cfg.Samples)
-		if err != nil {
-			return nil, err
+	return cfg
+}
+
+// validate checks a resolved config's generator parameters and that every
+// trace's span (period × samples seconds) fits in an int64: a wrapped span
+// would leave replay lookups dividing by zero.
+func (cfg ReplayedConfig) validate() error {
+	for _, d := range [...]struct {
+		kind string
+		gen  GenConfig
+	}{{"cpu", cfg.CPU}, {"latency", cfg.Latency}, {"bandwidth", cfg.Bandwidth}} {
+		if err := d.gen.Validate(); err != nil {
+			return err
 		}
-		p.cpu = append(p.cpu, s)
+		if err := checkSpan(d.kind, d.gen.PeriodSec, cfg.Samples); err != nil {
+			return err
+		}
 	}
-	for i := 0; i < cfg.NetTraces; i++ {
-		s, err := cfg.Latency.Generate(rng, cfg.Samples)
-		if err != nil {
-			return nil, err
-		}
-		p.lat = append(p.lat, s)
-		b, err := cfg.Bandwidth.Generate(rng, cfg.Samples)
-		if err != nil {
-			return nil, err
-		}
-		p.bw = append(p.bw, b)
+	return nil
+}
+
+// checkSpan rejects a trace whose span, period × n seconds, exceeds
+// math.MaxInt64.
+func checkSpan(kind string, periodSec int64, n int) error {
+	if periodSec > math.MaxInt64/int64(n) {
+		return fmt.Errorf("trace: %s period %ds × %d samples overflows the trace span", kind, periodSec, n)
 	}
-	return p, nil
+	return nil
 }
 
 // MustReplayed is NewReplayed that panics on error.

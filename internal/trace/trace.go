@@ -129,6 +129,16 @@ func (c GenConfig) Generate(rng *rand.Rand, n int) (*Series, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("trace: generate %d samples", n)
 	}
+	var shape []float64
+	if c.DiurnalAmp != 0 {
+		shape = diurnalShape(c.PeriodSec, n)
+	}
+	return c.generate(rng, n, shape), nil
+}
+
+// generate draws n samples from a validated config. shape is
+// diurnalShape(c.PeriodSec, n), read only when DiurnalAmp is non-zero.
+func (c GenConfig) generate(rng *rand.Rand, n int, shape []float64) *Series {
 	dt := float64(c.PeriodSec)
 	sqrtDt := math.Sqrt(dt)
 	x := c.Mean
@@ -142,8 +152,7 @@ func (c GenConfig) Generate(rng *rand.Rand, n int) (*Series, error) {
 		x += c.Theta*(target-x)*dt + c.Sigma*sqrtDt*rng.NormFloat64()
 		v := x
 		if c.DiurnalAmp != 0 {
-			t := float64(int64(i) * c.PeriodSec)
-			v += c.DiurnalAmp * math.Sin(2*math.Pi*t/86400)
+			v += c.DiurnalAmp * shape[i]
 		}
 		if v < c.Min {
 			v = c.Min
@@ -153,7 +162,20 @@ func (c GenConfig) Generate(rng *rand.Rand, n int) (*Series, error) {
 		}
 		out[i] = v
 	}
-	return &Series{PeriodSec: c.PeriodSec, Samples: out}, nil
+	return &Series{PeriodSec: c.PeriodSec, Samples: out}
+}
+
+// diurnalShape tabulates the diurnal term's 24-hour sine at each of n
+// sample times i·periodSec. It depends on nothing else, so one table serves
+// every trace generated at that period and length, and reading it gives the
+// same bits as calling math.Sin per sample.
+func diurnalShape(periodSec int64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		t := float64(int64(i) * periodSec)
+		out[i] = math.Sin(2 * math.Pi * t / 86400)
+	}
+	return out
 }
 
 // DefaultCPUConfig returns generation parameters calibrated to Fig. 2: a CPU
