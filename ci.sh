@@ -7,9 +7,10 @@
 # incl. /metrics and the prefix fork count, then repeat it through a fabric
 # coordinator with one worker and assert CSV byte-equality, shut down), a
 # dftrace smoke over the golden fixture, a checkpoint/restore
-# byte-determinism smoke, a single-tenant golden diff against the committed
-# pre-refactor fixture (the multi-tenant refactor must stay byte-invisible
-# to single-tenant runs), a multi-tenant example smoke, the dfcalib
+# byte-determinism smoke, a restored-vs-cold snapshot equality check, a
+# single-tenant golden diff against the committed pre-refactor fixture (the
+# multi-tenant refactor must stay byte-invisible to single-tenant runs), a
+# multi-tenant example smoke, the dfcalib
 # calibration loopback (parameter recovery + digital-twin validation), the
 # invariant-conservation, snapshot-decoder, Prometheus-importer,
 # sweep-expansion and fabric results-wire fuzz passes, the zero-alloc
@@ -72,6 +73,21 @@ tail -n "$(wc -l < "$ckpt/warm.ndjson")" "$ckpt/cold.ndjson" | cmp - "$ckpt/warm
     exit 1
 }
 rm -rf "$ckpt"
+
+# Snapshot equality across a restore: on a fixture with replayed infra,
+# monitoring faults, boot delays and crashes, a run restored at T1 and
+# checkpointed at T2 must write the same state/v1 bytes as a cold run
+# checkpointed at T2. This pins the network monitor's on-demand folding
+# across a restore, which the CSV, audit and trace checks above never read.
+refold=$(mktemp -d)
+go run ./cmd/dfsim -config testdata/refold/scenario.json \
+    -audit "$refold/cold.jsonl" -checkpoint "$refold/cold.json" -checkpoint-sec 4800 > /dev/null
+go run ./cmd/dfsim -config testdata/refold/scenario.json \
+    -audit "$refold/t1.jsonl" -checkpoint "$refold/t1.json" -checkpoint-sec 2400 > /dev/null
+go run ./cmd/dfsim -config testdata/refold/scenario.json -restore "$refold/t1.json" \
+    -audit "$refold/warm.jsonl" -checkpoint "$refold/warm.json" -checkpoint-sec 4800 > /dev/null
+cmp "$refold/cold.json" "$refold/warm.json" || { echo "restored run's snapshot differs from the cold run's" >&2; exit 1; }
+rm -rf "$refold"
 
 # Single-tenant golden diff: a restore from the committed pre-refactor
 # state/v1 snapshot must reproduce the committed CSV, audit log, and trace
@@ -145,8 +161,10 @@ echo "$bench" | grep -q ' 0 allocs/op' || {
 }
 
 # The arena-backed engine must step a 1000-PE DAG with zero steady-state
-# heap allocations — the core guarantee of the hot-path flattening.
-stepbench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStepLargeDAG/steady' -benchtime 100x -benchmem)
+# heap allocations — the core guarantee of the hot-path flattening. At
+# ~0.15 ms a step, 1000 iterations keep one reading from swinging with the
+# host.
+stepbench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStepLargeDAG/steady' -benchtime 1000x -benchmem)
 echo "$stepbench"
 echo "$stepbench" | grep -q ' 0 allocs/op' || {
     echo "steady-state engine step allocates on the large-DAG hot path" >&2
@@ -155,8 +173,12 @@ echo "$stepbench" | grep -q ' 0 allocs/op' || {
 
 # The scheduler must keep pace with the engine: one converged Adapt of the
 # global heuristic on the same 1000-PE layered DAG (about 1,300 VMs) may
-# allocate at most 512 objects and cost at most 3x the steady engine step
-# above. Both sides come from this run, so machine speed largely cancels.
+# allocate at most 512 objects and cost at most 22x the steady engine step
+# above (observed ~6x). Both sides come from this run, so machine speed
+# largely cancels. The limit catches an Adapt that goes O(V^2) in the
+# fleet, as the per-victim consolidation scans did. It used to be 3x of a
+# step that still probed every VM pair; 22x of today's step is the same
+# absolute budget.
 adaptbench=$(go test ./internal/core -run '^$' -bench 'BenchmarkAdaptLargeDAG' -benchtime 100x -benchmem)
 echo "$adaptbench"
 printf '%s\n%s\n' "$stepbench" "$adaptbench" | awk '
@@ -171,17 +193,19 @@ printf '%s\n%s\n' "$stepbench" "$adaptbench" | awk '
             printf "converged Adapt allocates %d objects (limit 512)\n", allocs > "/dev/stderr"
             exit 1
         }
-        if (ratio > 3.0) {
-            printf "converged Adapt costs %.2fx the steady engine step (limit 3.0x)\n", ratio > "/dev/stderr"
+        if (ratio > 22.0) {
+            printf "converged Adapt costs %.2fx the steady engine step (limit 22.0x)\n", ratio > "/dev/stderr"
             exit 1
         }
     }'
 
 # Deployment must scale too: one Deploy of the global heuristic on the same
 # 1000-PE DAG (alternate selection, the planner, materializing about 1,000
-# VMs) may cost at most 10x the steady engine step above and allocate at
-# most 4 MB (observed ~3x and 0.7 MB; the map-based planner took ~200x and
-# 94 MB).
+# VMs) may cost at most 73x the steady engine step above and allocate at
+# most 4 MB (observed ~23x and 0.7 MB). The limit catches a planner that
+# goes O(V^2): the map-based one took 244 ms (over 1,000x today's step)
+# and 94 MB. It used to be 10x of a step that still probed every VM pair;
+# 73x of today's step is the same absolute budget.
 deploybench=$(go test ./internal/core -run '^$' -bench 'BenchmarkDeployLargeDAG' -benchtime 100x -benchmem)
 echo "$deploybench"
 printf '%s\n%s\n' "$stepbench" "$deploybench" | awk '
@@ -196,8 +220,8 @@ printf '%s\n%s\n' "$stepbench" "$deploybench" | awk '
             printf "Deploy allocates %.2f MB (limit 4 MB)\n", bytes / 1048576 > "/dev/stderr"
             exit 1
         }
-        if (ratio > 10.0) {
-            printf "Deploy costs %.2fx the steady engine step (limit 10.0x)\n", ratio > "/dev/stderr"
+        if (ratio > 73.0) {
+            printf "Deploy costs %.2fx the steady engine step (limit 73.0x)\n", ratio > "/dev/stderr"
             exit 1
         }
     }'

@@ -169,6 +169,8 @@ func NewSpike(base Profile, factor float64, intervalSec, durationSec int64) (*Sp
 // Infrastructure performance variability (paper §2.5, Figs. 2-3).
 type (
 	// PerfProvider supplies runtime CPU/network behaviour to the simulator.
+	// Its methods must be pure functions of (ids, sec): the simulator
+	// replays past network probes on demand and re-reads traces on restore.
 	PerfProvider = trace.Provider
 	// IdealCloud is a perfectly stable provider.
 	IdealCloud = trace.Ideal

@@ -7,13 +7,12 @@
 // noisy probe results.
 //
 // All pools store their estimators in dense slices indexed by the small
-// integer ids the simulator hands out (PE indices, VM ids): the per-interval
-// probe loop touches every VM pair, so estimator lookup is the hottest read
-// in the engine and must not hash.
+// integer ids the simulator hands out (PE indices, VM ids), so estimator
+// lookup never hashes. The pairwise network monitor folds its probes on
+// demand (see NetMonitor), so an observe pass costs O(V), not O(V^2).
 package monitor
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -196,20 +195,20 @@ func (m *VMMonitor) Forget(vmID int) {
 // Tracked returns how many VMs have state.
 func (m *VMMonitor) Tracked() int { return m.n }
 
-// PairKey canonicalizes an unordered VM pair into a map key.
-func PairKey(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
-}
+// NetProbe returns one probe of the VM pair a < b, taken by the observe pass
+// at clock sec: the measured latency (seconds) and bandwidth (Mbps), or ok
+// false when the probe was dropped. It must be a pure function of its
+// arguments, because NetMonitor may call it long after sec, and more than
+// once for the same arguments.
+type NetProbe func(a, b int, sec int64) (latSec, bwMbps float64, ok bool)
 
 // netCell holds both estimators of one live VM pair, unpacked: the smoothing
-// factor lives once on the monitor and the fold is inlined into Observe, so a
-// cell is 3 words instead of 2 EWMA structs — the O(V^2) probe loop streams
-// through megabytes of cells per interval, and cell size is its bandwidth.
+// factor lives once on the monitor, so a cell is 4 words instead of 2 EWMA
+// structs and a clock. folded is the observe clock the cell is current to
+// (0 before its first fold).
 type netCell struct {
 	lat, bw     float64
+	folded      int64
 	latOK, bwOK bool // primed
 	present     bool
 }
@@ -218,24 +217,42 @@ type netCell struct {
 // finite x, NaN otherwise).
 func isFinite(x float64) bool { return x-x == 0 }
 
-// NetMonitor smooths pairwise latency/bandwidth probes. Internally each
-// tracked VM id maps to a compact slot (slots are recycled by ForgetVM), and
-// pair state lives in a triangular slice indexed by the slot pair — the
-// per-interval O(V^2) probe loop reads and writes cells without hashing.
+// NetMonitor smooths pairwise latency/bandwidth probes, folding them on
+// demand. A pair of VMs is probed at every observe pass at which both are
+// active. A VM stays active from the first pass that saw it until it is
+// forgotten, so a pair's probes are every pass from the later of the two
+// first sightings up to the latest pass. The observe stage therefore records
+// only each VM's first pass (O(V)); a pair's estimators catch up on its
+// probes, in clock order, when the pair is read or exported. Both VMs of a
+// tracked pair are seen by every pass, so the latest pass that saw any VM
+// is the latest pass for every tracked pair.
+//
+// Internally each tracked VM id maps to a compact slot (slots are recycled
+// by ForgetVM), and pair state lives in a triangular slice indexed by the
+// slot pair. The slice is built when a pair is first read, imported or
+// exported, and from then on grows by one row per new slot.
 type NetMonitor struct {
-	alpha float64
-	slot  []int32 // VM id -> slot, -1 when untracked
-	ids   []int   // slot -> VM id, -1 when free
-	free  []int32 // recycled slots
-	cells []netCell
+	alpha    float64
+	interval int64     // seconds between observe passes
+	probe    NetProbe  // the pair probe folded on demand
+	now      int64     // clock of the latest pass that saw a VM
+	slot     []int32   // VM id -> slot, -1 when untracked
+	ids      []int     // slot -> VM id, -1 when free
+	since    []int64   // slot -> clock of the first pass that saw the VM
+	free     []int32   // recycled slots
+	cells    []netCell // nil until a pair is first read, imported or exported
 }
 
-// NewNetMonitor returns a pairwise network monitor.
-func NewNetMonitor(alpha float64) (*NetMonitor, error) {
+// NewNetMonitor returns a pairwise network monitor whose observe passes are
+// intervalSec apart and whose pairs are probed by probe.
+func NewNetMonitor(alpha float64, intervalSec int64, probe NetProbe) (*NetMonitor, error) {
 	if !(alpha > 0 && alpha <= 1) {
 		return nil, fmt.Errorf("monitor: net alpha %v outside (0,1]", alpha)
 	}
-	return &NetMonitor{alpha: alpha}, nil
+	if intervalSec <= 0 {
+		return nil, fmt.Errorf("monitor: net probe interval %ds not positive", intervalSec)
+	}
+	return &NetMonitor{alpha: alpha, interval: intervalSec, probe: probe}, nil
 }
 
 // cellIndex maps an ordered slot pair s < t into the triangular cell slice.
@@ -266,61 +283,87 @@ func (m *NetMonitor) ensureSlot(vmID int) int32 {
 	} else {
 		s = int32(len(m.ids))
 		m.ids = append(m.ids, vmID)
-		for len(m.cells) < cellIndex(0, s+1) {
-			m.cells = append(m.cells, netCell{})
+		m.since = append(m.since, 0)
+		if m.cells != nil {
+			m.cells = append(m.cells, make([]netCell, s)...)
 		}
 	}
 	m.slot[vmID] = s
 	return s
 }
 
-// cell returns the cell for two distinct slots.
-func (m *NetMonitor) cell(sa, sb int32) *netCell {
+// buildCells sizes the cell table for the current slots, once.
+func (m *NetMonitor) buildCells() {
+	if m.cells == nil {
+		m.cells = make([]netCell, cellIndex(0, int32(len(m.ids))))
+	}
+}
+
+// Observe records that the VM was active in the observe pass at clock sec.
+// Call it for every active VM of every pass, passes in clock order. A VM's
+// first pass starts its pairs' probe history.
+func (m *NetMonitor) Observe(vmID int, sec int64) {
+	m.now = sec
+	if m.slotOf(vmID) < 0 {
+		m.since[m.ensureSlot(vmID)] = sec
+	}
+}
+
+// fold brings the cell of slots s < t up to the latest pass, replaying the
+// pair's probes since it was last folded in clock order. A probe with a
+// negative latency or a non-positive bandwidth is dropped without making the
+// pair present; a NaN or infinite half is dropped on its own.
+func (m *NetMonitor) fold(s, t int32) *netCell {
+	c := &m.cells[cellIndex(s, t)]
+	from := max(c.folded+m.interval, m.since[s], m.since[t])
+	if from > m.now {
+		return c
+	}
+	a, b := m.ids[s], m.ids[t]
+	if a > b {
+		a, b = b, a
+	}
+	for k := from; k <= m.now; k += m.interval {
+		lat, bw, ok := m.probe(a, b, k)
+		if !ok || lat < 0 || bw <= 0 {
+			continue
+		}
+		c.present = true
+		if isFinite(lat) {
+			if c.latOK {
+				c.lat += m.alpha * (lat - c.lat)
+			} else {
+				c.lat, c.latOK = lat, true
+			}
+		}
+		if isFinite(bw) {
+			if c.bwOK {
+				c.bw += m.alpha * (bw - c.bw)
+			} else {
+				c.bw, c.bwOK = bw, true
+			}
+		}
+	}
+	c.folded = m.now
+	return c
+}
+
+// pair returns the folded cell of two tracked VMs, or nil.
+func (m *NetMonitor) pair(a, b int) *netCell {
+	sa, sb := m.slotOf(a), m.slotOf(b)
+	if sa < 0 || sb < 0 || sa == sb {
+		return nil
+	}
 	if sa > sb {
 		sa, sb = sb, sa
 	}
-	return &m.cells[cellIndex(sa, sb)]
-}
-
-// Observe records one latency (seconds) + bandwidth (Mbps) probe for a pair.
-func (m *NetMonitor) Observe(a, b int, latSec, bwMbps float64) error {
-	if a == b {
-		return errors.New("monitor: net probe on identical VMs")
-	}
-	if a < 0 || b < 0 {
-		return fmt.Errorf("monitor: net probe on negative vm id (%d, %d)", a, b)
-	}
-	if latSec < 0 || bwMbps <= 0 {
-		return fmt.Errorf("monitor: net probe lat=%v bw=%v invalid", latSec, bwMbps)
-	}
-	c := m.cell(m.ensureSlot(a), m.ensureSlot(b))
-	c.present = true
-	// The folds are EWMA.Observe inlined (same expression, same drop-broken-
-	// probes rule) — this is the hottest write in the engine.
-	if isFinite(latSec) {
-		if c.latOK {
-			c.lat += m.alpha * (latSec - c.lat)
-		} else {
-			c.lat, c.latOK = latSec, true
-		}
-	}
-	if isFinite(bwMbps) {
-		if c.bwOK {
-			c.bw += m.alpha * (bwMbps - c.bw)
-		} else {
-			c.bw, c.bwOK = bwMbps, true
-		}
-	}
-	return nil
+	m.buildCells()
+	return m.fold(sa, sb)
 }
 
 // Latency returns the smoothed latency for the pair or def.
 func (m *NetMonitor) Latency(a, b int, def float64) float64 {
-	sa, sb := m.slotOf(a), m.slotOf(b)
-	if sa < 0 || sb < 0 || sa == sb {
-		return def
-	}
-	if c := m.cell(sa, sb); c.present && c.latOK {
+	if c := m.pair(a, b); c != nil && c.present && c.latOK {
 		return c.lat
 	}
 	return def
@@ -329,11 +372,7 @@ func (m *NetMonitor) Latency(a, b int, def float64) float64 {
 // Bandwidth returns the smoothed bandwidth for the pair or def — the paper
 // uses rated values at deployment and monitored values at runtime.
 func (m *NetMonitor) Bandwidth(a, b int, def float64) float64 {
-	sa, sb := m.slotOf(a), m.slotOf(b)
-	if sa < 0 || sb < 0 || sa == sb {
-		return def
-	}
-	if c := m.cell(sa, sb); c.present && c.bwOK {
+	if c := m.pair(a, b); c != nil && c.present && c.bwOK {
 		return c.bw
 	}
 	return def
@@ -345,13 +384,16 @@ func (m *NetMonitor) ForgetVM(vmID int) {
 	if s < 0 {
 		return
 	}
-	for t := int32(0); t < int32(len(m.ids)); t++ {
-		if t == s || m.ids[t] < 0 {
-			continue
+	if m.cells != nil {
+		for t := int32(0); t < int32(len(m.ids)); t++ {
+			if t == s || m.ids[t] < 0 {
+				continue
+			}
+			m.cells[cellIndex(min(s, t), max(s, t))] = netCell{}
 		}
-		*m.cell(s, t) = netCell{}
 	}
 	m.slot[vmID] = -1
 	m.ids[s] = -1
+	m.since[s] = 0
 	m.free = append(m.free, s)
 }

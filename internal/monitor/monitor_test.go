@@ -122,16 +122,33 @@ func TestVMMonitor(t *testing.T) {
 	}
 }
 
+// tableProbe is a NetProbe that answers from fixed per-pair readings, the
+// same at every clock; a pair missing from the table reads lat 0.001 and
+// bw 80.
+type tableProbe map[[2]int][2]float64
+
+func (p tableProbe) probe(a, b int, sec int64) (float64, float64, bool) {
+	if r, ok := p[[2]int{a, b}]; ok {
+		return r[0], r[1], true
+	}
+	return 0.001, 80, true
+}
+
 func TestNetMonitor(t *testing.T) {
-	m, err := NewNetMonitor(1)
+	probes := tableProbe{
+		{1, 3}: {-1, 80},                  // negative latency: invalid
+		{1, 4}: {0.001, 0},                // zero bandwidth: invalid
+		{1, 5}: {math.NaN(), math.Inf(1)}, // present, both halves dropped
+	}
+	m, err := NewNetMonitor(1, 60, probes.probe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Bandwidth(1, 2, 100); got != 100 {
 		t.Fatalf("default bw = %v", got)
 	}
-	if err := m.Observe(1, 2, 0.001, 80); err != nil {
-		t.Fatal(err)
+	for vm := 1; vm <= 5; vm++ {
+		m.Observe(vm, 60)
 	}
 	// Symmetric lookup.
 	if got := m.Bandwidth(2, 1, 0); got != 80 {
@@ -140,30 +157,32 @@ func TestNetMonitor(t *testing.T) {
 	if got := m.Latency(1, 2, 0); got != 0.001 {
 		t.Fatalf("lat = %v", got)
 	}
-	if err := m.Observe(1, 1, 0.001, 80); err == nil {
-		t.Fatal("self pair accepted")
+	if got := m.Latency(1, 1, 7); got != 7 {
+		t.Fatalf("self pair = %v", got)
 	}
-	if err := m.Observe(1, 2, -1, 80); err == nil {
-		t.Fatal("negative latency accepted")
+	for _, b := range []int{3, 4, 5} {
+		if lat, bw := m.Latency(1, b, 7), m.Bandwidth(1, b, 9); lat != 7 || bw != 9 {
+			t.Fatalf("pair (1,%d) read %v/%v from invalid probes", b, lat, bw)
+		}
 	}
-	if err := m.Observe(1, 2, 0.001, 0); err == nil {
-		t.Fatal("zero bandwidth accepted")
+	// (1,3) and (1,4) never got a valid probe; (1,5) did, with both halves
+	// dropped, so it is present but unprimed.
+	lat, bw := m.Export()
+	if len(lat) != 8 || len(bw) != 8 {
+		t.Fatalf("exported %d/%d pairs, want 8", len(lat), len(bw))
+	}
+	if lat[1].A != 1 || lat[1].B != 5 || lat[1].E.Primed || bw[1].E.Primed {
+		t.Fatalf("second entries %+v %+v, want unprimed (1,5)", lat[1], bw[1])
 	}
 	m.ForgetVM(2)
 	if got := m.Bandwidth(1, 2, 33); got != 33 {
 		t.Fatal("pair survived ForgetVM")
 	}
-	if _, err := NewNetMonitor(0); err == nil {
+	if _, err := NewNetMonitor(0, 60, probes.probe); err == nil {
 		t.Fatal("alpha 0 accepted")
 	}
-}
-
-func TestPairKeyCanonical(t *testing.T) {
-	if PairKey(5, 2) != PairKey(2, 5) {
-		t.Fatal("pair key not canonical")
-	}
-	if PairKey(2, 5) != [2]int{2, 5} {
-		t.Fatal("pair key wrong order")
+	if _, err := NewNetMonitor(1, 0, probes.probe); err == nil {
+		t.Fatal("interval 0 accepted")
 	}
 }
 

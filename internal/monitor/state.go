@@ -1,7 +1,5 @@
 package monitor
 
-import "sort"
-
 // This file is the estimator state surface used by engine checkpointing
 // (internal/state): every EWMA pool can export its full state as plain,
 // deterministically ordered records and rebuild itself from them. Export
@@ -99,65 +97,79 @@ type NetEntry struct {
 	E EWMAState `json:"e"`
 }
 
-// Export returns the latency and bandwidth estimator states, each ordered
-// by (A, B).
+// Export folds every tracked pair up to the latest pass and returns the
+// latency and bandwidth estimator states, each ordered by (A, B): the walk
+// visits tracked VMs in id order, so entries come out sorted.
 func (m *NetMonitor) Export() (lat, bw []NetEntry) {
-	for t := int32(1); t < int32(len(m.ids)); t++ {
-		if m.ids[t] < 0 {
-			continue
+	m.buildCells()
+	n := len(m.ids) - len(m.free)
+	byID := make([]int32, 0, n) // tracked slots in VM id order
+	for _, s := range m.slot {
+		if s >= 0 {
+			byID = append(byID, s)
 		}
-		for s := int32(0); s < t; s++ {
-			if m.ids[s] < 0 {
-				continue
-			}
-			c := &m.cells[cellIndex(s, t)]
+	}
+	for i, sa := range byID {
+		for _, sb := range byID[i+1:] {
+			c := m.fold(min(sa, sb), max(sa, sb))
 			if !c.present {
 				continue
 			}
-			k := PairKey(m.ids[s], m.ids[t])
-			lat = append(lat, NetEntry{A: k[0], B: k[1], E: EWMAState{Value: c.lat, Primed: c.latOK}})
-			bw = append(bw, NetEntry{A: k[0], B: k[1], E: EWMAState{Value: c.bw, Primed: c.bwOK}})
+			if lat == nil {
+				lat = make([]NetEntry, 0, n*(n-1)/2)
+				bw = make([]NetEntry, 0, n*(n-1)/2)
+			}
+			a, b := m.ids[sa], m.ids[sb]
+			lat = append(lat, NetEntry{A: a, B: b, E: EWMAState{Value: c.lat, Primed: c.latOK}})
+			bw = append(bw, NetEntry{A: a, B: b, E: EWMAState{Value: c.bw, Primed: c.bwOK}})
 		}
 	}
-	sortNetEntries(lat)
-	sortNetEntries(bw)
 	return lat, bw
 }
 
-func sortNetEntries(out []NetEntry) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
+// Import replaces the monitor's state with the exported entries, taken at
+// the observe clock sec. The map form kept latency and bandwidth pools
+// independent; the dense form stores a pair's estimators together, so a
+// pair present in either list gets a cell (the missing half stays unprimed,
+// which reads the same as an absent map entry did). Entries with invalid ids
+// (negative, or A == B) are dropped. Each imported cell is current to sec,
+// and every VM the entries name folds probes from the pass after sec on; a
+// VM the entries do not name starts at the next pass that sees it.
+func (m *NetMonitor) Import(lat, bw []NetEntry, sec int64) {
+	m.slot, m.ids, m.since, m.free, m.cells = nil, nil, nil, nil, nil
+	m.now = sec
+	if len(lat) == 0 && len(bw) == 0 {
+		return
+	}
+	valid := func(en NetEntry) bool { return en.A >= 0 && en.B >= 0 && en.A != en.B }
+	for _, list := range [2][]NetEntry{lat, bw} {
+		for _, en := range list {
+			if valid(en) {
+				m.ensureSlot(en.A)
+				m.ensureSlot(en.B)
+			}
 		}
-		return out[i].B < out[j].B
-	})
-}
-
-// Import replaces the monitor's state with the exported entries. The map
-// form kept latency and bandwidth pools independent; the dense form stores
-// a pair's estimators together, so a pair present in either list gets a
-// cell (the missing half stays unprimed, which reads the same as an absent
-// map entry did). Entries with invalid ids (negative, or A == B) are
-// dropped.
-func (m *NetMonitor) Import(lat, bw []NetEntry) {
-	m.slot = nil
-	m.ids = nil
-	m.free = nil
-	m.cells = nil
+	}
+	for s := range m.since {
+		m.since[s] = sec + m.interval
+	}
+	m.buildCells()
+	cell := func(en NetEntry) *netCell {
+		sa, sb := m.slot[en.A], m.slot[en.B]
+		c := &m.cells[cellIndex(min(sa, sb), max(sa, sb))]
+		c.present, c.folded = true, sec
+		return c
+	}
 	for _, en := range lat {
-		if en.A < 0 || en.B < 0 || en.A == en.B {
-			continue
+		if valid(en) {
+			c := cell(en)
+			c.lat, c.latOK = en.E.Value, en.E.Primed
 		}
-		c := m.cell(m.ensureSlot(en.A), m.ensureSlot(en.B))
-		c.present = true
-		c.lat, c.latOK = en.E.Value, en.E.Primed
 	}
 	for _, en := range bw {
-		if en.A < 0 || en.B < 0 || en.A == en.B {
-			continue
+		if valid(en) {
+			c := cell(en)
+			c.bw, c.bwOK = en.E.Value, en.E.Primed
 		}
-		c := m.cell(m.ensureSlot(en.A), m.ensureSlot(en.B))
-		c.present = true
-		c.bw, c.bwOK = en.E.Value, en.E.Primed
 	}
 }

@@ -199,8 +199,8 @@ func Restore(snap *state.Snapshot, cfg Config) (*Engine, error) {
 		}
 	}
 	for _, en := range snap.VMCPU {
-		if _, err := e.fleet.Get(en.VM); err != nil {
-			return nil, fmt.Errorf("sim: restore: cpu-monitor entry for unknown VM %d", en.VM)
+		if err := e.checkProbedVM("cpu-monitor", en.VM); err != nil {
+			return nil, err
 		}
 	}
 	for _, list := range [][]monitor.NetEntry{snap.NetLat, snap.NetBW} {
@@ -209,15 +209,15 @@ func Restore(snap *state.Snapshot, cfg Config) (*Engine, error) {
 				return nil, fmt.Errorf("sim: restore: net-monitor entry with A == B == %d", en.A)
 			}
 			for _, id := range [2]int{en.A, en.B} {
-				if _, err := e.fleet.Get(id); err != nil {
-					return nil, fmt.Errorf("sim: restore: net-monitor entry for unknown VM %d", id)
+				if err := e.checkProbedVM("net-monitor", id); err != nil {
+					return nil, err
 				}
 			}
 		}
 	}
 	e.rateEst.Import(snap.RateEst)
 	e.vmMon.Import(snap.VMCPU)
-	e.netMon.Import(snap.NetLat, snap.NetBW)
+	e.netMon.Import(snap.NetLat, snap.NetBW, e.clock)
 	e.rebuildFlowCaches()
 
 	e.lastOmega = snap.LastOmega
@@ -273,4 +273,22 @@ func Restore(snap *state.Snapshot, cfg Config) (*Engine, error) {
 		e.pendingSchedState = append([]byte(nil), snap.SchedulerState...)
 	}
 	return e, nil
+}
+
+// checkProbedVM rejects a restored monitor entry for a VM the monitors could
+// not be tracking: one the fleet never had, or one that is not active.
+// Pending VMs are never probed and both release paths forget a VM, so only
+// a crafted snapshot names them; imported, such an entry would be exported
+// again forever.
+func (e *Engine) checkProbedVM(kind string, id int) error {
+	vm, err := e.fleet.Get(id)
+	switch {
+	case err != nil:
+		return fmt.Errorf("sim: restore: %s entry for unknown VM %d", kind, id)
+	case vm.Stopped():
+		return fmt.Errorf("sim: restore: %s entry for released VM %d", kind, id)
+	case vm.Pending():
+		return fmt.Errorf("sim: restore: %s entry for pending VM %d", kind, id)
+	}
+	return nil
 }

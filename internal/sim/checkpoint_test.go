@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/invariant"
+	"dynamicdf/internal/monitor"
 	"dynamicdf/internal/obs"
 	"dynamicdf/internal/rates"
 	"dynamicdf/internal/state"
@@ -324,5 +327,66 @@ func TestRestoreSharedSnapshotIsolated(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sum1, sum2) {
 		t.Fatalf("forked runs diverged: %+v vs %+v", sum1, sum2)
+	}
+}
+
+// TestRestoreRejectsMonitorEntriesForUnprobedVMs: the monitors only ever
+// hold active VMs, so a snapshot whose CPU or network entries name a
+// released or still-booting VM is crafted, and restoring it fails with an
+// error that names the VM.
+func TestRestoreRejectsMonitorEntriesForUnprobedVMs(t *testing.T) {
+	cfg := eagerConfig(t, 3)
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Step until the fleet holds an active, a released and a pending VM.
+	active, released, pending := -1, -1, -1
+	var snap *state.Snapshot
+	for c := cfg.IntervalSec; pending < 0 || released < 0 || active < 0; c += cfg.IntervalSec {
+		if c > cfg.HorizonSec {
+			t.Fatal("no checkpoint with an active, a released and a pending VM")
+		}
+		if err := e.RunUntil(context.Background(), &churnSched{}, c); err != nil {
+			t.Fatal(err)
+		}
+		if snap, err = e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		active, released, pending = -1, -1, -1
+		for _, r := range snap.Fleet {
+			switch {
+			case r.StopSec >= 0:
+				released = r.ID
+			case r.Pending:
+				pending = r.ID
+			default:
+				active = r.ID
+			}
+		}
+	}
+	if _, err := Restore(snap, cfg); err != nil {
+		t.Fatalf("the untouched snapshot does not restore: %v", err)
+	}
+	entry := func(a, b int) []monitor.NetEntry {
+		return []monitor.NetEntry{{A: min(a, b), B: max(a, b), E: monitor.EWMAState{Value: 1, Primed: true}}}
+	}
+	for _, tc := range []struct {
+		name string
+		vm   int
+		edit func(s *state.Snapshot)
+	}{
+		{"cpu entry for a released VM", released, func(s *state.Snapshot) {
+			s.VMCPU = append(s.VMCPU, monitor.VMCPUEntry{VM: released, E: monitor.EWMAState{Value: 1, Primed: true}})
+		}},
+		{"net entry for a pending VM", pending, func(s *state.Snapshot) { s.NetLat = entry(active, pending) }},
+		{"net entry for a released VM", released, func(s *state.Snapshot) { s.NetBW = entry(active, released) }},
+	} {
+		bad := *snap
+		tc.edit(&bad)
+		_, err := Restore(&bad, cfg)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("VM %d", tc.vm)) {
+			t.Errorf("%s: restore error %v, want one naming VM %d", tc.name, err, tc.vm)
+		}
 	}
 }

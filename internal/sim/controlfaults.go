@@ -240,13 +240,15 @@ func (c *ControlFaults) acquireFails(class string, attempt, sec int64) bool {
 	return c.unit(drawAcquire, hashString(class)^uint64(attempt)*0x9e3779b97f4a7c15, sec) < p
 }
 
+// probesGoStale reports whether any probe can be dropped.
+func (c *ControlFaults) probesGoStale() bool {
+	return c != nil && c.Monitoring != nil && c.Monitoring.StaleProb > 0
+}
+
 // probeStale reports whether the probe identified by (domain, key) at time
 // sec is dropped, leaving the monitor at its last-known-good value.
 func (c *ControlFaults) probeStale(domain int, key uint64, sec int64) bool {
-	if c == nil || c.Monitoring == nil || c.Monitoring.StaleProb <= 0 {
-		return false
-	}
-	return c.unit(domain, key, sec) < c.Monitoring.StaleProb
+	return c.probesGoStale() && c.unit(domain, key, sec) < c.Monitoring.StaleProb
 }
 
 // probeNoise returns the multiplicative perturbation applied to the probe

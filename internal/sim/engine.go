@@ -192,7 +192,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e.rateEst, _ = monitor.NewRateEstimator(cfg.MonitorAlpha)
 	e.vmMon, _ = monitor.NewVMMonitor(cfg.MonitorAlpha)
-	e.netMon, _ = monitor.NewNetMonitor(cfg.MonitorAlpha)
+	e.netMon, _ = monitor.NewNetMonitor(cfg.MonitorAlpha, cfg.IntervalSec, e.netProbe)
 	e.tracer = cfg.Tracer
 	e.gauges = cfg.Gauges
 	e.bindTenantGauges()
@@ -346,6 +346,24 @@ func (e *Engine) vmTraceID(vmID int) int64 {
 // engine's ground truth; the monitored estimate is what schedulers see).
 func (e *Engine) coeff(vmID int, sec int64) float64 {
 	return e.cfg.Perf.CPUCoeff(e.vmTraceID(vmID), sec)
+}
+
+// netProbe is the pairwise network probe the monitor folds on demand: VM
+// pair a < b as the observe pass at clock sec probed it — both links' trace
+// values at the start of the interval that pass closed, through the
+// monitoring-fault filters — with ok false when the probe went stale. The
+// trace provider is pure, so a probe replayed later reads the same values.
+func (e *Engine) netProbe(a, b int, sec int64) (lat, bw float64, ok bool) {
+	cf := e.cfg.ControlFaults
+	pair := uint64(a)<<32 | uint64(b)
+	if cf.probeStale(drawStaleNet, pair, sec) {
+		return 0, 0, false
+	}
+	ta, tb, at := e.vmTraceID(a), e.vmTraceID(b), sec-e.cfg.IntervalSec
+	lat = e.cfg.Perf.LatencySec(ta, tb, at)
+	bw = e.cfg.Perf.BandwidthMbps(ta, tb, at)
+	noise := cf.probeNoise(drawNoiseNet, pair, sec)
+	return lat * noise, bw * noise, true
 }
 
 // linkMsgCap converts pairwise bandwidth into a message rate cap for an

@@ -526,18 +526,20 @@ func (e *Engine) stageObserve(c *stepContext) error {
 		coeff := e.coeff(vm.ID, c.sec) * cf.probeNoise(drawNoiseCPU, uint64(vm.ID), e.clock)
 		_ = e.vmMon.ObserveCPU(vm.ID, monitor.Probe{Sec: e.clock, CPUCoeff: coeff})
 	}
-	for i := 0; i < len(c.active); i++ {
-		for j := i + 1; j < len(c.active); j++ {
-			a, b := c.active[i], c.active[j]
-			pair := uint64(a.ID)<<32 | uint64(b.ID)
-			if cf.probeStale(drawStaleNet, pair, e.clock) {
-				e.staleProbes++
-				continue
+	// Every pair of active VMs is probed (netProbe), but the network monitor
+	// folds those probes only when a pair is read or checkpointed: the pass
+	// just tells it which VMs are active. Dropped probes are still counted
+	// here, so under stale faults the pass draws every pair's stale flag.
+	for _, vm := range c.active {
+		e.netMon.Observe(vm.ID, e.clock)
+	}
+	if cf.probesGoStale() {
+		for i, a := range c.active {
+			for _, b := range c.active[i+1:] {
+				if cf.probeStale(drawStaleNet, uint64(a.ID)<<32|uint64(b.ID), e.clock) {
+					e.staleProbes++
+				}
 			}
-			lat := e.cfg.Perf.LatencySec(e.vmTraceID(a.ID), e.vmTraceID(b.ID), c.sec)
-			bw := e.cfg.Perf.BandwidthMbps(e.vmTraceID(a.ID), e.vmTraceID(b.ID), c.sec)
-			noise := cf.probeNoise(drawNoiseNet, pair, e.clock)
-			_ = e.netMon.Observe(a.ID, b.ID, lat*noise, bw*noise)
 		}
 	}
 

@@ -321,12 +321,15 @@ func (v *View) Backlog(pe int) float64 {
 }
 
 // Bandwidth returns the monitored bandwidth (Mbps) between two VMs, falling
-// back to the rated 100 Mbps deployment assumption.
+// back to the rated 100 Mbps deployment assumption. The monitor folds the
+// pair's probes on this read, so, like stepping the engine, it must not run
+// concurrently with other calls on the engine.
 func (v *View) Bandwidth(a, b int) float64 {
 	return v.e.netMon.Bandwidth(a, b, 100)
 }
 
-// Latency returns the monitored latency (seconds) between two VMs.
+// Latency returns the monitored latency (seconds) between two VMs. Like
+// Bandwidth, it folds the pair's probes on the read.
 func (v *View) Latency(a, b int) float64 {
 	return v.e.netMon.Latency(a, b, 0.0005)
 }

@@ -10,6 +10,12 @@ import (
 // framework observes (§4): per-VM normalized CPU coefficients and pairwise
 // network latency/bandwidth. VMs are identified by the opaque trace ids the
 // simulator assigns at acquisition.
+//
+// Every method must be a pure function of its arguments: the same ids and
+// sec always give the same value, whenever and however often it is called.
+// The simulator relies on this. Its network monitor replays a pair's past
+// probes only when the pair is read or checkpointed, and a restored run
+// re-reads the traces the original run read.
 type Provider interface {
 	// CPUCoeff returns the multiplicative coefficient applied to a VM's
 	// rated core speed at time sec: pi_runtime = coeff * pi_rated.
