@@ -171,14 +171,17 @@ echo "$stepbench" | grep -q ' 0 allocs/op' || {
     exit 1
 }
 
-# The scheduler must keep pace with the engine: one converged Adapt of the
-# global heuristic on the same 1000-PE layered DAG (about 1,300 VMs) may
-# allocate at most 512 objects and cost at most 22x the steady engine step
-# above (observed ~6x). Both sides come from this run, so machine speed
-# largely cancels. The limit catches an Adapt that goes O(V^2) in the
-# fleet, as the per-victim consolidation scans did. It used to be 3x of a
-# step that still probed every VM pair; 22x of today's step is the same
-# absolute budget.
+# The scheduler must keep pace with the engine: one Adapt of the global
+# heuristic on the same 1000-PE layered DAG (about 1,300 VMs) may allocate
+# at most 128 objects and cost at most 22x the steady engine step above
+# (observed ~6x). Both sides come from this run, so machine speed largely
+# cancels. An Adapt that issues no actions allocates nothing
+# (TestAdaptAllocs); what still allocates here (~63 per Adapt) is the fleet
+# still growing: VM acquisitions and the engine's arena slots for the new
+# VMs. The time limit catches an Adapt that goes O(V^2) in the fleet, as
+# the per-victim consolidation scans did. It used to be 3x of a step that
+# still probed every VM pair; 22x of today's step is the same absolute
+# budget.
 adaptbench=$(go test ./internal/core -run '^$' -bench 'BenchmarkAdaptLargeDAG' -benchtime 100x -benchmem)
 echo "$adaptbench"
 printf '%s\n%s\n' "$stepbench" "$adaptbench" | awk '
@@ -189,8 +192,8 @@ printf '%s\n%s\n' "$stepbench" "$adaptbench" | awk '
         if (step == "" || adapt == "" || allocs == "") { print "adapt guard: benchmarks missing" > "/dev/stderr"; exit 1 }
         ratio = adapt / step
         printf "adapt/step ratio: %.2fx, %d allocs per adapt\n", ratio, allocs
-        if (allocs > 512) {
-            printf "converged Adapt allocates %d objects (limit 512)\n", allocs > "/dev/stderr"
+        if (allocs > 128) {
+            printf "converged Adapt allocates %d objects (limit 128)\n", allocs > "/dev/stderr"
             exit 1
         }
         if (ratio > 22.0) {

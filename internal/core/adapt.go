@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"dynamicdf/internal/dataflow"
 	"dynamicdf/internal/obs"
 	"dynamicdf/internal/sim"
 )
@@ -19,17 +20,22 @@ func decisionSink(act sim.Control) sim.DecisionSink {
 	return nil
 }
 
-// scratch is the resource stage's working memory, reused across Adapt calls
-// so that walking the fleet allocates nothing once the buffers have grown
-// to its size. Every buffer is refilled
-// before it is read: nothing carries over from one call to the next, and
-// nothing here is checkpointed.
+// scratch is Adapt's working memory, reused across calls so that a
+// converged call allocates nothing once the buffers have grown to the graph
+// and the fleet. Every buffer is refilled before it is read: nothing
+// carries over from one call to the next, and nothing here is checkpointed.
 type scratch struct {
-	vms      []sim.VMInfo     // the active fleet, id order
-	asg      []sim.Assignment // one PE's allocation
-	eff      []float64        // effectiveECU's result
-	required []float64        // resourceStage's per-PE target ECU
-	shed     []shedOption     // removeCore's candidates
+	sel      dataflow.Selection  // the stage's copy of the selection
+	rates    dataflow.InputRates // the estimated external input rates
+	flow     dataflow.RoutedFlow // demandECU's propagation (global)
+	demand   []float64           // demandECU's result
+	costs    [][]float64         // alternateStage's downstream costs (global)
+	cands    []altCandidate      // one PE's feasible alternates
+	vms      []sim.VMInfo        // the active fleet, id order
+	asg      []sim.Assignment    // one PE's allocation
+	eff      []float64           // effectiveECU's result
+	required []float64           // resourceStage's per-PE target ECU
+	shed     []shedOption        // removeCore's candidates
 
 	// consolidate's fleet index: positions are indices into vms.
 	pos    []int   // VM id -> position
@@ -56,10 +62,13 @@ type shedOption struct {
 }
 
 // resize returns buf with length n, reallocating only when its capacity is
-// short; the contents are unspecified.
+// short; the contents are unspecified. Like append it at least doubles the
+// capacity when it reallocates, so a buffer grown one element at a time —
+// consolidate's VM id table as the fleet acquires — reallocates O(log n)
+// times.
 func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(buf)))
 	}
 	return buf[:n]
 }
@@ -71,7 +80,8 @@ func resize[T any](buf []T, n int) []T {
 func (h *Heuristic) resourceStage(v *sim.View, act sim.Control) error {
 	sink := decisionSink(act)
 	g := v.Graph()
-	sel := v.Selection()
+	h.scratch.sel = v.SelectionInto(h.scratch.sel[:0])
+	sel := h.scratch.sel
 	demand, err := h.demandECU(v, sel)
 	if err != nil {
 		return err

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dynamicdf/internal/dataflow"
 	"dynamicdf/internal/obs"
@@ -193,24 +193,26 @@ func (h *Heuristic) Adapt(v *sim.View, act sim.Control) error {
 // whole graph; the local strategy trusts only each PE's own observed
 // arrivals — which underestimates true demand when an upstream PE is
 // throttled, the exact cascading weakness §7.2 attributes to local
-// decisions.
+// decisions. The result is scratch: valid until the next demandECU call.
 func (h *Heuristic) demandECU(v *sim.View, sel dataflow.Selection) ([]float64, error) {
+	s := &h.scratch
 	g := v.Graph()
-	demand := make([]float64, g.N())
+	s.demand = resize(s.demand, g.N())
+	demand := s.demand
+	s.rates = v.EstimatedInputRatesInto(s.rates)
 	if h.opts.Strategy == Global {
-		inRate, _, err := dataflow.PropagateRatesRouted(g, sel, v.Routing(), v.EstimatedInputRates())
-		if err != nil {
+		if err := s.flow.Prepare(g, sel, v.Routing(), s.rates); err != nil {
 			return nil, err
 		}
+		inRate := s.flow.InRates()
 		for pe := range demand {
 			demand[pe] = inRate[pe] * sel.Alt(g, pe).Cost
 		}
 		return demand, nil
 	}
-	est := v.EstimatedInputRates()
 	for pe := range demand {
 		arr := v.ObservedArrivalRate(pe)
-		if r, ok := est[pe]; ok && r > arr {
+		if r, ok := s.rates[pe]; ok && r > arr {
 			arr = r // input PEs know their external rate directly
 		}
 		demand[pe] = arr * sel.Alt(g, pe).Cost
@@ -239,13 +241,20 @@ func (h *Heuristic) effectiveECU(v *sim.View) []float64 {
 	return s.eff
 }
 
+// altCandidate is one feasible alternate in alternateStage's ranking.
+type altCandidate struct {
+	idx   int
+	need  float64 // ECU this alternate requires at the arrival rate
+	ratio float64 // value / strategy cost
+}
+
 // alternateStage is Alg. 2's ALTERNATE_REDEPLOY: build the feasible set per
 // PE from the throughput band, rank by value/cost (strategy-dependent
 // cost), and switch to the first alternate that fits the PE's currently
 // available resources.
 func (h *Heuristic) alternateStage(v *sim.View, act sim.Control) error {
+	s := &h.scratch
 	g := v.Graph()
-	sel := v.Selection()
 	obj := h.opts.Objective
 	omega := v.MeanOmega()
 	under := omega <= obj.OmegaHat-obj.Epsilon
@@ -254,14 +263,15 @@ func (h *Heuristic) alternateStage(v *sim.View, act sim.Control) error {
 		return nil
 	}
 	sink := decisionSink(act)
+	s.sel = v.SelectionInto(s.sel[:0])
+	sel := s.sel
 	demand, err := h.demandECU(v, sel)
 	if err != nil {
 		return err
 	}
 	available := h.effectiveECU(v)
-	var downCosts [][]float64
 	if h.opts.Strategy == Global {
-		downCosts, err = dataflow.DownstreamCostsRouted(g, sel, v.Routing())
+		s.costs, err = dataflow.DownstreamCostsRoutedInto(g, sel, v.Routing(), s.costs)
 		if err != nil {
 			return err
 		}
@@ -278,12 +288,7 @@ func (h *Heuristic) alternateStage(v *sim.View, act sim.Control) error {
 		if activeCost > 0 {
 			arrival = demand[pe] / activeCost
 		}
-		type cand struct {
-			idx   int
-			need  float64 // ECU this alternate requires at the arrival rate
-			ratio float64 // value / strategy cost
-		}
-		var feasible []cand
+		feasible := s.cands[:0]
 		for j, a := range alts {
 			if j == active {
 				continue
@@ -297,14 +302,24 @@ func (h *Heuristic) alternateStage(v *sim.View, act sim.Control) error {
 			}
 			cost := a.Cost
 			if h.opts.Strategy == Global {
-				cost = downCosts[pe][j]
+				cost = s.costs[pe][j]
 			}
-			feasible = append(feasible, cand{idx: j, need: need, ratio: a.Value / cost})
+			feasible = append(feasible, altCandidate{idx: j, need: need, ratio: a.Value / cost})
 		}
+		s.cands = feasible
 		if len(feasible) == 0 {
 			continue
 		}
-		sort.SliceStable(feasible, func(i, j int) bool { return feasible[i].ratio > feasible[j].ratio })
+		// Highest value/cost first; ties keep alternate order.
+		slices.SortStableFunc(feasible, func(a, b altCandidate) int {
+			switch {
+			case a.ratio > b.ratio:
+				return -1
+			case b.ratio > a.ratio:
+				return 1
+			}
+			return 0
+		})
 		chosen := -1
 		for _, c := range feasible {
 			if c.need <= available[pe]+1e-9 {

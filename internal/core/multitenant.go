@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/obs"
@@ -136,6 +137,12 @@ func (a Arbiter) arbitrate(v *sim.View, ten int, sink sim.DecisionSink) error {
 type MultiTenant struct {
 	inner []sim.Scheduler
 	arb   Arbiter
+	// Working memory reused across calls, so a pass that issues no actions
+	// allocates nothing: order's ranking and starvation flags, and one
+	// control per tenant, refilled for each call.
+	idx   []int
+	starv []bool
+	ctls  []tenantControl
 }
 
 // NewMultiTenant builds the multi-tenant policy: inner[i] drives tenant i.
@@ -154,7 +161,9 @@ func NewMultiTenant(inner []sim.Scheduler, arb Arbiter) (*MultiTenant, error) {
 	if arb.ScarceFrac < 0 || arb.ScarceFrac >= 1 {
 		return nil, fmt.Errorf("core: scarce fraction %v outside (0,1)", arb.ScarceFrac)
 	}
-	return &MultiTenant{inner: inner, arb: arb}, nil
+	n := len(inner)
+	return &MultiTenant{inner: inner, arb: arb,
+		idx: make([]int, n), starv: make([]bool, n), ctls: make([]tenantControl, n)}, nil
 }
 
 // Name implements sim.Scheduler.
@@ -162,26 +171,25 @@ func (m *MultiTenant) Name() string { return fmt.Sprintf("multi-tenant[%d]", len
 
 // order ranks tenants for a scheduling pass: starving tenants first (when
 // ranking by starvation), then priority descending, then index for
-// determinism.
+// determinism. The result is reused by the next call.
 func (m *MultiTenant) order(v *sim.View, starvingFirst bool) []int {
-	idx := make([]int, len(m.inner))
-	starv := make([]bool, len(m.inner))
+	idx, starv := m.idx, m.starv
 	for i := range idx {
 		idx[i] = i
-		if starvingFirst {
-			starv[i] = v.TenantMeanOmega(i) < v.TenantInfo(i).OmegaFloor
-		}
+		starv[i] = starvingFirst && v.TenantMeanOmega(i) < v.TenantInfo(i).OmegaFloor
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		i, j := idx[a], idx[b]
+	slices.SortStableFunc(idx, func(i, j int) int {
 		if starv[i] != starv[j] {
-			return starv[i]
+			if starv[i] {
+				return -1
+			}
+			return 1
 		}
 		pi, pj := v.TenantInfo(i).Priority, v.TenantInfo(j).Priority
 		if pi != pj {
-			return pi > pj
+			return cmp.Compare(pj, pi)
 		}
-		return i < j
+		return cmp.Compare(i, j)
 	})
 	return idx
 }
@@ -216,9 +224,12 @@ func (m *MultiTenant) Adapt(v *sim.View, act sim.Control) error {
 // control wraps the engine's control surface for one tenant: PE and choice
 // indices translate from tenant-local to composite numbering, VM
 // acquisition passes through the arbiter, and forwarded decisions are
-// stamped with the tenant's name.
+// stamped with the tenant's name. The wrapper is tenant i's reused one,
+// valid for one inner call.
 func (m *MultiTenant) control(v *sim.View, act sim.Control, i int) *tenantControl {
-	return &tenantControl{act: act, v: v, m: m, ten: i, t: v.TenantInfo(i)}
+	c := &m.ctls[i]
+	*c = tenantControl{act: act, v: v, m: m, ten: i, t: v.TenantInfo(i)}
+	return c
 }
 
 type tenantControl struct {

@@ -16,7 +16,8 @@ func (h *Heuristic) pathStage(v *sim.View, act sim.Control) error {
 	if len(g.Choices) == 0 {
 		return nil
 	}
-	sel := v.Selection()
+	h.scratch.sel = v.SelectionInto(h.scratch.sel[:0])
+	sel := h.scratch.sel
 	routing := v.Routing()
 	obj := h.opts.Objective
 	omega := v.MeanOmega()
@@ -85,7 +86,8 @@ func (h *Heuristic) pathStage(v *sim.View, act sim.Control) error {
 // implies.
 func (h *Heuristic) routeFits(v *sim.View, sel dataflow.Selection, trial dataflow.Routing) bool {
 	g := v.Graph()
-	inRate, _, err := dataflow.PropagateRatesRouted(g, sel, trial, v.EstimatedInputRates())
+	h.scratch.rates = v.EstimatedInputRatesInto(h.scratch.rates)
+	inRate, _, err := dataflow.PropagateRatesRouted(g, sel, trial, h.scratch.rates)
 	if err != nil {
 		return false
 	}

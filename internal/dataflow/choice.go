@@ -169,21 +169,33 @@ func RoutedValue(g *Graph, sel Selection, routing Routing) (float64, error) {
 // PropagateRatesRouted computes steady-state rates like PropagateRates but
 // honouring choice-group routing.
 func PropagateRatesRouted(g *Graph, sel Selection, routing Routing, in InputRates) (inRate, outRate []float64, err error) {
-	if err := sel.Validate(g); err != nil {
+	inRate = make([]float64, g.N())
+	outRate = make([]float64, g.N())
+	if err := propagateRouted(g, sel, routing, in, inRate, outRate); err != nil {
 		return nil, nil, err
 	}
+	return inRate, outRate, nil
+}
+
+// propagateRouted validates the selection, routing and input rates and
+// writes PropagateRatesRouted's result into inRate and outRate, which must
+// have length g.N(): one fold over the topological order, with and-split
+// duplication onto the active successors and multi-merge summing.
+func propagateRouted(g *Graph, sel Selection, routing Routing, in InputRates, inRate, outRate []float64) error {
+	if err := sel.Validate(g); err != nil {
+		return err
+	}
 	if err := routing.Validate(g); err != nil {
-		return nil, nil, err
+		return err
 	}
 	order, err := g.TopoOrder()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	inRate = make([]float64, g.N())
-	outRate = make([]float64, g.N())
+	clear(inRate)
 	for pe, r := range in {
 		if pe < 0 || pe >= g.N() || len(g.Predecessors(pe)) != 0 || r < 0 {
-			return nil, nil, fmt.Errorf("dataflow: bad input rate %v on PE %d", r, pe)
+			return fmt.Errorf("dataflow: bad input rate %v on PE %d", r, pe)
 		}
 		inRate[pe] = r
 	}
@@ -193,16 +205,18 @@ func PropagateRatesRouted(g *Graph, sel Selection, routing Routing, in InputRate
 			inRate[w] += outRate[v]
 		}
 	}
-	return inRate, outRate, nil
+	return nil
 }
 
 // RoutedFlow is a graph's steady-state flow under one selection, routing
 // and set of external input rates, prepared once so that many capacity
 // vectors can be scored against it: the topological order, every PE's
-// active successors and the uncapped rates are computed at construction,
-// and each Capped pass reuses the same buffers. Alg. 1's deployment planner
-// keeps one across every core it adds; PredictOmegaRouted and
-// PEThroughputsRouted are its one-shot forms.
+// active successors and the uncapped rates are computed by Prepare, and
+// each Capped pass reuses the same buffers. Alg. 1's deployment planner
+// keeps one across every core it adds, and Alg. 2's heuristic re-prepares
+// one in place every interval; PredictOmegaRouted and PEThroughputsRouted
+// are its one-shot forms. The zero value is an empty flow ready for
+// Prepare.
 type RoutedFlow struct {
 	order       []int
 	succ        [][]int
@@ -218,35 +232,52 @@ type RoutedFlow struct {
 // NewRoutedFlow validates the selection, routing and input rates and
 // prepares their flow.
 func NewRoutedFlow(g *Graph, sel Selection, routing Routing, in InputRates) (*RoutedFlow, error) {
-	inRate, outRate, err := PropagateRatesRouted(g, sel, routing, in)
-	if err != nil {
+	f := new(RoutedFlow)
+	if err := f.Prepare(g, sel, routing, in); err != nil {
 		return nil, err
 	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
+	return f, nil
+}
+
+// Prepare validates the selection, routing and input rates and prepares
+// their flow in place, reusing the buffers of whatever flow f held before,
+// on any graph: once they have grown to the graph's size, preparing a
+// choice-free graph's flow allocates nothing. The uncapped rates are
+// PropagateRatesRouted's, bit for bit. After an error f must be prepared
+// again before use.
+func (f *RoutedFlow) Prepare(g *Graph, sel Selection, routing Routing, in InputRates) error {
 	n := g.N()
-	f := &RoutedFlow{
-		order:       order,
-		succ:        make([][]int, n),
-		selectivity: make([]float64, n),
-		outs:        g.Outputs(),
-		base:        make([]float64, n),
-		inRate:      inRate,
-		outRate:     outRate,
-		arr:         make([]float64, n),
-		got:         make([]float64, n),
-		th:          make([]float64, n),
+	f.inRate = resize(f.inRate, n)
+	f.outRate = resize(f.outRate, n)
+	if err := propagateRouted(g, sel, routing, in, f.inRate, f.outRate); err != nil {
+		return err
 	}
+	f.order, _ = g.TopoOrder() // propagateRouted got it without error
+	f.succ = resize(f.succ, n)
+	f.selectivity = resize(f.selectivity, n)
 	for v := 0; v < n; v++ {
 		f.succ[v] = g.ActiveSuccessors(v, routing)
 		f.selectivity[v] = sel.Alt(g, v).Selectivity
 	}
+	f.outs = g.appendOutputs(f.outs[:0])
+	f.base = resize(f.base, n)
+	clear(f.base)
 	for pe, r := range in {
 		f.base[pe] = r
 	}
-	return f, nil
+	f.arr = resize(f.arr, n)
+	f.got = resize(f.got, n)
+	f.th = resize(f.th, n)
+	return nil
+}
+
+// resize returns buf with length n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // InRates returns every PE's uncapped arrival rate (msg/s). The slice is
@@ -328,71 +359,63 @@ func PEThroughputsRouted(g *Graph, sel Selection, routing Routing, in InputRates
 // (DownstreamCosts) honouring choice-group routing: inactive routes do not
 // contribute downstream cost because no message flows into them.
 func DownstreamCostsRouted(g *Graph, sel Selection, routing Routing) ([][]float64, error) {
+	return DownstreamCostsRoutedInto(g, sel, routing, nil)
+}
+
+// DownstreamCostsRoutedInto is DownstreamCostsRouted writing into dst: it
+// reuses dst's rows (and their backing arrays) for the result and returns
+// it, so a caller that keeps the result across calls allocates nothing
+// once the rows have grown to the graph's shape. The costs are
+// DownstreamCostsRouted's, bit for bit.
+//
+// One pass in reverse topological order fills each PE's row from its
+// active successors' selected-alternate entries: a PE's cost under its
+// selected alternate is exactly the per-message cost of everything a
+// message entering it induces, which is what its predecessors sum.
+func DownstreamCostsRoutedInto(g *Graph, sel Selection, routing Routing, dst [][]float64) ([][]float64, error) {
 	if err := sel.Validate(g); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if err := routing.Validate(g); err != nil {
-		return nil, err
+		return dst, err
 	}
 	order, err := g.TopoOrder()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	nodeCost := make([]float64, g.N())
+	costs := resize(dst, g.N())
 	for k := len(order) - 1; k >= 0; k-- {
 		v := order[k]
-		a := sel.Alt(g, v)
 		down := 0.0
 		for _, w := range g.ActiveSuccessors(v, routing) {
-			down += nodeCost[w]
+			down += costs[w][sel[w]]
 		}
-		nodeCost[v] = a.Cost + a.Selectivity*down
-	}
-	costs := make([][]float64, g.N())
-	for i, p := range g.PEs {
-		costs[i] = make([]float64, len(p.Alternates))
-		down := 0.0
-		for _, w := range g.ActiveSuccessors(i, routing) {
-			down += nodeCost[w]
+		alts := g.PEs[v].Alternates
+		row := resize(costs[v], len(alts))
+		for j, a := range alts {
+			row[j] = a.Cost + a.Selectivity*down
 		}
-		for j, a := range p.Alternates {
-			costs[i][j] = a.Cost + a.Selectivity*down
-		}
+		costs[v] = row
 	}
 	return costs, nil
 }
 
 // RouteCosts returns, for one choice group, the per-message cost of routing
-// into each target (the target's nodeCost: its own processing plus
-// everything downstream of it under the current selection and routing).
+// into each target: the target's downstream cost under its selected
+// alternate, its own processing plus everything downstream of it under the
+// current selection and routing.
 func RouteCosts(g *Graph, sel Selection, routing Routing, group int) ([]float64, error) {
 	if group < 0 || group >= len(g.Choices) {
 		return nil, fmt.Errorf("dataflow: no choice group %d", group)
 	}
-	if err := sel.Validate(g); err != nil {
-		return nil, err
-	}
-	if err := routing.Validate(g); err != nil {
-		return nil, err
-	}
-	order, err := g.TopoOrder()
+	costs, err := DownstreamCostsRouted(g, sel, routing)
 	if err != nil {
 		return nil, err
-	}
-	nodeCost := make([]float64, g.N())
-	for k := len(order) - 1; k >= 0; k-- {
-		v := order[k]
-		a := sel.Alt(g, v)
-		down := 0.0
-		for _, w := range g.ActiveSuccessors(v, routing) {
-			down += nodeCost[w]
-		}
-		nodeCost[v] = a.Cost + a.Selectivity*down
 	}
 	c := g.Choices[group]
 	out := make([]float64, len(c.Targets))
 	for i, t := range c.Targets {
-		out[i] = nodeCost[t]
+		out[i] = costs[t][sel[t]]
 	}
 	return out, nil
 }

@@ -121,6 +121,9 @@ type Graph struct {
 
 	succ [][]int
 	pred [][]int
+	// topo is the topological order Validate computed; nil until a
+	// Validate gets past the cycle check.
+	topo []int
 }
 
 // DefaultMessageBytes is the paper's evaluation message size (~100 KB/msg).
@@ -138,8 +141,10 @@ func NewGraph(pes []*PE, edges []Edge) (*Graph, error) {
 // Validate checks structural invariants: non-empty, unique names, legal
 // alternates, edge endpoints in range, acyclicity, and non-empty input and
 // output PE sets (Def. 1 requires I != {} and O != {}). It also (re)builds
-// the adjacency caches, so it must be called after any structural mutation.
+// the adjacency caches and the topological order, so it must be called
+// after any structural mutation.
 func (g *Graph) Validate() error {
+	g.topo = nil
 	if len(g.PEs) == 0 {
 		return errors.New("dataflow: graph has no PEs")
 	}
@@ -192,9 +197,11 @@ func (g *Graph) Validate() error {
 		g.succ[e.From] = append(g.succ[e.From], e.To)
 		g.pred[e.To] = append(g.pred[e.To], e.From)
 	}
-	if _, err := g.TopoOrder(); err != nil {
+	order, err := g.kahn()
+	if err != nil {
 		return err
 	}
+	g.topo = order
 	if len(g.Inputs()) == 0 {
 		return errors.New("dataflow: graph has no input PEs")
 	}
@@ -229,14 +236,16 @@ func (g *Graph) Inputs() []int {
 
 // Outputs returns the indices of output PEs (no outgoing edges): the set O
 // whose messages are consumed externally.
-func (g *Graph) Outputs() []int {
-	var out []int
+func (g *Graph) Outputs() []int { return g.appendOutputs(nil) }
+
+// appendOutputs appends the output PEs to dst, in index order.
+func (g *Graph) appendOutputs(dst []int) []int {
 	for i := range g.PEs {
 		if len(g.succ[i]) == 0 {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
 // MsgBytes returns the output message size for a PE, falling back to the
@@ -248,9 +257,19 @@ func (g *Graph) MsgBytes(pe int) int {
 	return g.DefaultMsgBytes
 }
 
-// TopoOrder returns a topological ordering of the PE indices using Kahn's
-// algorithm, or an error naming one PE on a cycle.
+// TopoOrder returns a topological ordering of the PE indices by Kahn's
+// algorithm: the one Validate computed. The returned slice is shared;
+// callers must not mutate it. On a graph Validate has not accepted, it
+// runs the algorithm afresh and returns an error naming one PE on a cycle.
 func (g *Graph) TopoOrder() ([]int, error) {
+	if g.topo != nil {
+		return g.topo, nil
+	}
+	return g.kahn()
+}
+
+// kahn runs Kahn's algorithm over the adjacency caches.
+func (g *Graph) kahn() ([]int, error) {
 	indeg := make([]int, len(g.PEs))
 	for _, e := range g.Edges {
 		indeg[e.To]++

@@ -85,9 +85,10 @@ func (c *Collector) ImportTenantSeries(omega, gamma, spend []float64) error {
 		return fmt.Errorf("metrics: tenant series length %d, want %d points x %d tenants",
 			len(omega), len(c.points), t)
 	}
-	c.tOmega = append([]float64(nil), omega...)
-	c.tGamma = append([]float64(nil), gamma...)
-	c.tSpend = append([]float64(nil), spend...)
+	// Copy into the series' own arrays, so a reservation survives.
+	c.tOmega = append(c.tOmega[:0], omega...)
+	c.tGamma = append(c.tGamma[:0], gamma...)
+	c.tSpend = append(c.tSpend[:0], spend...)
 	return nil
 }
 

@@ -28,6 +28,7 @@ import (
 	"sort"
 
 	"dynamicdf/internal/cloud"
+	"dynamicdf/internal/dataflow"
 	"dynamicdf/internal/obs"
 	"dynamicdf/internal/sim"
 )
@@ -94,6 +95,8 @@ type Scheduler struct {
 	cfg   Config
 
 	breakers map[string]*breaker
+	// sel is maybeDegrade's copy of the selection, reused across calls.
+	sel dataflow.Selection
 
 	retries   int
 	fallbacks int
@@ -169,7 +172,8 @@ func (s *Scheduler) maybeDegrade(v *sim.View, act sim.Control) error {
 		return nil
 	}
 	g := v.Graph()
-	sel := v.Selection()
+	s.sel = v.SelectionInto(s.sel[:0])
+	sel := s.sel
 	changed := false
 	for pe := 0; pe < g.N(); pe++ {
 		alts := g.PEs[pe].Alternates

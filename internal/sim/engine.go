@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/dataflow"
@@ -125,6 +126,9 @@ type Engine struct {
 	tenSpend     []float64
 	tenPrevCost  float64
 	tenGauges    [][3]*obs.Gauge
+	// tenViews are the tenant-scoped views View.Tenant hands out, built
+	// once so that scoping a view allocates nothing.
+	tenViews []View
 }
 
 // NewEngine validates the config and prepares an engine.
@@ -186,10 +190,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.ctx.tenGamma = make([]float64, nt)
 		e.ctx.tenSpend = make([]float64, nt)
 		e.ctx.tenCores = make([]int, nt)
+		e.tenViews = make([]View, nt)
+		for i := range e.tenViews {
+			e.tenViews[i] = View{e: e, ten: i + 1}
+		}
 		if err := e.collector.SetTenants(names); err != nil {
 			return nil, err
 		}
 	}
+	e.collector.Reserve(reservedRows(cfg.HorizonSec/cfg.IntervalSec, len(cfg.Tenants)))
 	e.rateEst, _ = monitor.NewRateEstimator(cfg.MonitorAlpha)
 	e.vmMon, _ = monitor.NewVMMonitor(cfg.MonitorAlpha)
 	e.netMon, _ = monitor.NewNetMonitor(cfg.MonitorAlpha, cfg.IntervalSec, e.netProbe)
@@ -212,6 +221,21 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.gammaMin, e.gammaMax = alternateValueRange(cfg.Graph)
 	}
 	return e, nil
+}
+
+// seriesReserveBytes caps the metric series NewEngine reserves up front. A
+// run adds exactly one row per interval, so reserving the horizon's rows
+// keeps the series from regrowing mid-run; nothing bounds a scenario's
+// horizon or tenant count, so without the cap one document could make Build
+// allocate without limit. Past the cap the series grows by append.
+const seriesReserveBytes = 2 << 20
+
+// reservedRows is how many metric rows NewEngine reserves for a run of the
+// given intervals and tenants: all of them, up to seriesReserveBytes of
+// rows (one Point plus three float64 columns per tenant each).
+func reservedRows(intervals int64, tenants int) int {
+	row := int64(unsafe.Sizeof(metrics.Point{})) + 3*int64(tenants)*int64(unsafe.Sizeof(float64(0)))
+	return int(min(intervals, seriesReserveBytes/row))
 }
 
 // bindTenantGauges caches one labeled gauge handle per tenant and series so

@@ -60,11 +60,17 @@ func (v *View) Menu() *cloud.Menu { return v.e.cfg.Menu }
 
 // Selection returns a copy of the current alternate selection (the tenant's
 // slice on a tenant view).
-func (v *View) Selection() dataflow.Selection {
+func (v *View) Selection() dataflow.Selection { return v.SelectionInto(nil) }
+
+// SelectionInto appends the current alternate selection to dst (the
+// tenant's slice on a tenant view) and returns it — Selection for policies
+// reusing a buffer across calls.
+func (v *View) SelectionInto(dst dataflow.Selection) dataflow.Selection {
+	sel := v.e.sel
 	if t := v.tenantScope(); t != nil {
-		return append(dataflow.Selection(nil), v.e.sel[t.LoPE:t.HiPE]...)
+		sel = sel[t.LoPE:t.HiPE]
 	}
-	return v.e.sel.Clone()
+	return append(dst, sel...)
 }
 
 // Routing returns a copy of the current choice-group routing (the tenant's
@@ -91,20 +97,28 @@ func (v *View) EstimatedInputRate(pe int) float64 {
 
 // EstimatedInputRates returns estimates for every input PE — on a tenant
 // view, the tenant's own inputs under its local numbering.
-func (v *View) EstimatedInputRates() dataflow.InputRates {
-	in := dataflow.InputRates{}
+func (v *View) EstimatedInputRates() dataflow.InputRates { return v.EstimatedInputRatesInto(nil) }
+
+// EstimatedInputRatesInto clears dst, fills it with EstimatedInputRates'
+// estimates and returns it (a fresh map when dst is nil) — for policies
+// reusing one map across calls.
+func (v *View) EstimatedInputRatesInto(dst dataflow.InputRates) dataflow.InputRates {
+	if dst == nil {
+		dst = dataflow.InputRates{}
+	}
+	clear(dst)
 	if t := v.tenantScope(); t != nil {
 		for pe := range v.e.cfg.Inputs {
 			if pe >= t.LoPE && pe < t.HiPE {
-				in[pe-t.LoPE] = v.EstimatedInputRate(pe - t.LoPE)
+				dst[pe-t.LoPE] = v.EstimatedInputRate(pe - t.LoPE)
 			}
 		}
-		return in
+		return dst
 	}
 	for pe := range v.e.cfg.Inputs {
-		in[pe] = v.EstimatedInputRate(pe)
+		dst[pe] = v.EstimatedInputRate(pe)
 	}
-	return in
+	return dst
 }
 
 // VMInfo describes one active VM as the scheduler sees it.
@@ -352,8 +366,9 @@ func (v *View) TenantInfo(i int) Tenant { return v.e.cfg.Tenants[i] }
 
 // Tenant returns a view scoped to tenant i: PE and choice indices become the
 // tenant's local numbering, Graph/Selection/Routing/Omega/rates report the
-// tenant's own dataflow, and fleet-level methods stay global.
-func (v *View) Tenant(i int) *View { return &View{e: v.e, ten: i + 1} }
+// tenant's own dataflow, and fleet-level methods stay global. The view is
+// shared: every call for tenant i returns the same one.
+func (v *View) Tenant(i int) *View { return &v.e.tenViews[i] }
 
 // TenantMeanOmega returns tenant i's mean relative throughput over the
 // period so far, or 1 before t0.

@@ -93,7 +93,9 @@ func (h *Hub) Handler() http.Handler {
 		flusher, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
 		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+		// Start from bufio's default buffer: workers post one small result
+		// per request, and the scanner grows it up to the 4 MiB line cap.
+		sc.Buffer(nil, 1<<22)
 		for sc.Scan() {
 			line := bytes.TrimSpace(sc.Bytes())
 			if len(line) == 0 {

@@ -226,7 +226,10 @@ func TestHeartbeatRenewalPreventsExpiry(t *testing.T) {
 }
 
 // TestDuplicateAckIdempotent: repeated deliveries of the same result are
-// dropped, and the journal records the completion exactly once.
+// dropped, and the journal records the completion exactly once. The
+// campaign's second job is acked only after the repeats, so the campaign
+// stays open while they arrive: the hub detaches a finished campaign, after
+// which a late delivery reads "unknown", not "duplicate".
 func TestDuplicateAckIdempotent(t *testing.T) {
 	clock := newFakeClock()
 	h := testHub(clock, 3)
@@ -235,7 +238,8 @@ func TestDuplicateAckIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer journal.Close()
-	ch := startCampaign(t, h, singleJobSpec(t), sweep.RunOpts{Journal: journal})
+	spec := parseSpec(t, fmt.Sprintf(`{"name": "two", "base": %s, "seeds": [1, 2]}`, testBase))
+	ch := startCampaign(t, h, spec, sweep.RunOpts{Journal: journal})
 
 	h.Register("A")
 	lease := h.Lease("A")
@@ -254,12 +258,19 @@ func TestDuplicateAckIdempotent(t *testing.T) {
 	if journal.Len() != 1 {
 		t.Fatalf("journal has %d entries after duplicate acks, want 1", journal.Len())
 	}
+	last := h.Lease("A")
+	if last == nil {
+		t.Fatal("no lease for the second job")
+	}
+	if st := h.Ack(last.Campaign, sweep.Result{Key: last.Key, Theta: 3}); st != AckAccepted {
+		t.Fatalf("second job's ack %q, want %q", st, AckAccepted)
+	}
 	rep, err := waitReport(t, ch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Executed != 1 || rep.Total != 1 {
-		t.Fatalf("report executed=%d total=%d, want 1/1", rep.Executed, rep.Total)
+	if rep.Executed != 2 || rep.Total != 2 {
+		t.Fatalf("report executed=%d total=%d, want 2/2", rep.Executed, rep.Total)
 	}
 }
 

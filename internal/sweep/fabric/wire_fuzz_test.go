@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,10 +26,7 @@ import (
 // campaign, and a later delivery would read "duplicate" or "unknown"
 // depending on when the hub detached it.
 func FuzzResultsWire(f *testing.F) {
-	spec, err := sweep.ParseSpec([]byte(fmt.Sprintf(`{"name": "wire", "base": %s, "seeds": [1, 2]}`, testBase)))
-	if err != nil {
-		f.Fatal(err)
-	}
+	spec := wireSpec(f)
 	jobs, err := spec.Expand()
 	if err != nil {
 		f.Fatal(err)
@@ -46,27 +44,8 @@ func FuzzResultsWire(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h := testHub(newFakeClock(), 3)
-		ctx, cancel := context.WithCancel(context.Background())
-		finished := make(chan struct{})
-		go func() {
-			defer close(finished)
-			_, _ = h.RunCampaign(ctx, spec, sweep.RunOpts{})
-		}()
-		defer func() {
-			cancel()
-			<-finished
-		}()
-		h.Register("w")
-		var lease *Lease
-		for deadline := time.Now().Add(5 * time.Second); lease == nil; {
-			if time.Now().After(deadline) {
-				t.Fatal("campaign never became leasable")
-			}
-			if lease = h.Lease("w"); lease == nil {
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
+		h, lease, stop := leaseOne(t, spec)
+		defer stop()
 		body := bytes.ReplaceAll(data, []byte("$C"), []byte(lease.Campaign))
 		body = bytes.ReplaceAll(body, []byte("$K"), []byte(lease.Key))
 		for _, j := range jobs {
@@ -99,20 +78,7 @@ func FuzzResultsWire(f *testing.F) {
 				acked = true
 			}
 		}
-		var got []string
-		dec := json.NewDecoder(rec.Body)
-		for dec.More() {
-			var ack ackLine
-			if err := dec.Decode(&ack); err != nil {
-				t.Fatalf("ack stream: %v", err)
-			}
-			switch ack.Status {
-			case AckAccepted, AckDuplicate, AckUnknown:
-			default:
-				t.Fatalf("ack %d: status %q", len(got), ack.Status)
-			}
-			got = append(got, ack.Status)
-		}
+		got := readAcks(t, rec)
 		if len(got) != len(want) {
 			t.Fatalf("%d acks for %d non-blank lines", len(got), len(want))
 		}
@@ -122,4 +88,75 @@ func FuzzResultsWire(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestResultsRouteAcksLongLine posts one result line longer than 64 KiB and
+// well under the route's 4 MiB line cap: the scanner grows its buffer to
+// fit, and the line is acked exactly once, as accepted.
+func TestResultsRouteAcksLongLine(t *testing.T) {
+	h, lease, stop := leaseOne(t, wireSpec(t))
+	defer stop()
+	line := fmt.Sprintf(`{"campaign": %q, "worker": "w", "pad": %q, "result": {"jobId": "j", "key": %q, "omega": 0.9}}`,
+		lease.Campaign, strings.Repeat("x", 200<<10), lease.Key)
+	rec := httptest.NewRecorder()
+	h.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/fabric/results", strings.NewReader(line+"\n")))
+	if got := readAcks(t, rec); len(got) != 1 || got[0] != AckAccepted {
+		t.Fatalf("acks %v for one %d-byte result line, want [%s]", got, len(line), AckAccepted)
+	}
+}
+
+// wireSpec is the two-job campaign the results-wire tests lease from.
+func wireSpec(t testing.TB) *sweep.Spec {
+	spec, err := sweep.ParseSpec([]byte(fmt.Sprintf(`{"name": "wire", "base": %s, "seeds": [1, 2]}`, testBase)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// leaseOne runs spec's campaign on a fresh hub and leases one of its jobs to
+// worker "w". stop cancels the campaign and waits for it to end.
+func leaseOne(t testing.TB, spec *sweep.Spec) (h *Hub, lease *Lease, stop func()) {
+	h = testHub(newFakeClock(), 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		_, _ = h.RunCampaign(ctx, spec, sweep.RunOpts{})
+	}()
+	stop = func() {
+		cancel()
+		<-finished
+	}
+	h.Register("w")
+	for deadline := time.Now().Add(5 * time.Second); lease == nil; {
+		if time.Now().After(deadline) {
+			stop()
+			t.Fatal("campaign never became leasable")
+		}
+		if lease = h.Lease("w"); lease == nil {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	return h, lease, stop
+}
+
+// readAcks decodes the route's NDJSON ack stream into its statuses, failing
+// on a malformed line or an unknown status.
+func readAcks(t testing.TB, rec *httptest.ResponseRecorder) []string {
+	var got []string
+	dec := json.NewDecoder(rec.Body)
+	for dec.More() {
+		var ack ackLine
+		if err := dec.Decode(&ack); err != nil {
+			t.Fatalf("ack stream: %v", err)
+		}
+		switch ack.Status {
+		case AckAccepted, AckDuplicate, AckUnknown:
+		default:
+			t.Fatalf("ack %d: status %q", len(got), ack.Status)
+		}
+		got = append(got, ack.Status)
+	}
+	return got
 }
