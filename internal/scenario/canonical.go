@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"dynamicdf/internal/dataflow"
 )
@@ -23,6 +24,32 @@ func (sc *Scenario) CanonicalJSON() ([]byte, error) {
 // ParseBytes is Parse over an in-memory document.
 func ParseBytes(data []byte) (*Scenario, error) {
 	return Parse(bytes.NewReader(data))
+}
+
+// ExpectEOF returns nil when nothing but white space follows the JSON value
+// dec has just decoded, and otherwise an error that names what follows it:
+// its first token, or the syntax error it starts with. A json.Decoder stops
+// after one value, so a strict parser calls this to refuse a document with
+// a second value or junk after the first.
+func ExpectEOF(dec *json.Decoder) error {
+	off := dec.InputOffset()
+	tok, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return fmt.Errorf("trailing data after offset %d: %w", off, err)
+	}
+	text := fmt.Sprint(tok)
+	switch t := tok.(type) {
+	case nil:
+		text = "null"
+	case json.Delim:
+		text = fmt.Sprintf("%q", rune(t))
+	case string:
+		text = fmt.Sprintf("%q", t)
+	}
+	return fmt.Errorf("trailing data after offset %d: %s", off, text)
 }
 
 // FromGraph converts a built dataflow graph back into its scenario spec

@@ -254,12 +254,16 @@ type SpotSpec struct {
 	PreemptMTBFHours float64 `json:"preemptMTBFHours"`
 }
 
-// Parse decodes a scenario from JSON.
+// Parse decodes a scenario from JSON: one document, with no unknown field
+// and nothing but white space after it.
 func Parse(r io.Reader) (*Scenario, error) {
 	var sc Scenario
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sc); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	if err := ExpectEOF(dec); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	return &sc, nil

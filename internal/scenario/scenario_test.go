@@ -66,6 +66,32 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseRejectsTrailingData: a scenario document is one JSON value. A
+// second value or junk after it is an error naming what follows, while
+// trailing white space stays legal.
+func TestParseRejectsTrailingData(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{`{"seed": 1} {"seed": 2}`, `trailing data after offset 11: '{'`},
+		{`{"seed": 1} junk`, `trailing data after offset 11: invalid character 'j'`},
+		{`{"seed": 1}}`, `trailing data after offset 11: invalid character '}'`},
+		{`{"seed": 1} 7`, `trailing data after offset 11: 7`},
+		{`{"seed": 1} "x"`, `trailing data after offset 11: "x"`},
+		{`{"seed": 1} null`, `trailing data after offset 11: null`},
+		{"{\"seed\": 1}\f", `trailing data after offset 11: invalid character '\f'`},
+	} {
+		if _, err := ParseBytes([]byte(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseBytes(%q) error %v, want one containing %q", c.in, err, c.want)
+		}
+		if _, err := Parse(strings.NewReader(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%q) error %v, want one containing %q", c.in, err, c.want)
+		}
+	}
+	sc, err := ParseBytes([]byte("{\"seed\": 1} \n\t\r\n"))
+	if err != nil || sc.Seed != 1 {
+		t.Fatalf("trailing white space: %+v, %v", sc, err)
+	}
+}
+
 func TestBuildErrors(t *testing.T) {
 	mutate := func(mut func(*Scenario)) error {
 		sc, err := Parse(strings.NewReader(minimal))

@@ -327,6 +327,94 @@ func randomSpec(r *rand.Rand, i int) *sweep.Spec {
 	return s
 }
 
+// edgeSpecDocs are fixed specs at the edge of Expand's struct-space path
+// (see overlay.go): each exercises one case the path must leave to the
+// tree, or one way a patch writes through a value jobs share.
+var edgeSpecDocs = func() []string {
+	spec := func(name, base, axes, extra string) string {
+		return `{"name": "` + name + `", "base": ` + base + `, "axes": [` + axes + `]` + extra + `}`
+	}
+	// The base spells some members other than by their exact json names.
+	// Decoding matches names case-insensitively, and in a merged document
+	// "horizonhours" sorts after a patch's "horizonHours" and wins.
+	caseBase := strings.NewReplacer(`"horizonHours"`, `"horizonhours"`, `"rate"`, `"Rate"`,
+		`"meanBootSec"`, `"meanbootsec"`).Replace(randomBase)
+	// Duplicate members: the tree keeps the last "rate", a struct decode of
+	// the raw base would merge both.
+	dupBase := `{"rate": {"kind": "wave", "amplitude": 4},` + randomBase[1:]
+	choicesBase := strings.Replace(randomBase, `"seed": 1`,
+		`"seed": 1, "choices": [{"name": "c", "from": "src", "targets": ["work"]}]`, 1)
+	graph := `{"pes": [{"name": "src", "alternates": [{"name": "e", "value": 1, "cost": 0.2, "selectivity": 1}]},
+	  {"name": "work", "alternates": [{"name": "full", "value": 1, "cost": 1, "selectivity": 1}]}],
+	  "edges": [["src", "work"]]}`
+	tenantsBase := `{"tenants": [
+	    {"name": "front", "graph": ` + graph + `, "rate": {"kind": "constant", "mean": 8}, "priority": 2,
+	     "policy": {"kind": "local"}, "inputWeights": [1]},
+	    {"name": "batch", "graph": ` + graph + `, "rate": {"kind": "constant", "mean": 8}}],
+	  "infra": {"kind": "ideal"}, "horizonHours": 0.1, "maxVMs": 12, "seed": 1}`
+	maxVMs := `{"name": "m", "values": [{"label": "30", "patch": {"maxVMs": 30}}, {"label": "31", "patch": {"maxVMs": 31}}]}`
+	return []string{
+		spec("base-case", caseBase, `
+		  {"name": "a", "values": [{"label": "h", "patch": {"horizonHours": 0.2}}, {"label": "m", "patch": {"maxVMs": 30}}]},
+		  {"name": "b", "values": [{"label": "r", "patch": {"rate": {"mean": 7}}},
+		                           {"label": "boot", "patch": {"control": {"meanBootSec": 120}}}]}`, ""),
+		spec("base-duplicates", dupBase, `
+		  {"name": "a", "values": [{"label": "r", "patch": {"rate": {"mean": 7}}}, {"label": "none", "patch": {}}]}`, ""),
+		spec("patch-case", randomBase, `
+		  {"name": "a", "values": [{"label": "h", "patch": {"HorizonHours": 0.2, "omegaHat": 0.5}},
+		                           {"label": "k", "patch": {"policy": {"Kind": "local"}, "omegaHat": 0.6}},
+		                           {"label": "mean", "patch": {"rate": {"MEAN": 9}, "omegaHat": 0.7}}]}, `+maxVMs, ""),
+		spec("nulls", randomBase, `
+		  {"name": "del", "values": [{"label": "vms", "patch": {"maxVMs": null}},
+		                             {"label": "mean", "patch": {"rate": {"mean": null}}},
+		                             {"label": "check", "patch": {"check": null}},
+		                             {"label": "dynamic", "patch": {"policy": {"dynamic": null}}},
+		                             {"label": "sigma", "patch": {"infra": {"cpu": {"sigma": null}}}}]}, `+maxVMs, ""),
+		spec("map", randomBase, `
+		  {"name": "map", "warm": true, "values": [
+		    {"label": "add", "patch": {"control": {"perClassFailProb": {"m2.large": 0.3}}}},
+		    {"label": "del", "patch": {"control": {"perClassFailProb": {"m1.small": null}}}},
+		    {"label": "set", "patch": {"control": {"perClassFailProb": {"m1.small": 0.5}, "acquireFailProb": 0.1}}}]}, `+maxVMs,
+			`, "warmStart": {"prefixSec": 120}, "seeds": [1, 2]`),
+		spec("pointers", randomBase, `
+		  {"name": "check", "values": [{"label": "strict", "patch": {"check": {"strict": true}}},
+		                               {"label": "eps", "patch": {"check": {"epsilon": 0.5}}},
+		                               {"label": "none", "patch": {}}]},
+		  {"name": "sessions", "values": [
+		    {"label": "new", "patch": {"rate": {"kind": "sessions", "sessions": {"meanSessionSec": 60, "msgPerSessionSec": 1}}}},
+		    {"label": "short", "patch": {"rate": {"sessions": {"meanSessionSec": 30}}}}]},
+		  {"name": "merge", "warm": true, "values": [
+		    {"label": "a", "patch": {"rate": {"sessions": {"seed": 5}}, "infra": {"cpu": {"theta": 0.5}}}},
+		    {"label": "b", "patch": {"rate": {"sessions": {"arrivalPerSec": 2}}, "policy": {"dynamic": false}}},
+		    {"label": "c", "patch": {"infra": {"latency": {"mean": 3}}, "policy": {"dynamic": true}}}]}`,
+			`, "warmStart": {"prefixSec": 120}, "seeds": [1, 2]`),
+		spec("scalar-over-object", randomBase, `
+		  {"name": "break", "values": [{"label": "rate", "patch": {"rate": 7}}, {"label": "check", "patch": {"check": true}},
+		                               {"label": "none", "patch": {}}]},
+		  {"name": "fix", "values": [
+		    {"label": "a", "patch": {"rate": {"kind": "constant", "mean": 5}, "check": {"enabled": false}}},
+		    {"label": "b", "patch": {"rate": {"mean": 6}, "check": {"strict": true}}}]}`, ""),
+		spec("scalar-over-object-fails", randomBase, `
+		  {"name": "a", "values": [{"label": "ok", "patch": {"policy": {"kind": "local"}}}, {"label": "bad", "patch": {"rate": 7}}]}`, ""),
+		spec("duplicate-patch-members", randomBase, `
+		  {"name": "dup", "values": [
+		    {"label": "rate", "patch": {"rate": {"mean": 3}, "rate": {"kind": "wave"}}},
+		    {"label": "boot", "patch": {"control": {"meanBootSec": 1, "meanBootSec": 2}, "maxVMs": 5, "maxVMs": 6}}]},
+		  {"name": "o", "values": [{"label": "half", "patch": {"omegaHat": 0.5}}, {"label": "none", "patch": {}}]}`, ""),
+		spec("slices", choicesBase, `
+		  {"name": "s", "values": [{"label": "choices", "patch": {"choices": [{"name": "d"}]}},
+		                           {"label": "edges", "patch": {"graph": {"edges": [["work", "src"]]}}},
+		                           {"label": "pes", "patch": {"graph": {"pes": [{"name": "only"}]}}},
+		                           {"label": "none", "patch": {}}]}, `+maxVMs, ""),
+		spec("tenants", tenantsBase, `
+		  {"name": "t", "values": [
+		    {"label": "solo", "patch": {"tenants": [{"name": "solo", "graph": {"pes": [{"name": "x"}]}, "rate": {"mean": 4}}]}},
+		    {"label": "pair", "patch": {"tenants": [{"name": "a", "graph": `+graph+`, "rate": {"mean": 4}},
+		                                            {"name": "b", "graph": `+graph+`, "policy": {"kind": "global"}}]}},
+		    {"label": "none", "patch": {}}]}, `+maxVMs, ""),
+	}
+}()
+
 // TestExpandMatchesReference diffs Expand against referenceExpand on every
 // named grid, the package's test specs and seeded random specs: every job
 // field and every error must match, so journals keyed by the original
@@ -353,12 +441,24 @@ func TestExpandMatchesReference(t *testing.T) {
 			check(fmt.Sprintf("grid %s x%d", name, replicas), s)
 		}
 	}
-	for i, doc := range sweep.TestSpecDocs {
+	for i, doc := range append(sweep.TestSpecDocs, edgeSpecDocs...) {
 		s, err := sweep.ParseSpec([]byte(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("test spec %d", i), s)
+		check(fmt.Sprintf("test spec %d (%s)", i, s.Name), s)
+	}
+	// A spec built in code can carry data after its base or a patch, which
+	// ParseSpec refuses. Both expansions refuse it after the base, which
+	// Validate parses strictly, and read only a patch's first value.
+	for _, s := range []*sweep.Spec{
+		{Name: "base-trailing", Base: json.RawMessage(randomBase + ` {"seed": 2}`), Seeds: []int64{1, 2}},
+		{Name: "patch-trailing", Base: json.RawMessage(randomBase), Seeds: []int64{1, 2},
+			Axes: []sweep.Axis{{Name: "a", Values: []sweep.AxisValue{
+				{Label: "m", Patch: json.RawMessage(`{"maxVMs": 30} {"maxVMs": 31}`)},
+				{Label: "o", Patch: json.RawMessage(`{"omegaHat": 0.5} junk`)}}}}},
+	} {
+		check(s.Name, s)
 	}
 	r := rand.New(rand.NewSource(1))
 	var expanded, failed int
@@ -382,11 +482,62 @@ func TestExpandMatchesReference(t *testing.T) {
 	}
 }
 
+// TestExpandJobsStayCanonical expands every named grid, the fixed specs
+// and the random specs, then re-marshals each job's scenario and prefix:
+// each must still encode to the bytes its job recorded. Jobs share every
+// value their patches leave alone, so a decode that wrote through a
+// pointee or slice an earlier job shares would show here.
+func TestExpandJobsStayCanonical(t *testing.T) {
+	var specs []*sweep.Spec
+	for _, name := range experiments.GridNames() {
+		for _, replicas := range []int{1, 4} {
+			s, err := experiments.NamedGrid(name, experiments.Default(), replicas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			specs = append(specs, s)
+		}
+	}
+	for _, doc := range append(sweep.TestSpecDocs, edgeSpecDocs...) {
+		s, err := sweep.ParseSpec([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, s)
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 300; i++ {
+		specs = append(specs, randomSpec(r, i))
+	}
+	var checked int
+	for _, s := range specs {
+		jobs, err := s.Expand()
+		if err != nil {
+			continue
+		}
+		for _, j := range jobs {
+			if b, err := json.Marshal(j.Scenario); err != nil || !bytes.Equal(b, j.Canonical) {
+				t.Fatalf("%s: job %s now encodes to\n%s (%v)\nrecorded\n%s", s.Name, j.ID, b, err, j.Canonical)
+			}
+			if s.WarmStart == nil {
+				continue
+			}
+			if b, err := json.Marshal(j.Prefix); err != nil || !bytes.Equal(b, j.PrefixCanonical) {
+				t.Fatalf("%s: job %s prefix now encodes to\n%s (%v)\nrecorded\n%s", s.Name, j.ID, b, err, j.PrefixCanonical)
+			}
+		}
+		checked += len(jobs)
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d jobs checked", checked)
+	}
+}
+
 // FuzzExpand feeds arbitrary spec documents through ParseSpec and both
 // expansions: they must agree job for job, or both fail with the same
 // error, and neither may panic.
 func FuzzExpand(f *testing.F) {
-	for _, doc := range sweep.TestSpecDocs {
+	for _, doc := range append(sweep.TestSpecDocs, edgeSpecDocs...) {
 		f.Add([]byte(doc))
 	}
 	f.Add([]byte(`{"name": "n", "base": ` + randomBase + `, "axes": [

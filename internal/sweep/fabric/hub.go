@@ -284,11 +284,9 @@ func (h *Hub) Lease(workerID string) *Lease {
 		}
 		if pk := s.job.PrefixKey; pk != "" && c.prefixEligible[pk] && c.spec.WarmStart != nil {
 			c.prefixOwner[pk] = workerID
-			if canonical, err := s.job.Prefix.CanonicalJSON(); err == nil {
-				grant.Prefix = canonical
-				grant.PrefixKey = pk
-				grant.PrefixSec = c.spec.WarmStart.PrefixSec
-			}
+			grant.Prefix = append([]byte(nil), s.job.PrefixCanonical...)
+			grant.PrefixKey = pk
+			grant.PrefixSec = c.spec.WarmStart.PrefixSec
 		}
 		grant.TraceID = c.id
 		grant.SpanID = spanID(s.job.Key, s.attempts)

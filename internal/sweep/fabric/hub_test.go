@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -363,6 +364,40 @@ func TestPrefixAffinityPartitionsGroups(t *testing.T) {
 	}
 	if rep.ForkHits != 4 {
 		t.Fatalf("forkHits = %d, want 4", rep.ForkHits)
+	}
+}
+
+// TestLeaseCarriesExpandedBytes: a fork-group lease carries the canonical
+// scenario and prefix bytes the expansion computed, not a re-encoding.
+func TestLeaseCarriesExpandedBytes(t *testing.T) {
+	h := testHub(newFakeClock(), 3)
+	spec := warmGroupSpec(t, "1")
+	jobs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := map[string]sweep.Job{}
+	for _, j := range jobs {
+		byKey[j.Key] = j
+	}
+	ch := startCampaign(t, h, spec, sweep.RunOpts{})
+	h.Register("A")
+	for range jobs {
+		l := h.Lease("A")
+		if l == nil {
+			t.Fatal("worker A starved")
+		}
+		j := byKey[l.Key]
+		if len(j.PrefixCanonical) == 0 || !bytes.Equal(l.Prefix, j.PrefixCanonical) {
+			t.Fatalf("lease %s prefix\n%s\nexpansion's\n%s", l.JobID, l.Prefix, j.PrefixCanonical)
+		}
+		if !bytes.Equal(l.Scenario, j.Canonical) {
+			t.Fatalf("lease %s scenario\n%s\nexpansion's\n%s", l.JobID, l.Scenario, j.Canonical)
+		}
+		h.Ack(l.Campaign, sweep.Result{Key: l.Key, Theta: 1, Forked: true})
+	}
+	if _, err := waitReport(t, ch); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -333,7 +333,7 @@ func JobFromLease(l *Lease) (sweep.Job, error) {
 		if err != nil {
 			return sweep.Job{}, fmt.Errorf("fabric: lease %s prefix: %w", l.JobID, err)
 		}
-		job.Prefix = psc
+		job.Prefix, job.PrefixCanonical = psc, l.Prefix
 	}
 	return job, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -234,6 +235,17 @@ func TestServerErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed submit = %d", resp.StatusCode)
+	}
+	// A valid spec with junk after it.
+	junk := fmt.Sprintf(`{"name": "junk", "base": %s} junk`, testBase)
+	resp, err = http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(junk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "trailing data") {
+		t.Fatalf("spec with trailing data = %d %s", resp.StatusCode, body)
 	}
 	// Unknown sweep.
 	resp, err = http.Get(ts.URL + "/sweeps/deadbeef0000")

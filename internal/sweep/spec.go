@@ -96,7 +96,10 @@ type Job struct {
 	Group string
 	// Seed is the replica seed.
 	Seed int64
-	// Scenario is the resolved, validated scenario.
+	// Scenario is the resolved, validated scenario. It is read-only: the
+	// jobs of one expansion share the slices, maps and pointees their
+	// patches leave alone, as the merged documents they come from do, and
+	// a job may share the whole scenario with its axis level.
 	Scenario *scenario.Scenario
 	// Canonical is the scenario's canonical JSON (the hashed identity).
 	Canonical []byte
@@ -105,23 +108,31 @@ type Job struct {
 	// policy).
 	Key string
 	// Prefix is the resolved warm-start prefix scenario — the job with
-	// every warm-axis patch dropped — and PrefixKey its content key. Jobs
-	// sharing a PrefixKey can fork one checkpointed prefix run. Nil/empty
-	// unless the spec sets warmStart.
-	Prefix    *scenario.Scenario
-	PrefixKey string
+	// every warm-axis patch dropped — PrefixCanonical its canonical JSON and
+	// PrefixKey its content key. Jobs sharing a PrefixKey can fork one
+	// checkpointed prefix run. Prefix is read-only and shares values with
+	// other jobs' scenarios, as Scenario does. Nil/empty unless the spec
+	// sets warmStart.
+	Prefix          *scenario.Scenario
+	PrefixCanonical []byte
+	PrefixKey       string
 	// Pools, when set, is the memo of replayed trace pools the job and its
 	// prefix build through, shared by the campaign's jobs. Expand leaves it
 	// nil; the runners set it on their own copies of the jobs.
 	Pools *trace.Pools
 }
 
-// ParseSpec decodes and validates a sweep spec document.
+// ParseSpec decodes and validates a sweep spec document: one JSON value,
+// with no unknown field and nothing but white space after it.
 func ParseSpec(data []byte) (*Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	err := dec.Decode(&s)
+	if err == nil {
+		err = scenario.ExpectEOF(dec)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("sweep: parse spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {
@@ -243,8 +254,13 @@ func (s *Spec) ID() (string, error) {
 // axis level keeps its merged tree, and under warm start its prefix tree;
 // when the axis counter advances, only the levels from the changed axis on
 // are merged again. Merges are copy-on-write, so levels share every
-// subtree a patch leaves alone and no tree changes once built. Each job
-// and prefix document is then encoded once and parsed strictly.
+// subtree a patch leaves alone and no tree changes once built. Beside its
+// tree a level keeps the scenario the tree parses to, resolved from the
+// parent level's by decoding the patch onto a copy of it wherever that
+// provably gives the same scenario (see overlay.go), and a job is its
+// level's scenario with the seed set. Every other job, including every job
+// below a level without a scenario, is encoded from its tree and parsed
+// strictly, as a document read from a file is.
 func (s *Spec) Expand() ([]Job, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -278,12 +294,16 @@ func (s *Spec) Expand() ([]Job, error) {
 
 	// docs[a] is the base merged with the current values of axes 0..a-1,
 	// prefixes[a] the same with warm axes left out, and labels[a] names
-	// axis a's current value.
-	docs := make([]interface{}, n+1)
-	prefixes := make([]interface{}, n+1)
-	if err := decodeNumbers(s.Base, &docs[0]); err != nil {
+	// axis a's current value. Level 0 is parsed from the base tree, not
+	// from Base: the tree keeps the last of duplicate members, which a
+	// struct decode of Base would merge.
+	docs := make([]level, n+1)
+	prefixes := make([]level, n+1)
+	var tree interface{}
+	if err := decodeNumbers(s.Base, &tree); err != nil {
 		return nil, fmt.Errorf("sweep: spec %q base: %w", s.Name, err)
 	}
+	docs[0] = level{tree: tree, sc: parseTree(tree)}
 	prefixes[0] = docs[0]
 	labels := make([]string, n)
 	idx := make([]int, n)
@@ -295,13 +315,13 @@ func (s *Spec) Expand() ([]Job, error) {
 			if p.err != nil {
 				return nil, fmt.Errorf("sweep: axis %q value %q: merge patch: %w", ax.Name, ax.Values[v].Label, p.err)
 			}
-			docs[a+1] = p.apply(docs[a])
+			docs[a+1] = docs[a].apply(p)
 			prefixes[a+1] = prefixes[a]
 			if s.WarmStart != nil && !ax.Warm {
 				// The prefix identity is the job with warm-axis patches
 				// dropped: jobs differing only along warm axes converge on
 				// one prefix document.
-				prefixes[a+1] = p.apply(prefixes[a])
+				prefixes[a+1] = prefixes[a].apply(p)
 			}
 			labels[a] = ax.Name + "=" + ax.Values[v].Label
 		}
@@ -311,7 +331,7 @@ func (s *Spec) Expand() ([]Job, error) {
 			if group != "" {
 				id = group + "/" + id
 			}
-			sc, canonical, err := resolve(docs[n], seedPatches[i], id, "")
+			sc, canonical, err := docs[n].resolve(seed, seedPatches[i], id, "")
 			if err != nil {
 				return nil, err
 			}
@@ -324,12 +344,11 @@ func (s *Spec) Expand() ([]Job, error) {
 				Key:       JobKey(canonical),
 			}
 			if s.WarmStart != nil {
-				psc, pCanonical, err := resolve(prefixes[n], seedPatches[i], id, " prefix")
+				psc, pCanonical, err := prefixes[n].resolve(seed, seedPatches[i], id, " prefix")
 				if err != nil {
 					return nil, err
 				}
-				job.Prefix = psc
-				job.PrefixKey = JobKey(pCanonical)
+				job.Prefix, job.PrefixCanonical, job.PrefixKey = psc, pCanonical, JobKey(pCanonical)
 			}
 			jobs = append(jobs, job)
 		}
@@ -357,18 +376,52 @@ func (s *Spec) Expand() ([]Job, error) {
 	return jobs, nil
 }
 
-// resolve splices a seed patch into a merged document, encodes the result
-// once and parses it strictly, so a job's scenario and canonical bytes are
-// those of the same document read from a file. A parse error names the job
-// id followed by what.
-func resolve(doc, seed interface{}, id, what string) (*scenario.Scenario, []byte, error) {
-	b, err := json.Marshal(merge(doc, seed))
-	if err != nil {
-		return nil, nil, err
+// level is one axis level of an expansion: the base document merged with
+// the patches of the axes so far, and the scenario that document parses
+// to.
+type level struct {
+	tree interface{}
+	// sc is the strict parse of tree's encoding, or nil where the level's
+	// jobs are resolved from its tree instead: the base tree does not parse
+	// or spells a member other than by its field's exact json name (see
+	// exactNames), or a patch on the way to the level could not be
+	// overlaid.
+	sc *scenario.Scenario
+}
+
+// apply returns the level after patch p: its tree merged, and its scenario
+// overlaid in struct space where the parent has one and p allows that.
+func (l level) apply(p decodedPatch) level {
+	if p.empty {
+		return l
 	}
-	sc, err := scenario.ParseBytes(b)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sweep: job %s%s: %w", id, what, err)
+	next := level{tree: merge(l.tree, p.tree)}
+	if l.sc != nil && p.encoded != nil {
+		next.sc = overlay(l.sc, p.tree.(map[string]interface{}), p.encoded)
+	}
+	return next
+}
+
+// resolve returns the level's job for seed: its scenario with the seed set,
+// and that scenario's canonical bytes. A level without a scenario splices
+// seedPatch into its tree, encodes the result once and parses it strictly,
+// so a parse error is the one the same document read from a file gives,
+// prefixed with the job id and what.
+func (l level) resolve(seed int64, seedPatch interface{}, id, what string) (*scenario.Scenario, []byte, error) {
+	sc := l.sc
+	switch {
+	case sc == nil:
+		b, err := json.Marshal(merge(l.tree, seedPatch))
+		if err != nil {
+			return nil, nil, err
+		}
+		if sc, err = scenario.ParseBytes(b); err != nil {
+			return nil, nil, fmt.Errorf("sweep: job %s%s: %w", id, what, err)
+		}
+	case sc.Seed != seed:
+		c := *sc
+		c.Seed = seed
+		sc = &c
 	}
 	canonical, err := sc.CanonicalJSON()
 	if err != nil {
@@ -395,47 +448,55 @@ func JobKey(canonical []byte) string {
 // MergePatch applies an RFC 7386 JSON merge patch to a document: objects
 // merge recursively, nulls delete members, and every other patch value
 // replaces the target wholesale. Numbers pass through as json.Number, so
-// 64-bit seeds survive unmangled.
+// 64-bit seeds survive unmangled. Target and patch must each be one JSON
+// value.
 func MergePatch(target, patch []byte) ([]byte, error) {
-	p := decodePatch(patch)
-	if p.empty {
+	if len(bytes.TrimSpace(patch)) == 0 {
 		return target, nil
 	}
-	if p.err != nil {
-		return nil, fmt.Errorf("merge patch: %w", p.err)
+	var p interface{}
+	if err := decodeNumbers(patch, &p); err != nil {
+		return nil, fmt.Errorf("merge patch: %w", err)
 	}
 	var doc interface{}
 	// A non-object patch replaces the whole document, so only an object
 	// patch reads its target.
-	if _, ok := p.tree.(map[string]interface{}); ok && len(bytes.TrimSpace(target)) > 0 {
+	if _, ok := p.(map[string]interface{}); ok && len(bytes.TrimSpace(target)) > 0 {
 		if err := decodeNumbers(target, &doc); err != nil {
 			return nil, fmt.Errorf("merge target: %w", err)
 		}
 	}
-	return json.Marshal(merge(doc, p.tree))
+	return json.Marshal(merge(doc, p))
 }
 
 // decodedPatch is a merge patch decoded once, to be applied many times.
 type decodedPatch struct {
-	tree  interface{}
-	empty bool // a blank patch leaves the document as it is
-	err   error
+	tree interface{}
+	// encoded is tree as JSON where it may be decoded onto a level's
+	// scenario (see overlayable), and nil where it may not.
+	encoded []byte
+	empty   bool // a blank patch leaves the document as it is
+	err     error
 }
 
+// decodePatch decodes an axis value's patch. It reads the first JSON value
+// only, as the byte-level merge Expand replaced did: ParseSpec leaves
+// exactly one in each patch. A Base with trailing data is refused, by
+// Validate's strict parse, before any patch is read.
 func decodePatch(raw []byte) decodedPatch {
 	if len(bytes.TrimSpace(raw)) == 0 {
 		return decodedPatch{empty: true}
 	}
 	var p decodedPatch
-	p.err = decodeNumbers(raw, &p.tree)
-	return p
-}
-
-func (p decodedPatch) apply(doc interface{}) interface{} {
-	if p.empty {
-		return doc
+	if p.err = numberDecoder(raw).Decode(&p.tree); p.err != nil {
+		return p
 	}
-	return merge(doc, p.tree)
+	if obj, ok := p.tree.(map[string]interface{}); ok && overlayable(obj, scenarioType) {
+		if b, err := json.Marshal(obj); err == nil {
+			p.encoded = b
+		}
+	}
+	return p
 }
 
 // merge applies a decoded RFC 7386 merge patch to a decoded document. It
@@ -462,15 +523,22 @@ func merge(doc, patch interface{}) interface{} {
 	return out
 }
 
-// decodeNumbers unmarshals with json.Number so integer fields keep full
-// precision through the patch round trip.
-func decodeNumbers(data []byte, v interface{}) error {
+// numberDecoder reads data with numbers as json.Number, so integer fields
+// keep full precision through the patch round trip.
+func numberDecoder(data []byte) *json.Decoder {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
+	return dec
+}
+
+// decodeNumbers decodes data, one JSON value, through numberDecoder. Data
+// after that value other than white space is an error.
+func decodeNumbers(data []byte, v interface{}) error {
+	dec := numberDecoder(data)
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	return nil
+	return scenario.ExpectEOF(dec)
 }
 
 // GroupsInOrder returns the distinct job groups in first-occurrence order.

@@ -88,6 +88,51 @@ func TestMergePatch(t *testing.T) {
 	}
 }
 
+// TestStrictParsersRejectTrailingData: ParseSpec and MergePatch read one
+// JSON value per document; anything after it but white space is an error
+// naming the trailing data.
+func TestStrictParsersRejectTrailingData(t *testing.T) {
+	spec := `{"name": "n", "base": ` + testBase + `}`
+	for _, c := range []struct{ in, want string }{
+		{spec + ` junk`, `invalid character 'j'`},
+		{spec + ` {"name": "m"}`, `'{'`},
+		{spec + `]`, `invalid character ']'`},
+	} {
+		if _, err := ParseSpec([]byte(c.in)); err == nil || !strings.Contains(err.Error(), "trailing data") ||
+			!strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseSpec(...%q) error %v, want trailing data %s", c.in[len(spec):], err, c.want)
+		}
+	}
+	if _, err := ParseSpec([]byte(spec + " \n")); err != nil {
+		t.Errorf("trailing white space: %v", err)
+	}
+	for _, c := range []struct{ target, patch, want string }{
+		{`{"a":1}`, `{"b":2} {"c":3}`, `merge patch: trailing data after offset 7: '{'`},
+		{`{"a":1}`, `{"b":2} x`, `merge patch: trailing data after offset 7: invalid character 'x'`},
+		{`{"a":1} {"c":3}`, `{"b":2}`, `merge target: trailing data after offset 7: '{'`},
+	} {
+		got, err := MergePatch([]byte(c.target), []byte(c.patch))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("MergePatch(%s, %s) = %s, %v; want an error containing %q", c.target, c.patch, got, err, c.want)
+		}
+	}
+	if got, err := MergePatch([]byte("{\"a\":1}\n"), []byte("{\"b\":2}\n")); err != nil || string(got) != `{"a":1,"b":2}` {
+		t.Errorf("trailing white space: %s, %v", got, err)
+	}
+	// In a spec built in code, Expand refuses a base with trailing data, as
+	// Validate does, and reads only the first value of a patch.
+	s := &Spec{Name: "n", Base: json.RawMessage(testBase + ` {"seed": 2}`), Seeds: []int64{1, 2}}
+	if _, err := s.Expand(); err == nil || !strings.Contains(err.Error(), `base: scenario: trailing data`) {
+		t.Errorf("Expand with trailing data after the base: %v", err)
+	}
+	s.Base = json.RawMessage(testBase)
+	s.Axes = []Axis{{Name: "m", Values: []AxisValue{{Label: "30", Patch: json.RawMessage(`{"maxVMs": 30} {"maxVMs": 31}`)}}}}
+	jobs, err := s.Expand()
+	if err != nil || len(jobs) != 2 || jobs[0].Scenario.MaxVMs != 30 {
+		t.Errorf("Expand with trailing data after a patch: %d jobs, %v", len(jobs), err)
+	}
+}
+
 func TestExpandGrid(t *testing.T) {
 	spec := testSpec(t)
 	jobs, err := spec.Expand()
