@@ -20,7 +20,8 @@
 # allocation and adapt/step ratio guard on the global heuristic's Adapt at
 # 1000 PEs, a memory and deploy/step ratio guard on its Deploy (Alg. 1's
 # planner) on the same DAG, an allocations-per-job guard on expanding the
-# fig67 sweep grid, and an engine-step, per-run, Adapt, Deploy and Expand
+# fig67 sweep grid, a bytes-per-job guard on running one cold sweep job,
+# and an engine-step, per-run, Adapt, Deploy, Expand and sweep-job
 # benchmark snapshot written to BENCH_step.json. Run from the repo root.
 set -eu
 
@@ -249,6 +250,26 @@ echo "$expandbench" | awk '
         }
     }'
 
+# A sweep job keeps only its run's summary: one cold 10 h job of the
+# evaluation graph (replayed infra, wave+walk input, strict checker) may
+# allocate at most 100 KB (observed ~79 KB). An engine that reserves the
+# job's 600 metric rows, as every job's did, makes it ~136 KB, so a job path
+# that keeps the per-interval series again fails here. The forked case, the
+# same job restored from a 5 h checkpoint, is recorded in the snapshot.
+jobbench=$(go test ./internal/sweep -run '^$' -bench 'BenchmarkExecuteJob' -benchtime 20x -benchmem)
+echo "$jobbench"
+echo "$jobbench" | awk '
+    function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
+    /^BenchmarkExecuteJob\/cold/ { bytes = field("B/op") }
+    END {
+        if (bytes == "") { print "job guard: benchmark missing" > "/dev/stderr"; exit 1 }
+        printf "sweep job: %.1f KB per cold job\n", bytes / 1024
+        if (bytes > 102400) {
+            printf "a cold sweep job allocates %.1f KB (limit 100 KB)\n", bytes / 1024 > "/dev/stderr"
+            exit 1
+        }
+    }'
+
 # The same 0-alloc guarantee must hold with the tenant dimension hot:
 # 8 tenants x 125 PEs with per-tenant Ω/Γ/spend folds every interval.
 bench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkEngineStepMultiTenant' -benchtime 100x -benchmem)
@@ -293,18 +314,20 @@ poolbench=$(go test ./internal/trace -run '^$' -bench 'BenchmarkNewReplayed' -be
 echo "$poolbench"
 
 # Benchmark snapshot: run the engine-step and per-run benchmark suites with
-# -benchmem, add the Adapt, Deploy, Expand and NewReplayed benchmarks
-# measured above, and record ns/op, B/op, allocs/op per benchmark as
-# BENCH_step.json, so perf regressions show up in review diffs. Each row
-# names what one op is: an engine step, a whole one-hour run, one
-# disabled-hook call, one Adapt call, one Deploy, one expansion of the
-# 96-job fig67 grid, or one generated trace pool. The numbers are
-# machine-dependent; the file is a tracked observation, not a gate.
+# -benchmem, add the Adapt, Deploy, Expand, ExecuteJob and NewReplayed
+# benchmarks measured above, and record ns/op, B/op, allocs/op per
+# benchmark as BENCH_step.json, so perf regressions show up in review
+# diffs. Each row names what one op is: an engine step, a whole one-hour
+# run, one disabled-hook call, one Adapt call, one Deploy, one expansion of
+# the 96-job fig67 grid, one sweep job, or one generated trace pool. The
+# numbers are machine-dependent; the file is a tracked observation, not a
+# gate.
 {
     go test ./internal/sim -run '^$' -bench 'BenchmarkEngine(Step|Run)' -benchtime 100x -benchmem
     echo "$adaptbench"
     echo "$deploybench"
     echo "$expandbench"
+    echo "$jobbench"
     echo "$poolbench"
 } | awk '
     function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
@@ -315,6 +338,7 @@ echo "$poolbench"
         if (name ~ /^BenchmarkAdapt/) unit = "adapt"
         else if (name ~ /^BenchmarkDeploy/) unit = "deploy"
         else if (name ~ /^BenchmarkExpand/) unit = "expand"
+        else if (name ~ /^BenchmarkExecuteJob/) unit = "job"
         else if (name ~ /^BenchmarkNewReplayed/) unit = "pool"
         else if (name ~ /^BenchmarkEngineRun/) unit = "run"
         else if (name ~ /\/hook\//) unit = "call"

@@ -32,6 +32,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -113,7 +114,8 @@ func main() {
 		sc.Check = &scenario.CheckSpec{Enabled: true, Strict: true}
 	}
 
-	built, err := sc.Build()
+	// One engine: restored from the snapshot, or fresh at t=0.
+	built, err := sc.Lower(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,26 +128,27 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng, err := sim.Restore(snap, built.Config)
-		if err != nil {
+		if built.Engine, err = sim.Restore(snap, built.Config); err != nil {
 			log.Fatal(err)
 		}
-		built.Engine = eng
 		fmt.Printf("restored: %s (t=%ds)\n", *restorePath, snap.ClockSec)
+	} else if built.Engine, err = sim.NewEngine(built.Config); err != nil {
+		log.Fatal(err)
 	}
 	var prof *obs.StageProfiler
 	if *profileFlag {
 		prof = obs.NewStageProfiler(nil)
 		built.Engine.SetProfiler(prof)
 	}
-	var tracer *obs.Tracer
+	var (
+		tracer   *obs.Tracer
+		traceOut *os.File
+	)
 	if *tracePath != "" {
-		out, err := os.Create(*tracePath)
-		if err != nil {
+		if traceOut, err = os.Create(*tracePath); err != nil {
 			log.Fatal(err)
 		}
-		defer out.Close()
-		tracer = obs.NewTracer(out)
+		tracer = obs.NewTracer(traceOut)
 		built.Engine.SetTracer(tracer)
 	}
 	if *checkpointPath != "" {
@@ -180,6 +183,9 @@ func main() {
 	}
 	if tracer != nil {
 		if err := tracer.Flush(); err != nil {
+			log.Fatal(err)
+		}
+		if err := traceOut.Close(); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("event trace: %s (%d events)\n", *tracePath, tracer.Count())
@@ -235,25 +241,29 @@ func main() {
 		fmt.Print(prof.Report())
 	}
 	if *csvPath != "" {
-		out, err := os.Create(*csvPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer out.Close()
-		if err := built.Engine.Collector().WriteCSV(out); err != nil {
+		if err := writeFile(*csvPath, built.Engine.Collector().WriteCSV); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("per-interval metrics: %s (%d rows)\n", *csvPath, built.Engine.Collector().Len())
 	}
 	if *auditPath != "" {
-		out, err := os.Create(*auditPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer out.Close()
-		if err := built.Engine.WriteAuditJSONL(out); err != nil {
+		if err := writeFile(*auditPath, built.Engine.WriteAuditJSONL); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("action log: %s (%d entries)\n", *auditPath, len(built.Engine.AuditLog()))
 	}
+}
+
+// writeFile creates path, writes it with write and closes it, returning the
+// first error, Close's included: a write the OS defers can fail only there.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

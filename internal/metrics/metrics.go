@@ -30,12 +30,15 @@ type Point struct {
 	LatencySec float64 // mean end-to-end latency estimate
 }
 
-// Collector accumulates points in time order. It is safe for concurrent
-// use: the simulator appends single-threaded, but live samplers (floe)
-// write from their own goroutine while observers read.
+// Collector accumulates points in time order and folds them into the run's
+// Summary as they arrive. It is safe for concurrent use: the simulator
+// appends single-threaded, but live samplers (floe) write from their own
+// goroutine while observers read.
 type Collector struct {
-	mu     sync.Mutex
-	points []Point
+	mu sync.Mutex
+	// summaryOnly collectors fold every row into sum and keep none of them.
+	summaryOnly bool
+	points      []Point
 	// Multi-tenant runs declare a tenant dimension with SetTenants and
 	// append one flattened row per interval with AddTenant (stride
 	// len(tenants), row-major). All nil/empty for single-tenant runs.
@@ -43,28 +46,43 @@ type Collector struct {
 	tOmega  []float64
 	tGamma  []float64
 	tSpend  []float64
+	// sum is the running reduction Summarize reads, point and tenant rows
+	// folded in as they arrive.
+	sum fold
 }
 
-// NewCollector returns an empty collector.
+// NewCollector returns an empty collector that keeps every row it is given.
 func NewCollector() *Collector { return &Collector{} }
+
+// NewSummaryCollector returns an empty collector that keeps no rows: it only
+// folds them into its Summary. Its Points, OmegaSeries, Quantile, WriteCSV
+// and TenantSeries see an empty series and Len is 0, while Summarize reports
+// every row added.
+func NewSummaryCollector() *Collector { return &Collector{summaryOnly: true} }
 
 // Add appends a point. Points must arrive in non-decreasing time order.
 func (c *Collector) Add(p Point) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := len(c.points); n > 0 && p.Sec < c.points[n-1].Sec {
-		return fmt.Errorf("metrics: out-of-order point at %d after %d", p.Sec, c.points[n-1].Sec)
+	if c.sum.n > 0 && p.Sec < c.sum.lastSec {
+		return fmt.Errorf("metrics: out-of-order point at %d after %d", p.Sec, c.sum.lastSec)
 	}
-	c.points = append(c.points, p)
+	c.sum.add(p)
+	if !c.summaryOnly {
+		c.points = append(c.points, p)
+	}
 	return nil
 }
 
 // Reserve grows the collector's backing array so the next n Adds append
 // without reallocating — lets zero-alloc benchmarks and long fixed-horizon
-// runs pre-size the series.
+// runs pre-size the series. A collector that keeps no rows reserves nothing.
 func (c *Collector) Reserve(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.summaryOnly {
+		return
+	}
 	if free := cap(c.points) - len(c.points); free < n {
 		grown := make([]Point, len(c.points), len(c.points)+n)
 		copy(grown, c.points)
@@ -84,7 +102,8 @@ func (c *Collector) Points() []Point {
 	return append([]Point(nil), c.points...)
 }
 
-// Len returns the number of points.
+// Len returns the number of points held: 0 for a collector that keeps no
+// rows.
 func (c *Collector) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -118,40 +137,74 @@ type Summary struct {
 	Tenants []TenantSummary
 }
 
-// Summarize reduces the collected points.
+// Summarize returns the reduction of every point added so far, kept or not.
 func (c *Collector) Summarize() Summary {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.points) == 0 {
-		// A zero-interval run summarizes to the zero value: no division by
-		// the point count below, and no infinity leaking out of MinOmega.
+	return c.sum.summary(c.tenants)
+}
+
+// fold is a series' running reduction: each row is added in arrival order,
+// with the same float additions in the same order as summing the whole
+// series at the end, so a summary is bit for bit the same whether the rows
+// were kept or not.
+type fold struct {
+	n       int
+	lastSec int64
+	// Sums over the points, the minimum Ω, the peak fleet and the last
+	// point's cumulative cost.
+	omega, gamma, vms, latency, backlog, cores float64
+	minOmega                                   float64
+	peakVMs                                    int
+	lastCost                                   float64
+	// tenantRows counts AddTenant rows; tenants folds each tenant's column
+	// (sized by SetTenants).
+	tenantRows int
+	tenants    []tenantFold
+}
+
+// add folds one point in.
+func (f *fold) add(p Point) {
+	if f.n == 0 {
+		f.minOmega = math.Inf(1)
+	}
+	f.n++
+	f.lastSec = p.Sec
+	f.omega += p.Omega
+	f.gamma += p.Gamma
+	f.vms += float64(p.ActiveVMs)
+	f.latency += p.LatencySec
+	f.backlog += p.Backlog
+	f.cores += float64(p.UsedCores)
+	if p.Omega < f.minOmega {
+		f.minOmega = p.Omega
+	}
+	if p.ActiveVMs > f.peakVMs {
+		f.peakVMs = p.ActiveVMs
+	}
+	f.lastCost = p.CostUSD
+}
+
+// summary divides the sums out. Zero points summarize to the zero value: no
+// division by the point count, and no infinity leaking out of MinOmega.
+func (f *fold) summary(tenants []string) Summary {
+	if f.n == 0 {
 		return Summary{}
 	}
-	s := Summary{Intervals: len(c.points), MinOmega: math.Inf(1)}
-	for _, p := range c.points {
-		s.MeanOmega += p.Omega
-		s.MeanGamma += p.Gamma
-		s.MeanVMs += float64(p.ActiveVMs)
-		s.MeanLatencySec += p.LatencySec
-		s.MeanBacklog += p.Backlog
-		s.MeanUsedCores += float64(p.UsedCores)
-		if p.Omega < s.MinOmega {
-			s.MinOmega = p.Omega
-		}
-		if p.ActiveVMs > s.PeakVMs {
-			s.PeakVMs = p.ActiveVMs
-		}
+	n := float64(f.n)
+	return Summary{
+		Intervals:      f.n,
+		MeanOmega:      f.omega / n,
+		MinOmega:       f.minOmega,
+		MeanGamma:      f.gamma / n,
+		TotalCostUSD:   f.lastCost,
+		PeakVMs:        f.peakVMs,
+		MeanVMs:        f.vms / n,
+		MeanLatencySec: f.latency / n,
+		MeanBacklog:    f.backlog / n,
+		MeanUsedCores:  f.cores / n,
+		Tenants:        f.tenantSummaries(tenants),
 	}
-	n := float64(len(c.points))
-	s.MeanOmega /= n
-	s.MeanGamma /= n
-	s.MeanVMs /= n
-	s.MeanLatencySec /= n
-	s.MeanBacklog /= n
-	s.MeanUsedCores /= n
-	s.TotalCostUSD = c.points[len(c.points)-1].CostUSD
-	s.Tenants = c.summarizeTenantsLocked()
-	return s
 }
 
 // OmegaSeries extracts the Omega(t) series for plotting.
@@ -338,8 +391,11 @@ func ReadCSV(r io.Reader) ([]Point, error) {
 // summarizes its own run — so imported observations and simulated runs are
 // compared through identical arithmetic.
 func SummarizePoints(points []Point) Summary {
-	c := &Collector{points: points}
-	return c.Summarize()
+	var f fold
+	for _, p := range points {
+		f.add(p)
+	}
+	return f.summary(nil)
 }
 
 // String renders the summary as one line.

@@ -21,10 +21,11 @@ type TenantSummary struct {
 func (c *Collector) SetTenants(names []string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.points) > 0 || len(c.tOmega) > 0 {
+	if c.sum.n > 0 {
 		return fmt.Errorf("metrics: SetTenants after points were collected")
 	}
 	c.tenants = append([]string(nil), names...)
+	c.sum.tenants = make([]tenantFold, len(names))
 	return nil
 }
 
@@ -48,13 +49,16 @@ func (c *Collector) AddTenant(omega, gamma, spend []float64) error {
 		return fmt.Errorf("metrics: AddTenant row width %d/%d/%d, want %d",
 			len(omega), len(gamma), len(spend), t)
 	}
-	if len(c.tOmega) != (len(c.points)-1)*t {
+	if c.sum.tenantRows != c.sum.n-1 {
 		return fmt.Errorf("metrics: AddTenant out of step with Add (%d tenant rows, %d points)",
-			len(c.tOmega)/t, len(c.points))
+			c.sum.tenantRows, c.sum.n)
 	}
-	c.tOmega = append(c.tOmega, omega...)
-	c.tGamma = append(c.tGamma, gamma...)
-	c.tSpend = append(c.tSpend, spend...)
+	c.sum.addTenant(omega, gamma, spend)
+	if !c.summaryOnly {
+		c.tOmega = append(c.tOmega, omega...)
+		c.tGamma = append(c.tGamma, gamma...)
+		c.tSpend = append(c.tSpend, spend...)
+	}
 	return nil
 }
 
@@ -69,7 +73,8 @@ func (c *Collector) TenantSeries() (omega, gamma, spend []float64) {
 }
 
 // ImportTenantSeries replaces the per-tenant series wholesale — the restore
-// path's counterpart to TenantSeries.
+// path's counterpart to TenantSeries — and refolds the tenant summaries from
+// it.
 func (c *Collector) ImportTenantSeries(omega, gamma, spend []float64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -81,14 +86,21 @@ func (c *Collector) ImportTenantSeries(omega, gamma, spend []float64) error {
 		return fmt.Errorf("metrics: tenant series lengths differ: %d/%d/%d",
 			len(omega), len(gamma), len(spend))
 	}
-	if len(omega) != len(c.points)*t {
+	if len(omega) != c.sum.n*t {
 		return fmt.Errorf("metrics: tenant series length %d, want %d points x %d tenants",
-			len(omega), len(c.points), t)
+			len(omega), c.sum.n, t)
 	}
-	// Copy into the series' own arrays, so a reservation survives.
-	c.tOmega = append(c.tOmega[:0], omega...)
-	c.tGamma = append(c.tGamma[:0], gamma...)
-	c.tSpend = append(c.tSpend[:0], spend...)
+	c.sum.tenantRows = 0
+	clear(c.sum.tenants)
+	for r := 0; r < len(omega); r += t {
+		c.sum.addTenant(omega[r:r+t], gamma[r:r+t], spend[r:r+t])
+	}
+	if !c.summaryOnly {
+		// Copy into the series' own arrays, so a reservation survives.
+		c.tOmega = append(c.tOmega[:0], omega...)
+		c.tGamma = append(c.tGamma[:0], gamma...)
+		c.tSpend = append(c.tSpend[:0], spend...)
+	}
 	return nil
 }
 
@@ -102,31 +114,41 @@ func reserveFloats(s []float64, n int) []float64 {
 	return s
 }
 
-// summarizeTenantsLocked reduces the per-tenant series; callers hold c.mu.
-func (c *Collector) summarizeTenantsLocked() []TenantSummary {
-	t := len(c.tenants)
-	rows := 0
-	if t > 0 {
-		rows = len(c.tOmega) / t
+// tenantFold is one tenant's column of a fold: the sums of its Ω and Γ, its
+// minimum Ω (seeded with its first row's) and its last cumulative spend.
+type tenantFold struct {
+	omega, gamma, minOmega, spend float64
+}
+
+// addTenant folds one per-tenant row in, indexed like f.tenants.
+func (f *fold) addTenant(omega, gamma, spend []float64) {
+	for i := range f.tenants {
+		tf := &f.tenants[i]
+		o := omega[i]
+		if f.tenantRows == 0 {
+			tf.minOmega = o
+		}
+		tf.omega += o
+		tf.gamma += gamma[i]
+		if o < tf.minOmega {
+			tf.minOmega = o
+		}
+		tf.spend = spend[i]
 	}
-	if rows == 0 {
+	f.tenantRows++
+}
+
+// tenantSummaries divides the tenant columns out, named in SetTenants
+// order; nil without tenant rows.
+func (f *fold) tenantSummaries(names []string) []TenantSummary {
+	if f.tenantRows == 0 {
 		return nil
 	}
-	out := make([]TenantSummary, t)
-	for i, name := range c.tenants {
-		ts := TenantSummary{Name: name, MinOmega: c.tOmega[i]}
-		for r := 0; r < rows; r++ {
-			o := c.tOmega[r*t+i]
-			ts.MeanOmega += o
-			ts.MeanGamma += c.tGamma[r*t+i]
-			if o < ts.MinOmega {
-				ts.MinOmega = o
-			}
-		}
-		ts.MeanOmega /= float64(rows)
-		ts.MeanGamma /= float64(rows)
-		ts.SpendUSD = c.tSpend[(rows-1)*t+i]
-		out[i] = ts
+	rows := float64(f.tenantRows)
+	out := make([]TenantSummary, len(f.tenants))
+	for i, tf := range f.tenants {
+		out[i] = TenantSummary{Name: names[i], MeanOmega: tf.omega / rows,
+			MinOmega: tf.minOmega, MeanGamma: tf.gamma / rows, SpendUSD: tf.spend}
 	}
 	return out
 }

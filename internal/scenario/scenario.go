@@ -271,6 +271,8 @@ func Parse(r io.Reader) (*Scenario, error) {
 
 // Built holds everything needed to run the scenario.
 type Built struct {
+	// Engine runs the scenario from t=0; nil when the scenario was only
+	// lowered (Lower).
 	Engine    *sim.Engine
 	Scheduler sim.Scheduler
 	Objective core.Objective
@@ -295,13 +297,30 @@ func (sc *Scenario) Build() (*Built, error) { return sc.BuildWith(nil) }
 // BuildWith is Build drawing a replayed infrastructure from pools, the memo
 // of the campaign the scenario runs in: scenarios that replay the same
 // config share one read-only provider. A nil pools generates afresh, as
-// Build does. The run is the same either way.
+// Build does. The run is the same either way. It is Lower followed by
+// sim.NewEngine on the lowered Config.
 func (sc *Scenario) BuildWith(pools *trace.Pools) (*Built, error) {
+	b, err := sc.Lower(pools)
+	if err != nil {
+		return nil, err
+	}
+	if b.Engine, err = sim.NewEngine(b.Config); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Lower validates the scenario and lowers it onto a sim.Config, a scheduler
+// and its objectives, drawing replayed infrastructure from pools as
+// BuildWith does, but builds no engine: Built.Engine is nil. A caller that
+// restores a checkpoint (sim.Restore) or sets engine options on the Config
+// builds its one engine from Built.Config itself.
+func (sc *Scenario) Lower(pools *trace.Pools) (*Built, error) {
 	if len(sc.Tenants) > 0 {
 		if len(sc.Graph.PEs) > 0 {
 			return nil, fmt.Errorf("scenario: graph and tenants blocks are mutually exclusive")
 		}
-		return sc.buildTenants(pools)
+		return sc.lowerTenants(pools)
 	}
 	g, err := buildGraph(sc.Graph, sc.Choices)
 	if err != nil {
@@ -356,11 +375,7 @@ func (sc *Scenario) BuildWith(pools *trace.Pools) (*Built, error) {
 		OmegaFloor:    obj.OmegaHat,
 		Checker:       checker,
 	}
-	engine, err := sim.NewEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Built{Engine: engine, Scheduler: sched, Objective: obj, Graph: g, Checker: checker, Config: cfg}, nil
+	return &Built{Scheduler: sched, Objective: obj, Graph: g, Checker: checker, Config: cfg}, nil
 }
 
 // buildGraph constructs one dataflow graph from its spec form.

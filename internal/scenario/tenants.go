@@ -37,11 +37,11 @@ type TenantSpec struct {
 	Policy *PolicySpec `json:"policy,omitempty"`
 }
 
-// buildTenants is Build for scenarios with a tenants block: every tenant's
+// lowerTenants is Lower for scenarios with a tenants block: every tenant's
 // graph is lowered onto one composite dataflow, its rate fanned across its
 // input PEs, its own Θ objective calibrated, and one core.MultiTenant
 // scheduler arbitrates the per-tenant heuristics over the shared fleet.
-func (sc *Scenario) buildTenants(pools *trace.Pools) (*Built, error) {
+func (sc *Scenario) lowerTenants(pools *trace.Pools) (*Built, error) {
 	hours := sc.HorizonHours
 	if hours == 0 {
 		hours = 4
@@ -164,12 +164,8 @@ func (sc *Scenario) buildTenants(pools *trace.Pools) (*Built, error) {
 		Checker:       checker,
 		Tenants:       tenants,
 	}
-	engine, err := sim.NewEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
 	return &Built{
-		Engine: engine, Scheduler: sched, Objective: obj, Graph: g,
+		Scheduler: sched, Objective: obj, Graph: g,
 		Checker: checker, Config: cfg,
 		TenantNames: names, TenantObjectives: objs,
 	}, nil

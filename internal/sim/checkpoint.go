@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"dynamicdf/internal/dataflow"
@@ -31,7 +32,12 @@ type StatefulScheduler interface {
 // inside a scheduler callback. The engine is not consumed: the run can
 // continue with another RunUntil or RunContext, and the snapshot can seed
 // any number of Restore'd engines (it shares no memory with the engine).
+// A SummaryOnly engine cannot checkpoint: it keeps no metric rows for the
+// snapshot to carry.
 func (e *Engine) Checkpoint() (*state.Snapshot, error) {
+	if e.cfg.SummaryOnly {
+		return nil, errors.New("sim: checkpoint: a summary-only engine keeps no metric rows")
+	}
 	s := &state.Snapshot{
 		GraphPEs:    e.cfg.Graph.N(),
 		IntervalSec: e.cfg.IntervalSec,
@@ -246,6 +252,11 @@ func Restore(snap *state.Snapshot, cfg Config) (*Engine, error) {
 	e.prevCost = snap.PrevCostUSD
 	e.restoredViolations = snap.Violations
 
+	// Ω's tally and the metric series both advance once per interval, so a
+	// snapshot whose row count disagrees with its tally lost or gained rows.
+	if len(snap.Metrics) != snap.OmegaN {
+		return nil, fmt.Errorf("sim: restore: snapshot has %d metric rows for %d intervals", len(snap.Metrics), snap.OmegaN)
+	}
 	for _, p := range snap.Metrics {
 		if err := e.collector.Add(p); err != nil {
 			return nil, fmt.Errorf("sim: restore: %w", err)

@@ -93,6 +93,14 @@ type Config struct {
 	// means the classic single-tenant run, whose behaviour and output bytes
 	// are unchanged.
 	Tenants []Tenant
+	// SummaryOnly keeps no per-interval metric rows: the collector only
+	// folds each interval into the run's summary, NewEngine reserves no
+	// series, and Checkpoint returns an error, since a state/v1 snapshot
+	// carries the rows. The summary is bit for bit the one a run that keeps
+	// its rows reports. For callers that read nothing but the summary, such
+	// as sweep jobs; anything that writes the series or checkpoints keeps
+	// the rows.
+	SummaryOnly bool
 }
 
 // Tenant scopes one dataflow of a multi-tenant run to a contiguous slice of

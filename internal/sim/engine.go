@@ -18,7 +18,8 @@ import (
 // ErrCanceled is returned (wrapped) by RunContext when the context is
 // cancelled before the horizon is reached. Detect it with
 // errors.Is(err, ErrCanceled); the run's partial metrics remain readable
-// through Collector().
+// through Collector(), as rows unless the engine is SummaryOnly, whose
+// collector holds only the partial summary.
 var ErrCanceled = errors.New("sim: run canceled")
 
 // Engine executes a configured scenario.
@@ -137,6 +138,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	n := cfg.Graph.N()
+	newCollector := metrics.NewCollector
+	if cfg.SummaryOnly {
+		newCollector = metrics.NewSummaryCollector
+	}
 	e := &Engine{
 		cfg:       cfg,
 		fleet:     cloud.NewFleet(cfg.Menu),
@@ -146,7 +151,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		lastPEOut: make([]float64, n),
 		lastPEExp: make([]float64, n),
 		lastPEIn:  make([]float64, n),
-		collector: metrics.NewCollector(),
+		collector: newCollector(),
 	}
 	for i := 0; i < n; i++ {
 		e.pes[i] = newPEState()
@@ -262,7 +267,8 @@ func (e *Engine) bindTenantGauges() {
 // Now returns the simulation clock in seconds.
 func (e *Engine) Now() int64 { return e.clock }
 
-// Collector returns the per-interval metrics recorded so far.
+// Collector returns the per-interval metrics recorded so far. A SummaryOnly
+// engine's collector holds no rows, only their summary.
 func (e *Engine) Collector() *metrics.Collector { return e.collector }
 
 // Selection returns the live alternate selection (shared; do not mutate).

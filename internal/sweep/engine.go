@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
+	"dynamicdf/internal/metrics"
 	"dynamicdf/internal/obs"
 	"dynamicdf/internal/scenario"
 	"dynamicdf/internal/sim"
@@ -148,6 +150,11 @@ func (e *Engine) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.run(ctx, spec, jobs)
+}
+
+// run executes the spec's expanded jobs, which it owns: it sets their Pools.
+func (e *Engine) run(ctx context.Context, spec *Spec, jobs []Job) (*Report, error) {
 	// The run's jobs and warm-start prefixes share its replayed trace pools.
 	pools := new(trace.Pools)
 	for i := range jobs {
@@ -334,20 +341,22 @@ type RunOpts struct {
 // CampaignRunner executes an expanded spec to completion. The in-process
 // Engine is the built-in implementation; internal/sweep/fabric provides a
 // distributed one (lease-based coordinator + HTTP workers). The Server
-// picks whichever its config names.
+// picks whichever its config names. jobs is spec.Expand()'s result, which
+// the caller already holds; a runner reads it and never writes into it.
 type CampaignRunner interface {
-	RunCampaign(ctx context.Context, spec *Spec, opts RunOpts) (*Report, error)
+	RunCampaign(ctx context.Context, spec *Spec, jobs []Job, opts RunOpts) (*Report, error)
 }
 
 // RunCampaign implements CampaignRunner on the in-process pool. The
 // receiver acts as a template (Workers, Pool, Gauges, Tracer); the
 // per-campaign journal, progress sink, and drain channel come from opts.
-func (e *Engine) RunCampaign(ctx context.Context, spec *Spec, opts RunOpts) (*Report, error) {
+// The jobs run as copies, so the caller's slice is left as it was.
+func (e *Engine) RunCampaign(ctx context.Context, spec *Spec, jobs []Job, opts RunOpts) (*Report, error) {
 	eng := *e
 	eng.Journal = opts.Journal
 	eng.OnProgress = opts.OnProgress
 	eng.Drain = opts.Drain
-	return eng.Run(ctx, spec)
+	return eng.run(ctx, spec, slices.Clone(jobs))
 }
 
 // prefixRun is one shared warm-start prefix: the first worker to need it
@@ -368,7 +377,8 @@ type prefixRun struct {
 // gauges are attached — the prefix's events would otherwise appear once for
 // the whole group instead of once per job, breaking per-job trace
 // accounting. The prefix builds through pools, its campaign's trace memo
-// (nil generates afresh). Both the in-process pool and fabric workers share
+// (nil generates afresh), onto an engine that keeps its metric rows, which
+// the checkpoint carries. Both the in-process pool and fabric workers share
 // this path, so warm and cold runs stay byte-equivalent across topologies.
 func RunPrefix(ctx context.Context, sc *scenario.Scenario, untilSec int64, pools *trace.Pools) (snap *state.Snapshot) {
 	defer func() { recover() }() // a panicking prefix falls back to cold runs
@@ -407,7 +417,8 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job, pr *prefixRun) (R
 // The job builds through job.Pools, its campaign's trace memo; a job as
 // Expand returns it has none and generates its own traces. Fabric workers
 // share this path with the in-process pool, so a job's result is identical
-// regardless of where it executes.
+// regardless of where it executes. A job reports only its run's summary, so
+// its one engine, restored or fresh, is SummaryOnly and keeps no rows.
 func ExecuteJob(ctx context.Context, job Job, snap *state.Snapshot, tracer *obs.Tracer, gauges *obs.RunGauges, n int) (res Result, canceled bool) {
 	res = Result{JobID: job.ID, Key: job.Key, Group: job.Group, Seed: job.Seed}
 	defer func() {
@@ -424,21 +435,29 @@ func ExecuteJob(ctx context.Context, job Job, snap *state.Snapshot, tracer *obs.
 		}
 		tracer.Emit(ev)
 	}()
-	built, err := job.Scenario.BuildWith(job.Pools)
+	built, err := job.Scenario.Lower(job.Pools)
 	if err != nil {
 		res.Error = err.Error()
 		return res, false
 	}
+	cfg := built.Config
+	cfg.SummaryOnly = true
+	var eng *sim.Engine
 	if snap != nil {
-		if eng, rerr := sim.Restore(snap, built.Config); rerr == nil {
-			built.Engine = eng
+		if eng, err = sim.Restore(snap, cfg); err == nil {
 			res.Forked = true
 		}
 	}
-	built.Engine.SetTracer(tracer)
-	built.Engine.SetGauges(gauges)
-	sum, err := built.Engine.RunContext(ctx, built.Scheduler)
-	res.Violations = built.Engine.InvariantViolations()
+	if !res.Forked {
+		if eng, err = sim.NewEngine(cfg); err != nil {
+			res.Error = err.Error()
+			return res, false
+		}
+	}
+	eng.SetTracer(tracer)
+	eng.SetGauges(gauges)
+	sum, err := eng.RunContext(ctx, built.Scheduler)
+	res.Violations = eng.InvariantViolations()
 	if err != nil {
 		if errors.Is(err, sim.ErrCanceled) {
 			return res, true
@@ -446,6 +465,16 @@ func ExecuteJob(ctx context.Context, job Job, snap *state.Snapshot, tracer *obs.
 		res.Error = err.Error()
 		return res, false
 	}
+	res.setSummary(built, sum)
+	if gauges != nil {
+		gauges.Theta.Set(res.Theta)
+	}
+	return res, false
+}
+
+// setSummary fills a job's outcome from its run's summary, judged against
+// the scenario's objectives.
+func (res *Result) setSummary(built *scenario.Built, sum metrics.Summary) {
 	res.Intervals = sum.Intervals
 	res.Theta = built.Objective.Theta(sum.MeanGamma, sum.TotalCostUSD)
 	res.Omega = sum.MeanOmega
@@ -471,8 +500,4 @@ func ExecuteJob(ctx context.Context, job Job, snap *state.Snapshot, tracer *obs.
 			MeetsOmega: obj.MeetsConstraint(ts.MeanOmega),
 		})
 	}
-	if gauges != nil {
-		gauges.Theta.Set(res.Theta)
-	}
-	return res, false
 }

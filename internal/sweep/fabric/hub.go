@@ -85,17 +85,14 @@ type campaign struct {
 }
 
 // RunCampaign implements sweep.CampaignRunner: it registers the spec's
-// jobs with the coordinator and blocks until attached workers complete
-// them (or ctx is cancelled / opts.Drain closes). Journaled completions
-// are served as cache hits without leasing; results ack into the journal
-// exactly once. The returned report is aggregated in grid order, so its
-// CSV is byte-identical to a single-pool run of the same spec.
-func (h *Hub) RunCampaign(ctx context.Context, spec *sweep.Spec, opts sweep.RunOpts) (*sweep.Report, error) {
+// expanded jobs with the coordinator and blocks until attached workers
+// complete them (or ctx is cancelled / opts.Drain closes). Journaled
+// completions are served as cache hits without leasing; results ack into
+// the journal exactly once. The returned report is aggregated in grid
+// order, so its CSV is byte-identical to a single-pool run of the same
+// spec.
+func (h *Hub) RunCampaign(ctx context.Context, spec *sweep.Spec, jobs []sweep.Job, opts sweep.RunOpts) (*sweep.Report, error) {
 	id, err := spec.ID()
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := spec.Expand()
 	if err != nil {
 		return nil, err
 	}

@@ -79,19 +79,23 @@ func warmGroupSpec(t *testing.T, seeds string) *sweep.Spec {
 	}`, testBase, seeds))
 }
 
-// startCampaign launches RunCampaign in the background and returns its
-// outcome channel.
+// startCampaign expands spec, launches RunCampaign in the background and
+// returns its outcome channel.
 func startCampaign(t *testing.T, h *Hub, spec *sweep.Spec, opts sweep.RunOpts) <-chan struct {
 	report *sweep.Report
 	err    error
 } {
 	t.Helper()
+	jobs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make(chan struct {
 		report *sweep.Report
 		err    error
 	}, 1)
 	go func() {
-		rep, err := h.RunCampaign(context.Background(), spec, opts)
+		rep, err := h.RunCampaign(context.Background(), spec, jobs, opts)
 		out <- struct {
 			report *sweep.Report
 			err    error

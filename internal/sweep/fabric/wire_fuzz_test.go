@@ -117,12 +117,16 @@ func wireSpec(t testing.TB) *sweep.Spec {
 // leaseOne runs spec's campaign on a fresh hub and leases one of its jobs to
 // worker "w". stop cancels the campaign and waits for it to end.
 func leaseOne(t testing.TB, spec *sweep.Spec) (h *Hub, lease *Lease, stop func()) {
+	jobs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
 	h = testHub(newFakeClock(), 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		_, _ = h.RunCampaign(ctx, spec, sweep.RunOpts{})
+		_, _ = h.RunCampaign(ctx, spec, jobs, sweep.RunOpts{})
 	}()
 	stop = func() {
 		cancel()

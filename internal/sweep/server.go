@@ -185,7 +185,7 @@ func (s *Server) Submit(spec *Spec) (string, bool, error) {
 	s.sweeps[id] = run
 	s.order = append(s.order, id)
 	s.wg.Add(1)
-	go s.execute(ctx, run)
+	go s.execute(ctx, run, jobs)
 	return id, true, nil
 }
 
@@ -200,8 +200,9 @@ func (s *Server) admitLocked(id string) (bool, error) {
 	return ok, nil
 }
 
-// execute drives one campaign to completion.
-func (s *Server) execute(ctx context.Context, run *sweepRun) {
+// execute drives one campaign, whose spec Submit expanded into jobs, to
+// completion.
+func (s *Server) execute(ctx context.Context, run *sweepRun, jobs []Job) {
 	defer s.wg.Done()
 	defer run.cancel()
 
@@ -219,7 +220,7 @@ func (s *Server) execute(ctx context.Context, run *sweepRun) {
 	if runner == nil {
 		runner = &Engine{Workers: s.cfg.Workers, Pool: s.pool, Gauges: s.gauges}
 	}
-	report, err := runner.RunCampaign(ctx, run.spec, RunOpts{
+	report, err := runner.RunCampaign(ctx, run.spec, jobs, RunOpts{
 		Journal:    journal,
 		OnProgress: run.update,
 		Drain:      run.drain,
