@@ -9,11 +9,13 @@
 # dftrace smoke over the golden fixture, a checkpoint/restore
 # byte-determinism smoke, a restored-vs-cold snapshot equality check, a
 # single-tenant golden diff against the committed pre-refactor fixture (the
-# multi-tenant refactor must stay byte-invisible to single-tenant runs), a
-# multi-tenant example smoke, the dfcalib
+# multi-tenant refactor must stay byte-invisible to single-tenant runs), an
+# examples smoke (every example built and run, the multi-tenant one also
+# checked for kept Ω floors and fair-share rulings), the dfcalib
 # calibration loopback (parameter recovery + digital-twin validation), the
 # invariant-conservation, snapshot-decoder, Prometheus-importer,
-# sweep-expansion and fabric results-wire fuzz passes, the zero-alloc
+# sweep-expansion, sweep-spec execution and fabric results-wire fuzz
+# passes, the zero-alloc
 # guarantees for the disabled-tracer, disabled-checker, and detached
 # stage-profiler hot paths plus the steady-state large-DAG and 8-tenant
 # steps themselves, an attached-profiler overhead-ratio guard, an
@@ -103,9 +105,23 @@ for f in warm.csv warm.jsonl warm.ndjson; do
 done
 rm -rf "$gtmp"
 
-# Multi-tenant smoke: three tenants (one session-driven) on one fleet with
-# fair-share arbitration must build, run, and keep every Ω floor.
-mt=$(go run ./examples/multitenant)
+# Examples smoke: every example must build and exit 0, so a facade change
+# that breaks one fails here at run time too, not only at compile time.
+# The multi-tenant example, three tenants (one session-driven) on one fleet
+# with fair-share arbitration, must also keep every Ω floor.
+ex=$(mktemp -d)
+mkdir "$ex/bin"
+go build -o "$ex/bin/" ./examples/...
+for bin in "$ex"/bin/*; do
+    name=$(basename "$bin")
+    "$bin" > "$ex/$name.out" || {
+        cat "$ex/$name.out" >&2
+        echo "example $name exited non-zero" >&2
+        exit 1
+    }
+done
+mt=$(cat "$ex/multitenant.out")
+rm -rf "$ex"
 echo "$mt"
 if echo "$mt" | grep -q 'MISSED'; then
     echo "multitenant example missed an omega floor" >&2
@@ -130,6 +146,11 @@ go test ./internal/calibration -run '^$' -fuzz 'FuzzParsePrometheus' -fuzztime 1
 # bytes through ParseSpec + Expand must never panic, and must give the same
 # jobs (or the same error) as the original byte-level expansion.
 go test ./internal/sweep -run '^$' -fuzz 'FuzzExpand' -fuzztime 10s
+
+# Sweep-spec execution fuzzing: the jobs arbitrary spec bytes expand to
+# (merge-patched tenants included) must run, cut short, under the strict
+# invariant checker without a panic or a violated law.
+go test ./internal/sweep -run '^$' -fuzz 'FuzzSweepSpec' -fuzztime 10s
 
 # Results-wire fuzzing: the coordinator takes NDJSON result lines over HTTP.
 # Arbitrary bytes must never panic the route, every non-blank line gets one

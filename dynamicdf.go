@@ -47,7 +47,6 @@ import (
 	"dynamicdf/internal/core"
 	"dynamicdf/internal/dataflow"
 	"dynamicdf/internal/experiments"
-	"dynamicdf/internal/floe"
 	"dynamicdf/internal/invariant"
 	"dynamicdf/internal/metrics"
 	"dynamicdf/internal/obs"
@@ -712,37 +711,4 @@ func DefaultCalibrationTolerances() CalibrationTolerances { return calibration.D
 // e.g. a saved /metrics scrape.
 func ParsePrometheusText(r io.Reader) (*MetricsExposition, error) {
 	return calibration.ParsePrometheus(r)
-}
-
-// In-process execution runtime (the FTOC/Floe role in §5): the same graph
-// description that is simulated for planning can be executed for real,
-// with hot alternate swaps and data-parallel worker pools.
-type (
-	// Runtime executes a dynamic dataflow in-process.
-	Runtime = floe.Runtime
-	// RuntimeConfig assembles a Runtime.
-	RuntimeConfig = floe.Config
-	// Operator is one alternate's executable implementation.
-	Operator = floe.Operator
-	// OperatorFunc adapts a function to Operator.
-	OperatorFunc = floe.OperatorFunc
-	// Impl binds an alternate name to its implementation factory.
-	Impl = floe.Impl
-	// RuntimeMessage is one data item flowing through the runtime.
-	RuntimeMessage = floe.Message
-	// Controller is the live feedback controller over a Runtime.
-	Controller = floe.Controller
-	// ControllerConfig tunes the control loop.
-	ControllerConfig = floe.ControllerConfig
-)
-
-// NewRuntime validates the configuration and builds a Runtime.
-func NewRuntime(cfg RuntimeConfig) (*Runtime, error) { return floe.New(cfg) }
-
-// NewController builds a live controller over a running Runtime: it scales
-// worker pools with queue pressure and (when Dynamic) switches alternates
-// once a pool saturates — the paper's two control knobs, applied to real
-// message flow instead of the simulator.
-func NewController(rt *Runtime, cfg ControllerConfig) (*Controller, error) {
-	return floe.NewController(rt, cfg)
 }

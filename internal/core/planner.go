@@ -408,21 +408,6 @@ func (p *Plan) dropEmpty() {
 	p.open = 0
 }
 
-// Workers returns the planned data-parallel width per PE: the total cores
-// across all planned VMs. The floe runtime applies this directly as
-// SetParallelism — planning in the simulator, executing for real.
-func (p *Plan) Workers(n int) []int {
-	out := make([]int, n)
-	for _, vm := range p.VMs {
-		for _, c := range vm.chunks {
-			if c.pe >= 0 && c.pe < n {
-				out[c.pe] += c.cores
-			}
-		}
-	}
-	return out
-}
-
 // Materialize acquires the planned VMs and assigns cores through the
 // simulator's action surface, in deterministic order.
 func (p *Plan) Materialize(act sim.Control) error {

@@ -31,9 +31,8 @@ type Point struct {
 }
 
 // Collector accumulates points in time order and folds them into the run's
-// Summary as they arrive. It is safe for concurrent use: the simulator
-// appends single-threaded, but live samplers (floe) write from their own
-// goroutine while observers read.
+// Summary as they arrive. It is safe for concurrent use: one writer, the
+// simulator, appends rows, and readers may run alongside it.
 type Collector struct {
 	mu sync.Mutex
 	// summaryOnly collectors fold every row into sum and keep none of them.

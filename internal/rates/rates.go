@@ -98,8 +98,10 @@ type RandomWalk struct {
 	Lo, Hi float64
 	Seed   int64
 
-	cache   []float64
-	cachedN int
+	// cache holds the walk's steps generated so far; src is the source
+	// that continues it.
+	cache []float64
+	src   rand.Source
 }
 
 // NewRandomWalk builds a mean-reverting random walk profile.
@@ -119,21 +121,28 @@ func NewRandomWalk(mean, step float64, stepSec int64, seed int64) (*RandomWalk, 
 	}, nil
 }
 
-// ensure extends the cached walk to cover step index n.
+// ensure extends the cached walk to cover step index n. The first block
+// holds at least 1,024 steps, and each extension at least doubles the
+// cache, so a run that reads the walk step by step costs amortized O(1)
+// per step. The source is consumed in step order whatever order Rate is
+// queried in, so every step's value is a pure function of (seed, step).
 func (rw *RandomWalk) ensure(n int) {
-	if rw.cachedN > n {
+	have := len(rw.cache)
+	if have > n {
 		return
 	}
-	rng := rand.New(rand.NewSource(rw.Seed))
-	// Regenerate from scratch so Rate is history-independent: the RNG
-	// stream is consumed in step order regardless of query order.
-	total := n + 1
-	if total < 1024 {
-		total = 1024
-	}
-	walk := make([]float64, total)
 	x := rw.MeanRate
-	for i := 0; i < total; i++ {
+	if have == 0 {
+		rw.src = rand.NewSource(rw.Seed)
+	} else {
+		x = rw.cache[have-1]
+	}
+	// Float64 keeps no state outside the source, so a fresh wrapper (which
+	// stays on the stack) continues the stream exactly.
+	rng := rand.New(rw.src)
+	walk := make([]float64, max(n+1, 1024, 2*have))
+	copy(walk, rw.cache)
+	for i := have; i < len(walk); i++ {
 		// Mean reversion plus a bounded uniform step.
 		x += 0.1*(rw.MeanRate-x) + (rng.Float64()*2-1)*rw.Step*rw.MeanRate
 		lo, hi := rw.Lo*rw.MeanRate, rw.Hi*rw.MeanRate
@@ -146,7 +155,6 @@ func (rw *RandomWalk) ensure(n int) {
 		walk[i] = x
 	}
 	rw.cache = walk
-	rw.cachedN = total
 }
 
 // Rate implements Profile.

@@ -313,3 +313,35 @@ func TestRandomWalkSeedStability(t *testing.T) {
 		t.Fatal("seeds 1 and 2 produced identical walks")
 	}
 }
+
+// TestRandomWalkStepwiseReadsStayLinear reads a 100 h walk minute by
+// minute, as a run at 60 s intervals does. Past its first 1,024-step block
+// the cache must grow geometrically instead of regenerating the walk at
+// every step (which cost ~10,000 allocations here), and every
+// value must be bit-equal to the walk generated in one pass.
+func TestRandomWalkStepwiseReadsStayLinear(t *testing.T) {
+	const steps = 100 * 60
+	got := make([]float64, steps)
+	allocs := testing.AllocsPerRun(1, func() {
+		rw, err := NewRandomWalk(10, 0.1, 60, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			got[i] = rw.Rate(int64(i) * 60)
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("reading %d steps one by one made %v allocations (limit 16)", steps, allocs)
+	}
+	onePass, err := NewRandomWalk(10, 0.1, 60, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onePass.Rate((steps - 1) * 60)
+	for i, v := range got {
+		if want := onePass.Rate(int64(i) * 60); math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("step %d: stepwise %v, one pass %v", i, v, want)
+		}
+	}
+}
