@@ -1,8 +1,10 @@
 package cloud
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // SecondsPerHour is the billing quantum: VM usage is rounded up to the next
@@ -107,11 +109,20 @@ func (v *VM) SecondsToHourBoundary(now int64) int64 {
 }
 
 // Fleet is the set R(t) of all VM instances ever acquired, with billing and
-// core-allocation bookkeeping.
+// core-allocation bookkeeping. Besides the history it keeps an index of the
+// VMs still alive, so that questions about the running fleet cost O(live),
+// or O(1) for the counts, however many VMs were released before.
 type Fleet struct {
 	menu   *Menu
 	vms    []*VM
 	nextID int
+
+	// live holds every VM not yet stopped — active or still provisioning —
+	// in id order, once a VM has stopped; until then it is nil, since every
+	// VM ever acquired is live. active and pending count the live VMs by
+	// kind.
+	live            []*VM
+	active, pending int
 }
 
 // NewFleet returns an empty fleet drawing from the menu.
@@ -146,7 +157,20 @@ func (f *Fleet) AcquireDelayed(class *Class, now, readySec int64) (*VM, error) {
 		pending: readySec > now}
 	f.nextID++
 	f.vms = append(f.vms, v)
+	if f.live != nil {
+		f.live = append(f.live, v) // the new id is the largest yet
+	}
+	f.count(v, 1)
 	return v, nil
+}
+
+// count adds d to the live count of v's kind.
+func (f *Fleet) count(v *VM, d int) {
+	if v.pending {
+		f.pending += d
+	} else {
+		f.active += d
+	}
 }
 
 // MakeReady completes provisioning for every pending VM whose ReadySec has
@@ -154,9 +178,11 @@ func (f *Fleet) AcquireDelayed(class *Class, now, readySec int64) (*VM, error) {
 // ReadySec.
 func (f *Fleet) MakeReady(now int64) []*VM {
 	var out []*VM
-	for _, v := range f.vms {
-		if v.pending && v.StopSec < 0 && v.ReadySec <= now {
+	for _, v := range f.Live() {
+		if v.pending && v.ReadySec <= now {
 			v.pending = false
+			f.pending--
+			f.active++
 			out = append(out, v)
 		}
 	}
@@ -182,6 +208,13 @@ func (f *Fleet) Release(id int, now int64) error {
 		return fmt.Errorf("cloud: VM %d release at %d precedes start %d", id, now, v.StartSec)
 	}
 	v.StopSec = now
+	if f.live == nil {
+		f.live = slices.Clone(f.vms) // the first stop: until now every VM was live
+	}
+	if i, ok := slices.BinarySearchFunc(f.live, id, func(x *VM, id int) int { return cmp.Compare(x.ID, id) }); ok {
+		f.live = slices.Delete(f.live, i, i+1)
+	}
+	f.count(v, -1)
 	return nil
 }
 
@@ -229,21 +262,13 @@ func (f *Fleet) UnassignCores(id, n int) error {
 }
 
 // Active returns the currently running VMs, in id order.
-func (f *Fleet) Active() []*VM {
-	var out []*VM
-	for _, v := range f.vms {
-		if v.Active() {
-			out = append(out, v)
-		}
-	}
-	return out
-}
+func (f *Fleet) Active() []*VM { return f.ActiveInto(nil) }
 
 // ActiveInto appends the currently running VMs to buf, in id order, and
 // returns it — Active for callers reusing a buffer across calls.
 func (f *Fleet) ActiveInto(buf []*VM) []*VM {
-	for _, v := range f.vms {
-		if v.Active() {
+	for _, v := range f.Live() {
+		if !v.pending {
 			buf = append(buf, v)
 		}
 	}
@@ -253,22 +278,24 @@ func (f *Fleet) ActiveInto(buf []*VM) []*VM {
 // All returns every VM ever acquired, in id order. The slice is shared.
 func (f *Fleet) All() []*VM { return f.vms }
 
-// ActiveCount returns the number of running VMs.
-func (f *Fleet) ActiveCount() int {
-	n := 0
-	for _, v := range f.vms {
-		if v.Active() {
-			n++
-		}
+// Live returns the VMs not yet stopped — running or still provisioning — in
+// id order. The slice is shared and read-only: it is valid until the next
+// acquisition or release.
+func (f *Fleet) Live() []*VM {
+	if f.live == nil {
+		return f.vms
 	}
-	return n
+	return f.live
 }
+
+// ActiveCount returns the number of running VMs.
+func (f *Fleet) ActiveCount() int { return f.active }
 
 // Pending returns the VMs still provisioning, in id order.
 func (f *Fleet) Pending() []*VM {
 	var out []*VM
-	for _, v := range f.vms {
-		if v.pending && v.StopSec < 0 {
+	for _, v := range f.Live() {
+		if v.pending {
 			out = append(out, v)
 		}
 	}
@@ -276,15 +303,7 @@ func (f *Fleet) Pending() []*VM {
 }
 
 // PendingCount returns the number of VMs still provisioning.
-func (f *Fleet) PendingCount() int {
-	n := 0
-	for _, v := range f.vms {
-		if v.pending && v.StopSec < 0 {
-			n++
-		}
-	}
-	return n
-}
+func (f *Fleet) PendingCount() int { return f.pending }
 
 // TotalCost returns mu(t): dollars billed across all instances, running or
 // stopped, up to time now.
@@ -299,8 +318,8 @@ func (f *Fleet) TotalCost(now int64) float64 {
 // HourlyBurnRate returns the dollars per hour the currently active VMs cost.
 func (f *Fleet) HourlyBurnRate() float64 {
 	total := 0.0
-	for _, v := range f.vms {
-		if v.Active() {
+	for _, v := range f.Live() {
+		if !v.pending {
 			total += v.Class.PricePerHour
 		}
 	}

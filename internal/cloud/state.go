@@ -36,9 +36,9 @@ func (f *Fleet) Export() []VMRecord {
 }
 
 // Import replaces the fleet's contents with the exported records, resolving
-// classes by name on this fleet's menu. Records must be dense and in id
-// order (VM i has ID i), matching what Export produces; the id counter
-// resumes after the last record.
+// classes by name on this fleet's menu, and rebuilds the live index from
+// them. Records must be dense and in id order (VM i has ID i), matching
+// what Export produces; the id counter resumes after the last record.
 func (f *Fleet) Import(recs []VMRecord) error {
 	vms := make([]*VM, 0, len(recs))
 	for i, r := range recs {
@@ -65,5 +65,22 @@ func (f *Fleet) Import(recs []VMRecord) error {
 	}
 	f.vms = vms
 	f.nextID = len(vms)
+	f.live, f.active, f.pending = nil, 0, 0
+	stopped := false
+	for _, v := range vms {
+		if v.Stopped() {
+			stopped = true
+		} else {
+			f.count(v, 1)
+		}
+	}
+	if stopped {
+		f.live = make([]*VM, 0, f.active+f.pending)
+		for _, v := range vms {
+			if !v.Stopped() {
+				f.live = append(f.live, v)
+			}
+		}
+	}
 	return nil
 }

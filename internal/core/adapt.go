@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 
 	"dynamicdf/internal/dataflow"
 	"dynamicdf/internal/obs"
@@ -31,13 +32,13 @@ type scratch struct {
 	demand   []float64           // demandECU's result
 	costs    [][]float64         // alternateStage's downstream costs (global)
 	cands    []altCandidate      // one PE's feasible alternates
-	vms      []sim.VMInfo        // the active fleet, id order
 	asg      []sim.Assignment    // one PE's allocation
 	eff      []float64           // effectiveECU's result
 	required []float64           // resourceStage's per-PE target ECU
 	shed     []shedOption        // removeCore's candidates
 
-	// consolidate's fleet index: positions are indices into vms.
+	// consolidate's fleet index: positions are indices into the active
+	// fleet list.
 	pos    []int   // VM id -> position
 	order  []int   // positions in victim order
 	free   []int   // free cores by position
@@ -50,8 +51,9 @@ type scratch struct {
 // chunk is one PE's cores on the VM at position at.
 type chunk struct{ pe, at, cores int }
 
-// move plans a PE's cores on the victim as need cores on position dst.
-type move struct{ pe, cores, dst, need int }
+// move plans a PE's cores on the victim as need cores on the VM with id to
+// (an id, since carrying out the plan changes the fleet list).
+type move struct{ pe, cores, to, need int }
 
 // shedOption is one core removeCore may take away.
 type shedOption struct {
@@ -109,8 +111,6 @@ func (h *Heuristic) resourceStage(v *sim.View, act sim.Control) error {
 	// Scale up: repeatedly grow the PE with the worst capacity ratio.
 	// With UseSpot, capacity beyond the PE's constraint-critical base
 	// (demand * OmegaHat, on-demand) spills onto the spot market.
-	// One fleet snapshot serves the whole loop: addCore keeps it current.
-	h.scratch.vms = v.ActiveVMsInto(h.scratch.vms[:0])
 	grown := 0
 	for grown < h.opts.MaxGrowPerInterval {
 		bottleneck, worst := -1, 1e18
@@ -211,19 +211,14 @@ func (h *Heuristic) resourceStage(v *sim.View, act sim.Control) error {
 // cheapest preemptible class instead. It returns the effective ECU added
 // (0 when the fleet cap blocks). A non-nil dec is filled with the
 // candidates weighed, their scores, and why the losers lost.
-//
-// The active fleet comes from h.scratch.vms, which the caller fills;
-// addCore applies its own assignment or acquisition to it, so it still
-// matches the fleet for the next call. Nothing else changes the fleet
-// while the grow loop runs.
 func (h *Heuristic) addCore(v *sim.View, act sim.Control, pe int, deficitECU float64, spill bool, dec *obs.Decision) (float64, error) {
 	s := &h.scratch
 	s.asg = v.AssignmentsInto(pe, s.asg[:0])
 	var best sim.VMInfo
-	bestAt := -1
+	found := false
 	bestScore := -1.0
 	hosted := s.asg // the PE's VMs not yet passed; both lists ascend by id
-	for at, vm := range s.vms {
+	for _, vm := range v.ActiveVMs() {
 		for len(hosted) > 0 && hosted[0].VMID < vm.ID {
 			hosted = hosted[1:]
 		}
@@ -241,15 +236,13 @@ func (h *Heuristic) addCore(v *sim.View, act sim.Control, pe int, deficitECU flo
 		if score > bestScore {
 			bestScore = score
 			best = vm
-			bestAt = at
+			found = true
 		}
 	}
-	if bestAt >= 0 {
+	if found {
 		if err := act.AssignCores(pe, best.ID, 1); err != nil {
 			return 0, err
 		}
-		s.vms[bestAt].UsedCores++
-		s.vms[bestAt].FreeCores--
 		if dec != nil {
 			chosen := fmt.Sprintf("free core on vm-%d (%s)", best.ID, best.Class.Name)
 			for i := range dec.Options {
@@ -332,9 +325,6 @@ func (h *Heuristic) addCore(v *sim.View, act sim.Control, pe int, deficitECU flo
 	}
 	if err := act.AssignCores(pe, id, 1); err != nil {
 		return 0, err
-	}
-	if vm, ok := v.VM(id); ok {
-		s.vms = append(s.vms, vm)
 	}
 	if dec != nil {
 		dec.Chosen = fmt.Sprintf("acquire %s (vm-%d)", class.Name, id)
@@ -444,8 +434,7 @@ func (h *Heuristic) removeCore(v *sim.View, act sim.Control, pe int, maxRemove f
 // array that a failed plan gives back.
 func (h *Heuristic) consolidate(v *sim.View, act sim.Control) error {
 	s := &h.scratch
-	s.vms = v.ActiveVMsInto(s.vms[:0])
-	vms := s.vms
+	vms := v.ActiveVMs()
 	if len(vms) == 0 {
 		return nil
 	}
@@ -528,16 +517,16 @@ func (h *Heuristic) consolidate(v *sim.View, act sim.Control) error {
 				break
 			}
 			s.free[bestDst] -= bestNeed
-			s.moves = append(s.moves, move{pe: c.pe, cores: c.cores, dst: bestDst, need: bestNeed})
+			s.moves = append(s.moves, move{pe: c.pe, cores: c.cores, to: vms[bestDst].ID, need: bestNeed})
 		}
 		if !ok {
 			for _, m := range s.moves {
-				s.free[m.dst] += m.need
+				s.free[s.pos[m.to]] += m.need
 			}
 			continue
 		}
 		for _, m := range s.moves {
-			if err := act.AssignCores(m.pe, vms[m.dst].ID, m.need); err != nil {
+			if err := act.AssignCores(m.pe, m.to, m.need); err != nil {
 				return err
 			}
 			if err := act.UnassignCores(m.pe, victim.ID, m.cores); err != nil {
@@ -557,28 +546,30 @@ func (h *Heuristic) releaseIdle(v *sim.View, act sim.Control) error {
 	if window == 0 {
 		window = 2 * v.IntervalSec()
 	}
-	s := &h.scratch
-	s.vms = v.ActiveVMsInto(s.vms[:0])
-	for _, vm := range s.vms {
-		if vm.UsedCores != 0 {
+	vms := v.ActiveVMs()
+	for i := 0; i < len(vms); {
+		vm := vms[i]
+		i++
+		if vm.UsedCores != 0 || vm.SecsToHourBoundary > window {
 			continue
 		}
-		if vm.SecsToHourBoundary <= window {
-			if err := act.ReleaseVM(vm.ID); err != nil {
-				return err
-			}
-			if sink != nil {
-				sink.Decide(obs.Decision{
-					Kind:   "release",
-					Chosen: fmt.Sprintf("release-vm vm-%d (%s)", vm.ID, vm.Class.Name),
-					Reason: "idle and approaching its paid hour boundary",
-					Inputs: map[string]float64{
-						"secsToHourBoundary": float64(vm.SecsToHourBoundary),
-						"windowSec":          float64(window),
-					},
-				})
-			}
+		if err := act.ReleaseVM(vm.ID); err != nil {
+			return err
 		}
+		if sink != nil {
+			sink.Decide(obs.Decision{
+				Kind:   "release",
+				Chosen: fmt.Sprintf("release-vm vm-%d (%s)", vm.ID, vm.Class.Name),
+				Reason: "idle and approaching its paid hour boundary",
+				Inputs: map[string]float64{
+					"secsToHourBoundary": float64(vm.SecsToHourBoundary),
+					"windowSec":          float64(window),
+				},
+			})
+		}
+		// The release changed the fleet list: go on after vm in the new one.
+		vms = v.ActiveVMs()
+		i = sort.Search(len(vms), func(j int) bool { return vms[j].ID > vm.ID })
 	}
 	return nil
 }

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"testing"
 
 	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/dataflow"
-	"dynamicdf/internal/obs"
 	"dynamicdf/internal/rates"
 	"dynamicdf/internal/sim"
 	"dynamicdf/internal/trace"
@@ -436,57 +434,4 @@ func TestConsolidateMatchesReference(t *testing.T) {
 		t.Fatalf("fleets too one-sided: %d consolidated (%d uniform), %d left alone", moved, tiedMoved, stayed)
 	}
 	t.Logf("%d fleets consolidated (%d uniform), %d left alone", moved, tiedMoved, stayed)
-}
-
-// TestAddCoreKeepsFleetSnapshot drives addCore the way the grow loop does —
-// one fleet snapshot, many calls — through every path: a free core, a
-// reservation on a booting VM, an acquisition that boots at once or later,
-// a failed acquisition, and the fleet cap. After each call the snapshot
-// must equal a fresh ActiveVMs.
-func TestAddCoreKeepsFleetSnapshot(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		names := []string{"a", "b", "c", "d"}
-		b := dataflow.NewBuilder()
-		for _, n := range names {
-			b.AddPE(n, dataflow.Alt("x", 1, 0.1, 1))
-		}
-		g := b.Chain(names...).MustBuild()
-		prof, _ := rates.NewConstant(1)
-		e, err := sim.NewEngine(sim.Config{
-			Graph:      g,
-			Menu:       spotMenu(),
-			Inputs:     map[int]rates.Profile{0: prof},
-			HorizonSec: 3600,
-			MaxVMs:     4 + r.Intn(8),
-			ControlFaults: &sim.ControlFaults{
-				Provisioning: &sim.ProvisioningFaults{MeanBootSec: int64(r.Intn(2)) * 120},
-				Acquisition:  &sim.AcquisitionFaults{FailProb: 0.3},
-				Seed:         seed,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, act := sim.NewView(e), sim.NewActions(e)
-		strategy := Global
-		if seed%2 == 0 {
-			strategy = Local
-		}
-		h := MustHeuristic(Options{Strategy: strategy, Adaptive: true,
-			Objective: Objective{OmegaHat: 0.7, Epsilon: 0.05, Sigma: 0.01}})
-		h.scratch.vms = v.ActiveVMsInto(h.scratch.vms[:0])
-		for i := 0; i < 60; i++ {
-			var dec *obs.Decision
-			if r.Intn(2) == 0 {
-				dec = &obs.Decision{}
-			}
-			if _, err := h.addCore(v, act, r.Intn(g.N()), 8*r.Float64(), r.Intn(3) == 0, dec); err != nil {
-				t.Fatalf("seed %d call %d: %v", seed, i, err)
-			}
-			if got, want := h.scratch.vms, v.ActiveVMs(); !slices.Equal(got, want) {
-				t.Fatalf("seed %d call %d: snapshot drifted from the fleet:\ngot  %+v\nwant %+v", seed, i, got, want)
-			}
-		}
-	}
 }

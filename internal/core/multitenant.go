@@ -40,8 +40,9 @@ func (e *DeniedError) Error() string {
 
 // arbitrate rules on tenant ten's request for one more VM. It returns nil
 // on grant and a *DeniedError on deny, emitting provenance for every ruling
-// taken on the scarcity path.
-func (a Arbiter) arbitrate(v *sim.View, ten int, sink sim.DecisionSink) error {
+// taken on the scarcity path. starving is the caller's buffer, one flag per
+// tenant, which the ruling overwrites.
+func (a Arbiter) arbitrate(v *sim.View, ten int, sink sim.DecisionSink, starving []bool) error {
 	maxVMs := v.MaxVMs()
 	active, pending := v.FleetCounts()
 	free := maxVMs - active - pending
@@ -50,7 +51,6 @@ func (a Arbiter) arbitrate(v *sim.View, ten int, sink sim.DecisionSink) error {
 	}
 	n := v.TenantCount()
 	req := v.TenantInfo(ten)
-	starving := make([]bool, n)
 	for i := 0; i < n; i++ {
 		starving[i] = v.TenantMeanOmega(i) < v.TenantInfo(i).OmegaFloor
 	}
@@ -138,11 +138,13 @@ type MultiTenant struct {
 	inner []sim.Scheduler
 	arb   Arbiter
 	// Working memory reused across calls, so a pass that issues no actions
-	// allocates nothing: order's ranking and starvation flags, and one
-	// control per tenant, refilled for each call.
-	idx   []int
-	starv []bool
-	ctls  []tenantControl
+	// allocates nothing: order's ranking and starvation flags, the
+	// arbiter's starvation flags, and one control per tenant, refilled for
+	// each call.
+	idx      []int
+	starv    []bool
+	starving []bool
+	ctls     []tenantControl
 }
 
 // NewMultiTenant builds the multi-tenant policy: inner[i] drives tenant i.
@@ -162,8 +164,8 @@ func NewMultiTenant(inner []sim.Scheduler, arb Arbiter) (*MultiTenant, error) {
 		return nil, fmt.Errorf("core: scarce fraction %v outside (0,1)", arb.ScarceFrac)
 	}
 	n := len(inner)
-	return &MultiTenant{inner: inner, arb: arb,
-		idx: make([]int, n), starv: make([]bool, n), ctls: make([]tenantControl, n)}, nil
+	return &MultiTenant{inner: inner, arb: arb, idx: make([]int, n), starv: make([]bool, n),
+		starving: make([]bool, n), ctls: make([]tenantControl, n)}, nil
 }
 
 // Name implements sim.Scheduler.
@@ -257,7 +259,7 @@ func (c *tenantControl) SelectRoute(group, target int) error {
 // surfaces as an error, which the heuristic's addCore treats as graceful
 // degradation (retry next interval).
 func (c *tenantControl) AcquireVM(className string) (int, error) {
-	if err := c.m.arb.arbitrate(c.v, c.ten, decisionSink(c.act)); err != nil {
+	if err := c.m.arb.arbitrate(c.v, c.ten, decisionSink(c.act), c.m.starving); err != nil {
 		return 0, err
 	}
 	return c.act.AcquireVM(className)

@@ -270,3 +270,38 @@ func TestMultiTenantCheckpointState(t *testing.T) {
 		t.Fatal("stateless tenant accepted a state blob")
 	}
 }
+
+// TestArbiterRulingAllocs: on a scarce fleet every acquisition goes through
+// a fair-share ruling. With no decision sink attached, a grant must allocate
+// nothing; the arbiter reuses the policy's starvation flags.
+func TestArbiterRulingAllocs(t *testing.T) {
+	cfg := mtConfig(t, 1, 1, 3600)
+	cfg.MaxVMs = 8
+	e, err := sim.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, act := sim.NewView(e), sim.NewActions(e)
+	for i := 0; i < 7; i++ {
+		if _, err := act.AcquireVM("m1.small"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := NewMultiTenant([]sim.Scheduler{&scripted{}, &scripted{}}, Arbiter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := &countingControl{menu: v.Menu()}
+	grant := func() {
+		if _, err := m.control(v, ctl, 1).AcquireVM("m1.small"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grant()
+	if ctl.actions != 1 {
+		t.Fatalf("the grant reached the fleet %d times, want 1", ctl.actions)
+	}
+	if allocs := testing.AllocsPerRun(100, grant); allocs != 0 {
+		t.Fatalf("a fair-share grant allocates %v objects, want 0", allocs)
+	}
+}

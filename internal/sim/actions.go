@@ -132,6 +132,7 @@ func (a *Actions) AcquireVM(className string) (int, error) {
 		return 0, err
 	}
 	vm.TraceID = a.e.vmTraceID(vm.ID)
+	a.e.listAcquired(vm)
 	if boot > 0 {
 		a.e.audit(AuditEntry{Action: "pending-vm", VM: vm.ID, N: int(boot), Detail: class.Name})
 	} else {
@@ -153,6 +154,7 @@ func (a *Actions) ReleaseVM(vmID int) error {
 	if err := a.e.fleet.Release(vmID, a.e.clock); err != nil {
 		return err
 	}
+	a.e.listReleased(vmID)
 	a.e.vmMon.Forget(vmID)
 	a.e.netMon.ForgetVM(vmID)
 	a.e.audit(AuditEntry{Action: "release-vm", VM: vmID})
@@ -168,6 +170,7 @@ func (a *Actions) AssignCores(pe, vmID, n int) error {
 	if err := a.e.fleet.AssignCores(vmID, n, a.e.clock); err != nil {
 		return err
 	}
+	a.e.listCoresChanged(vmID)
 	p := &a.e.pes[pe]
 	p.cores[p.ensureSlot(vmID)] += n
 	a.e.audit(AuditEntry{Action: "assign-cores", PE: pe, VM: vmID, N: n})
@@ -195,6 +198,7 @@ func (a *Actions) UnassignCores(pe, vmID, n int) error {
 	if err := a.e.fleet.UnassignCores(vmID, n); err != nil {
 		return err
 	}
+	a.e.listCoresChanged(vmID)
 	if have == n {
 		p.cores[s] = 0
 		if p.queue[s] > 0 {

@@ -171,6 +171,10 @@ func Restore(snap *state.Snapshot, cfg Config) (*Engine, error) {
 	if err := e.fleet.Import(snap.Fleet); err != nil {
 		return nil, fmt.Errorf("sim: restore: %w", err)
 	}
+	// The cells must agree with the fleet they were exported with: each
+	// (PE, VM) pair once, on a VM still running or booting, and a VM's cells
+	// summing to the cores its record holds.
+	cellCores := make([]int, len(e.fleet.All()))
 	for _, cell := range snap.Cores {
 		if cell.PE < 0 || cell.PE >= n {
 			return nil, fmt.Errorf("sim: restore: core cell for PE %d outside graph", cell.PE)
@@ -178,11 +182,28 @@ func Restore(snap *state.Snapshot, cfg Config) (*Engine, error) {
 		if cell.Cores <= 0 {
 			return nil, fmt.Errorf("sim: restore: core cell (%d,%d) has %d cores", cell.PE, cell.VM, cell.Cores)
 		}
-		if _, err := e.fleet.Get(cell.VM); err != nil {
+		vm, err := e.fleet.Get(cell.VM)
+		if err != nil {
 			return nil, fmt.Errorf("sim: restore: core cell for unknown VM %d", cell.VM)
 		}
+		if vm.Stopped() {
+			return nil, fmt.Errorf("sim: restore: core cell (%d,%d) on released VM %d", cell.PE, cell.VM, cell.VM)
+		}
+		if cell.Cores > vm.Class.Cores {
+			return nil, fmt.Errorf("sim: restore: core cell (%d,%d) holds %d cores, VM %d has %d", cell.PE, cell.VM, cell.Cores, cell.VM, vm.Class.Cores)
+		}
 		p := &e.pes[cell.PE]
-		p.cores[p.ensureSlot(cell.VM)] = cell.Cores
+		sl := p.ensureSlot(cell.VM)
+		if p.cores[sl] != 0 {
+			return nil, fmt.Errorf("sim: restore: repeated core cell (%d,%d) for VM %d", cell.PE, cell.VM, cell.VM)
+		}
+		p.cores[sl] = cell.Cores
+		cellCores[cell.VM] += cell.Cores
+	}
+	for id, vm := range e.fleet.All() {
+		if cellCores[id] != vm.UsedCores {
+			return nil, fmt.Errorf("sim: restore: VM %d records %d used cores, its core cells hold %d", id, vm.UsedCores, cellCores[id])
+		}
 	}
 	for _, cell := range snap.Queues {
 		if cell.PE < 0 || cell.PE >= n {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -330,26 +331,21 @@ func TestRestoreSharedSnapshotIsolated(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsMonitorEntriesForUnprobedVMs: the monitors only ever
-// hold active VMs, so a snapshot whose CPU or network entries name a
-// released or still-booting VM is crafted, and restoring it fails with an
-// error that names the VM.
-func TestRestoreRejectsMonitorEntriesForUnprobedVMs(t *testing.T) {
-	cfg := eagerConfig(t, 3)
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Step until the fleet holds an active, a released and a pending VM.
-	active, released, pending := -1, -1, -1
-	var snap *state.Snapshot
-	for c := cfg.IntervalSec; pending < 0 || released < 0 || active < 0; c += cfg.IntervalSec {
+// churnSnapshot steps eagerConfig under churnSched, one interval at a time
+// from the clock the engine is at, until a checkpoint holds an active, a
+// released and a pending VM, and returns that checkpoint with one VM id of
+// each kind.
+func churnSnapshot(t testing.TB, e *Engine, cfg Config) (snap *state.Snapshot, active, released, pending int) {
+	t.Helper()
+	active, released, pending = -1, -1, -1
+	for c := e.Now() + cfg.IntervalSec; pending < 0 || released < 0 || active < 0; c += cfg.IntervalSec {
 		if c > cfg.HorizonSec {
 			t.Fatal("no checkpoint with an active, a released and a pending VM")
 		}
 		if err := e.RunUntil(context.Background(), &churnSched{}, c); err != nil {
 			t.Fatal(err)
 		}
+		var err error
 		if snap, err = e.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
@@ -365,6 +361,21 @@ func TestRestoreRejectsMonitorEntriesForUnprobedVMs(t *testing.T) {
 			}
 		}
 	}
+	return snap, active, released, pending
+}
+
+// TestRestoreRejectsMonitorEntriesForUnprobedVMs: the monitors only ever
+// hold active VMs, so a snapshot whose CPU or network entries name a
+// released or still-booting VM is crafted, and restoring it fails with an
+// error that names the VM.
+func TestRestoreRejectsMonitorEntriesForUnprobedVMs(t *testing.T) {
+	cfg := eagerConfig(t, 3)
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Step until the fleet holds an active, a released and a pending VM.
+	snap, active, released, pending := churnSnapshot(t, e, cfg)
 	if _, err := Restore(snap, cfg); err != nil {
 		t.Fatalf("the untouched snapshot does not restore: %v", err)
 	}
@@ -381,6 +392,60 @@ func TestRestoreRejectsMonitorEntriesForUnprobedVMs(t *testing.T) {
 		}},
 		{"net entry for a pending VM", pending, func(s *state.Snapshot) { s.NetLat = entry(active, pending) }},
 		{"net entry for a released VM", released, func(s *state.Snapshot) { s.NetBW = entry(active, released) }},
+	} {
+		bad := *snap
+		tc.edit(&bad)
+		_, err := Restore(&bad, cfg)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("VM %d", tc.vm)) {
+			t.Errorf("%s: restore error %v, want one naming VM %d", tc.name, err, tc.vm)
+		}
+	}
+}
+
+// TestRestoreRejectsCoreCellsContradictingTheFleet: a core cell is one PE's
+// cores on one VM, and the VM's fleet record counts the cores its cells
+// hold. A snapshot whose cells name a released VM, repeat a (PE, VM) pair,
+// do not sum to a VM's recorded cores, or hold more cores than the VM has
+// is crafted, and restoring it fails with an error that names the VM.
+func TestRestoreRejectsCoreCellsContradictingTheFleet(t *testing.T) {
+	cfg := eagerConfig(t, 3)
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, released, _ := churnSnapshot(t, e, cfg)
+	if _, err := Restore(snap, cfg); err != nil {
+		t.Fatalf("the untouched snapshot does not restore: %v", err)
+	}
+	busy, cell := -1, -1 // an active VM holding cores, and one of its cells
+	for i, c := range snap.Cores {
+		if r := snap.Fleet[c.VM]; r.StopSec < 0 && !r.Pending {
+			busy, cell = c.VM, i
+			break
+		}
+	}
+	if busy < 0 {
+		t.Fatal("no active VM holds cores")
+	}
+	for _, tc := range []struct {
+		name string
+		vm   int
+		edit func(s *state.Snapshot)
+	}{
+		{"a cell on a released VM", released, func(s *state.Snapshot) {
+			s.Cores = append(slices.Clone(s.Cores), state.CoreCell{PE: 0, VM: released, Cores: 1})
+		}},
+		{"a repeated (PE, VM) cell", busy, func(s *state.Snapshot) {
+			s.Cores = append(slices.Clone(s.Cores), s.Cores[cell])
+		}},
+		{"cells an active VM's record does not count", busy, func(s *state.Snapshot) {
+			s.Fleet = slices.Clone(s.Fleet)
+			s.Fleet[busy].UsedCores = 0
+		}},
+		{"a cell holding more cores than its VM has", busy, func(s *state.Snapshot) {
+			s.Cores = slices.Clone(s.Cores)
+			s.Cores[cell].Cores = 1 << 40
+		}},
 	} {
 		bad := *snap
 		tc.edit(&bad)

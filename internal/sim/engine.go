@@ -56,6 +56,10 @@ type Engine struct {
 	gauges        *obs.RunGauges
 	collector     *metrics.Collector
 	stepped       bool
+	// listsBuilt marks fleetLists as built for the current interval; it sits
+	// here, in stepped's padding, to keep the Engine in its allocation size
+	// class.
+	listsBuilt bool
 
 	// Per-stage profiling: profIdx maps the pipeline's stage positions to
 	// the attached profiler's dense indices; nil profiler = zero overhead.
@@ -130,6 +134,10 @@ type Engine struct {
 	// tenViews are the tenant-scoped views View.Tenant hands out, built
 	// once so that scoping a view allocates nothing.
 	tenViews []View
+
+	// fleetLists are the active and pending VM lists every View shares
+	// (fleetlists.go).
+	fleetLists fleetLists
 }
 
 // NewEngine validates the config and prepares an engine.

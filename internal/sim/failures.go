@@ -68,10 +68,10 @@ func (e *Engine) crashDueVMs(sec int64) error {
 	if e.cfg.Failures == nil && e.cfg.Preemption == nil {
 		return nil
 	}
-	for _, vm := range e.fleet.All() {
-		if vm.Stopped() {
-			continue
-		}
+	// A crash releases the VM, which removes it from the live list, so the
+	// walk reads the list afresh and stays at i after each crash.
+	for i := 0; i < len(e.fleet.Live()); {
+		vm := e.fleet.Live()[i]
 		age := int64(-1)
 		if e.cfg.Failures != nil {
 			age = e.cfg.Failures.DeathAgeSec(e.vmTraceID(vm.ID))
@@ -83,6 +83,7 @@ func (e *Engine) crashDueVMs(sec int64) error {
 			}
 		}
 		if age < 0 || sec-vm.StartSec < age {
+			i++
 			continue
 		}
 		action := "crash"

@@ -270,7 +270,7 @@ func (w *oracleSched) checkSnapshot(e *Engine) *state.Snapshot {
 	return snap
 }
 
-func eagerConfig(t *testing.T, seed int64) Config {
+func eagerConfig(t testing.TB, seed int64) Config {
 	w, err := rates.NewWave(6, 3, 900)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/dataflow"
 	"dynamicdf/internal/metrics"
 	"dynamicdf/internal/monitor"
@@ -69,7 +68,7 @@ type stepContext struct {
 
 	// billing.
 	costUSD    float64
-	active     []*cloud.VM
+	activeVMs  int
 	usedCores  int
 	pendingVMs int
 
@@ -104,7 +103,7 @@ func (e *Engine) resetStepContext() *stepContext {
 	c.omega = 0
 	c.totalOut = 0
 	c.costUSD = 0
-	c.active = c.active[:0]
+	c.activeVMs = 0
 	c.usedCores = 0
 	c.pendingVMs = 0
 	c.meanLatency = 0
@@ -121,6 +120,7 @@ func (e *Engine) resetStepContext() *stepContext {
 // step simulates one interval [clock, clock+interval) by running the stage
 // pipeline in order. A stage error aborts the interval (and the run).
 func (e *Engine) step() error {
+	e.listsBuilt = false
 	c := e.resetStepContext()
 	spans := e.cfg.StageSpans && e.tracer != nil
 	for i, st := range stepStages {
@@ -476,10 +476,12 @@ func (e *Engine) processPE(c *stepContext, pe int) {
 func (e *Engine) stageBilling(c *stepContext) error {
 	e.clock += e.cfg.IntervalSec
 	c.costUSD = e.fleet.TotalCost(e.clock)
-	c.active = e.fleet.ActiveInto(c.active)
+	c.activeVMs = e.fleet.ActiveCount()
 	c.pendingVMs = e.fleet.PendingCount()
-	for _, vm := range c.active {
-		c.usedCores += vm.UsedCores
+	for _, vm := range e.fleet.Live() {
+		if !vm.Pending() {
+			c.usedCores += vm.UsedCores
+		}
 	}
 	// Per-tenant core census for spend attribution: sum each tenant's cores
 	// on active VMs (the arena's host flag marks active hosting slots, set
@@ -518,7 +520,11 @@ func (e *Engine) stageObserve(c *stepContext) error {
 		}
 		e.rateEst.Observe(pe, c.extRate[pe]*cf.probeNoise(drawNoiseRate, uint64(pe), e.clock))
 	}
-	for _, vm := range c.active {
+	live := e.fleet.Live()
+	for _, vm := range live {
+		if vm.Pending() {
+			continue
+		}
 		if cf.probeStale(drawStaleCPU, uint64(vm.ID), e.clock) {
 			e.staleProbes++
 			continue
@@ -530,13 +536,18 @@ func (e *Engine) stageObserve(c *stepContext) error {
 	// folds those probes only when a pair is read or checkpointed: the pass
 	// just tells it which VMs are active. Dropped probes are still counted
 	// here, so under stale faults the pass draws every pair's stale flag.
-	for _, vm := range c.active {
-		e.netMon.Observe(vm.ID, e.clock)
+	for _, vm := range live {
+		if !vm.Pending() {
+			e.netMon.Observe(vm.ID, e.clock)
+		}
 	}
 	if cf.probesGoStale() {
-		for i, a := range c.active {
-			for _, b := range c.active[i+1:] {
-				if cf.probeStale(drawStaleNet, uint64(a.ID)<<32|uint64(b.ID), e.clock) {
+		for i, a := range live {
+			if a.Pending() {
+				continue
+			}
+			for _, b := range live[i+1:] {
+				if !b.Pending() && cf.probeStale(drawStaleNet, uint64(a.ID)<<32|uint64(b.ID), e.clock) {
 					e.staleProbes++
 				}
 			}
@@ -603,7 +614,7 @@ func (e *Engine) stageObserve(c *stepContext) error {
 		e.gauges.InputRate.Set(c.totalIn)
 		e.gauges.UsedCores.Set(float64(c.usedCores))
 		e.gauges.PendingVMs.Set(float64(c.pendingVMs))
-		e.gauges.ActiveVMs.Set(float64(len(c.active)))
+		e.gauges.ActiveVMs.Set(float64(c.activeVMs))
 		e.gauges.Backlog.Set(c.totalBacklog)
 		e.gauges.CostUSD.Set(c.costUSD)
 	}
@@ -614,7 +625,7 @@ func (e *Engine) stageObserve(c *stepContext) error {
 		Omega:      c.omega,
 		Gamma:      c.gamma,
 		CostUSD:    c.costUSD,
-		ActiveVMs:  len(c.active),
+		ActiveVMs:  c.activeVMs,
 		PendingVMs: c.pendingVMs,
 		UsedCores:  c.usedCores,
 		InputRate:  c.totalIn,

@@ -136,37 +136,16 @@ type VMInfo struct {
 	StartSec int64
 }
 
-// ActiveVMs lists the running VMs, in id order.
-func (v *View) ActiveVMs() []VMInfo { return v.ActiveVMsInto(nil) }
-
-// ActiveVMsInto appends the running VMs to dst, in id order, and returns it —
-// ActiveVMs for policies reusing a buffer across calls.
-func (v *View) ActiveVMsInto(dst []VMInfo) []VMInfo {
-	for _, vm := range v.e.fleet.All() {
-		if vm.Active() {
-			dst = append(dst, v.vmInfo(vm))
-		}
-	}
-	return dst
-}
+// ActiveVMs lists the running VMs, in id order. The slice is the engine's
+// own, shared by every View of the run, each tenant's included: it is
+// read-only, and valid until the next Control call or interval. The engine
+// builds it at most once per interval.
+func (v *View) ActiveVMs() []VMInfo { return v.e.lists().active }
 
 // FleetCounts returns how many VMs are running and how many are still
 // provisioning, without building either list.
 func (v *View) FleetCounts() (active, pending int) {
 	return v.e.fleet.ActiveCount(), v.e.fleet.PendingCount()
-}
-
-// vmInfo is the scheduler's picture of one VM.
-func (v *View) vmInfo(vm *cloud.VM) VMInfo {
-	return VMInfo{
-		ID:                 vm.ID,
-		Class:              vm.Class,
-		UsedCores:          vm.UsedCores,
-		FreeCores:          vm.FreeCores(),
-		CPUCoeff:           v.e.vmMon.CPUCoeff(vm.ID, 1.0),
-		SecsToHourBoundary: vm.SecondsToHourBoundary(v.e.clock),
-		StartSec:           vm.StartSec,
-	}
 }
 
 // PendingVM describes one VM still provisioning: acquired (and possibly
@@ -185,15 +164,10 @@ type PendingVM struct {
 }
 
 // PendingVMs lists the VMs still provisioning, in id order. Policies use it
-// to avoid double-provisioning while capacity is already on the way.
-func (v *View) PendingVMs() []PendingVM {
-	var out []PendingVM
-	for _, vm := range v.e.fleet.Pending() {
-		out = append(out, PendingVM{ID: vm.ID, Class: vm.Class, UsedCores: vm.UsedCores,
-			ReadySec: vm.ReadySec, StartSec: vm.StartSec})
-	}
-	return out
-}
+// to avoid double-provisioning while capacity is already on the way. Like
+// ActiveVMs, the slice is the engine's own and shared: read-only, and valid
+// until the next Control call or interval.
+func (v *View) PendingVMs() []PendingVM { return v.e.lists().pending }
 
 // VM returns info for one active VM.
 func (v *View) VM(id int) (VMInfo, bool) {
@@ -201,7 +175,7 @@ func (v *View) VM(id int) (VMInfo, bool) {
 	if err != nil || !vm.Active() {
 		return VMInfo{}, false
 	}
-	return v.vmInfo(vm), true
+	return v.e.vmInfo(vm), true
 }
 
 // Assignment is one (VM, cores) slice of a PE's data-parallel allocation.

@@ -10,9 +10,10 @@
 // A Sessions generator implements rates.Profile, so tenants can mix
 // session workloads and legacy rate profiles freely. Like
 // rates.RandomWalk, the generator is a deterministic function of
-// (Spec, Seed): the active-session path is cached and always regenerated
-// from step zero in order, so Rate(sec) is independent of query order and
-// byte-reproducible across runs.
+// (Spec, Seed): the active-session path is generated from step zero in
+// order and cached, and a read past the cache continues the path where it
+// stopped, so Rate(sec) is independent of query order and byte-reproducible
+// across runs.
 package workload
 
 import (
@@ -87,9 +88,15 @@ type Spec struct {
 type Sessions struct {
 	spec Spec
 
-	mu      sync.Mutex
-	active  []float64 // cached active-session counts per step
-	cachedN int
+	mu sync.Mutex
+	// active caches the active-session counts per step generated so far;
+	// src, x, burst and flashLeft are the generator's state after the last
+	// of them, from which the path continues.
+	active    []float64
+	src       rand.Source
+	x         float64
+	burst     bool
+	flashLeft float64
 }
 
 var _ rates.Profile = (*Sessions)(nil)
@@ -223,30 +230,34 @@ func (s *Sessions) Mean() float64 {
 // Name implements rates.Profile.
 func (s *Sessions) Name() string { return "sessions(" + string(s.spec.Model) + ")" }
 
-// ensure extends the cached active-session path to at least n steps.
-// Like rates.RandomWalk, the path is always regenerated from step zero
-// with a fresh seeded source, so the values at any step are independent
-// of the order Rate was called in.
+// ensure extends the cached active-session path to at least n steps. The
+// first extension generates at least 1,024 steps, and each later one at
+// least doubles the cache, so a run that reads the path step by step costs
+// amortized O(1) per step. The source is consumed in step order whatever
+// order Rate is queried in, so every step's value is a pure function of
+// (Spec, step).
 func (s *Sessions) ensure(n int) {
-	if n <= s.cachedN {
+	have := len(s.active)
+	if n <= have {
 		return
 	}
-	if n < 1024 {
-		n = 1024
-	}
 	sp := s.spec
-	rng := rand.New(rand.NewSource(sp.Seed))
-	active := make([]float64, n)
+	if have == 0 {
+		s.src = rand.NewSource(sp.Seed)
+	}
+	// Float64 and NormFloat64 keep no state outside the source, so a fresh
+	// wrapper (which stays on the stack) continues the stream exactly.
+	rng := rand.New(s.src)
+	active := make([]float64, max(n, 1024, 2*have))
+	copy(active, s.active)
 	dt := float64(sp.StepSec)
 	depart := 1 - math.Exp(-dt/sp.MeanSessionSec)
 	var think float64
 	if sp.Model == Closed {
 		think = 1 - math.Exp(-dt/sp.ThinkSec)
 	}
-	x := 0.0
-	burst := false
-	flashLeft := 0.0
-	for i := 0; i < n; i++ {
+	x, burst, flashLeft := s.x, s.burst, s.flashLeft
+	for i := have; i < len(active); i++ {
 		t := int64(i) * sp.StepSec
 		mod := 1.0
 		if sp.Diurnal > 0 {
@@ -292,7 +303,7 @@ func (s *Sessions) ensure(n int) {
 		active[i] = x
 	}
 	s.active = active
-	s.cachedN = n
+	s.x, s.burst, s.flashLeft = x, burst, flashLeft
 }
 
 // poisson draws a Poisson(mean) sample: Knuth's product method for small

@@ -186,3 +186,37 @@ func TestFan(t *testing.T) {
 		t.Fatal("uniform fan should split equally")
 	}
 }
+
+// TestSessionsStepwiseReadsStayLinear reads 100 h session paths minute by
+// minute, as a run at 60 s intervals does: an open model with MMPP bursts
+// and flash crowds, and a closed model. Past its first 1,024-step block the
+// cache must grow geometrically instead of regenerating the path from step
+// zero at every step (which cost ~10,000 allocations per path here), and
+// every value must be bit-equal to the path generated in one pass.
+func TestSessionsStepwiseReadsStayLinear(t *testing.T) {
+	const steps = 100 * 60
+	bursty := openSpec()
+	bursty.BurstFactor, bursty.CalmResidencySec, bursty.BurstResidencySec = 3, 1200, 300
+	bursty.FlashProb, bursty.FlashFactor, bursty.FlashSec = 0.01, 2, 300
+	closed := Spec{Model: Closed, Population: 60, ThinkSec: 600, MeanSessionSec: 600,
+		MsgPerSessionSec: 0.15, Diurnal: 0.5, DiurnalPeriodSec: 36000, Seed: 11}
+	for _, spec := range []Spec{bursty, closed} {
+		got := make([]float64, steps)
+		allocs := testing.AllocsPerRun(1, func() {
+			s := MustNew(spec)
+			for i := range got {
+				got[i] = s.Rate(int64(i) * 60)
+			}
+		})
+		if allocs > 16 {
+			t.Fatalf("%s: reading %d steps one by one made %v allocations (limit 16)", spec.Model, steps, allocs)
+		}
+		onePass := MustNew(spec)
+		onePass.Rate((steps - 1) * 60)
+		for i, v := range got {
+			if want := onePass.Rate(int64(i) * 60); math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("%s step %d: stepwise %v, one pass %v", spec.Model, i, v, want)
+			}
+		}
+	}
+}
