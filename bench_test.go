@@ -62,8 +62,8 @@ func BenchmarkFig4StaticUnderVariability(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(r.Rows[0].Summary.MeanOmega, "bf-omega-novar")
-			b.ReportMetric(r.Rows[len(r.Rows)-1].Summary.MeanOmega, "global-omega-both")
+			b.ReportMetric(r.Rows[0].Omega, "bf-omega-novar")
+			b.ReportMetric(r.Rows[len(r.Rows)-1].Omega, "global-omega-both")
 		}
 	}
 }
@@ -116,7 +116,7 @@ func BenchmarkFig8DollarCost(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(r.Rows[0].Summary.TotalCostUSD, "global-cost-usd")
+			b.ReportMetric(r.Rows[0].CostUSD, "global-cost-usd")
 		}
 	}
 }

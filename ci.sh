@@ -6,7 +6,11 @@
 # submit a 4-job warm-start sweep over HTTP, assert the aggregated output
 # incl. /metrics and the prefix fork count, then repeat it through a fabric
 # coordinator with one worker and assert CSV byte-equality, shut down), a
-# dftrace smoke over the golden fixture, a checkpoint/restore
+# figure golden (dfbench's stdout, the paper's evaluation run as sweep
+# grids, must equal the committed bench_results.txt but for the
+# scalability table's wall-clock Adapt timings, and its eight -csvdir CSVs
+# must be written), a dftrace smoke over the
+# golden fixture, a checkpoint/restore
 # byte-determinism smoke, a restored-vs-cold snapshot equality check, a
 # single-tenant golden diff against the committed pre-refactor fixture (the
 # multi-tenant refactor must stay byte-invisible to single-tenant runs), an
@@ -50,6 +54,28 @@ go run ./cmd/dfserve -selftest
 # recovery within tolerance (OU mean 2%, stddev/regime 10%), and validate a
 # fitted digital twin end to end.
 go run ./cmd/dfcalib -selftest
+
+# Figure golden: the evaluation's tables must not move. dfbench's stdout
+# must equal the committed bench_results.txt, except the scalability
+# table's two Adapt-timing columns (wall clock), masked on both sides.
+# The run also writes the eight plot-ready CSVs (-csvdir), which adds one
+# closing line to its output; each CSV must be there and not empty.
+mask_adapt_timing() {
+    awk '/^Scalability/ { s = 1 } /^$/ { s = 0 } s && NF == 7 && $1 ~ /^[0-9]+$/ { $6 = "-"; $7 = "-" } { print }' "$1"
+}
+figs=$(mktemp -d)
+go run ./cmd/dfbench -csvdir "$figs/csv" > "$figs/out.txt"
+{ mask_adapt_timing bench_results.txt; echo "wrote per-figure CSVs to $figs/csv"; } > "$figs/want.txt"
+mask_adapt_timing "$figs/out.txt" > "$figs/got.txt"
+cmp "$figs/want.txt" "$figs/got.txt" || {
+    diff "$figs/want.txt" "$figs/got.txt" >&2
+    echo "dfbench output moved from bench_results.txt" >&2
+    exit 1
+}
+for f in fig4 fig5 fig6 fig7 fig8 fig9 ablations fault_tolerance; do
+    [ -s "$figs/csv/$f.csv" ] || { echo "dfbench -csvdir wrote no $f.csv" >&2; exit 1; }
+done
+rm -rf "$figs"
 
 # dftrace smoke: the golden capture must replay, render, and self-diff clean.
 go run ./cmd/dftrace cmd/dftrace/testdata/golden.ndjson > /dev/null

@@ -3,18 +3,22 @@
 //
 // Usage:
 //
-//	dfbench [-quick] [-seed N] [-horizon HOURS]
-//	dfbench -sweep {fig5|fig67|faults|SPEC.json} [-sweep-replicas N] [-workers N] [-journal FILE]
+//	dfbench [-quick] [-seed N] [-horizon HOURS] [-only FIG] [-csvdir DIR] [-check]
+//	dfbench -sweep {GRID|SPEC.json} [-sweep-replicas N] [-workers N] [-journal FILE]
 //	dfbench -sweep ... -coordinator URL
 //
 // -quick runs a reduced sweep (shorter horizon, fewer rates) for smoke
-// testing; the default reproduces the full 10-hour evaluation.
+// testing; the default reproduces the full 10-hour evaluation. Figs. 4-8
+// run as the named sweep grids on the campaign engine (internal/sweep),
+// one replica per cell; -csvdir writes each study's plot-ready CSV from
+// the same result its table prints.
 //
-// -sweep switches dfbench from the serial figure runners to the campaign
-// engine (internal/sweep): the named grids re-express the figures as
-// policy x rate x seed campaigns executed on a bounded worker pool, or a
-// sweep spec JSON file runs as-is. With -journal, completed jobs are
-// cached and a re-run only executes what is missing.
+// -sweep prints a campaign's aggregate report instead: a named grid
+// (GRID is one of the names experiments.GridNames lists, the figures'
+// grids among them) with -sweep-replicas seed replicas per cell, or a
+// sweep spec JSON file as-is, executed on a bounded worker pool. With
+// -journal, completed jobs are cached and a re-run only executes what is
+// missing.
 //
 // -coordinator submits the campaign to a running dfserve instead of
 // executing locally: progress streams back over the watch channel and the
@@ -48,9 +52,10 @@ func main() {
 	seed := flag.Int64("seed", 42, "seed for traces and profiles")
 	horizon := flag.Float64("horizon", 0, "override horizon in hours (0 = config default)")
 	only := flag.String("only", "", "run a single figure: 2,3,4,5,6,7,8,9, ft (fault tolerance), latency, spot, scalability, ablations or vmtable")
-	csvDir := flag.String("csvdir", "", "also write plot-ready CSVs for every figure into this directory")
+	csvDir := flag.String("csvdir", "", "also write plot-ready CSVs for every figure run into this directory")
 	check := flag.Bool("check", false, "verify the paper's qualitative claims and print a reproduction scorecard")
-	sweepArg := flag.String("sweep", "", "run a campaign instead of the serial figures: a named grid (fig5, fig67, faults) or a sweep spec JSON file")
+	sweepArg := flag.String("sweep", "", "print a campaign's aggregate report: a named grid ("+
+		strings.Join(experiments.GridNames(), ", ")+") or a sweep spec JSON file")
 	sweepReplicas := flag.Int("sweep-replicas", 3, "seed replicas per grid cell for named grids")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	journal := flag.String("journal", "", "sweep journal file for cached, resumable campaigns")
@@ -73,7 +78,6 @@ func main() {
 		return
 	}
 
-	runAll := *only == ""
 	out := os.Stdout
 
 	if *check {
@@ -92,109 +96,107 @@ func main() {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			log.Fatal(err)
 		}
-		err := experiments.WriteAllCSVs(cfg, func(name string) (io.WriteCloser, error) {
-			return os.Create(filepath.Join(*csvDir, name+".csv"))
-		})
+	}
+	show := func(fig string) bool { return *only == "" || *only == fig }
+	emit := func(r study, err error) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(out, "wrote per-figure CSVs to %s\n", *csvDir)
+		fmt.Fprintln(out, r.Table())
+	}
+	// emitCSV is emit that, with -csvdir, also writes the study's CSV as
+	// name from the same result.
+	emitCSV := func(r csvStudy, err error, name string) {
+		emit(r, err)
+		if *csvDir == "" {
+			return
+		}
+		if err := writeCSV(filepath.Join(*csvDir, name+".csv"), r); err != nil {
+			log.Fatal(err)
+		}
 	}
 
-	if runAll || *only == "vmtable" {
+	if show("vmtable") {
 		fmt.Fprintln(out, experiments.VMClassTable())
 	}
-	if runAll || *only == "2" {
-		r, err := experiments.RunFig2(cfg.Seed, 8)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out, r.Table())
+	if show("2") {
+		emit(experiments.RunFig2(cfg.Seed, 8))
 	}
-	if runAll || *only == "3" {
-		r, err := experiments.RunFig3(cfg.Seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out, r.Table())
+	if show("3") {
+		emit(experiments.RunFig3(cfg.Seed))
 	}
-	if runAll || *only == "4" {
+	if show("4") {
 		r, err := experiments.RunFig4(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out, r.Table())
+		emitCSV(r, err, "fig4")
 	}
-	if runAll || *only == "5" {
+	if show("5") {
 		r, err := experiments.RunFig5(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out, r.Table())
+		emitCSV(r, err, "fig5")
 	}
-	if runAll || *only == "6" {
+	if show("6") {
 		r, err := experiments.RunFig6(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out, r.Table())
+		emitCSV(r, err, "fig6")
 	}
-	if runAll || *only == "7" {
+	if show("7") {
 		r, err := experiments.RunFig7(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out, r.Table())
+		emitCSV(r, err, "fig7")
 	}
-	if runAll || *only == "scalability" {
+	if show("scalability") {
 		r, err := experiments.RunScalability(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out, r.Table())
+		emit(r, err)
 	}
-	if runAll || *only == "ablations" {
+	if show("ablations") {
 		r, err := experiments.RunAblations(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out, r.Table())
+		emitCSV(r, err, "ablations")
 	}
-	if runAll || *only == "latency" {
+	if show("latency") {
 		r, err := experiments.RunLatencyQoS(cfg, 15)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out, r.Table())
+		emit(r, err)
 	}
-	if runAll || *only == "spot" {
+	if show("spot") {
 		r, err := experiments.RunSpotMarket(cfg, 20, 0.3, 1.0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out, r.Table())
+		emit(r, err)
 	}
-	if runAll || *only == "ft" {
+	if show("ft") {
 		r, err := experiments.RunFaultTolerance(cfg, 20, 2)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out, r.Table())
+		emitCSV(r, err, "fault_tolerance")
 	}
-	if runAll || *only == "8" || *only == "9" {
+	if show("8") || *only == "9" {
 		f8, err := experiments.RunFig8(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if runAll || *only == "8" {
-			fmt.Fprintln(out, f8.Table())
+		if show("8") {
+			emitCSV(f8, nil, "fig8")
 		}
-		f9, err := experiments.DeriveFig9(f8)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out, f9.Table())
+		r, err := experiments.DeriveFig9(f8)
+		emitCSV(r, err, "fig9")
 	}
+	if *csvDir != "" {
+		fmt.Fprintf(out, "wrote per-figure CSVs to %s\n", *csvDir)
+	}
+}
+
+// study is what dfbench prints of a figure or study: its table.
+type study interface{ Table() string }
+
+// csvStudy is a study that also has a plot-ready CSV.
+type csvStudy interface {
+	study
+	WriteCSV(io.Writer) error
+}
+
+// writeCSV writes r's CSV to path.
+func writeCSV(path string, r csvStudy) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteCSV(f); err != nil {
+		f.Close()
+		return fmt.Errorf("csv %s: %w", path, err)
+	}
+	return f.Close()
 }
 
 // runSweep resolves arg as a named grid or a sweep spec file and executes

@@ -17,8 +17,8 @@
 //   - the discrete-interval simulator (Config, Engine, View, Actions),
 //   - the paper's policies (Heuristic with local/global strategies,
 //     BruteForce) and objective (Objective, PaperSigma),
-//   - experiment runners that regenerate each figure of the paper's
-//     evaluation (see the Fig* functions).
+//   - sweep campaigns (SweepSpec, SweepEngine), the form in which
+//     cmd/dfbench runs the paper's evaluation.
 //
 // Quickstart:
 //
@@ -46,7 +46,6 @@ import (
 	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/core"
 	"dynamicdf/internal/dataflow"
-	"dynamicdf/internal/experiments"
 	"dynamicdf/internal/invariant"
 	"dynamicdf/internal/metrics"
 	"dynamicdf/internal/obs"
@@ -435,40 +434,6 @@ func NewSessions(spec WorkloadSpec) (*SessionsProfile, error) { return workload.
 func FanProfile(p Profile, weights []float64, k int) ([]Profile, error) {
 	return workload.Fan(p, weights, k)
 }
-
-// Experiments (paper §8).
-type (
-	// ExperimentConfig holds the evaluation sweep settings.
-	ExperimentConfig = experiments.Config
-	// ExperimentResult is one (policy, rate, variability) run row.
-	ExperimentResult = experiments.RunResult
-	// Variability selects a §8 dynamism scenario.
-	Variability = experiments.Variability
-	// PolicyKind enumerates the evaluation's policies.
-	PolicyKind = experiments.PolicyKind
-)
-
-// Experiment scenario and policy enums.
-const (
-	NoVariability    = experiments.NoVariability
-	DataVariability  = experiments.DataVariability
-	InfraVariability = experiments.InfraVariability
-	BothVariability  = experiments.BothVariability
-
-	LocalAdaptive       = experiments.LocalAdaptive
-	GlobalAdaptive      = experiments.GlobalAdaptive
-	LocalAdaptiveNoDyn  = experiments.LocalAdaptiveNoDyn
-	GlobalAdaptiveNoDyn = experiments.GlobalAdaptiveNoDyn
-	LocalStatic         = experiments.LocalStatic
-	GlobalStatic        = experiments.GlobalStatic
-	BruteForceStatic    = experiments.BruteForceStatic
-)
-
-// DefaultExperiments returns the paper's full evaluation configuration.
-func DefaultExperiments() ExperimentConfig { return experiments.Default() }
-
-// QuickExperiments returns a reduced sweep for smoke runs.
-func QuickExperiments() ExperimentConfig { return experiments.Quick() }
 
 // Sweep campaigns (parallel, cached, resumable simulation grids; served
 // over HTTP by cmd/dfserve and run locally by dfbench -sweep).

@@ -94,21 +94,6 @@ func TestPublicAPICustomGraph(t *testing.T) {
 	}
 }
 
-func TestExperimentFacade(t *testing.T) {
-	cfg := dynamicdf.QuickExperiments()
-	cfg.HorizonSec = 3600
-	r, err := cfg.Run(dynamicdf.GlobalAdaptive, 10, dynamicdf.BothVariability)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Policy != "global" {
-		t.Fatalf("policy = %q", r.Policy)
-	}
-	if !r.MeetsOmega {
-		t.Fatalf("omega %.3f", r.Summary.MeanOmega)
-	}
-}
-
 // ExampleNewBuilder demonstrates constructing and running a small dynamic
 // dataflow through the public API.
 func ExampleNewBuilder() {

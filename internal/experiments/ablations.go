@@ -6,10 +6,7 @@ import (
 
 	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/core"
-	"dynamicdf/internal/dataflow"
 	"dynamicdf/internal/metrics"
-	"dynamicdf/internal/rates"
-	"dynamicdf/internal/sim"
 )
 
 // AblationRow is one variant's outcome.
@@ -29,89 +26,58 @@ type AblationResult struct {
 	Rows []AblationRow
 }
 
-// RunAblations executes every variant.
+// RunAblations executes every variant. Each runs the evaluation scenario
+// at 20 msg/s with both variabilities, lowered, with the variant's
+// heuristic options and monitor smoothing applied to the lowered run: the
+// scenario schema carries neither.
 func RunAblations(c Config) (AblationResult, error) {
-	g := dataflow.EvalGraph()
-	hours := float64(c.HorizonSec) / 3600
-	obj, err := core.PaperSigma(g, 20, hours)
+	variants := []struct {
+		name  string
+		opts  func(*core.Options)
+		alpha float64
+	}{
+		{"baseline (paper defaults)", func(*core.Options) {}, 0},
+		{"release immediately (no boundary wait)", func(o *core.Options) {
+			o.ReleaseWindowSec = cloud.SecondsPerHour // any idle VM goes at once
+		}, 0},
+		{"no scale-down hysteresis", func(o *core.Options) { o.Hysteresis = 0.005 }, 0},
+		{"wide hysteresis (0.35)", func(o *core.Options) { o.Hysteresis = 0.35 }, 0},
+		{"alternate stage every interval", func(o *core.Options) { o.AlternatePeriod = 1 }, 0},
+		{"alternate stage every 15 intervals", func(o *core.Options) { o.AlternatePeriod = 15 }, 0},
+		{"no consolidation", func(o *core.Options) { o.NoConsolidate = true }, 0},
+		{"jumpy monitoring (alpha 0.95)", func(*core.Options) {}, 0.95},
+		{"sluggish monitoring (alpha 0.1)", func(*core.Options) {}, 0.1},
+	}
+
+	sc, err := c.evalScenario(c.rate(20), c.variability("both"), policies["global"])
 	if err != nil {
 		return AblationResult{}, err
 	}
-	base := core.Options{Strategy: core.Global, Dynamic: true, Adaptive: true, Objective: obj}
-
-	variants := []struct {
-		name  string
-		opts  func() core.Options
-		alpha float64
-	}{
-		{"baseline (paper defaults)", func() core.Options { return base }, 0},
-		{"release immediately (no boundary wait)", func() core.Options {
-			o := base
-			o.ReleaseWindowSec = cloud.SecondsPerHour // any idle VM goes at once
-			return o
-		}, 0},
-		{"no scale-down hysteresis", func() core.Options {
-			o := base
-			o.Hysteresis = 0.005
-			return o
-		}, 0},
-		{"wide hysteresis (0.35)", func() core.Options {
-			o := base
-			o.Hysteresis = 0.35
-			return o
-		}, 0},
-		{"alternate stage every interval", func() core.Options {
-			o := base
-			o.AlternatePeriod = 1
-			return o
-		}, 0},
-		{"alternate stage every 15 intervals", func() core.Options {
-			o := base
-			o.AlternatePeriod = 15
-			return o
-		}, 0},
-		{"no consolidation", func() core.Options {
-			o := base
-			o.NoConsolidate = true
-			return o
-		}, 0},
-		{"jumpy monitoring (alpha 0.95)", func() core.Options { return base }, 0.95},
-		{"sluggish monitoring (alpha 0.1)", func() core.Options { return base }, 0.1},
-	}
-
 	var out AblationResult
 	for _, vnt := range variants {
-		h, err := core.NewHeuristic(vnt.opts())
+		b, err := sc.Lower(nil)
+		if err != nil {
+			return AblationResult{}, err
+		}
+		opts := core.Options{Strategy: core.Global, Dynamic: true, Adaptive: true, Objective: b.Objective}
+		vnt.opts(&opts)
+		h, err := core.NewHeuristic(opts)
 		if err != nil {
 			return AblationResult{}, fmt.Errorf("ablation %q: %w", vnt.name, err)
 		}
-		prof, err := c.profile(BothVariability, 20)
-		if err != nil {
+		b.Config.MonitorAlpha = vnt.alpha
+		if err := b.BuildEngine(); err != nil {
 			return AblationResult{}, err
 		}
-		cfg := sim.Config{
-			Graph:        g,
-			Menu:         cloud.MustMenu(cloud.AWS2013Classes()),
-			Perf:         c.perf(BothVariability),
-			Inputs:       map[int]rates.Profile{g.Inputs()[0]: prof},
-			IntervalSec:  c.IntervalSec,
-			HorizonSec:   c.HorizonSec,
-			Seed:         c.Seed,
-			MonitorAlpha: vnt.alpha,
-		}
-		engine, err := sim.NewEngine(cfg)
-		if err != nil {
-			return AblationResult{}, err
-		}
-		sum, err := engine.Run(h)
+		sum, err := b.Engine.Run(h)
 		if err != nil {
 			return AblationResult{}, fmt.Errorf("ablation %q: %w", vnt.name, err)
 		}
 		out.Rows = append(out.Rows, AblationRow{
 			Variant: vnt.name,
 			Summary: sum,
-			Theta:   obj.Theta(sum.MeanGamma, sum.TotalCostUSD),
-			Meets:   obj.MeetsConstraint(sum.MeanOmega),
+			Theta:   b.Objective.Theta(sum.MeanGamma, sum.TotalCostUSD),
+			Meets:   b.Objective.MeetsConstraint(sum.MeanOmega),
 		})
 	}
 	return out, nil

@@ -32,7 +32,7 @@ func (s Scorecard) Passed() int {
 
 // CheckClaims runs the evaluation and verifies the paper's qualitative
 // claims programmatically — a reproduction scorecard. It reuses the figure
-// runners, so one invocation costs roughly one full dfbench run.
+// runners, so one invocation costs the Figs. 4-8 grids of a dfbench run.
 func CheckClaims(c Config) (Scorecard, error) {
 	var sc Scorecard
 	add := func(id, statement string, pass bool, detail string, args ...any) {
@@ -50,7 +50,7 @@ func CheckClaims(c Config) (Scorecard, error) {
 	var bfTheta, bestOtherTheta float64
 	for _, row := range f4.Rows {
 		switch row.Scenario {
-		case NoVariability:
+		case "none":
 			if !row.MeetsOmega {
 				noVarAllMeet = false
 			}
@@ -59,7 +59,7 @@ func CheckClaims(c Config) (Scorecard, error) {
 			} else if row.Theta > bestOtherTheta {
 				bestOtherTheta = row.Theta
 			}
-		case BothVariability:
+		case "both":
 			if row.MeetsOmega {
 				anyVarAllMiss = false
 			}
@@ -86,10 +86,10 @@ func CheckClaims(c Config) (Scorecard, error) {
 		var lo, hi float64
 		for _, row := range f5.Rows {
 			if row.Policy == policy && row.Rate == lowRate {
-				lo = row.Summary.MeanOmega
+				lo = row.Omega
 			}
 			if row.Policy == policy && row.Rate == highRate {
-				hi = row.Summary.MeanOmega
+				hi = row.Omega
 			}
 		}
 		if hi > lo+1e-9 {
@@ -118,7 +118,7 @@ func CheckClaims(c Config) (Scorecard, error) {
 			theta[row.Policy][row.Rate] = row.Theta
 		}
 		add(figCase.name+"-adaptive-holds",
-			"both adaptive heuristics keep the constraint under "+r.Scenario.String()+" variability",
+			"both adaptive heuristics keep the constraint under "+r.Scenario+" variability",
 			allMeet, "all rows MET: %v", allMeet)
 		globalWins := true
 		for _, rate := range c.Rates {

@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
 
-// WriteCSV streams the run rows of a figure for external plotting:
+// writeRunRows streams the run rows of a figure for external plotting:
 // one row per (policy, rate, scenario) with the summary columns.
 func writeRunRows(w io.Writer, rows []RunResult) error {
 	cw := csv.NewWriter(w)
@@ -20,14 +19,14 @@ func writeRunRows(w io.Writer, rows []RunResult) error {
 		rec := []string{
 			r.Policy,
 			f(r.Rate),
-			r.Scenario.String(),
-			f(r.Summary.MeanOmega),
-			f(r.Summary.MinOmega),
-			f(r.Summary.MeanGamma),
-			f(r.Summary.TotalCostUSD),
+			r.Scenario,
+			f(r.Omega),
+			f(r.MinOmega),
+			f(r.Gamma),
+			f(r.CostUSD),
 			f(r.Theta),
 			strconv.FormatBool(r.MeetsOmega),
-			strconv.Itoa(r.Summary.PeakVMs),
+			strconv.Itoa(r.PeakVMs),
 		}
 		if err := cw.Write(rec); err != nil {
 			return err
@@ -124,9 +123,9 @@ func (r FaultToleranceResult) WriteCSV(w io.Writer) error {
 	for _, row := range r.Rows {
 		rec := []string{
 			row.Policy,
-			f(row.Summary.MeanOmega),
-			f(row.Summary.MeanGamma),
-			f(row.Summary.TotalCostUSD),
+			f(row.Omega),
+			f(row.Gamma),
+			f(row.CostUSD),
 			f(row.Theta),
 			strconv.FormatBool(row.MeetsOmega),
 			strconv.Itoa(row.Crashes),
@@ -138,83 +137,4 @@ func (r FaultToleranceResult) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// Ensure the interface is satisfied uniformly.
-type csvWriter interface{ WriteCSV(io.Writer) error }
-
-var _ = []csvWriter{
-	Fig4Result{}, Fig5Result{}, FigAdaptiveResult{}, Fig8Result{},
-	Fig9Result{}, ScalabilityResult{}, AblationResult{}, FaultToleranceResult{},
-}
-
-// WriteAllCSVs runs the full evaluation and writes one CSV per figure via
-// open, which maps a short name ("fig4", "fig9", "scalability", ...) to a
-// writer. It lets cmd/dfbench dump a plot-ready directory.
-func WriteAllCSVs(c Config, open func(name string) (io.WriteCloser, error)) error {
-	emit := func(name string, r csvWriter) error {
-		w, err := open(name)
-		if err != nil {
-			return err
-		}
-		if err := r.WriteCSV(w); err != nil {
-			_ = w.Close()
-			return fmt.Errorf("experiments: csv %s: %w", name, err)
-		}
-		return w.Close()
-	}
-	f4, err := RunFig4(c)
-	if err != nil {
-		return err
-	}
-	if err := emit("fig4", f4); err != nil {
-		return err
-	}
-	f5, err := RunFig5(c)
-	if err != nil {
-		return err
-	}
-	if err := emit("fig5", f5); err != nil {
-		return err
-	}
-	f6, err := RunFig6(c)
-	if err != nil {
-		return err
-	}
-	if err := emit("fig6", f6); err != nil {
-		return err
-	}
-	f7, err := RunFig7(c)
-	if err != nil {
-		return err
-	}
-	if err := emit("fig7", f7); err != nil {
-		return err
-	}
-	f8, err := RunFig8(c)
-	if err != nil {
-		return err
-	}
-	if err := emit("fig8", f8); err != nil {
-		return err
-	}
-	f9, err := DeriveFig9(f8)
-	if err != nil {
-		return err
-	}
-	if err := emit("fig9", f9); err != nil {
-		return err
-	}
-	ab, err := RunAblations(c)
-	if err != nil {
-		return err
-	}
-	if err := emit("ablations", ab); err != nil {
-		return err
-	}
-	ft, err := RunFaultTolerance(c, 20, 2)
-	if err != nil {
-		return err
-	}
-	return emit("fault_tolerance", ft)
 }

@@ -1,21 +1,18 @@
-// Package experiments reproduces the paper's evaluation (§8): every figure
-// has a runner that builds the scenario — the Fig. 1 dataflow scaled to the
-// evaluation's alternate ladders, AWS-like VM classes, FutureGrid-calibrated
-// performance traces, and the three data-rate profiles — executes the
-// policies under comparison, and returns the same rows/series the paper
-// plots. cmd/dfbench prints them; EXPERIMENTS.md records paper-vs-measured.
+// Package experiments reproduces the paper's evaluation (§8). Every run is
+// a scenario: the Fig. 1 dataflow scaled to the evaluation's alternate
+// ladders, AWS-like VM classes, FutureGrid-calibrated performance traces,
+// and the paper's data-rate profiles, resolved from one base document and
+// merge patches (grids.go). Figs. 4-8 run as sweep grids on the campaign
+// engine; the extension studies lower their scenarios and run them with
+// what the schema does not carry. cmd/dfbench prints the rows and series
+// the paper reports; EXPERIMENTS.md records paper-vs-measured.
 package experiments
 
 import (
 	"fmt"
 
-	"dynamicdf/internal/cloud"
-	"dynamicdf/internal/core"
-	"dynamicdf/internal/dataflow"
-	"dynamicdf/internal/metrics"
 	"dynamicdf/internal/rates"
-	"dynamicdf/internal/sim"
-	"dynamicdf/internal/trace"
+	"dynamicdf/internal/sweep"
 )
 
 // Config holds the evaluation-wide knobs; Default() mirrors §8.
@@ -29,21 +26,15 @@ type Config struct {
 	Seed int64
 	// Rates is the data-rate sweep (msg/s).
 	Rates []float64
-	// WaveAmplitudeFrac sizes the periodic wave relative to the mean.
-	WaveAmplitudeFrac float64
-	// WavePeriodSec is the wave period.
-	WavePeriodSec int64
 }
 
 // Default returns the paper's evaluation settings.
 func Default() Config {
 	return Config{
-		HorizonSec:        10 * 3600,
-		IntervalSec:       60,
-		Seed:              42,
-		Rates:             rates.PaperDataRates(),
-		WaveAmplitudeFrac: 0.4,
-		WavePeriodSec:     1800,
+		HorizonSec:  10 * 3600,
+		IntervalSec: 60,
+		Seed:        42,
+		Rates:       rates.PaperDataRates(),
 	}
 }
 
@@ -56,88 +47,14 @@ func Quick() Config {
 	return c
 }
 
-// Variability selects which §8 dynamism sources a scenario enables.
-type Variability int
-
-const (
-	// NoVariability: constant data rate, ideal infrastructure.
-	NoVariability Variability = iota
-	// DataVariability: periodic wave + random-walk input, ideal cloud.
-	DataVariability
-	// InfraVariability: constant rate, replayed performance traces.
-	InfraVariability
-	// BothVariability: variable input on a variable cloud.
-	BothVariability
-)
-
-// String implements fmt.Stringer.
-func (v Variability) String() string {
-	switch v {
-	case NoVariability:
-		return "none"
-	case DataVariability:
-		return "data"
-	case InfraVariability:
-		return "infra"
-	case BothVariability:
-		return "both"
-	}
-	return "unknown"
-}
-
-// profile builds the input profile a scenario uses at the given mean rate.
-// Data-varying scenarios superimpose the paper's periodic wave on a random
-// walk (both §8.1 workloads); constant scenarios use the flat profile.
-func (c Config) profile(v Variability, mean float64) (rates.Profile, error) {
-	switch v {
-	case DataVariability, BothVariability:
-		w, err := rates.NewWave(mean, c.WaveAmplitudeFrac*mean, c.WavePeriodSec)
-		if err != nil {
-			return nil, err
-		}
-		// Start at the trough: the initial rate estimate a static
-		// deployment provisions for is genuinely below what arrives later,
-		// as with any stream whose volume grows after submission.
-		w.PhaseSec = 3 * c.WavePeriodSec / 4
-		rw, err := rates.NewRandomWalk(mean, 0.08, c.IntervalSec, c.Seed+int64(mean*100))
-		if err != nil {
-			return nil, err
-		}
-		// Average the two so the mean stays at the requested rate while
-		// both periodic and stochastic variation are present.
-		return &mixed{a: w, b: rw}, nil
-	default:
-		return rates.NewConstant(mean)
-	}
-}
-
-// mixed averages two profiles.
-type mixed struct{ a, b rates.Profile }
-
-func (m *mixed) Rate(sec int64) float64 { return (m.a.Rate(sec) + m.b.Rate(sec)) / 2 }
-func (m *mixed) Mean() float64          { return (m.a.Mean() + m.b.Mean()) / 2 }
-func (m *mixed) Name() string           { return "wave+walk" }
-
-// perf builds the infrastructure provider for a scenario.
-func (c Config) perf(v Variability) trace.Provider {
-	switch v {
-	case InfraVariability, BothVariability:
-		return trace.MustReplayed(trace.ReplayedConfig{Seed: c.Seed})
-	default:
-		return trace.NewIdeal()
-	}
-}
-
-// RunResult is one (policy, scenario) execution.
+// RunResult is one row of the evaluation: a policy's run at one rate under
+// one variability, with the outcome its sweep job reports.
 type RunResult struct {
-	Policy       string
-	Rate         float64
-	Scenario     Variability
-	Summary      metrics.Summary
-	Theta        float64
-	MeetsOmega   bool
-	ObjSigma     float64
-	HorizonHours float64
+	Policy string
+	Rate   float64
+	// Scenario names the run's variability: none, data, infra or both.
+	Scenario string
+	sweep.Result
 }
 
 // String renders the run as one table row.
@@ -147,117 +64,5 @@ func (r RunResult) String() string {
 		met = "MISS"
 	}
 	return fmt.Sprintf("%-22s rate=%4.0f var=%-5s omega=%.3f %s gamma=%.3f cost=$%7.2f theta=%+.4f",
-		r.Policy, r.Rate, r.Scenario, r.Summary.MeanOmega, met, r.Summary.MeanGamma,
-		r.Summary.TotalCostUSD, r.Theta)
-}
-
-// PolicyKind enumerates the evaluation's policies.
-type PolicyKind int
-
-const (
-	// LocalAdaptive is the local heuristic with runtime adaptation and
-	// dynamism.
-	LocalAdaptive PolicyKind = iota
-	// GlobalAdaptive is the global heuristic with runtime adaptation and
-	// dynamism.
-	GlobalAdaptive
-	// LocalAdaptiveNoDyn disables alternate selection (ablation).
-	LocalAdaptiveNoDyn
-	// GlobalAdaptiveNoDyn disables alternate selection (ablation).
-	GlobalAdaptiveNoDyn
-	// LocalStatic deploys once with the local heuristic.
-	LocalStatic
-	// GlobalStatic deploys once with the global heuristic.
-	GlobalStatic
-	// BruteForceStatic is the exhaustive static baseline.
-	BruteForceStatic
-)
-
-// String implements fmt.Stringer.
-func (p PolicyKind) String() string {
-	switch p {
-	case LocalAdaptive:
-		return "local"
-	case GlobalAdaptive:
-		return "global"
-	case LocalAdaptiveNoDyn:
-		return "local-nodyn"
-	case GlobalAdaptiveNoDyn:
-		return "global-nodyn"
-	case LocalStatic:
-		return "local-static"
-	case GlobalStatic:
-		return "global-static"
-	case BruteForceStatic:
-		return "bruteforce-static"
-	}
-	return "unknown"
-}
-
-// build constructs the scheduler for a policy kind.
-func (c Config) build(p PolicyKind, obj core.Objective) (sim.Scheduler, error) {
-	hours := float64(c.HorizonSec) / 3600
-	switch p {
-	case BruteForceStatic:
-		return core.NewBruteForce(obj, hours)
-	case LocalStatic:
-		return core.NewHeuristic(core.Options{Strategy: core.Local, Dynamic: true, Adaptive: false, Objective: obj})
-	case GlobalStatic:
-		return core.NewHeuristic(core.Options{Strategy: core.Global, Dynamic: true, Adaptive: false, Objective: obj})
-	case LocalAdaptive:
-		return core.NewHeuristic(core.Options{Strategy: core.Local, Dynamic: true, Adaptive: true, Objective: obj})
-	case GlobalAdaptive:
-		return core.NewHeuristic(core.Options{Strategy: core.Global, Dynamic: true, Adaptive: true, Objective: obj})
-	case LocalAdaptiveNoDyn:
-		return core.NewHeuristic(core.Options{Strategy: core.Local, Dynamic: false, Adaptive: true, Objective: obj})
-	case GlobalAdaptiveNoDyn:
-		return core.NewHeuristic(core.Options{Strategy: core.Global, Dynamic: false, Adaptive: true, Objective: obj})
-	}
-	return nil, fmt.Errorf("experiments: unknown policy %d", p)
-}
-
-// Run executes one (policy, rate, variability) scenario on the evaluation
-// dataflow and returns the result row.
-func (c Config) Run(p PolicyKind, rate float64, v Variability) (RunResult, error) {
-	g := dataflow.EvalGraph()
-	hours := float64(c.HorizonSec) / 3600
-	obj, err := core.PaperSigma(g, rate, hours)
-	if err != nil {
-		return RunResult{}, err
-	}
-	sched, err := c.build(p, obj)
-	if err != nil {
-		return RunResult{}, err
-	}
-	prof, err := c.profile(v, rate)
-	if err != nil {
-		return RunResult{}, err
-	}
-	cfg := sim.Config{
-		Graph:       g,
-		Menu:        cloud.MustMenu(cloud.AWS2013Classes()),
-		Perf:        c.perf(v),
-		Inputs:      map[int]rates.Profile{g.Inputs()[0]: prof},
-		IntervalSec: c.IntervalSec,
-		HorizonSec:  c.HorizonSec,
-		Seed:        c.Seed,
-	}
-	engine, err := sim.NewEngine(cfg)
-	if err != nil {
-		return RunResult{}, err
-	}
-	sum, err := engine.Run(sched)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{
-		Policy:       sched.Name(),
-		Rate:         rate,
-		Scenario:     v,
-		Summary:      sum,
-		Theta:        obj.Theta(sum.MeanGamma, sum.TotalCostUSD),
-		MeetsOmega:   obj.MeetsConstraint(sum.MeanOmega),
-		ObjSigma:     obj.Sigma,
-		HorizonHours: hours,
-	}, nil
+		r.Policy, r.Rate, r.Scenario, r.Omega, met, r.Gamma, r.CostUSD, r.Theta)
 }

@@ -3,12 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"dynamicdf/internal/cloud"
-	"dynamicdf/internal/core"
-	"dynamicdf/internal/dataflow"
-	"dynamicdf/internal/rates"
-	"dynamicdf/internal/sim"
 )
 
 // FaultToleranceResult extends the evaluation along the paper's §9 future
@@ -29,58 +23,31 @@ type FaultRow struct {
 }
 
 // RunFaultTolerance compares static and adaptive policies (with and
-// without dynamism) under VM crashes at the given data rate.
+// without dynamism) under VM crashes at the given data rate, on an ideal
+// cloud with a constant input: the scenario's failureMTBFHours.
 func RunFaultTolerance(c Config, rate float64, mtbfHours float64) (FaultToleranceResult, error) {
 	if mtbfHours <= 0 {
 		return FaultToleranceResult{}, fmt.Errorf("experiments: mtbf %v <= 0", mtbfHours)
 	}
-	g := dataflow.EvalGraph()
-	hours := float64(c.HorizonSec) / 3600
-	obj, err := core.PaperSigma(g, rate, hours)
-	if err != nil {
-		return FaultToleranceResult{}, err
-	}
+	crashes := patch(fmt.Sprintf(`{"failureMTBFHours": %g}`, mtbfHours))
 	out := FaultToleranceResult{MTBFHours: mtbfHours}
-	for _, p := range []PolicyKind{GlobalStatic, GlobalAdaptiveNoDyn, GlobalAdaptive} {
-		sched, err := c.build(p, obj)
+	for _, policy := range []string{"global-static", "global-nodyn", "global"} {
+		sc, err := c.evalScenario(c.rate(rate), crashes, policies[policy])
 		if err != nil {
 			return FaultToleranceResult{}, err
 		}
-		prof, err := rates.NewConstant(rate)
+		b, err := sc.Build()
 		if err != nil {
 			return FaultToleranceResult{}, err
 		}
-		engine, err := sim.NewEngine(sim.Config{
-			Graph:       g,
-			Menu:        cloud.MustMenu(cloud.AWS2013Classes()),
-			Perf:        c.perf(NoVariability),
-			Inputs:      map[int]rates.Profile{g.Inputs()[0]: prof},
-			IntervalSec: c.IntervalSec,
-			HorizonSec:  c.HorizonSec,
-			Seed:        c.Seed,
-			Failures:    sim.ExponentialFailures{MTBFSec: int64(mtbfHours * 3600), Seed: c.Seed},
-		})
+		sum, err := b.Engine.Run(b.Scheduler)
 		if err != nil {
 			return FaultToleranceResult{}, err
 		}
-		sum, err := engine.Run(sched)
-		if err != nil {
-			return FaultToleranceResult{}, err
-		}
-		out.Rows = append(out.Rows, FaultRow{
-			RunResult: RunResult{
-				Policy:       sched.Name(),
-				Rate:         rate,
-				Scenario:     NoVariability,
-				Summary:      sum,
-				Theta:        obj.Theta(sum.MeanGamma, sum.TotalCostUSD),
-				MeetsOmega:   obj.MeetsConstraint(sum.MeanOmega),
-				ObjSigma:     obj.Sigma,
-				HorizonHours: hours,
-			},
-			Crashes:      engine.Crashes(),
-			LostMessages: engine.LostMessages(),
-		})
+		row := FaultRow{RunResult: RunResult{Policy: policy, Rate: rate, Scenario: "none"},
+			Crashes: b.Engine.Crashes(), LostMessages: b.Engine.LostMessages()}
+		row.SetSummary(b, sum)
+		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }

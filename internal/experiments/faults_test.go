@@ -32,20 +32,20 @@ func TestFaultToleranceShapes(t *testing.T) {
 	// The static deployment cannot replace dead VMs: it ends far below the
 	// adaptive policies and misses the constraint.
 	if static.MeetsOmega {
-		t.Fatalf("static met the constraint through crashes: omega %.3f", static.Summary.MeanOmega)
+		t.Fatalf("static met the constraint through crashes: omega %.3f", static.Omega)
 	}
-	if static.Summary.MeanOmega >= dyn.Summary.MeanOmega {
-		t.Fatalf("static omega %.3f not below adaptive %.3f", static.Summary.MeanOmega, dyn.Summary.MeanOmega)
+	if static.Omega >= dyn.Omega {
+		t.Fatalf("static omega %.3f not below adaptive %.3f", static.Omega, dyn.Omega)
 	}
 	// Adaptive policies re-provision and keep the constraint.
 	if !dyn.MeetsOmega || !nodyn.MeetsOmega {
 		t.Fatalf("adaptive missed under failures: dyn %.3f nodyn %.3f",
-			dyn.Summary.MeanOmega, nodyn.Summary.MeanOmega)
+			dyn.Omega, nodyn.Omega)
 	}
 	// Dynamism keeps recovery no more expensive.
-	if dyn.Summary.TotalCostUSD > nodyn.Summary.TotalCostUSD+1e-9 {
+	if dyn.CostUSD > nodyn.CostUSD+1e-9 {
 		t.Fatalf("dynamism made recovery costlier: $%.2f vs $%.2f",
-			dyn.Summary.TotalCostUSD, nodyn.Summary.TotalCostUSD)
+			dyn.CostUSD, nodyn.CostUSD)
 	}
 	if !strings.Contains(r.Table(), "Fault tolerance") {
 		t.Fatal("table header missing")

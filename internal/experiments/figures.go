@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 
 	"dynamicdf/internal/cloud"
+	"dynamicdf/internal/scenario"
+	"dynamicdf/internal/sweep"
 	"dynamicdf/internal/trace"
 )
 
@@ -94,6 +97,54 @@ func (r Fig3Result) Table() string {
 	return b.String()
 }
 
+// runGrid runs a figure's grid on the campaign engine and returns one row
+// per job, in the figure's order. A figure grid sweeps its policies on its
+// first axis, while a figure lists every policy under each of its other
+// coordinates, so the rows are the jobs transposed. It takes what a Grid
+// function returns as it is, so that function's error comes back unchanged.
+func runGrid(spec *sweep.Spec, err error) ([]RunResult, error) {
+	if err != nil {
+		return nil, err
+	}
+	jobs, err := spec.Expand()
+	if err != nil {
+		return nil, err
+	}
+	rep, err := new(sweep.Engine).RunCampaign(context.Background(), spec, jobs, sweep.RunOpts{})
+	if err != nil {
+		return nil, err
+	}
+	policies := spec.Axes[0].Values
+	per := len(jobs) / len(policies)
+	rows := make([]RunResult, 0, len(jobs))
+	for k := range jobs {
+		p := k % len(policies)
+		i := p*per + k/len(policies)
+		res := rep.Results[i]
+		if res.Error != "" {
+			return nil, fmt.Errorf("experiments: %s job %s: %s", spec.Name, res.JobID, res.Error)
+		}
+		sc := jobs[i].Scenario
+		rows = append(rows, RunResult{Policy: policies[p].Label, Rate: sc.Rate.Mean, Scenario: variabilityOf(sc), Result: res})
+	}
+	return rows, nil
+}
+
+// variabilityOf names the §8 dynamism a scenario enables (see
+// Config.variability).
+func variabilityOf(sc *scenario.Scenario) string {
+	data, infra := sc.Rate.Kind == "wavewalk", sc.Infra.Kind == "replayed"
+	switch {
+	case data && infra:
+		return "both"
+	case data:
+		return "data"
+	case infra:
+		return "infra"
+	}
+	return "none"
+}
+
 // Fig4Result compares static deployments under the four variability
 // scenarios at a fixed 5 msg/s (paper Fig. 4).
 type Fig4Result struct {
@@ -103,26 +154,21 @@ type Fig4Result struct {
 // RunFig4 executes {bruteforce, local-static, global-static} x {none, data,
 // infra, both} at 5 msg/s.
 func RunFig4(c Config) (Fig4Result, error) {
-	policies := []PolicyKind{BruteForceStatic, LocalStatic, GlobalStatic}
-	scenarios := []Variability{NoVariability, DataVariability, InfraVariability, BothVariability}
-	var out Fig4Result
-	for _, v := range scenarios {
-		for _, p := range policies {
-			r, err := c.Run(p, 5, v)
-			if err != nil {
-				return Fig4Result{}, fmt.Errorf("fig4 %v/%v: %w", p, v, err)
-			}
-			out.Rows = append(out.Rows, r)
-		}
-	}
-	return out, nil
+	rows, err := runGrid(GridFig4(c, 1))
+	return Fig4Result{Rows: rows}, err
 }
 
 // Table renders Fig. 4.
 func (r Fig4Result) Table() string {
+	return rowsTable("Fig 4 — relative throughput of static deployments under variability (5 msg/s, omega-hat 0.7)", r.Rows)
+}
+
+// rowsTable renders a title line and one line per row.
+func rowsTable(title string, rows []RunResult) string {
 	var b strings.Builder
-	b.WriteString("Fig 4 — relative throughput of static deployments under variability (5 msg/s, omega-hat 0.7)\n")
-	for _, row := range r.Rows {
+	b.WriteString(title)
+	b.WriteByte('\n')
+	for _, row := range rows {
 		b.WriteString(row.String())
 		b.WriteByte('\n')
 	}
@@ -137,77 +183,48 @@ type Fig5Result struct {
 
 // RunFig5 sweeps the configured rates for the three static policies.
 func RunFig5(c Config) (Fig5Result, error) {
-	policies := []PolicyKind{BruteForceStatic, LocalStatic, GlobalStatic}
-	var out Fig5Result
-	for _, rate := range c.Rates {
-		for _, p := range policies {
-			r, err := c.Run(p, rate, NoVariability)
-			if err != nil {
-				return Fig5Result{}, fmt.Errorf("fig5 %v@%v: %w", p, rate, err)
-			}
-			out.Rows = append(out.Rows, r)
-		}
-	}
-	return out, nil
+	rows, err := runGrid(GridFig5(c, 1))
+	return Fig5Result{Rows: rows}, err
 }
 
 // Table renders Fig. 5.
 func (r Fig5Result) Table() string {
-	var b strings.Builder
-	b.WriteString("Fig 5 — relative throughput of static deployments vs data rate (no variability)\n")
-	for _, row := range r.Rows {
-		b.WriteString(row.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return rowsTable("Fig 5 — relative throughput of static deployments vs data rate (no variability)", r.Rows)
 }
 
 // FigAdaptiveResult compares the adaptive local and global heuristics
 // across data rates under one variability scenario (paper Figs. 6 and 7).
 type FigAdaptiveResult struct {
-	Scenario Variability
+	// Scenario names the variability: infra (Fig. 6) or data (Fig. 7).
+	Scenario string
 	Rows     []RunResult
 }
 
 // RunFig6 compares local vs global adaptation under infrastructure
 // variability.
 func RunFig6(c Config) (FigAdaptiveResult, error) {
-	return runAdaptive(c, InfraVariability)
+	return runAdaptive(c, "infra")
 }
 
 // RunFig7 compares local vs global adaptation under data-rate variability
 // on a steady cloud ("a local cluster or an exclusive private cloud").
 func RunFig7(c Config) (FigAdaptiveResult, error) {
-	return runAdaptive(c, DataVariability)
+	return runAdaptive(c, "data")
 }
 
-func runAdaptive(c Config, v Variability) (FigAdaptiveResult, error) {
-	out := FigAdaptiveResult{Scenario: v}
-	for _, rate := range c.Rates {
-		for _, p := range []PolicyKind{LocalAdaptive, GlobalAdaptive} {
-			r, err := c.Run(p, rate, v)
-			if err != nil {
-				return FigAdaptiveResult{}, fmt.Errorf("adaptive %v@%v: %w", p, rate, err)
-			}
-			out.Rows = append(out.Rows, r)
-		}
-	}
-	return out, nil
+// runAdaptive runs the Figs. 6-7 grid's cells of one variability.
+func runAdaptive(c Config, variability string) (FigAdaptiveResult, error) {
+	rows, err := runGrid(c.adaptiveGrid(1, variability))
+	return FigAdaptiveResult{Scenario: variability, Rows: rows}, err
 }
 
 // Table renders Figs. 6/7.
 func (r FigAdaptiveResult) Table() string {
-	var b strings.Builder
 	fig := "Fig 6"
-	if r.Scenario == DataVariability {
+	if r.Scenario == "data" {
 		fig = "Fig 7"
 	}
-	fmt.Fprintf(&b, "%s — local vs global adaptive heuristics (%s variability): omega and theta vs rate\n", fig, r.Scenario)
-	for _, row := range r.Rows {
-		b.WriteString(row.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return rowsTable(fmt.Sprintf("%s — local vs global adaptive heuristics (%s variability): omega and theta vs rate", fig, r.Scenario), r.Rows)
 }
 
 // Fig8Result records dollars spent over the horizon per heuristic per rate
@@ -219,29 +236,13 @@ type Fig8Result struct {
 // RunFig8 sweeps {global, global-nodyn, local, local-nodyn} across rates
 // with both variabilities active, as the paper's 10-hour cost comparison.
 func RunFig8(c Config) (Fig8Result, error) {
-	policies := []PolicyKind{GlobalAdaptive, GlobalAdaptiveNoDyn, LocalAdaptive, LocalAdaptiveNoDyn}
-	var out Fig8Result
-	for _, rate := range c.Rates {
-		for _, p := range policies {
-			r, err := c.Run(p, rate, BothVariability)
-			if err != nil {
-				return Fig8Result{}, fmt.Errorf("fig8 %v@%v: %w", p, rate, err)
-			}
-			out.Rows = append(out.Rows, r)
-		}
-	}
-	return out, nil
+	rows, err := runGrid(GridFig8(c, 1))
+	return Fig8Result{Rows: rows}, err
 }
 
 // Table renders Fig. 8.
 func (r Fig8Result) Table() string {
-	var b strings.Builder
-	b.WriteString("Fig 8 — dollar cost over the optimization period vs data rate (both variabilities)\n")
-	for _, row := range r.Rows {
-		b.WriteString(row.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return rowsTable("Fig 8 — dollar cost over the optimization period vs data rate (both variabilities)", r.Rows)
 }
 
 // Fig9Result derives the cost benefit of application dynamism (paper
@@ -255,15 +256,6 @@ type Fig9Result struct {
 	GlobalVsLocalNoDyn []float64 // percent
 }
 
-// RunFig9 derives the savings from a Fig. 8 sweep.
-func RunFig9(c Config) (Fig9Result, error) {
-	f8, err := RunFig8(c)
-	if err != nil {
-		return Fig9Result{}, err
-	}
-	return DeriveFig9(f8)
-}
-
 // DeriveFig9 computes savings percentages from Fig. 8 rows.
 func DeriveFig9(f8 Fig8Result) (Fig9Result, error) {
 	cost := map[string]map[float64]float64{}
@@ -273,7 +265,7 @@ func DeriveFig9(f8 Fig8Result) (Fig9Result, error) {
 		if cost[row.Policy] == nil {
 			cost[row.Policy] = map[float64]float64{}
 		}
-		cost[row.Policy][row.Rate] = row.Summary.TotalCostUSD
+		cost[row.Policy][row.Rate] = row.CostUSD
 		if !seen[row.Rate] {
 			seen[row.Rate] = true
 			rs = append(rs, row.Rate)

@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"dynamicdf/internal/cloud"
-	"dynamicdf/internal/core"
-	"dynamicdf/internal/dataflow"
 	"dynamicdf/internal/metrics"
 	"dynamicdf/internal/rates"
-	"dynamicdf/internal/sim"
 )
 
 // LatencyRow is one latency-bound setting's outcome.
@@ -31,20 +27,18 @@ type LatencyQoSResult struct {
 	Rows []LatencyRow
 }
 
-// RunLatencyQoS executes the sweep at the given rate.
+// RunLatencyQoS executes the sweep at the given rate. Each bound is the
+// scenario's latencyHatSec on an ideal cloud; the spiky input, which the
+// scenario schema cannot express, replaces the lowered run's constant one.
 func RunLatencyQoS(c Config, rate float64) (LatencyQoSResult, error) {
-	g := dataflow.EvalGraph()
-	hours := float64(c.HorizonSec) / 3600
 	out := LatencyQoSResult{Rate: rate}
 	for _, bound := range []float64{0, 120, 30, 10} {
-		obj, err := core.PaperSigma(g, rate, hours)
+		sc, err := c.evalScenario(c.rate(rate), policies["global"],
+			patch(fmt.Sprintf(`{"latencyHatSec": %g}`, bound)))
 		if err != nil {
 			return LatencyQoSResult{}, err
 		}
-		obj.LatencyHatSec = bound
-		h, err := core.NewHeuristic(core.Options{
-			Strategy: core.Global, Dynamic: true, Adaptive: true, Objective: obj,
-		})
+		b, err := sc.Lower(nil)
 		if err != nil {
 			return LatencyQoSResult{}, err
 		}
@@ -56,26 +50,18 @@ func RunLatencyQoS(c Config, rate float64) (LatencyQoSResult, error) {
 		if err != nil {
 			return LatencyQoSResult{}, err
 		}
-		engine, err := sim.NewEngine(sim.Config{
-			Graph:       g,
-			Menu:        cloud.MustMenu(cloud.AWS2013Classes()),
-			Perf:        c.perf(NoVariability),
-			Inputs:      map[int]rates.Profile{g.Inputs()[0]: prof},
-			IntervalSec: c.IntervalSec,
-			HorizonSec:  c.HorizonSec,
-			Seed:        c.Seed,
-		})
-		if err != nil {
+		b.Config.Inputs = map[int]rates.Profile{b.Graph.Inputs()[0]: prof}
+		if err := b.BuildEngine(); err != nil {
 			return LatencyQoSResult{}, err
 		}
-		sum, err := engine.Run(h)
+		sum, err := b.Engine.Run(b.Scheduler)
 		if err != nil {
 			return LatencyQoSResult{}, err
 		}
 		out.Rows = append(out.Rows, LatencyRow{
 			BoundSec:    bound,
 			MeanLatency: sum.MeanLatencySec,
-			P95Latency:  engine.Collector().Quantile(0.95, func(p metrics.Point) float64 { return p.LatencySec }),
+			P95Latency:  b.Engine.Collector().Quantile(0.95, func(p metrics.Point) float64 { return p.LatencySec }),
 			MeanOmega:   sum.MeanOmega,
 			CostUSD:     sum.TotalCostUSD,
 		})

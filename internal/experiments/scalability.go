@@ -5,10 +5,9 @@ import (
 	"strings"
 	"time"
 
-	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/core"
 	"dynamicdf/internal/dataflow"
-	"dynamicdf/internal/rates"
+	"dynamicdf/internal/scenario"
 	"dynamicdf/internal/sim"
 )
 
@@ -59,7 +58,10 @@ func (t *timedScheduler) Adapt(v *sim.View, act sim.Control) error {
 }
 
 // RunScalability sweeps instance sizes: (width, depth, rate) tuples chosen
-// so the largest instance drives the fleet into the hundreds of VMs.
+// so the largest instance drives the fleet into the hundreds of VMs. Each
+// is the evaluation scenario on a layered dataflow with infrastructure
+// variability; the heuristic's growth cap and the Adapt timer, which the
+// scenario schema does not carry, wrap the built run's policy.
 func RunScalability(c Config) (ScalabilityResult, error) {
 	shapes := []struct {
 		width, depth, alts int
@@ -72,48 +74,34 @@ func RunScalability(c Config) (ScalabilityResult, error) {
 		{8, 4, 10, 150},
 	}
 	// Decision latency stabilizes within the first hour; a fixed horizon
-	// keeps the big-fleet instances affordable (the engine's pairwise
-	// network monitoring is O(VMs^2) per interval).
+	// keeps the big-fleet instances affordable.
 	c.HorizonSec = 3600
 	var out ScalabilityResult
 	for _, s := range shapes {
-		g := dataflow.LayeredGraph(s.width, s.depth, s.alts)
-		hours := float64(c.HorizonSec) / 3600
-		obj, err := core.PaperSigma(g, s.rate, hours)
+		sc, err := c.evalScenario(c.rate(s.rate), c.variability("infra"), policies["global"],
+			patch(`{"maxVMs": 2048}`))
+		if err != nil {
+			return ScalabilityResult{}, err
+		}
+		sc.Graph, sc.Choices = scenario.FromGraph(dataflow.LayeredGraph(s.width, s.depth, s.alts))
+		b, err := sc.Build()
 		if err != nil {
 			return ScalabilityResult{}, err
 		}
 		h, err := core.NewHeuristic(core.Options{
-			Strategy: core.Global, Dynamic: true, Adaptive: true, Objective: obj,
+			Strategy: core.Global, Dynamic: true, Adaptive: true, Objective: b.Objective,
 			MaxGrowPerInterval: 512,
 		})
 		if err != nil {
 			return ScalabilityResult{}, err
 		}
 		timed := &timedScheduler{inner: h}
-		prof, err := rates.NewConstant(s.rate)
-		if err != nil {
-			return ScalabilityResult{}, err
-		}
-		engine, err := sim.NewEngine(sim.Config{
-			Graph:       g,
-			Menu:        cloud.MustMenu(cloud.AWS2013Classes()),
-			Perf:        c.perf(InfraVariability),
-			Inputs:      map[int]rates.Profile{g.Inputs()[0]: prof},
-			IntervalSec: c.IntervalSec,
-			HorizonSec:  c.HorizonSec,
-			Seed:        c.Seed,
-			MaxVMs:      2048,
-		})
-		if err != nil {
-			return ScalabilityResult{}, err
-		}
-		sum, err := engine.Run(timed)
+		sum, err := b.Engine.Run(timed)
 		if err != nil {
 			return ScalabilityResult{}, err
 		}
 		row := ScalabilityRow{
-			PEs:        g.N(),
+			PEs:        b.Graph.N(),
 			Alternates: s.alts,
 			Rate:       s.rate,
 			PeakVMs:    sum.PeakVMs,

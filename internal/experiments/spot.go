@@ -3,12 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"dynamicdf/internal/cloud"
-	"dynamicdf/internal/core"
-	"dynamicdf/internal/dataflow"
-	"dynamicdf/internal/rates"
-	"dynamicdf/internal/sim"
 )
 
 // SpotRow is one policy's outcome on a cloud with a spot market.
@@ -29,7 +23,9 @@ type SpotMarketResult struct {
 	Rows          []SpotRow
 }
 
-// RunSpotMarket executes the comparison at the given rate.
+// RunSpotMarket executes the comparison at the given rate, with both
+// variabilities: the scenario's spot block offers the market, and its
+// policy spills headroom onto it or not.
 func RunSpotMarket(c Config, rate, priceFraction, preemptMTBFHours float64) (SpotMarketResult, error) {
 	if priceFraction <= 0 || priceFraction >= 1 {
 		return SpotMarketResult{}, fmt.Errorf("experiments: spot price fraction %v outside (0,1)", priceFraction)
@@ -37,60 +33,29 @@ func RunSpotMarket(c Config, rate, priceFraction, preemptMTBFHours float64) (Spo
 	if preemptMTBFHours <= 0 {
 		return SpotMarketResult{}, fmt.Errorf("experiments: preemption MTBF %v <= 0", preemptMTBFHours)
 	}
-	g := dataflow.EvalGraph()
-	hours := float64(c.HorizonSec) / 3600
-	obj, err := core.PaperSigma(g, rate, hours)
-	if err != nil {
-		return SpotMarketResult{}, err
-	}
-	menu := cloud.MustMenu(cloud.WithSpotMarket(cloud.AWS2013Classes(), priceFraction))
+	market := patch(fmt.Sprintf(`{"spot": {"priceFraction": %g, "preemptMTBFHours": %g}}`, priceFraction, preemptMTBFHours))
 	out := SpotMarketResult{PriceFraction: priceFraction, MTBFHours: preemptMTBFHours}
 	for _, useSpot := range []bool{false, true} {
-		h, err := core.NewHeuristic(core.Options{
-			Strategy: core.Global, Dynamic: true, Adaptive: true,
-			Objective: obj, UseSpot: useSpot,
-		})
+		sc, err := c.evalScenario(c.rate(rate), c.variability("both"), market, policies["global"],
+			patch(fmt.Sprintf(`{"policy": {"useSpot": %t}}`, useSpot)))
 		if err != nil {
 			return SpotMarketResult{}, err
 		}
-		prof, err := c.profile(BothVariability, rate)
+		b, err := sc.Build()
 		if err != nil {
 			return SpotMarketResult{}, err
 		}
-		engine, err := sim.NewEngine(sim.Config{
-			Graph:       g,
-			Menu:        menu,
-			Perf:        c.perf(BothVariability),
-			Inputs:      map[int]rates.Profile{g.Inputs()[0]: prof},
-			IntervalSec: c.IntervalSec,
-			HorizonSec:  c.HorizonSec,
-			Seed:        c.Seed,
-			Preemption:  sim.ExponentialFailures{MTBFSec: int64(preemptMTBFHours * 3600), Seed: c.Seed},
-		})
+		sum, err := b.Engine.Run(b.Scheduler)
 		if err != nil {
 			return SpotMarketResult{}, err
 		}
-		sum, err := engine.Run(h)
-		if err != nil {
-			return SpotMarketResult{}, err
-		}
-		name := "global (on-demand only)"
+		row := SpotRow{RunResult: RunResult{Policy: "global (on-demand only)", Rate: rate, Scenario: "both"},
+			Preemptions: b.Engine.Preemptions()}
 		if useSpot {
-			name = "global + spot spill"
+			row.Policy = "global + spot spill"
 		}
-		out.Rows = append(out.Rows, SpotRow{
-			RunResult: RunResult{
-				Policy:       name,
-				Rate:         rate,
-				Scenario:     BothVariability,
-				Summary:      sum,
-				Theta:        obj.Theta(sum.MeanGamma, sum.TotalCostUSD),
-				MeetsOmega:   obj.MeetsConstraint(sum.MeanOmega),
-				ObjSigma:     obj.Sigma,
-				HorizonHours: hours,
-			},
-			Preemptions: engine.Preemptions(),
-		})
+		row.SetSummary(b, sum)
+		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }

@@ -25,11 +25,11 @@ func TestSpotMarketShapes(t *testing.T) {
 	// Both hold the constraint; spot must be cheaper.
 	if !onDemand.MeetsOmega || !spot.MeetsOmega {
 		t.Fatalf("constraint missed: ondemand %.3f spot %.3f",
-			onDemand.Summary.MeanOmega, spot.Summary.MeanOmega)
+			onDemand.Omega, spot.Omega)
 	}
-	if spot.Summary.TotalCostUSD >= onDemand.Summary.TotalCostUSD {
+	if spot.CostUSD >= onDemand.CostUSD {
 		t.Fatalf("spot $%.2f not cheaper than on-demand $%.2f",
-			spot.Summary.TotalCostUSD, onDemand.Summary.TotalCostUSD)
+			spot.CostUSD, onDemand.CostUSD)
 	}
 	if !strings.Contains(r.Table(), "Spot market") {
 		t.Fatal("table header missing")

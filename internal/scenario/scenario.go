@@ -298,23 +298,32 @@ func (sc *Scenario) Build() (*Built, error) { return sc.BuildWith(nil) }
 // of the campaign the scenario runs in: scenarios that replay the same
 // config share one read-only provider. A nil pools generates afresh, as
 // Build does. The run is the same either way. It is Lower followed by
-// sim.NewEngine on the lowered Config.
+// BuildEngine.
 func (sc *Scenario) BuildWith(pools *trace.Pools) (*Built, error) {
 	b, err := sc.Lower(pools)
 	if err != nil {
 		return nil, err
 	}
-	if b.Engine, err = sim.NewEngine(b.Config); err != nil {
+	if err := b.BuildEngine(); err != nil {
 		return nil, err
 	}
 	return b, nil
+}
+
+// BuildEngine builds Engine from Config. BuildWith does so for the scenario
+// as lowered; a caller of Lower that first sets engine options the schema
+// does not carry on Config (monitor smoothing, a hand-made input profile)
+// calls it after setting them.
+func (b *Built) BuildEngine() (err error) {
+	b.Engine, err = sim.NewEngine(b.Config)
+	return err
 }
 
 // Lower validates the scenario and lowers it onto a sim.Config, a scheduler
 // and its objectives, drawing replayed infrastructure from pools as
 // BuildWith does, but builds no engine: Built.Engine is nil. A caller that
 // restores a checkpoint (sim.Restore) or sets engine options on the Config
-// builds its one engine from Built.Config itself.
+// builds its one engine from Built.Config itself (see BuildEngine).
 func (sc *Scenario) Lower(pools *trace.Pools) (*Built, error) {
 	if len(sc.Tenants) > 0 {
 		if len(sc.Graph.PEs) > 0 {
@@ -492,7 +501,8 @@ func (r RateSpec) profile(intervalSec int64) (rates.Profile, error) {
 			return nil, err
 		}
 		// Start at the trough so a static deployment provisions below the
-		// rates that arrive later (as in the experiments package).
+		// rates that arrive later, as with any stream whose volume grows
+		// after submission.
 		w.PhaseSec = 3 * period / 4
 		step := r.StepFrac
 		if step == 0 {

@@ -41,6 +41,9 @@ type Result struct {
 	MeanVMs    float64 `json:"meanVms"`
 	LatencySec float64 `json:"latencySec"`
 	MeetsOmega bool    `json:"meetsOmega"`
+	// PeakVMs is the largest fleet the run held. Omitted when zero, so a
+	// journal entry written before the field existed re-encodes unchanged.
+	PeakVMs int `json:"peakVms,omitempty"`
 	// Violations counts invariant violations the scenario's checker
 	// recorded (0 when the scenario has no check block). A strict checker
 	// also sets Error, since the run aborts at the first violation.
@@ -465,16 +468,16 @@ func ExecuteJob(ctx context.Context, job Job, snap *state.Snapshot, tracer *obs.
 		res.Error = err.Error()
 		return res, false
 	}
-	res.setSummary(built, sum)
+	res.SetSummary(built, sum)
 	if gauges != nil {
 		gauges.Theta.Set(res.Theta)
 	}
 	return res, false
 }
 
-// setSummary fills a job's outcome from its run's summary, judged against
+// SetSummary fills a job's outcome from its run's summary, judged against
 // the scenario's objectives.
-func (res *Result) setSummary(built *scenario.Built, sum metrics.Summary) {
+func (res *Result) SetSummary(built *scenario.Built, sum metrics.Summary) {
 	res.Intervals = sum.Intervals
 	res.Theta = built.Objective.Theta(sum.MeanGamma, sum.TotalCostUSD)
 	res.Omega = sum.MeanOmega
@@ -483,6 +486,7 @@ func (res *Result) setSummary(built *scenario.Built, sum metrics.Summary) {
 	res.CostUSD = sum.TotalCostUSD
 	res.UsedCores = sum.MeanUsedCores
 	res.MeanVMs = sum.MeanVMs
+	res.PeakVMs = sum.PeakVMs
 	res.LatencySec = sum.MeanLatencySec
 	res.MeetsOmega = built.Objective.MeetsConstraint(sum.MeanOmega)
 	for i, ts := range sum.Tenants {

@@ -50,7 +50,7 @@ func rowsKeepingResult(t *testing.T, job Job, snap *state.Snapshot) Result {
 		t.Fatalf("%s: the rows-keeping engine holds %d rows for %d intervals", job.ID, n, sum.Intervals)
 	}
 	res.Violations = built.Engine.InvariantViolations()
-	res.setSummary(built, sum)
+	res.SetSummary(built, sum)
 	return res
 }
 
