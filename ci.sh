@@ -18,18 +18,20 @@
 # checked for kept Ω floors and fair-share rulings), the dfcalib
 # calibration loopback (parameter recovery + digital-twin validation), the
 # invariant-conservation, snapshot-decoder, Prometheus-importer,
-# sweep-expansion, sweep-spec execution and fabric results-wire fuzz
-# passes, the zero-alloc
+# sweep-expansion, sweep-spec execution, event-encoder and fabric
+# results-wire fuzz passes, the zero-alloc
 # guarantees for the disabled-tracer, disabled-checker, and detached
 # stage-profiler hot paths plus the steady-state large-DAG and 8-tenant
-# steps themselves, an attached-profiler overhead-ratio guard, an
+# steps themselves, attached-profiler and attached-tracer overhead-ratio
+# guards, allocation guards on a traced event and a metrics CSV, an
 # allocation and adapt/step ratio guard on the global heuristic's Adapt at
 # 1000 PEs and on 16 tenants' Adapt against the 8-tenant step, a memory
 # and deploy/step ratio guard on its Deploy (Alg. 1's
 # planner) on the same DAG, an allocations-per-job guard on expanding the
 # fig67 sweep grid, a bytes-per-job guard on running one cold sweep job,
-# and an engine-step, per-run, Adapt, Deploy, Expand and sweep-job
-# benchmark snapshot written to BENCH_step.json. Run from the repo root.
+# and an engine-step, per-run, Adapt, Deploy, Expand, sweep-job and
+# output-encoder benchmark snapshot written to BENCH_step.json. Run from
+# the repo root.
 set -eu
 
 fmt=$(gofmt -l .)
@@ -185,6 +187,12 @@ go test ./internal/sweep -run '^$' -fuzz 'FuzzExpand' -fuzztime 10s
 # invariant checker without a panic or a violated law.
 go test ./internal/sweep -run '^$' -fuzz 'FuzzSweepSpec' -fuzztime 10s
 
+# Event-encoder fuzzing: the tracer appends obs/v1 lines itself. On events
+# built from arbitrary bytes (control bytes, HTML characters, invalid UTF-8,
+# U+2028, floats at the format cutoffs, NaN and infinities, decisions) it
+# must write exactly json.Encoder's bytes, or fail with the same error.
+go test ./internal/obs -run '^$' -fuzz 'FuzzAppendEvent' -fuzztime 10s
+
 # Results-wire fuzzing: the coordinator takes NDJSON result lines over HTTP.
 # Arbitrary bytes must never panic the route, every non-blank line gets one
 # ack, and a leased job's first delivery is acked, every later one a
@@ -335,12 +343,13 @@ echo "$mtstepbench" | grep -q ' 0 allocs/op' || {
 
 # The scheduler must keep pace on a shared fleet too: one converged Adapt
 # of 16 tenants' global heuristics (14-PE graphs, a 400-VM fleet at its
-# cap, fair-share rulings on every acquisition) may allocate at most 52
+# cap, fair-share rulings on every acquisition) may allocate at most 8
 # objects and cost at most 10x the multi-tenant engine step above (observed
-# 44 allocations and ~2-4x). What allocates is the arbiter's denials and
-# the fleet's refusals at the cap; a fresh starvation slice per ruling made
-# it 59. Every tenant reads the engine's one active-VM list; 16 private
-# copies rebuilt three times an interval cost ~7-11x.
+# 0 allocations and ~1-2x). The arbiter's denials and the fleet's refusals
+# at the cap hand out errors built once; a new error per denial and
+# refusal made it 44, and a fresh starvation slice per ruling 59. Every
+# tenant reads the engine's one active-VM list; 16 private copies rebuilt
+# three times an interval cost ~7-11x.
 mtadaptbench=$(go test ./internal/core -run '^$' -bench 'BenchmarkAdaptMultiTenant' -benchtime 100x -benchmem)
 echo "$mtadaptbench"
 printf '%s\n%s\n' "$mtstepbench" "$mtadaptbench" | awk '
@@ -351,8 +360,8 @@ printf '%s\n%s\n' "$mtstepbench" "$mtadaptbench" | awk '
         if (step == "" || adapt == "" || allocs == "") { print "multi-tenant adapt guard: benchmarks missing" > "/dev/stderr"; exit 1 }
         ratio = adapt / step
         printf "multi-tenant adapt/step ratio: %.2fx, %d allocs per adapt\n", ratio, allocs
-        if (allocs > 52) {
-            printf "converged multi-tenant Adapt allocates %d objects (limit 52)\n", allocs > "/dev/stderr"
+        if (allocs > 8) {
+            printf "converged multi-tenant Adapt allocates %d objects (limit 8)\n", allocs > "/dev/stderr"
             exit 1
         }
         if (ratio > 10.0) {
@@ -364,28 +373,70 @@ printf '%s\n%s\n' "$mtstepbench" "$mtadaptbench" | awk '
 # An attached stage profiler must stay cheap: with allocation sampling it
 # reads the heap counter on ~1/31st of calls, so a profiled run may cost at
 # most 8x a bare one (observed ~4x; the pre-sampling regression was well
-# past this). An attached strict checker must not allocate per step: a
-# checked run may allocate at most 8 objects more than a bare one (observed
-# 5; the fleet law's per-step map and tally made it ~64). Both sides of each
-# guard come from one invocation so machine noise largely cancels.
-bench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkEngineRun/(bare|checker|profiler)$' -benchtime 200x -benchmem)
+# past this). An attached tracer must stay cheap too: a traced run may cost
+# at most 2.5x a bare one and allocate at most 8 objects more (observed
+# ~1.1-1.8x and 1 more; encoding each event through reflective
+# encoding/json cost ~4-5.8x and 129 more). An attached strict checker
+# must not allocate per step: a checked run may allocate at most 8 objects
+# more than a bare one (observed 5; the fleet law's per-step map and tally
+# made it ~64). Both sides of each guard come from one invocation so
+# machine noise largely cancels.
+bench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkEngineRun/(bare|tracer|checker|profiler)$' -benchtime 200x -benchmem)
 echo "$bench"
 echo "$bench" | awk '
     function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
     /^BenchmarkEngineRun\/bare/     { off = field("ns/op"); offAllocs = field("allocs/op") }
+    /^BenchmarkEngineRun\/tracer/   { traced = field("ns/op"); traceAllocs = field("allocs/op") }
     /^BenchmarkEngineRun\/checker/  { checkAllocs = field("allocs/op") }
     /^BenchmarkEngineRun\/profiler/ { on = field("ns/op") }
     END {
-        if (off == "" || on == "" || offAllocs == "" || checkAllocs == "") { print "run guards: benchmarks missing" > "/dev/stderr"; exit 1 }
+        if (off == "" || on == "" || offAllocs == "" || checkAllocs == "" || traced == "" || traceAllocs == "") { print "run guards: benchmarks missing" > "/dev/stderr"; exit 1 }
         ratio = on / off
         printf "profiler overhead ratio: %.2fx\n", ratio
         if (ratio > 8.0) {
             printf "attached stage profiler costs %.2fx the bare run (limit 8.0x)\n", ratio > "/dev/stderr"
             exit 1
         }
+        ratio = traced / off
+        printf "tracer overhead ratio: %.2fx, %d allocations per run vs %d bare\n", ratio, traceAllocs, offAllocs
+        if (ratio > 2.5) {
+            printf "attached tracer costs %.2fx the bare run (limit 2.5x)\n", ratio > "/dev/stderr"
+            exit 1
+        }
+        if (traceAllocs > offAllocs + 8) {
+            printf "a traced run allocates %d objects, bare %d (limit bare + 8)\n", traceAllocs, offAllocs > "/dev/stderr"
+            exit 1
+        }
         printf "checker allocations: %d per run vs %d bare\n", checkAllocs, offAllocs
         if (checkAllocs > offAllocs + 8) {
             printf "a strict-checked run allocates %d objects, bare %d (limit bare + 8)\n", checkAllocs, offAllocs > "/dev/stderr"
+            exit 1
+        }
+    }'
+
+# A run's output encoders: one traced event (a mix of spans, a control
+# action and a decision) must allocate nothing, and one metrics CSV of a
+# tenants-scarce-sized collector (180 rows, 16 tenants, 59 columns) at most
+# 64 objects whatever its row count (observed 53: three header names per
+# tenant and the writers' buffers; a string per cell made it ~20,900).
+encbench=$({
+    go test ./internal/obs -run '^$' -bench 'BenchmarkTracerEmit' -benchtime 100000x -benchmem
+    go test ./internal/metrics -run '^$' -bench 'BenchmarkWriteCSV' -benchtime 200x -benchmem
+})
+echo "$encbench"
+echo "$encbench" | awk '
+    function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
+    /^BenchmarkTracerEmit/ { emitAllocs = field("allocs/op") }
+    /^BenchmarkWriteCSV/   { csvAllocs = field("allocs/op") }
+    END {
+        if (emitAllocs == "" || csvAllocs == "") { print "encoder guards: benchmarks missing" > "/dev/stderr"; exit 1 }
+        printf "encoders: %d allocations per traced event, %d per metrics CSV\n", emitAllocs, csvAllocs
+        if (emitAllocs > 0) {
+            printf "an attached tracer allocates %d objects per event (limit 0)\n", emitAllocs > "/dev/stderr"
+            exit 1
+        }
+        if (csvAllocs > 64) {
+            printf "a metrics CSV allocates %d objects (limit 64)\n", csvAllocs > "/dev/stderr"
             exit 1
         }
     }'
@@ -396,14 +447,14 @@ poolbench=$(go test ./internal/trace -run '^$' -bench 'BenchmarkNewReplayed' -be
 echo "$poolbench"
 
 # Benchmark snapshot: run the engine-step and per-run benchmark suites with
-# -benchmem, add the Adapt, Deploy, Expand, ExecuteJob and NewReplayed
-# benchmarks measured above, and record ns/op, B/op, allocs/op per
-# benchmark as BENCH_step.json, so perf regressions show up in review
-# diffs. Each row names what one op is: an engine step, a whole one-hour
-# run, one disabled-hook call, one Adapt call, one Deploy, one expansion of
-# the 96-job fig67 grid, one sweep job, or one generated trace pool. The
-# numbers are machine-dependent; the file is a tracked observation, not a
-# gate.
+# -benchmem, add the Adapt, Deploy, Expand, ExecuteJob, NewReplayed,
+# TracerEmit and WriteCSV benchmarks measured above, and record ns/op, B/op,
+# allocs/op per benchmark as BENCH_step.json, so perf regressions show up in
+# review diffs. Each row names what one op is: an engine step, a whole
+# one-hour run, one disabled-hook call, one Adapt call, one Deploy, one
+# expansion of the 96-job fig67 grid, one sweep job, one generated trace
+# pool, one traced event, or one metrics CSV. The numbers are
+# machine-dependent; the file is a tracked observation, not a gate.
 {
     go test ./internal/sim -run '^$' -bench 'BenchmarkEngine(Step|Run)' -benchtime 100x -benchmem
     echo "$adaptbench"
@@ -412,6 +463,7 @@ echo "$poolbench"
     echo "$expandbench"
     echo "$jobbench"
     echo "$poolbench"
+    echo "$encbench"
 } | awk '
     function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
     BEGIN { print "[" }
@@ -423,6 +475,8 @@ echo "$poolbench"
         else if (name ~ /^BenchmarkExpand/) unit = "expand"
         else if (name ~ /^BenchmarkExecuteJob/) unit = "job"
         else if (name ~ /^BenchmarkNewReplayed/) unit = "pool"
+        else if (name ~ /^BenchmarkTracerEmit/) unit = "event"
+        else if (name ~ /^BenchmarkWriteCSV/) unit = "csv"
         else if (name ~ /^BenchmarkEngineRun/) unit = "run"
         else if (name ~ /\/hook\//) unit = "call"
         if (n++) printf ",\n"

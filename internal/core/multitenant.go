@@ -28,7 +28,9 @@ type Arbiter struct {
 // DeniedError is returned from AcquireVM when the arbiter rules against the
 // requesting tenant. The heuristic's addCore treats any acquisition error as
 // graceful degradation, so a denial simply defers the tenant's growth to a
-// later interval.
+// later interval. A MultiTenant policy hands out one DeniedError per
+// requester and reason, again at every repeat of that denial: callers must
+// not modify one.
 type DeniedError struct {
 	Tenant string
 	Reason string
@@ -40,17 +42,17 @@ func (e *DeniedError) Error() string {
 
 // arbitrate rules on tenant ten's request for one more VM. It returns nil
 // on grant and a *DeniedError on deny, emitting provenance for every ruling
-// taken on the scarcity path. starving is the caller's buffer, one flag per
-// tenant, which the ruling overwrites.
-func (a Arbiter) arbitrate(v *sim.View, ten int, sink sim.DecisionSink, starving []bool) error {
+// taken on the scarcity path. It overwrites m's starvation flags.
+func (m *MultiTenant) arbitrate(v *sim.View, ten int, sink sim.DecisionSink) error {
 	maxVMs := v.MaxVMs()
 	active, pending := v.FleetCounts()
 	free := maxVMs - active - pending
-	if float64(free) > a.ScarceFrac*float64(maxVMs) {
+	if float64(free) > m.arb.ScarceFrac*float64(maxVMs) {
 		return nil // abundance: no arbitration, no provenance noise
 	}
 	n := v.TenantCount()
 	req := v.TenantInfo(ten)
+	starving := m.starving
 	for i := 0; i < n; i++ {
 		starving[i] = v.TenantMeanOmega(i) < v.TenantInfo(i).OmegaFloor
 	}
@@ -67,19 +69,21 @@ func (a Arbiter) arbitrate(v *sim.View, ten int, sink sim.DecisionSink, starving
 		}
 	}
 
-	grant := true
+	var denied *DeniedError
 	var reason string
 	switch {
 	case !starving[ten] && anyOtherStarving:
-		grant = false
-		reason = "fleet is scarce and another tenant is below its omega floor"
+		denied = m.denial(req.Name, "")
 	case starving[ten] && blocker >= 0:
-		grant = false
-		reason = fmt.Sprintf("starving tenant %q holds strictly higher priority", v.TenantInfo(blocker).Name)
+		denied = m.denial(req.Name, v.TenantInfo(blocker).Name)
 	case starving[ten]:
 		reason = "requester is below its omega floor; scarce capacity goes to the starving"
 	default:
 		reason = "no tenant is below its floor; scarce capacity granted first-come"
+	}
+	grant := denied == nil
+	if !grant {
+		reason = denied.Reason
 	}
 
 	if sink != nil {
@@ -124,9 +128,33 @@ func (a Arbiter) arbitrate(v *sim.View, ten int, sink sim.DecisionSink, starving
 		sink.Decide(dec)
 	}
 	if !grant {
-		return &DeniedError{Tenant: req.Name, Reason: reason}
+		return denied
 	}
 	return nil
+}
+
+// denialKey names one denial: the requester and the starving tenant that
+// outranks it, or "" when the requester lost to another tenant's
+// starvation. Tenant names are unique and never empty.
+type denialKey struct{ tenant, blocker string }
+
+// denial returns the one DeniedError for key (tenant, blocker), building it
+// on first use, so a repeated denial allocates nothing.
+func (m *MultiTenant) denial(tenant, blocker string) *DeniedError {
+	key := denialKey{tenant, blocker}
+	if d := m.denials[key]; d != nil {
+		return d
+	}
+	reason := "fleet is scarce and another tenant is below its omega floor"
+	if blocker != "" {
+		reason = fmt.Sprintf("starving tenant %q holds strictly higher priority", blocker)
+	}
+	d := &DeniedError{Tenant: tenant, Reason: reason}
+	if m.denials == nil {
+		m.denials = make(map[denialKey]*DeniedError)
+	}
+	m.denials[key] = d
+	return d
 }
 
 // MultiTenant runs one policy per tenant over the shared fleet, arbitrating
@@ -145,6 +173,8 @@ type MultiTenant struct {
 	starv    []bool
 	starving []bool
 	ctls     []tenantControl
+	// denials are the arbiter's DeniedErrors handed out so far.
+	denials map[denialKey]*DeniedError
 }
 
 // NewMultiTenant builds the multi-tenant policy: inner[i] drives tenant i.
@@ -259,7 +289,7 @@ func (c *tenantControl) SelectRoute(group, target int) error {
 // surfaces as an error, which the heuristic's addCore treats as graceful
 // degradation (retry next interval).
 func (c *tenantControl) AcquireVM(className string) (int, error) {
-	if err := c.m.arb.arbitrate(c.v, c.ten, decisionSink(c.act), c.m.starving); err != nil {
+	if err := c.m.arbitrate(c.v, c.ten, decisionSink(c.act)); err != nil {
 		return 0, err
 	}
 	return c.act.AcquireVM(className)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -273,7 +274,9 @@ func TestMultiTenantCheckpointState(t *testing.T) {
 
 // TestArbiterRulingAllocs: on a scarce fleet every acquisition goes through
 // a fair-share ruling. With no decision sink attached, a grant must allocate
-// nothing; the arbiter reuses the policy's starvation flags.
+// nothing; the arbiter reuses the policy's starvation flags. A repeated
+// denial and a refusal at MaxVMs allocate nothing either: each hands out
+// the error it built the first time, with the same text.
 func TestArbiterRulingAllocs(t *testing.T) {
 	cfg := mtConfig(t, 1, 1, 3600)
 	cfg.MaxVMs = 8
@@ -303,5 +306,45 @@ func TestArbiterRulingAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, grant); allocs != 0 {
 		t.Fatalf("a fair-share grant allocates %v objects, want 0", allocs)
+	}
+
+	// After an interval on no cores both tenants are below their floors;
+	// b outranks a, so a is denied.
+	if err := e.RunUntil(context.Background(), m, 60); err != nil {
+		t.Fatal(err)
+	}
+	var denial error
+	deny := func() {
+		if _, denial = m.control(v, ctl, 0).AcquireVM("m1.small"); denial == nil {
+			t.Fatal("tenant a's acquisition was granted")
+		}
+	}
+	deny()
+	var denied *DeniedError
+	if !errors.As(denial, &denied) {
+		t.Fatalf("denial = %v, want *DeniedError", denial)
+	}
+	if want := `core: acquisition denied to tenant "a": starving tenant "b" holds strictly higher priority`; denial.Error() != want {
+		t.Fatalf("denial text = %q, want %q", denial.Error(), want)
+	}
+	if allocs := testing.AllocsPerRun(100, deny); allocs != 0 {
+		t.Fatalf("a repeated fair-share denial allocates %v objects, want 0", allocs)
+	}
+
+	if _, err := act.AcquireVM("m1.small"); err != nil {
+		t.Fatal(err)
+	}
+	var refusal error
+	refuse := func() {
+		if _, refusal = act.AcquireVM("m1.small"); refusal == nil {
+			t.Fatal("an acquisition beyond MaxVMs succeeded")
+		}
+	}
+	refuse()
+	if want := "sim: fleet at MaxVMs=8"; refusal.Error() != want {
+		t.Fatalf("refusal text = %q, want %q", refusal.Error(), want)
+	}
+	if allocs := testing.AllocsPerRun(100, refuse); allocs != 0 {
+		t.Fatalf("a refusal at MaxVMs allocates %v objects, want 0", allocs)
 	}
 }

@@ -282,10 +282,16 @@ func NewDistribution(samples []float64) Distribution {
 	return d
 }
 
+// csvChunk is how many bytes of rows WriteCSV gathers before each write to
+// its sink.
+const csvChunk = 4 << 10
+
 // WriteCSV streams the points for external plotting.
 func (c *Collector) WriteCSV(w io.Writer) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// The header goes through encoding/csv: a tenant's name may need
+	// quoting.
 	cw := csv.NewWriter(w)
 	header := []string{"sec", "omega", "gamma", "cost_usd", "vms", "cores", "in_rate", "out_rate", "backlog", "latency_sec", "pending_vms"}
 	// Multi-tenant runs append per-tenant columns after the fixed set;
@@ -297,26 +303,53 @@ func (c *Collector) WriteCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for i, p := range c.points {
-		rec := []string{
-			strconv.FormatInt(p.Sec, 10),
-			f(p.Omega), f(p.Gamma), f(p.CostUSD),
-			strconv.Itoa(p.ActiveVMs), strconv.Itoa(p.UsedCores),
-			f(p.InputRate), f(p.OutputRate), f(p.Backlog), f(p.LatencySec),
-			strconv.Itoa(p.PendingVMs),
-		}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		return err
+	}
+	// A row holds numbers only, and strconv's 'g' and integer forms never
+	// need CSV quoting, so each row is appended into one reused buffer: the
+	// bytes encoding/csv would write for it, without a string per cell.
+	b := make([]byte, 0, 2*csvChunk)
+	for i := range c.points {
+		p := &c.points[i]
+		b = strconv.AppendInt(b, p.Sec, 10)
+		b = appendCell(b, p.Omega)
+		b = appendCell(b, p.Gamma)
+		b = appendCell(b, p.CostUSD)
+		b = strconv.AppendInt(append(b, ','), int64(p.ActiveVMs), 10)
+		b = strconv.AppendInt(append(b, ','), int64(p.UsedCores), 10)
+		b = appendCell(b, p.InputRate)
+		b = appendCell(b, p.OutputRate)
+		b = appendCell(b, p.Backlog)
+		b = appendCell(b, p.LatencySec)
+		b = strconv.AppendInt(append(b, ','), int64(p.PendingVMs), 10)
 		if nt > 0 && (i+1)*nt <= len(c.tOmega) {
-			for t := 0; t < nt; t++ {
-				rec = append(rec, f(c.tOmega[i*nt+t]), f(c.tGamma[i*nt+t]), f(c.tSpend[i*nt+t]))
+			for t := i * nt; t < (i+1)*nt; t++ {
+				b = appendCell(b, c.tOmega[t])
+				b = appendCell(b, c.tGamma[t])
+				b = appendCell(b, c.tSpend[t])
 			}
 		}
-		if err := cw.Write(rec); err != nil {
+		b = append(b, '\n')
+		if len(b) >= csvChunk {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
+	}
+	if len(b) > 0 {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return nil
+}
+
+// appendCell appends a comma and v in the shortest 'g' form.
+func appendCell(b []byte, v float64) []byte {
+	return strconv.AppendFloat(append(b, ','), v, 'g', -1, 64)
 }
 
 // ReadCSV parses points written by WriteCSV back into a slice — the inverse

@@ -118,3 +118,60 @@ func TestWriteTextStableWhileWritersActive(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 }
+
+// TestTracerConcurrentEmit: With children of one tracer emit from several
+// goroutines at once, decisions included, so they share the core's encoder
+// and buffer. Every event must reach the sink as one whole line, the line
+// json.Encoder writes for it. Run under -race (ci.sh does) this pins the
+// encoder state to the core's mutex.
+func TestTracerConcurrentEmit(t *testing.T) {
+	var buf bytes.Buffer
+	root := NewTracer(&buf)
+	const writers, rounds = 4, 200
+	events := benchEvents()
+	want := map[string]int{}
+	for w := 0; w < writers; w++ {
+		worker := string(rune('a' + w))
+		for i := 0; i < rounds; i++ {
+			ev := events[i%len(events)]
+			ev.V, ev.Sec, ev.Trace, ev.Span, ev.Worker = SchemaVersion, int64(i), "campaign", "job#"+worker, worker
+			line, err := encodeReference(&ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[string(line)]++
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		worker := string(rune('a' + w))
+		child := root.With("campaign", "job#"+worker, worker)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				ev := events[i%len(events)]
+				ev.Sec = int64(i)
+				child.Emit(ev)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := root.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := root.Count(); n != writers*rounds {
+		t.Fatalf("count = %d, want %d", n, writers*rounds)
+	}
+	for _, line := range strings.SplitAfter(buf.String(), "\n") {
+		if line == "" {
+			continue
+		}
+		want[line]--
+	}
+	for line, n := range want {
+		if n != 0 {
+			t.Fatalf("line written %d times too few: %s", n, line)
+		}
+	}
+}

@@ -7,7 +7,10 @@
 // audit path, internal/sweep emits job spans and worker-pool metrics, and
 // cmd/dfserve mounts the exposition handler at /metrics. The package
 // depends only on the standard library, and every hook is nil-safe: a nil
-// *Tracer or nil gauge set adds zero allocations to the hot path.
+// *Tracer or nil gauge set adds zero allocations to the hot path, and the
+// engine builds an event that formats a field only for an attached tracer.
+// An attached tracer encodes each event by appending into a reused buffer
+// (encode.go), the bytes json.Encoder wrote, with no allocation per event.
 package obs
 
 import "fmt"

@@ -27,11 +27,13 @@ type Tracer struct {
 }
 
 // tracerCore is the sink state shared by a tracer and all its With
-// children: one writer, one mutex, one error latch, one event count.
+// children: one writer, one mutex, one error latch, one event count, and
+// the encoder with the buffer each event is encoded into, both reused.
 type tracerCore struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
-	enc *json.Encoder
+	enc eventEncoder
+	buf []byte
 	n   int64
 	err error
 }
@@ -39,8 +41,7 @@ type tracerCore struct {
 // NewTracer returns a tracer writing NDJSON events to w. Call Flush (or
 // Close) before reading the sink: writes are buffered.
 func NewTracer(w io.Writer) *Tracer {
-	bw := bufio.NewWriter(w)
-	return &Tracer{core: &tracerCore{bw: bw, enc: json.NewEncoder(bw)}}
+	return &Tracer{core: &tracerCore{bw: bufio.NewWriter(w), buf: make([]byte, 0, 512)}}
 }
 
 // With returns a child tracer sharing t's sink that stamps the given
@@ -64,7 +65,9 @@ func (t *Tracer) With(trace, span, worker string) *Tracer {
 }
 
 // Emit writes one event, stamping the schema version and any trace context
-// this tracer carries. After the first sink error the tracer goes quiet;
+// this tracer carries. The line is the one json.Encoder writes for the
+// event; an event that does not encode (a NaN or infinite float) writes
+// nothing. After the first such error or sink error the tracer goes quiet;
 // check Err.
 func (t *Tracer) Emit(ev Event) {
 	if t == nil {
@@ -86,7 +89,12 @@ func (t *Tracer) Emit(ev Event) {
 	if c.err != nil {
 		return
 	}
-	if err := c.enc.Encode(ev); err != nil {
+	b, err := c.enc.appendEvent(c.buf[:0], &ev)
+	c.buf = b
+	if err == nil {
+		_, err = c.bw.Write(b)
+	}
+	if err != nil {
 		c.err = fmt.Errorf("obs: emit: %w", err)
 		return
 	}

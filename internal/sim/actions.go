@@ -116,7 +116,10 @@ func (a *Actions) AcquireVM(className string) (int, error) {
 		return 0, fmt.Errorf("sim: unknown VM class %q", className)
 	}
 	if a.e.fleet.ActiveCount()+a.e.fleet.PendingCount() >= a.e.cfg.MaxVMs {
-		return 0, fmt.Errorf("sim: fleet at MaxVMs=%d", a.e.cfg.MaxVMs)
+		if a.e.fleetFull == nil {
+			a.e.fleetFull = fmt.Errorf("sim: fleet at MaxVMs=%d", a.e.cfg.MaxVMs)
+		}
+		return 0, a.e.fleetFull
 	}
 	cf := a.e.cfg.ControlFaults
 	attempt := a.e.acquireAttempts

@@ -103,6 +103,10 @@ type Engine struct {
 	acquireAttempts int64
 	acquireFailures int
 	staleProbes     int
+	// fleetFull is the error every acquisition refused at MaxVMs returns,
+	// built on the first refusal: a starved policy retries each interval,
+	// and a refusal allocates nothing after the first.
+	fleetFull error
 
 	// Invariant checking: checkStep hands invState (a reused snapshot
 	// buffer) to the checker at the end of every interval. crashEvents and

@@ -665,15 +665,20 @@ func (e *Engine) recomputeTenantGamma() error {
 // violation count.
 func (e *Engine) stageCheck(c *stepContext) error {
 	viol := e.checkStep(c.omega, c.gamma, c.costUSD, c.totalBacklog)
-	if e.cfg.OmegaFloor > 0 && c.omega < e.cfg.OmegaFloor {
-		e.trace(obs.Event{Type: obs.EventOmegaViolation, Value: c.omega,
-			Detail: fmt.Sprintf("floor=%g", e.cfg.OmegaFloor)})
-	}
-	for t := range e.cfg.Tenants {
-		tn := &e.cfg.Tenants[t]
-		if tn.OmegaFloor > 0 && c.tenOmega[t] < tn.OmegaFloor {
-			e.trace(obs.Event{Type: obs.EventOmegaViolation, Value: c.tenOmega[t],
-				Tenant: tn.Name, Detail: fmt.Sprintf("floor=%g", tn.OmegaFloor)})
+	// A violation event formats its floor, so it is built only for an
+	// attached tracer: without one, an interval below the floor allocates
+	// nothing.
+	if e.tracer != nil {
+		if e.cfg.OmegaFloor > 0 && c.omega < e.cfg.OmegaFloor {
+			e.trace(obs.Event{Type: obs.EventOmegaViolation, Value: c.omega,
+				Detail: fmt.Sprintf("floor=%g", e.cfg.OmegaFloor)})
+		}
+		for t := range e.cfg.Tenants {
+			tn := &e.cfg.Tenants[t]
+			if tn.OmegaFloor > 0 && c.tenOmega[t] < tn.OmegaFloor {
+				e.trace(obs.Event{Type: obs.EventOmegaViolation, Value: c.tenOmega[t],
+					Tenant: tn.Name, Detail: fmt.Sprintf("floor=%g", tn.OmegaFloor)})
+			}
 		}
 	}
 	e.trace(obs.Event{Type: obs.EventStep, Phase: obs.PhaseEnd, Value: c.omega,

@@ -166,19 +166,7 @@ func TestTenantOmegaFloorViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deploy only tenant a; tenant b starves.
-	deployA := func(v *View, act Control) error {
-		for pe := 0; pe < 2; pe++ {
-			id, err := act.AcquireVM("m1.large")
-			if err != nil {
-				return err
-			}
-			if err := act.AssignCores(pe, id, 2); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	sum, err := e.Run(&fixed{deploy: deployA})
+	sum, err := e.Run(&fixed{deploy: deployTenantA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +191,21 @@ func TestTenantOmegaFloorViolation(t *testing.T) {
 	if !found {
 		t.Fatal("no omega-floor violation traced for starving tenant b")
 	}
+}
+
+// deployTenantA deploys only twoTenantConfig's tenant a, one m1.large per
+// PE, so tenant b starves.
+func deployTenantA(v *View, act Control) error {
+	for pe := 0; pe < 2; pe++ {
+		id, err := act.AcquireVM("m1.large")
+		if err != nil {
+			return err
+		}
+		if err := act.AssignCores(pe, id, 2); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestTenantCheckpointRestoreByteIdentical: the tenant dimension survives a

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -151,6 +152,36 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestOmegaViolationWithoutTracerZeroAlloc: an interval whose Ω is below
+// the run's floor and a tenant's Ω below the tenant's floor allocates
+// nothing while no tracer is attached; the violation events, which format
+// their floor, are built only for a tracer.
+func TestOmegaViolationWithoutTracerZeroAlloc(t *testing.T) {
+	cfg := twoTenantConfig(5, 5, 24*3600)
+	cfg.OmegaFloor = 0.99
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tenant b starves, and so the run's Ω is ~0.5.
+	if err := e.RunUntil(context.Background(), &fixed{deploy: deployTenantA}, 0); err != nil {
+		t.Fatal(err)
+	}
+	e.Collector().Reserve(200)
+	step := func() {
+		if err := e.step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	if c := &e.ctx; c.omega >= cfg.OmegaFloor || c.tenOmega[1] >= cfg.Tenants[1].OmegaFloor {
+		t.Fatalf("interval not below its floors: Ω %v, tenant b Ω %v", c.omega, c.tenOmega[1])
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("an interval below its Ω floors allocates %v objects with no tracer, want 0", allocs)
+	}
+}
+
 // BenchmarkEngineStep measures the trace hook with tracing disabled. It
 // must report 0 allocs/op — the guarantee ci.sh enforces.
 func BenchmarkEngineStep(b *testing.B) {
@@ -170,7 +201,8 @@ func BenchmarkEngineStep(b *testing.B) {
 // BenchmarkEngineRun times one whole run (Deploy plus 60 one-minute
 // intervals of a two-PE chain) bare and with each observation hook
 // attached: the tracer, the strict invariant checker, and the stage
-// profiler. ci.sh bounds profiler/bare.
+// profiler. ci.sh bounds profiler/bare and tracer/bare, and the tracer's
+// and the checker's allocations against bare's.
 func BenchmarkEngineRun(b *testing.B) {
 	for _, hook := range []struct {
 		name   string
