@@ -291,19 +291,19 @@ func BenchmarkTraceGeneration(b *testing.B) {
 }
 
 // BenchmarkRatePropagation measures uncapped and capped rate propagation
-// on the evaluation dataflow.
+// on the evaluation dataflow: one RoutedFlow prepared and scored per op.
 func BenchmarkRatePropagation(b *testing.B) {
 	g := dataflow.EvalGraph()
 	sel := dataflow.DefaultSelection(g)
+	routing := dataflow.DefaultRouting(g)
 	in := dataflow.InputRates{0: 50}
 	caps := []float64{100, 100, 100, 100}
+	var flow dataflow.RoutedFlow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := dataflow.PropagateRates(g, sel, in); err != nil {
+		if err := flow.Prepare(g, sel, routing, in); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := dataflow.PredictOmega(g, sel, in, caps); err != nil {
-			b.Fatal(err)
-		}
+		flow.Capped(caps)
 	}
 }

@@ -9,8 +9,9 @@
 # figure golden (dfbench's stdout, the paper's evaluation run as sweep
 # grids, must equal the committed bench_results.txt but for the
 # scalability table's wall-clock Adapt timings, and its eight -csvdir CSVs
-# must be written), a dftrace smoke over the
-# golden fixture, a checkpoint/restore
+# must be written), a dftrace smoke over the golden fixture, a dfgraph
+# smoke (reference graphs validate, a choice-graph demand summary equals
+# its golden) and a tracegen smoke, a checkpoint/restore
 # byte-determinism smoke, a restored-vs-cold snapshot equality check, a
 # single-tenant golden diff against the committed pre-refactor fixture (the
 # multi-tenant refactor must stay byte-invisible to single-tenant runs), an
@@ -82,6 +83,26 @@ rm -rf "$figs"
 # dftrace smoke: the golden capture must replay, render, and self-diff clean.
 go run ./cmd/dftrace cmd/dftrace/testdata/golden.ndjson > /dev/null
 go run ./cmd/dftrace diff cmd/dftrace/testdata/golden.ndjson cmd/dftrace/testdata/golden.ndjson > /dev/null
+
+# dfgraph and tracegen smoke: every reference graph dfgraph emits must
+# validate, and the demand summary of the committed choice-graph fixture
+# must equal its golden (the summary follows the default route: 10.00
+# cores at 10 msg/s, where duplicating onto both choice targets reads
+# 53.00). tracegen must characterize a short CPU trace.
+dfg=$(mktemp -d)
+go build -o "$dfg/dfgraph" ./cmd/dfgraph
+for name in fig1 eval layered; do
+    "$dfg/dfgraph" -emit "$name" > "$dfg/$name.json"
+    "$dfg/dfgraph" -validate "$dfg/$name.json" > /dev/null
+done
+"$dfg/dfgraph" -validate cmd/dfgraph/testdata/choice.json > "$dfg/choice.out"
+cmp cmd/dfgraph/testdata/choice.golden "$dfg/choice.out" || {
+    diff cmd/dfgraph/testdata/choice.golden "$dfg/choice.out" >&2
+    echo "dfgraph's choice-graph summary moved from its golden" >&2
+    exit 1
+}
+go run ./cmd/tracegen -kind cpu -samples 200 -stats > /dev/null
+rm -rf "$dfg"
 
 # Checkpoint determinism smoke: a run restored from a mid-run state/v1
 # snapshot must continue byte-identically to the uninterrupted run — same

@@ -77,19 +77,21 @@ func describe(g *dynamicdf.Graph, rate float64) {
 	fmt.Printf("application value range: [%.3f, %.3f]\n",
 		dataflow.MinValue(g), dataflow.MaxValue(g))
 
-	// Demand summary at the given rate, default alternates.
+	// Demand summary at the given rate, default alternates and routes: a
+	// PE's standard-core demand is its arrival rate times its cost.
 	sel := dataflow.DefaultSelection(g)
 	in := dataflow.InputRates{}
 	for _, pe := range ins {
 		in[pe] = rate / float64(len(ins))
 	}
-	demand, err := dataflow.CoreDemand(g, sel, in)
+	flow, err := dataflow.NewRoutedFlow(g, sel, dataflow.DefaultRouting(g), in)
 	if err != nil {
 		log.Fatal(err)
 	}
 	total := 0.0
 	fmt.Printf("standard-core demand at %.0f msg/s (default alternates):\n", rate)
-	for pe, d := range demand {
+	for pe, r := range flow.InRates() {
+		d := r * sel.Alt(g, pe).Cost
 		fmt.Printf("  %-16s %6.2f cores\n", g.PEs[pe].Name, d)
 		total += d
 	}

@@ -390,9 +390,6 @@ type (
 	// MultiTenantPolicy runs one inner policy per tenant over the shared
 	// fleet, arbitrating scale-up contention.
 	MultiTenantPolicy = core.MultiTenant
-	// FairShareArbiter is the fairness policy governing scale-up under
-	// scarcity: Ω floors first, priority second.
-	FairShareArbiter = core.Arbiter
 	// AcquisitionDenied is the typed error a tenant's AcquireVM returns
 	// when the arbiter rules against it (test with errors.As).
 	AcquisitionDenied = core.DeniedError
@@ -402,9 +399,10 @@ type (
 )
 
 // NewMultiTenantPolicy builds the multi-tenant policy: inner[i] drives
-// tenant i of the run's Config.Tenants.
-func NewMultiTenantPolicy(inner []Scheduler, arb FairShareArbiter) (*MultiTenantPolicy, error) {
-	return core.NewMultiTenant(inner, arb)
+// tenant i of the run's Config.Tenants. Under scarcity (free quota at or
+// below an eighth of MaxVMs) it defends Ω floors first, priority second.
+func NewMultiTenantPolicy(inner []Scheduler) (*MultiTenantPolicy, error) {
+	return core.NewMultiTenant(inner)
 }
 
 // Session-based workload library (internal/workload): open/closed session

@@ -28,7 +28,7 @@ func decisionSink(act sim.Control) sim.DecisionSink {
 type scratch struct {
 	sel      dataflow.Selection  // the stage's copy of the selection
 	rates    dataflow.InputRates // the estimated external input rates
-	flow     dataflow.RoutedFlow // demandECU's propagation (global)
+	flow     dataflow.RoutedFlow // demandECU's (global) and routeFits' rates; each prepares it
 	demand   []float64           // demandECU's result
 	costs    [][]float64         // alternateStage's downstream costs (global)
 	cands    []altCandidate      // one PE's feasible alternates

@@ -82,7 +82,7 @@ func adaptAllocsRun(t *testing.T, strategy Strategy, tenants int) (*sim.Engine, 
 		inner[i] = heuristic()
 	}
 	cfg.Graph = b.MustBuild()
-	m, err := NewMultiTenant(inner, Arbiter{})
+	m, err := NewMultiTenant(inner)
 	if err != nil {
 		t.Fatal(err)
 	}

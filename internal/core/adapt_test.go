@@ -83,7 +83,7 @@ func TestAlternateStageDowngradesWhenUnderProvisioned(t *testing.T) {
 	if _, err := e.Run(h); err != nil {
 		t.Fatal(err)
 	}
-	deploySel, _ := SelectAlternates(g, Global)
+	deploySel, _ := SelectAlternates(g, dataflow.DefaultRouting(g), Global)
 	finalSel := e.Selection()
 	deployCost := g.PEs[1].Alternates[deploySel[1]].Cost
 	finalCost := g.PEs[1].Alternates[finalSel[1]].Cost
@@ -120,7 +120,7 @@ func TestAlternateStageUpgradesWhenOverProvisioned(t *testing.T) {
 	// Deployment picks the best ratio (lean: 0.7/0.3 = 2.33); with ample
 	// headroom the stage upgrades toward rich.
 	finalSel := e.Selection()
-	deploySel, _ := SelectAlternates(g, Global)
+	deploySel, _ := SelectAlternates(g, dataflow.DefaultRouting(g), Global)
 	finalVal := g.PEs[1].Alternates[finalSel[1]].Value
 	deployVal := g.PEs[1].Alternates[deploySel[1]].Value
 	if finalVal <= deployVal {

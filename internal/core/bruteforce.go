@@ -75,6 +75,7 @@ func (b *BruteForce) Deploy(v *sim.View, act sim.Control) error {
 	var bestSel dataflow.Selection
 	var bestRouting dataflow.Routing
 	var bestPlan *Plan
+	var flow dataflow.RoutedFlow
 	for rc := 0; rc < routeCombos; rc++ {
 		rrem := rc
 		for gi := range g.Choices {
@@ -90,10 +91,10 @@ func (b *BruteForce) Deploy(v *sim.View, act sim.Control) error {
 				sel[pe] = rem % n
 				rem /= n
 			}
-			inRate, _, err := dataflow.PropagateRatesRouted(g, sel, routing, est)
-			if err != nil {
+			if err := flow.Prepare(g, sel, routing, est); err != nil {
 				return err
 			}
+			inRate := flow.InRates()
 			demand := make([]float64, g.N())
 			for pe := range demand {
 				demand[pe] = inRate[pe] * sel.Alt(g, pe).Cost * target

@@ -33,8 +33,13 @@ func (s Strategy) String() string {
 // PE choose the alternate with the highest value-to-cost ratio, where cost
 // is strategy-dependent (Table 1's GetCostOfAlternate). The global cost is
 // computed by dynamic programming over the graph in reverse topological
-// order, so each PE's choice already reflects its successors' choices.
-func SelectAlternates(g *dataflow.Graph, strategy Strategy) (dataflow.Selection, error) {
+// order, so each PE's choice already reflects its successors' choices; it
+// sums only the successors active under the routing, since a choice
+// target off the active route receives no messages.
+func SelectAlternates(g *dataflow.Graph, routing dataflow.Routing, strategy Strategy) (dataflow.Selection, error) {
+	if err := routing.Validate(g); err != nil {
+		return nil, err
+	}
 	sel := dataflow.DefaultSelection(g)
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -46,7 +51,7 @@ func SelectAlternates(g *dataflow.Graph, strategy Strategy) (dataflow.Selection,
 	for k := len(order) - 1; k >= 0; k-- {
 		pe := order[k]
 		down := 0.0
-		for _, s := range g.Successors(pe) {
+		for _, s := range g.ActiveSuccessors(pe, routing) {
 			down += nodeCost[s]
 		}
 		bestRatio := math.Inf(-1)

@@ -1,17 +1,21 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/dataflow"
+	"dynamicdf/internal/rates"
+	"dynamicdf/internal/sim"
+	"dynamicdf/internal/trace"
 )
 
 func awsMenu() *cloud.Menu { return cloud.MustMenu(cloud.AWS2013Classes()) }
 
 func TestSelectAlternatesLocalPicksBestRatio(t *testing.T) {
 	g := dataflow.Fig1Graph()
-	sel, err := SelectAlternates(g, Local)
+	sel, err := SelectAlternates(g, dataflow.DefaultRouting(g), Local)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +38,14 @@ func TestSelectAlternatesGlobalWeighsDownstream(t *testing.T) {
 		AddPE("tail", dataflow.Alt("only", 1.0, 5.0, 1.0)).
 		Connect("head", "tail").
 		MustBuild()
-	local, err := SelectAlternates(g, Local)
+	local, err := SelectAlternates(g, dataflow.DefaultRouting(g), Local)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if local[0] != 0 {
 		t.Fatalf("local selection = %v, want flood (cheapest own cost)", local)
 	}
-	global, err := SelectAlternates(g, Global)
+	global, err := SelectAlternates(g, dataflow.DefaultRouting(g), Global)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,21 +55,80 @@ func TestSelectAlternatesGlobalWeighsDownstream(t *testing.T) {
 	}
 }
 
+// TestGlobalDeployPricesActiveRoute: a choice target off the active route
+// receives no messages, so the global cost of an alternate upstream of a
+// choice group must not charge for it. A's alternates differ only in value
+// (keep 1.0, thin 0.9) and selectivity (1 and 0.5). Routed through cheap,
+// keep costs 1 + 1·(0.1+0.1) = 1.2 and thin 1 + 0.5·0.2 = 1.1, so keep
+// ranks best (0.833 against 0.818). Charging the idle heavy target too
+// (cost 50) would make thin win. Routed through heavy, thin does win.
+func TestGlobalDeployPricesActiveRoute(t *testing.T) {
+	g := dataflow.NewBuilder().
+		AddPE("in", dataflow.Alt("e", 1, 0.1, 1)).
+		AddPE("A",
+			dataflow.Alt("keep", 1.0, 1.0, 1.0),
+			dataflow.Alt("thin", 0.9, 1.0, 0.5)).
+		AddPE("cheap", dataflow.Alt("e", 1, 0.1, 1)).
+		AddPE("heavy", dataflow.Alt("e", 1, 50, 1)).
+		AddPE("out", dataflow.Alt("e", 1, 0.1, 1)).
+		Connect("in", "A").
+		AddChoice("route", "A", "cheap", "heavy").
+		Connect("cheap", "out").
+		Connect("heavy", "out").
+		MustBuild()
+	for route, want := range []string{"keep", "thin"} {
+		sel, err := SelectAlternates(g, dataflow.Routing{route}, Global)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.PEs[1].Alternates[sel[1]].Name; got != want {
+			t.Fatalf("route %d: A runs %q, want %q", route, got, want)
+		}
+	}
+	if _, err := SelectAlternates(g, dataflow.Routing{}, Global); err == nil {
+		t.Fatal("short routing accepted")
+	}
+
+	// Deploy prices alternates under the engine's routing (the default,
+	// through cheap).
+	rate, err := rates.NewConstant(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := sim.NewEngine(sim.Config{
+		Graph:      g,
+		Menu:       awsMenu(),
+		Perf:       trace.NewIdeal(),
+		Inputs:     map[int]rates.Profile{0: rate},
+		HorizonSec: 3600,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := MustHeuristic(Options{Strategy: Global, Dynamic: true,
+		Objective: Objective{OmegaHat: 0.8, Epsilon: 0.05, Sigma: 0.01}})
+	if err := e.RunUntil(context.Background(), h, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.PEs[1].Alternates[e.Selection()[1]].Name; got != "keep" {
+		t.Fatalf("global Deploy runs A as %q, want keep", got)
+	}
+}
+
 func TestPlanAllocationMeetsTarget(t *testing.T) {
 	g := dataflow.Fig1Graph()
-	sel, _ := SelectAlternates(g, Local)
+	sel, _ := SelectAlternates(g, dataflow.DefaultRouting(g), Local)
 	est := dataflow.InputRates{0: 10}
 	for _, strat := range []Strategy{Local, Global} {
 		plan, err := PlanAllocation(g, awsMenu(), sel, dataflow.DefaultRouting(g), est, 0.75, strat)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
-		caps := plan.Capacities(g, sel)
-		omega, err := dataflow.PredictOmega(g, sel, est, caps)
+		flow, err := dataflow.NewRoutedFlow(g, sel, dataflow.DefaultRouting(g), est)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if omega < 0.75-1e-9 {
+		if omega, _ := flow.Capped(plan.Capacities(g, sel)); omega < 0.75-1e-9 {
 			t.Fatalf("%v: predicted omega %v below target", strat, omega)
 		}
 		// Every PE must own at least one core.
@@ -80,7 +143,7 @@ func TestPlanAllocationMeetsTarget(t *testing.T) {
 
 func TestPlanAllocationGlobalNoCostlier(t *testing.T) {
 	g := dataflow.EvalGraph()
-	sel, _ := SelectAlternates(g, Global)
+	sel, _ := SelectAlternates(g, dataflow.DefaultRouting(g), Global)
 	for _, rate := range []float64{2, 5, 10, 20, 50} {
 		est := dataflow.InputRates{0: rate}
 		local, err := PlanAllocation(g, awsMenu(), sel, dataflow.DefaultRouting(g), est, 0.75, Local)
@@ -116,7 +179,7 @@ func TestPlanAllocationGlobalDowngradesAtLowRate(t *testing.T) {
 	// At 2 msg/s the whole dataflow needs ~2 ECU; global should not keep a
 	// whole xlarge fleet.
 	g := dataflow.Fig1Graph()
-	sel, _ := SelectAlternates(g, Global)
+	sel, _ := SelectAlternates(g, dataflow.DefaultRouting(g), Global)
 	plan, err := PlanAllocation(g, awsMenu(), sel, dataflow.DefaultRouting(g), dataflow.InputRates{0: 2}, 0.75, Global)
 	if err != nil {
 		t.Fatal(err)

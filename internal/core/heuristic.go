@@ -24,14 +24,9 @@ type Options struct {
 	// Objective supplies OmegaHat/Epsilon/Sigma.
 	Objective Objective
 	// AlternatePeriod is how many intervals between alternate-selection
-	// runs (Alg. 2 runs the two stages at different cadences). Default 5.
+	// runs (Alg. 2 runs the two stages at different cadences; the resource
+	// stage runs every interval). Default 5.
 	AlternatePeriod int
-	// ResourcePeriod is how many intervals between resource-redeployment
-	// runs. Default 1.
-	ResourcePeriod int
-	// Margin is the headroom above OmegaHat the controller targets.
-	// Default 0.05.
-	Margin float64
 	// Hysteresis is the extra headroom required before scaling down, to
 	// damp oscillation. Default 0.10.
 	Hysteresis float64
@@ -71,17 +66,8 @@ func NewHeuristic(opts Options) (*Heuristic, error) {
 	if opts.AlternatePeriod == 0 {
 		opts.AlternatePeriod = 5
 	}
-	if opts.ResourcePeriod == 0 {
-		opts.ResourcePeriod = 1
-	}
-	if opts.AlternatePeriod < 1 || opts.ResourcePeriod < 1 {
-		return nil, fmt.Errorf("core: stage periods must be >= 1 (got %d, %d)", opts.AlternatePeriod, opts.ResourcePeriod)
-	}
-	if opts.Margin == 0 {
-		opts.Margin = 0.05
-	}
-	if opts.Margin < 0 || opts.Margin > 1-opts.Objective.OmegaHat+0.3 {
-		return nil, fmt.Errorf("core: margin %v out of range", opts.Margin)
+	if opts.AlternatePeriod < 1 {
+		return nil, fmt.Errorf("core: alternate period must be >= 1 (got %d)", opts.AlternatePeriod)
 	}
 	if opts.Hysteresis == 0 {
 		opts.Hysteresis = 0.10
@@ -119,11 +105,14 @@ func (h *Heuristic) Name() string {
 	return name
 }
 
+// margin is the headroom above OmegaHat the adaptive controller targets.
+const margin = 0.05
+
 // targetOmega returns the throughput level the controller provisions for:
 // the constraint plus margin, boosted while the period average has slipped
 // below the constraint so the average is pulled back up.
 func (h *Heuristic) targetOmega(meanOmega float64) float64 {
-	t := h.opts.Objective.OmegaHat + h.opts.Margin
+	t := h.opts.Objective.OmegaHat + margin
 	if meanOmega < h.opts.Objective.OmegaHat {
 		t += 2 * (h.opts.Objective.OmegaHat - meanOmega)
 	}
@@ -136,10 +125,11 @@ func (h *Heuristic) targetOmega(meanOmega float64) float64 {
 // Deploy implements Alg. 1.
 func (h *Heuristic) Deploy(v *sim.View, act sim.Control) error {
 	g := v.Graph()
+	routing := v.Routing()
 	sel := dataflow.DefaultSelection(g)
 	if h.opts.Dynamic {
 		var err error
-		sel, err = SelectAlternates(g, h.opts.Strategy)
+		sel, err = SelectAlternates(g, routing, h.opts.Strategy)
 		if err != nil {
 			return err
 		}
@@ -156,7 +146,7 @@ func (h *Heuristic) Deploy(v *sim.View, act sim.Control) error {
 	// the fragility Figs. 4-5 demonstrate.
 	// Deployment always plans on-demand: the base allocation carries the
 	// constraint and must not vanish with a spot reclamation.
-	plan, err := PlanAllocation(g, v.Menu().OnDemand(), sel, v.Routing(), v.EstimatedInputRates(), h.opts.Objective.OmegaHat, h.opts.Strategy)
+	plan, err := PlanAllocation(g, v.Menu().OnDemand(), sel, routing, v.EstimatedInputRates(), h.opts.Objective.OmegaHat, h.opts.Strategy)
 	if err != nil {
 		return err
 	}
@@ -164,9 +154,9 @@ func (h *Heuristic) Deploy(v *sim.View, act sim.Control) error {
 }
 
 // Adapt implements Alg. 2: the alternate-selection stage every
-// AlternatePeriod intervals and the resource stage every ResourcePeriod
-// intervals, never in the same tick ordering ambiguity — alternates first,
-// then resources see the new selection.
+// AlternatePeriod intervals and the resource stage every interval, never in
+// the same tick ordering ambiguity — alternates first, then resources see
+// the new selection.
 func (h *Heuristic) Adapt(v *sim.View, act sim.Control) error {
 	if !h.opts.Adaptive {
 		return nil
@@ -180,12 +170,7 @@ func (h *Heuristic) Adapt(v *sim.View, act sim.Control) error {
 			return err
 		}
 	}
-	if h.ticks%h.opts.ResourcePeriod == 0 {
-		if err := h.resourceStage(v, act); err != nil {
-			return err
-		}
-	}
-	return nil
+	return h.resourceStage(v, act)
 }
 
 // demandECU estimates each PE's required rated capacity (standard cores).

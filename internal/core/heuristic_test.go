@@ -74,7 +74,7 @@ func TestNewHeuristicValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.opts.AlternatePeriod != 5 || h.opts.ResourcePeriod != 1 {
+	if h.opts.AlternatePeriod != 5 {
 		t.Fatalf("defaults = %+v", h.opts)
 	}
 }

@@ -69,11 +69,11 @@ func TestMultiInputRatePropagationSumsAtJoin(t *testing.T) {
 	g := multiInputGraph()
 	sel := dataflow.DefaultSelection(g)
 	in := dataflow.InputRates{0: 20, 1: 10}
-	inRate, _, err := dataflow.PropagateRates(g, sel, in)
+	flow, err := dataflow.NewRoutedFlow(g, sel, dataflow.DefaultRouting(g), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inRate[2] != 30 {
+	if inRate := flow.InRates(); inRate[2] != 30 {
 		t.Fatalf("join arrival = %v, want 30 (multi-merge)", inRate[2])
 	}
 }
@@ -86,11 +86,11 @@ func TestMultiInputPlanCoversBothSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	omega, err := dataflow.PredictOmega(g, sel, est, plan.Capacities(g, sel))
+	flow, err := dataflow.NewRoutedFlow(g, sel, dataflow.DefaultRouting(g), est)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if omega < 0.7-1e-9 {
+	if omega, _ := flow.Capped(plan.Capacities(g, sel)); omega < 0.7-1e-9 {
 		t.Fatalf("omega = %v", omega)
 	}
 }

@@ -11,19 +11,10 @@ import (
 	"dynamicdf/internal/sim"
 )
 
-// Arbiter is the fairness policy that governs scale-up contention on a
-// shared fleet. While free quota is plentiful every tenant's policy acts
-// independently; once the fleet runs scarce the arbiter decides who may
-// still acquire VMs, enforcing per-tenant Ω floors first and priority
-// second. Every scarcity-path ruling — grant and deny alike — is emitted as
-// a "fair-share" obs.Decision so `dftrace explain` can reconstruct why a
-// tenant was throttled.
-type Arbiter struct {
-	// ScarceFrac is the free-quota fraction at or below which the fleet
-	// counts as scarce: free slots (MaxVMs − active − pending) ≤
-	// ScarceFrac·MaxVMs triggers arbitration. Default 0.125.
-	ScarceFrac float64
-}
+// scarceFrac is the free-quota fraction at or below which the fleet counts
+// as scarce: free slots (MaxVMs − active − pending) ≤ scarceFrac·MaxVMs
+// triggers arbitration.
+const scarceFrac = 0.125
 
 // DeniedError is returned from AcquireVM when the arbiter rules against the
 // requesting tenant. The heuristic's addCore treats any acquisition error as
@@ -40,14 +31,20 @@ func (e *DeniedError) Error() string {
 	return fmt.Sprintf("core: acquisition denied to tenant %q: %s", e.Tenant, e.Reason)
 }
 
-// arbitrate rules on tenant ten's request for one more VM. It returns nil
-// on grant and a *DeniedError on deny, emitting provenance for every ruling
-// taken on the scarcity path. It overwrites m's starvation flags.
+// arbitrate is the fairness policy that governs scale-up contention on a
+// shared fleet: it rules on tenant ten's request for one more VM. While free
+// quota is plentiful every tenant's policy acts independently; once the
+// fleet runs scarce the arbiter decides who may still acquire VMs,
+// enforcing per-tenant Ω floors first and priority second. It returns nil
+// on grant and a *DeniedError on deny. Every scarcity-path ruling — grant
+// and deny alike — is emitted as a "fair-share" obs.Decision so `dftrace
+// explain` can reconstruct why a tenant was throttled. It overwrites m's
+// starvation flags.
 func (m *MultiTenant) arbitrate(v *sim.View, ten int, sink sim.DecisionSink) error {
 	maxVMs := v.MaxVMs()
 	active, pending := v.FleetCounts()
 	free := maxVMs - active - pending
-	if float64(free) > m.arb.ScarceFrac*float64(maxVMs) {
+	if float64(free) > scarceFrac*float64(maxVMs) {
 		return nil // abundance: no arbitration, no provenance noise
 	}
 	n := v.TenantCount()
@@ -158,13 +155,12 @@ func (m *MultiTenant) denial(tenant, blocker string) *DeniedError {
 }
 
 // MultiTenant runs one policy per tenant over the shared fleet, arbitrating
-// scale-up contention through an Arbiter. Each inner policy sees only its
-// tenant's scoped View and a translated Control, so an unmodified Heuristic
-// works per-tenant without knowing the composite graph exists. It implements
-// sim.Scheduler and sim.StatefulScheduler.
+// scale-up contention under scarcity (arbitrate). Each inner policy sees
+// only its tenant's scoped View and a translated Control, so an unmodified
+// Heuristic works per-tenant without knowing the composite graph exists. It
+// implements sim.Scheduler and sim.StatefulScheduler.
 type MultiTenant struct {
 	inner []sim.Scheduler
-	arb   Arbiter
 	// Working memory reused across calls, so a pass that issues no actions
 	// allocates nothing: order's ranking and starvation flags, the
 	// arbiter's starvation flags, and one control per tenant, refilled for
@@ -178,7 +174,7 @@ type MultiTenant struct {
 }
 
 // NewMultiTenant builds the multi-tenant policy: inner[i] drives tenant i.
-func NewMultiTenant(inner []sim.Scheduler, arb Arbiter) (*MultiTenant, error) {
+func NewMultiTenant(inner []sim.Scheduler) (*MultiTenant, error) {
 	if len(inner) == 0 {
 		return nil, fmt.Errorf("core: multi-tenant policy needs at least one tenant")
 	}
@@ -187,14 +183,8 @@ func NewMultiTenant(inner []sim.Scheduler, arb Arbiter) (*MultiTenant, error) {
 			return nil, fmt.Errorf("core: tenant %d policy is nil", i)
 		}
 	}
-	if arb.ScarceFrac == 0 {
-		arb.ScarceFrac = 0.125
-	}
-	if arb.ScarceFrac < 0 || arb.ScarceFrac >= 1 {
-		return nil, fmt.Errorf("core: scarce fraction %v outside (0,1)", arb.ScarceFrac)
-	}
 	n := len(inner)
-	return &MultiTenant{inner: inner, arb: arb, idx: make([]int, n), starv: make([]bool, n),
+	return &MultiTenant{inner: inner, idx: make([]int, n), starv: make([]bool, n),
 		starving: make([]bool, n), ctls: make([]tenantControl, n)}, nil
 }
 

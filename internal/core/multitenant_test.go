@@ -64,24 +64,15 @@ func (s *scripted) Adapt(v *sim.View, act sim.Control) error {
 }
 
 func TestNewMultiTenantValidation(t *testing.T) {
-	if _, err := NewMultiTenant(nil, Arbiter{}); err == nil {
+	if _, err := NewMultiTenant(nil); err == nil {
 		t.Fatal("empty tenant list accepted")
 	}
-	if _, err := NewMultiTenant([]sim.Scheduler{&scripted{}, nil}, Arbiter{}); err == nil {
+	if _, err := NewMultiTenant([]sim.Scheduler{&scripted{}, nil}); err == nil {
 		t.Fatal("nil inner policy accepted")
 	}
-	if _, err := NewMultiTenant([]sim.Scheduler{&scripted{}}, Arbiter{ScarceFrac: -0.1}); err == nil {
-		t.Fatal("negative scarce fraction accepted")
-	}
-	if _, err := NewMultiTenant([]sim.Scheduler{&scripted{}}, Arbiter{ScarceFrac: 1}); err == nil {
-		t.Fatal("scarce fraction 1 accepted")
-	}
-	m, err := NewMultiTenant([]sim.Scheduler{&scripted{}, &scripted{}}, Arbiter{})
+	m, err := NewMultiTenant([]sim.Scheduler{&scripted{}, &scripted{}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.arb.ScarceFrac != 0.125 {
-		t.Fatalf("default scarce fraction = %v", m.arb.ScarceFrac)
 	}
 	if m.Name() != "multi-tenant[2]" {
 		t.Fatalf("name = %q", m.Name())
@@ -104,7 +95,7 @@ func TestMultiTenantHeuristics(t *testing.T) {
 		}
 		inner[i] = h
 	}
-	m, err := NewMultiTenant(inner, Arbiter{})
+	m, err := NewMultiTenant(inner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +151,7 @@ func TestArbiterDeniesHealthyTenantUnderScarcity(t *testing.T) {
 		},
 	}
 	b := &scripted{name: "b"}
-	m, err := NewMultiTenant([]sim.Scheduler{a, b}, Arbiter{})
+	m, err := NewMultiTenant([]sim.Scheduler{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +203,7 @@ func TestMultiTenantDeployOrder(t *testing.T) {
 		}}
 	}
 	// Tenant b carries priority 1 in mtConfig, a carries 0.
-	m, err := NewMultiTenant([]sim.Scheduler{mk("a"), mk("b")}, Arbiter{})
+	m, err := NewMultiTenant([]sim.Scheduler{mk("a"), mk("b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +227,7 @@ func TestMultiTenantCheckpointState(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.ticks = 3
-	m, err := NewMultiTenant([]sim.Scheduler{h, &scripted{name: "stateless"}}, Arbiter{})
+	m, err := NewMultiTenant([]sim.Scheduler{h, &scripted{name: "stateless"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +239,7 @@ func TestMultiTenantCheckpointState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := NewMultiTenant([]sim.Scheduler{h2, &scripted{name: "stateless"}}, Arbiter{})
+	m2, err := NewMultiTenant([]sim.Scheduler{h2, &scripted{name: "stateless"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +250,7 @@ func TestMultiTenantCheckpointState(t *testing.T) {
 		t.Fatalf("restored ticks = %d, want 3", h2.ticks)
 	}
 	// Tenant-count mismatch must refuse to restore.
-	m3, err := NewMultiTenant([]sim.Scheduler{h2}, Arbiter{})
+	m3, err := NewMultiTenant([]sim.Scheduler{h2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +281,7 @@ func TestArbiterRulingAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := NewMultiTenant([]sim.Scheduler{&scripted{}, &scripted{}}, Arbiter{})
+	m, err := NewMultiTenant([]sim.Scheduler{&scripted{}, &scripted{}})
 	if err != nil {
 		t.Fatal(err)
 	}

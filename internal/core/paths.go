@@ -86,12 +86,13 @@ func (h *Heuristic) pathStage(v *sim.View, act sim.Control) error {
 // implies.
 func (h *Heuristic) routeFits(v *sim.View, sel dataflow.Selection, trial dataflow.Routing) bool {
 	g := v.Graph()
-	h.scratch.rates = v.EstimatedInputRatesInto(h.scratch.rates)
-	inRate, _, err := dataflow.PropagateRatesRouted(g, sel, trial, h.scratch.rates)
-	if err != nil {
+	s := &h.scratch
+	s.rates = v.EstimatedInputRatesInto(s.rates)
+	if err := s.flow.Prepare(g, sel, trial, s.rates); err != nil {
 		return false
 	}
-	target := h.opts.Objective.OmegaHat + h.opts.Margin
+	inRate := s.flow.InRates()
+	target := h.opts.Objective.OmegaHat + margin
 	demand := 0.0
 	for pe := range g.PEs {
 		demand += inRate[pe] * sel.Alt(g, pe).Cost * target

@@ -74,11 +74,12 @@ func TestPropertyPlanNeverOversubscribes(t *testing.T) {
 				return false
 			}
 			// Predicted throughput meets the target.
-			omega, err := dataflow.PredictOmega(g, sel, dataflow.InputRates{0: rate}, plan.Capacities(g, sel))
-			if err != nil || omega < 0.7-1e-9 {
+			flow, err := dataflow.NewRoutedFlow(g, sel, dataflow.DefaultRouting(g), dataflow.InputRates{0: rate})
+			if err != nil {
 				return false
 			}
-			return true
+			omega, _ := flow.Capped(plan.Capacities(g, sel))
+			return omega >= 0.7-1e-9
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 			t.Fatalf("%s menu: %v", menu.Largest().Name, err)
@@ -142,7 +143,7 @@ func TestMaterializeRoundTrip(t *testing.T) {
 	// Materializing a plan through the engine reproduces exactly the
 	// planned per-PE ECUs and hourly burn rate.
 	g := dataflow.EvalGraph()
-	sel, err := SelectAlternates(g, Global)
+	sel, err := SelectAlternates(g, dataflow.DefaultRouting(g), Global)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +214,12 @@ func TestMenuWithoutMediumStillPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPlanInvariants(t, plan)
-	omega, err := dataflow.PredictOmega(g, sel, dataflow.InputRates{0: 8}, plan.Capacities(g, sel))
-	if err != nil || omega < 0.7-1e-9 {
-		t.Fatalf("omega %v err %v", omega, err)
+	flow, err := dataflow.NewRoutedFlow(g, sel, dataflow.DefaultRouting(g), dataflow.InputRates{0: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if omega, _ := flow.Capped(plan.Capacities(g, sel)); omega < 0.7-1e-9 {
+		t.Fatalf("omega %v", omega)
 	}
 }
 
@@ -532,27 +536,21 @@ func referencePlanAllocation(g *dataflow.Graph, menu *cloud.Menu, sel dataflow.S
 	for _, pe := range g.ForwardBFS() {
 		plan.AddCore(pe)
 	}
-	// Incremental bottleneck-driven growth (INCREMENTAL_ALLOCATION).
-	inRate, _, err := dataflow.PropagateRatesRouted(g, sel, routing, est)
+	// Incremental bottleneck-driven growth (INCREMENTAL_ALLOCATION),
+	// scoring each allocation's capacities against one prepared flow.
+	flow, err := dataflow.NewRoutedFlow(g, sel, routing, est)
 	if err != nil {
 		return nil, err
 	}
+	inRate := flow.InRates()
 	maxCores := 64 * g.N() * (1 + int(totalRate(est)))
 	for iter := 0; ; iter++ {
-		caps := plan.Capacities(g, sel)
-		omega, err := dataflow.PredictOmegaRouted(g, sel, routing, est, caps)
-		if err != nil {
-			return nil, err
-		}
+		omega, th := flow.Capped(plan.Capacities(g, sel))
 		if omega >= target-1e-9 {
 			break
 		}
 		if iter > maxCores {
 			return nil, fmt.Errorf("core: allocation did not converge after %d cores (omega %.3f < %.3f)", iter, omega, target)
-		}
-		th, err := dataflow.PEThroughputsRouted(g, sel, routing, est, caps)
-		if err != nil {
-			return nil, err
 		}
 		bottleneck := -1
 		worst := math.Inf(1)
@@ -580,26 +578,20 @@ func referencePlanAllocation(g *dataflow.Graph, menu *cloud.Menu, sel dataflow.S
 		plan.Downgrade()
 		// Repacking may round capacities down; restore the target if the
 		// integral-core conversions cost throughput.
-		if err := plan.restore(g, sel, routing, est, inRate, target, maxCores); err != nil {
-			return nil, err
-		}
+		plan.restore(g, sel, flow, target, maxCores)
 	}
 	return plan, nil
 }
 
 // restore is referencePlanAllocation's second growth loop.
-func (plan *referencePlan) restore(g *dataflow.Graph, sel dataflow.Selection, routing dataflow.Routing,
-	est dataflow.InputRates, inRate []float64, target float64, maxCores int) error {
+func (plan *referencePlan) restore(g *dataflow.Graph, sel dataflow.Selection, flow *dataflow.RoutedFlow,
+	target float64, maxCores int) {
+	inRate := flow.InRates()
 	for iter := 0; iter <= maxCores; iter++ {
-		caps := plan.Capacities(g, sel)
-		omega, err := dataflow.PredictOmegaRouted(g, sel, routing, est, caps)
-		if err != nil {
-			return err
-		}
+		omega, th := flow.Capped(plan.Capacities(g, sel))
 		if omega >= target-1e-9 {
 			break
 		}
-		th, _ := dataflow.PEThroughputsRouted(g, sel, routing, est, caps)
 		bottleneck, worst := -1, math.Inf(1)
 		for pe := 0; pe < g.N(); pe++ {
 			if inRate[pe] > 0 && th[pe] < worst {
@@ -612,7 +604,6 @@ func (plan *referencePlan) restore(g *dataflow.Graph, sel dataflow.Selection, ro
 		}
 		plan.AddCore(bottleneck)
 	}
-	return nil
 }
 
 // nonDyadicMenu has core speeds with no exact binary form, so a PE's
@@ -794,7 +785,7 @@ func TestPlanAllocationMatchesReference(t *testing.T) {
 					ref.Downgrade()
 					got.Downgrade()
 				case 4:
-					inRate, _, err := dataflow.PropagateRatesRouted(g, sel, routing, est)
+					refFlow, err := dataflow.NewRoutedFlow(g, sel, routing, est)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -802,9 +793,7 @@ func TestPlanAllocationMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := ref.restore(g, sel, routing, est, inRate, target, maxCores); err != nil {
-						t.Fatal(err)
-					}
+					ref.restore(g, sel, refFlow, target, maxCores)
 					if err := got.grow(g, sel, flow, target, maxCores); err != nil {
 						t.Fatal(err)
 					}

@@ -12,7 +12,7 @@ import (
 
 // TestPredictedOmegaMatchesMeasured cross-validates the planner against the
 // engine: for a static deployment at constant rate on an ideal cloud, the
-// relative throughput dataflow.PredictOmega computes from the plan must be
+// relative throughput a dataflow.RoutedFlow predicts from the plan must be
 // what the simulator actually measures — the model and the simulation are
 // two views of the same fluid system.
 func TestPredictedOmegaMatchesMeasured(t *testing.T) {
@@ -28,7 +28,7 @@ func TestPredictedOmegaMatchesMeasured(t *testing.T) {
 		{dataflow.DiamondGraph(), 8, 0.9},
 	} {
 		g := tc.graph
-		sel, err := SelectAlternates(g, Global)
+		sel, err := SelectAlternates(g, dataflow.DefaultRouting(g), Global)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,10 +40,11 @@ func TestPredictedOmegaMatchesMeasured(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		predicted, err := dataflow.PredictOmega(g, sel, est, plan.Capacities(g, sel))
+		flow, err := dataflow.NewRoutedFlow(g, sel, dataflow.DefaultRouting(g), est)
 		if err != nil {
 			t.Fatal(err)
 		}
+		predicted, _ := flow.Capped(plan.Capacities(g, sel))
 
 		profiles := map[int]rates.Profile{}
 		for pe, r := range est {

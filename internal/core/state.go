@@ -8,7 +8,7 @@ import (
 )
 
 // heuristicState is the Heuristic's mutable state: just the adaptation tick
-// counter, which phases the alternate/resource stage periods. Options are
+// counter, which phases the alternate stage's period. Options are
 // configuration, re-supplied at construction, not state.
 type heuristicState struct {
 	Ticks int `json:"ticks"`

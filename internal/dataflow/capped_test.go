@@ -12,10 +12,12 @@ func TestPropagateCappedThrottles(t *testing.T) {
 	in := InputRates{0: 10}
 	// E2 capped to 4 msg/s, everyone else unconstrained.
 	caps := []float64{100, 4, 100, 100}
-	inR, outR, err := PropagateCapped(g, sel, in, caps)
+	f, err := NewRoutedFlow(g, sel, DefaultRouting(g), in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.Capped(caps)
+	inR, outR := f.arr, f.got
 	if outR[1] != 4 {
 		t.Fatalf("E2 out = %v, want 4", outR[1])
 	}
@@ -32,22 +34,23 @@ func TestPredictOmegaMatchesBottleneckRatio(t *testing.T) {
 	// Uncapped expectation at E4: 18 msg/s. Cap E2 at half its arrival:
 	// observed at E4 = 5 + 8 = 13 -> omega 13/18.
 	caps := []float64{100, 5, 100, 100}
-	om, err := PredictOmega(g, sel, in, caps)
+	f, err := NewRoutedFlow(g, sel, DefaultRouting(g), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(om-13.0/18.0) > 1e-12 {
+	if om, _ := f.Capped(caps); math.Abs(om-13.0/18.0) > 1e-12 {
 		t.Fatalf("omega = %v, want %v", om, 13.0/18.0)
 	}
 	// Ample capacity: omega = 1.
-	om, err = PredictOmega(g, sel, in, []float64{100, 100, 100, 100})
-	if err != nil || om != 1 {
-		t.Fatalf("ample omega = %v err %v", om, err)
+	if om, _ := f.Capped([]float64{100, 100, 100, 100}); om != 1 {
+		t.Fatalf("ample omega = %v", om)
 	}
 	// Zero input: omega defined as 1.
-	om, err = PredictOmega(g, sel, InputRates{0: 0}, caps)
-	if err != nil || om != 1 {
-		t.Fatalf("zero-input omega = %v err %v", om, err)
+	if err := f.Prepare(g, sel, DefaultRouting(g), InputRates{0: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if om, _ := f.Capped(caps); om != 1 {
+		t.Fatalf("zero-input omega = %v", om)
 	}
 }
 
@@ -56,10 +59,11 @@ func TestPEThroughputsRankBottleneck(t *testing.T) {
 	sel := DefaultSelection(g)
 	in := InputRates{0: 10}
 	caps := []float64{100, 2, 100, 100}
-	th, err := PEThroughputs(g, sel, in, caps)
+	f, err := NewRoutedFlow(g, sel, DefaultRouting(g), in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, th := f.Capped(caps)
 	if th[1] != 0.2 {
 		t.Fatalf("E2 throughput = %v, want 0.2", th[1])
 	}
@@ -90,15 +94,16 @@ func TestRoutedCappedVariants(t *testing.T) {
 	for i := range caps {
 		caps[i] = 100
 	}
-	th, err := PEThroughputsRouted(g, sel, Routing{1}, in, caps)
+	f, err := NewRoutedFlow(g, sel, Routing{1}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, th := f.Capped(caps)
 	// Inactive deep path has no arrivals -> throughput 1 by definition.
 	if th[1] != 1 || th[2] != 1 {
 		t.Fatalf("inactive path throughputs = %v / %v", th[1], th[2])
 	}
-	costs, err := DownstreamCostsRouted(g, sel, Routing{1})
+	costs, err := DownstreamCostsRoutedInto(g, sel, Routing{1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +113,7 @@ func TestRoutedCappedVariants(t *testing.T) {
 		t.Fatalf("routed downstream cost = %v, want 0.6", costs[0][0])
 	}
 	// Under the deep route it includes both stages: 0.1 + (1.2 + 1.0 + 0.1).
-	costsDeep, err := DownstreamCostsRouted(g, sel, Routing{0})
+	costsDeep, err := DownstreamCostsRoutedInto(g, sel, Routing{0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +166,17 @@ func TestLayeredGraphShape(t *testing.T) {
 }
 
 // referencePredictOmegaRouted and referencePEThroughputsRouted are the
-// one-shot capped passes that RoutedFlow replaced, kept verbatim as the
-// reference TestRoutedFlowMatchesReference diffs against.
+// one-shot capped passes that RoutedFlow replaced, kept as the reference
+// TestRoutedFlowMatchesReference diffs against. They validate their inputs
+// and take the uncapped rates through referencePropagateRatesRouted, which
+// folds over ActiveSuccessors on its own, so no code of RoutedFlow's is on
+// the reference side.
 func referencePredictOmegaRouted(g *Graph, sel Selection, routing Routing, in InputRates, capacity []float64) (float64, error) {
-	_, exp, err := PropagateRatesRouted(g, sel, routing, in)
+	_, exp, err := referencePropagateRatesRouted(g, sel, routing, in)
 	if err != nil {
 		return 0, err
 	}
-	order, err := g.TopoOrder()
+	order, err := g.kahn()
 	if err != nil {
 		return 0, err
 	}
@@ -204,13 +212,10 @@ func referencePredictOmegaRouted(g *Graph, sel Selection, routing Routing, in In
 }
 
 func referencePEThroughputsRouted(g *Graph, sel Selection, routing Routing, in InputRates, capacity []float64) ([]float64, error) {
-	if err := sel.Validate(g); err != nil {
+	if _, _, err := referencePropagateRatesRouted(g, sel, routing, in); err != nil {
 		return nil, err
 	}
-	if err := routing.Validate(g); err != nil {
-		return nil, err
-	}
-	order, err := g.TopoOrder()
+	order, err := g.kahn()
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +252,9 @@ func referencePEThroughputsRouted(g *Graph, sel Selection, routing Routing, in I
 // TestRoutedFlowMatchesReference scores random capacity vectors — some
 // short, most throttling a few PEs — through one reused RoutedFlow and
 // through the one-shot reference passes, and requires bit-equal Ω and
-// per-PE throughputs across selections, routings and input rates.
+// per-PE throughputs across selections, routings and input rates. Every
+// seventh trial adds a bad input rate (on a PE out of range either side,
+// on a non-input PE, or negative), which both sides must reject.
 func TestRoutedFlowMatchesReference(t *testing.T) {
 	twoChoices := NewBuilder().
 		AddPE("in", Alt("e", 1, 0.1, 1.3)).
@@ -268,6 +275,7 @@ func TestRoutedFlowMatchesReference(t *testing.T) {
 		Connect("d", "tap").
 		MustBuild()
 	graphs := []*Graph{Fig1Graph(), EvalGraph(), DiamondGraph(), LayeredGraph(5, 3, 3), choiceGraph(), twoChoices}
+	badRates := []string{"negative", "non-input", "below range", "above range"}
 	rng := rand.New(rand.NewSource(7))
 	for gi, g := range graphs {
 		for trial := 0; trial < 40; trial++ {
@@ -286,6 +294,25 @@ func TestRoutedFlowMatchesReference(t *testing.T) {
 				} else {
 					in[pe] = 0
 				}
+			}
+			if trial%7 == 3 {
+				switch bad := badRates[rng.Intn(len(badRates))]; bad {
+				case "negative":
+					in[g.Inputs()[0]] = -1 - rng.Float64()
+				case "non-input":
+					in[g.Outputs()[0]] = 1
+				case "below range":
+					in[-1] = 1
+				case "above range":
+					in[g.N()] = 1
+				}
+				_, err := NewRoutedFlow(g, sel, routing, in)
+				_, refErr := referencePredictOmegaRouted(g, sel, routing, in, nil)
+				_, thErr := referencePEThroughputsRouted(g, sel, routing, in, nil)
+				if err == nil || refErr == nil || thErr == nil {
+					t.Fatalf("graph %d trial %d: bad input rates %v accepted: flow %v, reference %v / %v", gi, trial, in, err, refErr, thErr)
+				}
+				continue
 			}
 			f, err := NewRoutedFlow(g, sel, routing, in)
 			if err != nil {

@@ -166,56 +166,14 @@ func RoutedValue(g *Graph, sel Selection, routing Routing) (float64, error) {
 	return sum / float64(n), nil
 }
 
-// PropagateRatesRouted computes steady-state rates like PropagateRates but
-// honouring choice-group routing.
-func PropagateRatesRouted(g *Graph, sel Selection, routing Routing, in InputRates) (inRate, outRate []float64, err error) {
-	inRate = make([]float64, g.N())
-	outRate = make([]float64, g.N())
-	if err := propagateRouted(g, sel, routing, in, inRate, outRate); err != nil {
-		return nil, nil, err
-	}
-	return inRate, outRate, nil
-}
-
-// propagateRouted validates the selection, routing and input rates and
-// writes PropagateRatesRouted's result into inRate and outRate, which must
-// have length g.N(): one fold over the topological order, with and-split
-// duplication onto the active successors and multi-merge summing.
-func propagateRouted(g *Graph, sel Selection, routing Routing, in InputRates, inRate, outRate []float64) error {
-	if err := sel.Validate(g); err != nil {
-		return err
-	}
-	if err := routing.Validate(g); err != nil {
-		return err
-	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		return err
-	}
-	clear(inRate)
-	for pe, r := range in {
-		if pe < 0 || pe >= g.N() || len(g.Predecessors(pe)) != 0 || r < 0 {
-			return fmt.Errorf("dataflow: bad input rate %v on PE %d", r, pe)
-		}
-		inRate[pe] = r
-	}
-	for _, v := range order {
-		outRate[v] = inRate[v] * sel.Alt(g, v).Selectivity
-		for _, w := range g.ActiveSuccessors(v, routing) {
-			inRate[w] += outRate[v]
-		}
-	}
-	return nil
-}
-
 // RoutedFlow is a graph's steady-state flow under one selection, routing
-// and set of external input rates, prepared once so that many capacity
-// vectors can be scored against it: the topological order, every PE's
-// active successors and the uncapped rates are computed by Prepare, and
-// each Capped pass reuses the same buffers. Alg. 1's deployment planner
-// keeps one across every core it adds, and Alg. 2's heuristic re-prepares
-// one in place every interval; PredictOmegaRouted and PEThroughputsRouted
-// are its one-shot forms. The zero value is an empty flow ready for
+// and set of external input rates: the expected rates of Def. 4 and the
+// demand Alg. 1 and Alg. 2 size PEs from. Prepare computes the topological
+// order, every PE's active successors and the uncapped rates once, so that
+// many capacity vectors can be scored against them, and each Capped pass
+// reuses the same buffers. Alg. 1's deployment planner keeps one across
+// every core it adds, and Alg. 2's heuristic re-prepares one in place
+// wherever it reads rates. The zero value is an empty flow ready for
 // Prepare.
 type RoutedFlow struct {
 	order       []int
@@ -242,29 +200,41 @@ func NewRoutedFlow(g *Graph, sel Selection, routing Routing, in InputRates) (*Ro
 // Prepare validates the selection, routing and input rates and prepares
 // their flow in place, reusing the buffers of whatever flow f held before,
 // on any graph: once they have grown to the graph's size, preparing a
-// choice-free graph's flow allocates nothing. The uncapped rates are
-// PropagateRatesRouted's, bit for bit. After an error f must be prepared
-// again before use.
+// choice-free graph's flow allocates nothing. The uncapped rates are one
+// FoldRates over the topological order and the active successors. After
+// an error f must be prepared again before use.
 func (f *RoutedFlow) Prepare(g *Graph, sel Selection, routing Routing, in InputRates) error {
-	n := g.N()
-	f.inRate = resize(f.inRate, n)
-	f.outRate = resize(f.outRate, n)
-	if err := propagateRouted(g, sel, routing, in, f.inRate, f.outRate); err != nil {
+	if err := sel.Validate(g); err != nil {
 		return err
 	}
-	f.order, _ = g.TopoOrder() // propagateRouted got it without error
+	if err := routing.Validate(g); err != nil {
+		return err
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		return err
+	}
+	n := g.N()
+	f.base = resize(f.base, n)
+	clear(f.base)
+	for pe, r := range in {
+		if pe < 0 || pe >= n || len(g.Predecessors(pe)) != 0 || r < 0 {
+			return fmt.Errorf("dataflow: bad input rate %v on PE %d", r, pe)
+		}
+		f.base[pe] = r
+	}
+	f.order = order
 	f.succ = resize(f.succ, n)
 	f.selectivity = resize(f.selectivity, n)
 	for v := 0; v < n; v++ {
 		f.succ[v] = g.ActiveSuccessors(v, routing)
 		f.selectivity[v] = sel.Alt(g, v).Selectivity
 	}
+	f.inRate = resize(f.inRate, n)
+	f.outRate = resize(f.outRate, n)
+	copy(f.inRate, f.base)
+	FoldRates(g, sel, f.order, f.succ, f.inRate, f.outRate)
 	f.outs = g.appendOutputs(f.outs[:0])
-	f.base = resize(f.base, n)
-	clear(f.base)
-	for pe, r := range in {
-		f.base[pe] = r
-	}
 	f.arr = resize(f.arr, n)
 	f.got = resize(f.got, n)
 	f.th = resize(f.th, n)
@@ -330,48 +300,22 @@ func (f *RoutedFlow) Capped(capacity []float64) (omega float64, th []float64) {
 	return omega / float64(len(f.outs)), f.th
 }
 
-// PredictOmegaRouted predicts the relative application throughput for a
-// capacity vector under routing (PredictOmega generalized to dynamic
-// paths). Output PEs unreachable under the routing contribute 1 (they are
-// expected to emit nothing, and do).
-func PredictOmegaRouted(g *Graph, sel Selection, routing Routing, in InputRates, capacity []float64) (float64, error) {
-	f, err := NewRoutedFlow(g, sel, routing, in)
-	if err != nil {
-		return 0, err
-	}
-	omega, _ := f.Capped(capacity)
-	return omega, nil
-}
-
-// PEThroughputsRouted returns each PE's predicted relative throughput
-// (processed/arrival at capped rates) under routing; PEs with no arrivals
-// report 1. Input rates are validated as PropagateRatesRouted does.
-func PEThroughputsRouted(g *Graph, sel Selection, routing Routing, in InputRates, capacity []float64) ([]float64, error) {
-	f, err := NewRoutedFlow(g, sel, routing, in)
-	if err != nil {
-		return nil, err
-	}
-	_, th := f.Capped(capacity)
-	return th, nil
-}
-
-// DownstreamCostsRouted computes the global strategy's per-alternate costs
-// (DownstreamCosts) honouring choice-group routing: inactive routes do not
-// contribute downstream cost because no message flows into them.
-func DownstreamCostsRouted(g *Graph, sel Selection, routing Routing) ([][]float64, error) {
-	return DownstreamCostsRoutedInto(g, sel, routing, nil)
-}
-
-// DownstreamCostsRoutedInto is DownstreamCostsRouted writing into dst: it
-// reuses dst's rows (and their backing arrays) for the result and returns
-// it, so a caller that keeps the result across calls allocates nothing
-// once the rows have grown to the graph's shape. The costs are
-// DownstreamCostsRouted's, bit for bit.
+// DownstreamCostsRoutedInto computes, for every PE and every alternate,
+// the global strategy's cost (Table 1, GetCostOfAlternate) under the
+// routing: the alternate's own processing cost plus the
+// selectivity-weighted cost of all downstream work a message entering it
+// eventually induces. Inactive routes add nothing, because no message
+// flows into them. The result is indexed [pe][alternate]. It reuses dst's
+// rows (and their backing arrays) and returns them, so a caller that keeps
+// the result across calls allocates nothing once the rows have grown to
+// the graph's shape.
 //
 // One pass in reverse topological order fills each PE's row from its
 // active successors' selected-alternate entries: a PE's cost under its
 // selected alternate is exactly the per-message cost of everything a
-// message entering it induces, which is what its predecessors sum.
+// message entering it induces, which is what its predecessors sum. The
+// paper describes a reverse BFS rooted at the outputs; the topological
+// order gives the same dependencies deterministically.
 func DownstreamCostsRoutedInto(g *Graph, sel Selection, routing Routing, dst [][]float64) ([][]float64, error) {
 	if err := sel.Validate(g); err != nil {
 		return dst, err
@@ -408,7 +352,7 @@ func RouteCosts(g *Graph, sel Selection, routing Routing, group int) ([]float64,
 	if group < 0 || group >= len(g.Choices) {
 		return nil, fmt.Errorf("dataflow: no choice group %d", group)
 	}
-	costs, err := DownstreamCostsRouted(g, sel, routing)
+	costs, err := DownstreamCostsRoutedInto(g, sel, routing, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -123,10 +123,11 @@ func TestPropagateRatesRouted(t *testing.T) {
 	sel := DefaultSelection(g)
 	in := InputRates{0: 10}
 	// Deep route: shallow gets nothing.
-	inR, outR, err := PropagateRatesRouted(g, sel, Routing{0}, in)
+	f, err := NewRoutedFlow(g, sel, Routing{0}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inR, outR := f.InRates(), f.outRate
 	if inR[1] != 10 || inR[3] != 0 {
 		t.Fatalf("deep route: deepA in=%v shallow in=%v", inR[1], inR[3])
 	}
@@ -134,10 +135,10 @@ func TestPropagateRatesRouted(t *testing.T) {
 		t.Fatalf("out rate = %v", outR[4])
 	}
 	// Shallow route: deep path dark.
-	inR, outR, err = PropagateRatesRouted(g, sel, Routing{1}, in)
-	if err != nil {
+	if err := f.Prepare(g, sel, Routing{1}, in); err != nil {
 		t.Fatal(err)
 	}
+	inR, outR = f.InRates(), f.outRate
 	if inR[1] != 0 || inR[3] != 10 {
 		t.Fatalf("shallow route: deepA in=%v shallow in=%v", inR[1], inR[3])
 	}
@@ -180,14 +181,15 @@ func TestRoutedValue(t *testing.T) {
 	if math.Abs(shallowVal-0.9) > 1e-12 {
 		t.Fatalf("shallow value = %v", shallowVal)
 	}
-	// For a graph without choices, RoutedValue == Selection.Value.
+	// For a graph without choices, RoutedValue is the mean over all PEs.
 	g2 := Fig1Graph()
-	v, err := RoutedValue(g2, DefaultSelection(g2), DefaultRouting(g2))
+	sel2 := Selection{0, 1, 1, 0}
+	v, err := RoutedValue(g2, sel2, DefaultRouting(g2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != DefaultSelection(g2).Value(g2) {
-		t.Fatalf("routed %v != plain %v", v, DefaultSelection(g2).Value(g2))
+	if want := (1.0 + 0.9 + 0.8 + 1.0) / 4; v != want {
+		t.Fatalf("routed %v != plain mean %v", v, want)
 	}
 }
 
@@ -213,19 +215,23 @@ func TestPredictOmegaRouted(t *testing.T) {
 	in := InputRates{0: 10}
 	// Ample capacity everywhere: omega 1 on either route.
 	caps := []float64{100, 100, 100, 100, 100}
-	for _, r := range []Routing{{0}, {1}} {
-		om, err := PredictOmegaRouted(g, sel, r, in, caps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if om != 1 {
-			t.Fatalf("route %v omega = %v", r, om)
+	deep, err := NewRoutedFlow(g, sel, Routing{0}, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shallow, err := NewRoutedFlow(g, sel, Routing{1}, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, f := range []*RoutedFlow{deep, shallow} {
+		if om, _ := f.Capped(caps); om != 1 {
+			t.Fatalf("route %d omega = %v", r, om)
 		}
 	}
 	// Deep path starved: deep route throttles, shallow route unaffected.
 	caps = []float64{100, 5, 100, 100, 100}
-	omDeep, _ := PredictOmegaRouted(g, sel, Routing{0}, in, caps)
-	omShallow, _ := PredictOmegaRouted(g, sel, Routing{1}, in, caps)
+	omDeep, _ := deep.Capped(caps)
+	omShallow, _ := shallow.Capped(caps)
 	if omDeep >= 0.6 {
 		t.Fatalf("deep omega = %v, want throttled", omDeep)
 	}
@@ -245,11 +251,11 @@ func TestPropertyRoutingConservation(t *testing.T) {
 		if route {
 			r = Routing{1}
 		}
-		_, out, err := PropagateRatesRouted(g, sel, r, InputRates{0: rate})
+		flow, err := NewRoutedFlow(g, sel, r, InputRates{0: rate})
 		if err != nil {
 			return false
 		}
-		return math.Abs(out[4]-rate) < 1e-9
+		return math.Abs(flow.outRate[4]-rate) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

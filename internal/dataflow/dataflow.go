@@ -307,17 +307,7 @@ func (g *Graph) kahn() ([]int, error) {
 // PEs. Alg. 1 uses this order for initial resource allocation so that
 // neighbouring PEs tend to be collocated.
 func (g *Graph) ForwardBFS() []int {
-	return g.bfs(g.Inputs(), g.succ)
-}
-
-// ReverseBFS returns PE indices in breadth-first order rooted at the output
-// PEs following edges backwards. The global strategy's downstream-cost DP
-// traverses the graph in this order.
-func (g *Graph) ReverseBFS() []int {
-	return g.bfs(g.Outputs(), g.pred)
-}
-
-func (g *Graph) bfs(roots []int, next [][]int) []int {
+	roots := g.Inputs()
 	visited := make([]bool, len(g.PEs))
 	order := make([]int, 0, len(g.PEs))
 	queue := append([]int(nil), roots...)
@@ -328,7 +318,7 @@ func (g *Graph) bfs(roots []int, next [][]int) []int {
 		v := queue[0]
 		queue = queue[1:]
 		order = append(order, v)
-		for _, w := range next[v] {
+		for _, w := range g.succ[v] {
 			if !visited[w] {
 				visited[w] = true
 				queue = append(queue, w)

@@ -157,10 +157,6 @@ func TestForwardBFSStartsAtInputs(t *testing.T) {
 	if g.PEs[order[0]].Name != "in" {
 		t.Fatalf("forward BFS starts at %q", g.PEs[order[0]].Name)
 	}
-	rev := g.ReverseBFS()
-	if g.PEs[rev[0]].Name != "out" {
-		t.Fatalf("reverse BFS starts at %q", g.PEs[rev[0]].Name)
-	}
 }
 
 func TestSelectionValueAndValidate(t *testing.T) {
@@ -169,14 +165,15 @@ func TestSelectionValueAndValidate(t *testing.T) {
 	if err := sel.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	// All default alternates have value 1.0.
-	if v := sel.Value(g); v != 1.0 {
-		t.Fatalf("default value = %v, want 1", v)
+	// All default alternates have value 1.0. Fig. 1 has no choice groups,
+	// so every PE is on the route and Γ is the mean over all four.
+	if v, err := RoutedValue(g, sel, DefaultRouting(g)); err != nil || v != 1.0 {
+		t.Fatalf("default value = %v (%v), want 1", v, err)
 	}
 	sel[1], sel[2] = 1, 1 // e2 for E2 (0.9) and E3 (0.8)
 	want := (1.0 + 0.9 + 0.8 + 1.0) / 4
-	if v := sel.Value(g); v != want {
-		t.Fatalf("value = %v, want %v", v, want)
+	if v, err := RoutedValue(g, sel, DefaultRouting(g)); err != nil || v != want {
+		t.Fatalf("value = %v (%v), want %v", v, err, want)
 	}
 	bad := Selection{0, 0, 9, 0}
 	if err := bad.Validate(g); err == nil {
@@ -192,10 +189,11 @@ func TestPropagateRatesFig1(t *testing.T) {
 	g := Fig1Graph()
 	sel := DefaultSelection(g)
 	in := InputRates{0: 10}
-	inRate, outRate, err := PropagateRates(g, sel, in)
+	f, err := NewRoutedFlow(g, sel, DefaultRouting(g), in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inRate, outRate := f.InRates(), f.outRate
 	// E1 sel=1.0 -> out 10, duplicated to E2 and E3 (10 each).
 	if outRate[0] != 10 || inRate[1] != 10 || inRate[2] != 10 {
 		t.Fatalf("E1 out=%v E2 in=%v E3 in=%v", outRate[0], inRate[1], inRate[2])
@@ -211,30 +209,33 @@ func TestPropagateRatesFig1(t *testing.T) {
 
 func TestPropagateRatesRejectsBadInputs(t *testing.T) {
 	g := Fig1Graph()
-	sel := DefaultSelection(g)
-	if _, _, err := PropagateRates(g, sel, InputRates{1: 5}); err == nil {
+	sel, routing := DefaultSelection(g), DefaultRouting(g)
+	if _, err := NewRoutedFlow(g, sel, routing, InputRates{1: 5}); err == nil {
 		t.Fatal("rate on non-input PE accepted")
 	}
-	if _, _, err := PropagateRates(g, sel, InputRates{0: -5}); err == nil {
+	if _, err := NewRoutedFlow(g, sel, routing, InputRates{0: -5}); err == nil {
 		t.Fatal("negative rate accepted")
 	}
-	if _, _, err := PropagateRates(g, sel, InputRates{42: 5}); err == nil {
-		t.Fatal("out-of-range PE accepted")
+	for _, pe := range []int{42, -1} {
+		if _, err := NewRoutedFlow(g, sel, routing, InputRates{pe: 5}); err == nil {
+			t.Fatalf("out-of-range PE %d accepted", pe)
+		}
 	}
 }
 
 func TestCoreDemand(t *testing.T) {
 	g := Fig1Graph()
 	sel := DefaultSelection(g)
-	demand, err := CoreDemand(g, sel, InputRates{0: 10})
+	f, err := NewRoutedFlow(g, sel, DefaultRouting(g), InputRates{0: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// demand = inRate * cost.
 	want := []float64{10 * 0.30, 10 * 1.20, 10 * 1.50, 18 * 0.40}
 	for i := range want {
-		if diff := demand[i] - want[i]; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("demand[%d] = %v, want %v", i, demand[i], want[i])
+		demand := f.InRates()[i] * sel.Alt(g, i).Cost
+		if diff := demand - want[i]; diff > 1e-12 || diff < -1e-12 {
+			t.Fatalf("demand[%d] = %v, want %v", i, demand, want[i])
 		}
 	}
 }
@@ -249,7 +250,7 @@ func TestDownstreamCostsChain(t *testing.T) {
 		Chain("a", "b", "c").
 		MustBuild()
 	sel := DefaultSelection(g)
-	costs, err := DownstreamCosts(g, sel)
+	costs, err := DownstreamCostsRoutedInto(g, sel, DefaultRouting(g), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestDownstreamCostsChain(t *testing.T) {
 func TestDownstreamCostsExceedLocal(t *testing.T) {
 	g := EvalGraph()
 	sel := DefaultSelection(g)
-	costs, err := DownstreamCosts(g, sel)
+	costs, err := DownstreamCostsRoutedInto(g, sel, DefaultRouting(g), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,10 +415,11 @@ func TestPropertyRateConservation(t *testing.T) {
 		for _, i := range g.Inputs() {
 			in[i] = rate
 		}
-		inRate, outRate, err := PropagateRates(g, sel, in)
+		flow, err := NewRoutedFlow(g, sel, DefaultRouting(g), in)
 		if err != nil {
 			return false
 		}
+		inRate, outRate := flow.InRates(), flow.outRate
 		for i := range g.PEs {
 			want := in[i]
 			for _, p := range g.Predecessors(i) {
@@ -444,7 +446,7 @@ func TestPropertyDownstreamCostMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomDAG(rand.New(rand.NewSource(seed)))
 		sel := DefaultSelection(g)
-		costs, err := DownstreamCosts(g, sel)
+		costs, err := DownstreamCostsRoutedInto(g, sel, DefaultRouting(g), nil)
 		if err != nil {
 			return false
 		}
@@ -464,6 +466,7 @@ func TestPropertyDownstreamCostMonotone(t *testing.T) {
 
 func TestPropertyValueBounds(t *testing.T) {
 	// Property: Gamma of any valid selection lies in [MinValue, MaxValue].
+	// randomDAG has no choice groups, so every PE is on the route.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomDAG(r)
@@ -471,8 +474,8 @@ func TestPropertyValueBounds(t *testing.T) {
 		for i := range sel {
 			sel[i] = r.Intn(len(g.PEs[i].Alternates))
 		}
-		v := sel.Value(g)
-		return v >= MinValue(g)-1e-12 && v <= MaxValue(g)+1e-12 && v > 0 && v <= 1+1e-12
+		v, err := RoutedValue(g, sel, DefaultRouting(g))
+		return err == nil && v >= MinValue(g)-1e-12 && v <= MaxValue(g)+1e-12 && v > 0 && v <= 1+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -42,7 +42,7 @@ func FuzzGraphJSON(f *testing.F) {
 		for _, pe := range g.Inputs() {
 			in2[pe] = 1
 		}
-		if _, _, err := PropagateRates(&g, DefaultSelection(&g), in2); err != nil {
+		if _, err := NewRoutedFlow(&g, DefaultSelection(&g), DefaultRouting(&g), in2); err != nil {
 			t.Fatalf("propagation failed: %v", err)
 		}
 	})

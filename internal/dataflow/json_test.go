@@ -37,16 +37,16 @@ func TestGraphJSONRoundTrip(t *testing.T) {
 		for _, pe := range orig.Inputs() {
 			in[pe] = 7
 		}
-		_, outA, err := PropagateRates(orig, sel, in)
+		a, err := NewRoutedFlow(orig, sel, DefaultRouting(orig), in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, outB, err := PropagateRates(&got, sel, in)
+		b, err := NewRoutedFlow(&got, sel, DefaultRouting(&got), in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range outA {
-			if outA[i] != outB[i] {
+		for i := range a.outRate {
+			if a.outRate[i] != b.outRate[i] {
 				t.Fatalf("propagation changed at PE %d", i)
 			}
 		}

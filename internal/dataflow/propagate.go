@@ -35,119 +35,25 @@ func (s Selection) Alt(g *Graph, i int) Alternate {
 	return g.PEs[i].Alternates[s[i]]
 }
 
-// Value computes the normalized application value Gamma (Def. 3): the mean
-// of the active alternates' values across all PEs, in (0, 1].
-func (s Selection) Value(g *Graph) float64 {
-	sum := 0.0
-	for i := range g.PEs {
-		sum += s.Alt(g, i).Value
-	}
-	return sum / float64(g.N())
-}
-
 // InputRates gives the external message rate (msg/s) at each input PE,
 // keyed by PE index. Non-input PEs must not appear.
 type InputRates map[int]float64
 
-// PropagateRates computes, for every PE, the steady-state input and output
-// message rates implied by the external input rates and the active
-// alternates, assuming unbounded processing capacity. This is the "expected"
-// rate used both by the heuristics for resource estimation and by Def. 4 as
-// the denominator of relative throughput.
-//
-// Edge semantics follow §3: a PE's output rate is duplicated onto each
-// outgoing edge (and-split) and a PE's input rate is the sum over incoming
-// edges (multi-merge).
-func PropagateRates(g *Graph, sel Selection, in InputRates) (inRate, outRate []float64, err error) {
-	if err := sel.Validate(g); err != nil {
-		return nil, nil, err
-	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, nil, err
-	}
-	inRate = make([]float64, g.N())
-	outRate = make([]float64, g.N())
-	for pe, r := range in {
-		if pe < 0 || pe >= g.N() {
-			return nil, nil, fmt.Errorf("dataflow: input rate for out-of-range PE %d", pe)
-		}
-		if len(g.Predecessors(pe)) != 0 {
-			return nil, nil, fmt.Errorf("dataflow: input rate set on non-input PE %q", g.PEs[pe].Name)
-		}
-		if r < 0 {
-			return nil, nil, fmt.Errorf("dataflow: negative input rate %v on PE %q", r, g.PEs[pe].Name)
-		}
-		inRate[pe] = r
-	}
+// FoldRates is the steady-state rate propagation (§3). In the given
+// topological order, each PE v emits inRate[v] times its active
+// alternate's selectivity into outRate[v], and that output is added to
+// the arrival rate of every PE in succ[v]: and-split duplication onto the
+// active successors, multi-merge summing at a join. On entry inRate holds
+// the external input rates and zero elsewhere; on return it holds every
+// PE's uncapped arrival rate. The caller validates sel and supplies
+// succ[v] as v's active successors under its routing.
+func FoldRates(g *Graph, sel Selection, order []int, succ [][]int, inRate, outRate []float64) {
 	for _, v := range order {
 		outRate[v] = inRate[v] * sel.Alt(g, v).Selectivity
-		for _, w := range g.Successors(v) {
+		for _, w := range succ[v] {
 			inRate[w] += outRate[v]
 		}
 	}
-	return inRate, outRate, nil
-}
-
-// CoreDemand computes, per PE, the standard-core-seconds per second needed to
-// sustain the expected input rates under the selection: demand_i = lambda_i *
-// c_i. A PE allocated cores whose normalized speeds sum to at least demand_i
-// can keep up with its arrivals.
-func CoreDemand(g *Graph, sel Selection, in InputRates) ([]float64, error) {
-	inRate, _, err := PropagateRates(g, sel, in)
-	if err != nil {
-		return nil, err
-	}
-	demand := make([]float64, g.N())
-	for i := range demand {
-		demand[i] = inRate[i] * sel.Alt(g, i).Cost
-	}
-	return demand, nil
-}
-
-// DownstreamCosts computes, for every PE and every alternate, the global
-// strategy's cost (Table 1, GetCostOfAlternate): the alternate's own
-// processing cost plus the selectivity-weighted cost of all downstream work
-// a message entering this alternate eventually induces. It is evaluated by
-// dynamic programming over the graph in reverse topological order (the paper
-// describes reverse BFS rooted at the outputs; topological order gives the
-// same dependencies deterministically).
-//
-// base[i] must hold the per-PE downstream continuation: the cost of PE i's
-// successors measured with their currently selected alternates. The returned
-// matrix is indexed [pe][alternate].
-func DownstreamCosts(g *Graph, sel Selection) ([][]float64, error) {
-	if err := sel.Validate(g); err != nil {
-		return nil, err
-	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	// nodeCost[i]: cost per message entering PE i, using its selected
-	// alternate, including everything downstream of it.
-	nodeCost := make([]float64, g.N())
-	for k := len(order) - 1; k >= 0; k-- {
-		v := order[k]
-		a := sel.Alt(g, v)
-		down := 0.0
-		for _, w := range g.Successors(v) {
-			down += nodeCost[w]
-		}
-		nodeCost[v] = a.Cost + a.Selectivity*down
-	}
-	costs := make([][]float64, g.N())
-	for i, p := range g.PEs {
-		costs[i] = make([]float64, len(p.Alternates))
-		down := 0.0
-		for _, w := range g.Successors(i) {
-			down += nodeCost[w]
-		}
-		for j, a := range p.Alternates {
-			costs[i][j] = a.Cost + a.Selectivity*down
-		}
-	}
-	return costs, nil
 }
 
 // MaxValue returns the normalized application value when every PE runs its

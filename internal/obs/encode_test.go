@@ -232,13 +232,13 @@ func TestTracerEmitAllocs(t *testing.T) {
 }
 
 // benchEvents is one interval's worth of a traced run: a step span, two
-// stage spans, a control action and a scale-up decision with inputs and
+// sweep-job spans, a control action and a scale-up decision with inputs and
 // options.
 func benchEvents() []Event {
 	return []Event{
 		{Sec: 3600, Type: EventStep, Phase: PhaseStart},
-		{Sec: 3600, Type: EventStage, Phase: PhaseStart, Detail: "flow"},
-		{Sec: 3600, Type: EventStage, Phase: PhaseEnd, Detail: "flow"},
+		{Sec: 3600, Type: EventSweepJob, Phase: PhaseStart, Detail: "flow"},
+		{Sec: 3600, Type: EventSweepJob, Phase: PhaseEnd, Detail: "flow"},
 		{Sec: 3600, Type: EventAssignCores, PE: 3, VM: 17, N: 1, Tenant: "sessions"},
 		{Sec: 3600, Type: EventDecision, PE: 3, Decision: &Decision{
 			Kind: "scale-up", PE: 3, Tenant: "sessions", Chosen: "assign-cores vm-17",
@@ -250,8 +250,8 @@ func benchEvents() []Event {
 				{Name: "free core on vm-19 (m1.medium)", Score: 1.1787363935967625, Rejected: "outscored"},
 				{Name: "free core on vm-20 (m1.medium)", Score: 1.1282570569662007, Rejected: "outscored"},
 			}}},
-		{Sec: 3600, Type: EventStage, Phase: PhaseStart, Detail: "check"},
-		{Sec: 3600, Type: EventStage, Phase: PhaseEnd, Detail: "check"},
+		{Sec: 3600, Type: EventSweepJob, Phase: PhaseStart, Detail: "check"},
+		{Sec: 3600, Type: EventSweepJob, Phase: PhaseEnd, Detail: "check"},
 		{Sec: 3600, Type: EventStep, Phase: PhaseEnd, N: 42, Value: 0.8465892252718202},
 	}
 }

@@ -36,7 +36,6 @@ const (
 	// Spans.
 	EventRun      = "run"       // one simulation run (start/end)
 	EventStep     = "step"      // one sim interval; end carries Omega in Value
-	EventStage    = "stage"     // one pipeline stage of an interval (start/end); Detail names it
 	EventSweepJob = "sweep-job" // one sweep job (start/end)
 
 	// Point events: scheduler and control-plane actions.

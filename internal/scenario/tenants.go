@@ -128,7 +128,7 @@ func (sc *Scenario) lowerTenants(pools *trace.Pools) (*Built, error) {
 		return nil, err
 	}
 
-	mt, err := core.NewMultiTenant(inner, core.Arbiter{})
+	mt, err := core.NewMultiTenant(inner)
 	if err != nil {
 		return nil, err
 	}

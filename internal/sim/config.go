@@ -66,11 +66,6 @@ type Config struct {
 	// fleet, backlog, cost) at the end of every interval. Equivalent to
 	// calling Engine.SetGauges before Run.
 	Gauges *obs.RunGauges
-	// StageSpans additionally emits a stage-span pair (obs.EventStage) around
-	// every pipeline stage of every interval when a tracer is attached —
-	// provision, faults, arrivals, rehome, flow, billing, observe, check.
-	// Off by default to keep existing trace streams byte-stable.
-	StageSpans bool
 	// Profiler, when non-nil, records per-stage wall time and allocation
 	// deltas for every interval (obs.StageProfiler). Wall-clock readings
 	// never enter the trace stream, so determinism is unaffected; nil costs

@@ -14,8 +14,7 @@ import (
 // each a method over the shared stepContext. The order is load-bearing —
 // every stage documents what engine state it may mutate, and the
 // invariant-checker's conservation law depends on the rehome stage's
-// snapshot point. With Config.StageSpans set (and a tracer attached) every
-// stage is bracketed by a stage-span pair for per-stage latency analysis.
+// snapshot point. An attached stage profiler times every stage.
 //
 //	provision  complete pending VMs whose boot time arrived
 //	faults     crash VMs whose sampled lifetime expired
@@ -122,17 +121,10 @@ func (e *Engine) resetStepContext() *stepContext {
 func (e *Engine) step() error {
 	e.listsBuilt = false
 	c := e.resetStepContext()
-	spans := e.cfg.StageSpans && e.tracer != nil
 	for i, st := range stepStages {
-		if spans {
-			e.trace(obs.Event{Type: obs.EventStage, Phase: obs.PhaseStart, Detail: st.name})
-		}
 		mark := e.profBegin()
 		err := st.run(e, c)
 		e.profEnd(i, mark)
-		if spans {
-			e.trace(obs.Event{Type: obs.EventStage, Phase: obs.PhaseEnd, Detail: st.name})
-		}
 		if err != nil {
 			return err
 		}
@@ -199,14 +191,12 @@ func (e *Engine) stageFaults(c *stepContext) error {
 }
 
 // stageArrivals reads the external arrival rates for this interval and
-// computes the expected (uncapped) propagation for Def. 4's denominator —
-// PropagateRatesRouted inlined over the cached topological order and
-// active-successor lists into reused buffers (selection and routing are
-// validated wherever they change, so the checks the library routine repeats
-// per call hold by construction; the fold order is identical). Mutates:
+// computes the expected (uncapped) propagation for Def. 4's denominator:
+// dataflow.FoldRates, the fold RoutedFlow.Prepare runs, over the cached
+// topological order and active-successor lists into reused buffers
+// (selection and routing are validated wherever they change). Mutates:
 // nothing on the engine (pure reads into the context).
 func (e *Engine) stageArrivals(c *stepContext) error {
-	g := e.cfg.Graph
 	for _, pe := range e.inputKeys {
 		r := e.cfg.Inputs[pe].Rate(c.sec)
 		if r < 0 {
@@ -218,12 +208,7 @@ func (e *Engine) stageArrivals(c *stepContext) error {
 	for _, pe := range e.inputKeys {
 		c.inRate[pe] = c.extRate[pe]
 	}
-	for _, v := range e.topoOrder {
-		c.expOut[v] = c.inRate[v] * e.sel.Alt(g, v).Selectivity
-		for _, w := range e.activeSucc[v] {
-			c.inRate[w] += c.expOut[v]
-		}
-	}
+	dataflow.FoldRates(e.cfg.Graph, e.sel, e.topoOrder, e.activeSucc, c.inRate, c.expOut)
 	return nil
 }
 

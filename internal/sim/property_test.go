@@ -101,13 +101,13 @@ func TestPropertyAmpleCapacityGivesFullThroughput(t *testing.T) {
 		for pe := range profiles {
 			in[pe] = rate
 		}
-		_, expOut, err := dataflow.PropagateRates(g, sel, in)
+		flow, err := dataflow.NewRoutedFlow(g, sel, dataflow.DefaultRouting(g), in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantOut := 0.0
 		for _, pe := range g.Outputs() {
-			wantOut += expOut[pe]
+			wantOut += flow.InRates()[pe] * sel.Alt(g, pe).Selectivity
 		}
 		pts := e.Collector().Points()
 		got := pts[len(pts)-1].OutputRate
@@ -215,5 +215,160 @@ func TestPropertyInvariantsHoldAcrossSeeds(t *testing.T) {
 				t.Logf("seed %d: fault model produced no crashes this horizon", seed)
 			}
 		})
+	}
+}
+
+// randomChoiceDAG builds a random DAG whose PEs carry one to three
+// alternates of varied selectivity, with at least one choice group over
+// the successors of a PE that has two or more, no PE a target of two
+// groups.
+func randomChoiceDAG(rng *rand.Rand) *dataflow.Graph {
+	for {
+		n := 4 + rng.Intn(8)
+		pes := make([]*dataflow.PE, n)
+		for i := range pes {
+			alts := make([]dataflow.Alternate, 1+rng.Intn(3))
+			for j := range alts {
+				alts[j] = dataflow.Alt(fmt.Sprintf("a%d", j), 0.2+0.8*rng.Float64(),
+					0.05+0.4*rng.Float64(), 0.3+1.4*rng.Float64())
+			}
+			pes[i] = &dataflow.PE{Name: fmt.Sprintf("pe%d", i), Alternates: alts}
+		}
+		var edges []dataflow.Edge
+		for j := 1; j < n; j++ {
+			// Every PE after the first gets at least one upstream edge.
+			first := rng.Intn(j)
+			edges = append(edges, dataflow.Edge{From: first, To: j})
+			for i := 0; i < j; i++ {
+				if i != first && rng.Float64() < 0.25 {
+					edges = append(edges, dataflow.Edge{From: i, To: j})
+				}
+			}
+		}
+		g, err := dataflow.NewGraph(pes, edges)
+		if err != nil {
+			panic(err)
+		}
+		claimed := make([]bool, n)
+		for pe := 0; pe < n; pe++ {
+			var free []int
+			for _, s := range g.Successors(pe) {
+				if !claimed[s] {
+					free = append(free, s)
+				}
+			}
+			if len(free) < 2 || rng.Intn(4) == 0 {
+				continue
+			}
+			rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+			targets := free[:2+rng.Intn(len(free)-1)]
+			for _, t := range targets {
+				claimed[t] = true
+			}
+			g.Choices = append(g.Choices, dataflow.ChoiceGroup{
+				Name: fmt.Sprintf("c%d", len(g.Choices)), From: pe, Targets: append([]int(nil), targets...)})
+		}
+		if len(g.Choices) == 0 {
+			continue
+		}
+		if err := g.Validate(); err != nil {
+			panic(err)
+		}
+		return g
+	}
+}
+
+// TestEngineExpectedRatesMatchRoutedFlow: on random DAGs with choice
+// groups, with routes and alternates switched between intervals and a
+// checkpoint/restore midway, every PE's expected output after every
+// interval equals, bit for bit, its arrival rate times its selectivity in
+// a freshly prepared RoutedFlow for that interval's input rates,
+// selection and routing. The engine's arrivals stage and the flow model
+// the planner and Def. 4 share must never drift apart.
+func TestEngineExpectedRatesMatchRoutedFlow(t *testing.T) {
+	const interval, horizon = int64(60), int64(4 * 3600)
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(500 + seed))
+		g := randomChoiceDAG(rng)
+		profiles := map[int]rates.Profile{}
+		for _, pe := range g.Inputs() {
+			w, err := rates.NewWave(2+rng.Float64()*8, rng.Float64(), 1800+rng.Int63n(3600))
+			if err != nil {
+				t.Fatal(err)
+			}
+			profiles[pe] = w
+		}
+		cfg := Config{
+			Graph:       g,
+			Menu:        cloud.MustMenu(cloud.AWS2013Classes()),
+			Inputs:      profiles,
+			IntervalSec: interval,
+			HorizonSec:  horizon,
+			MaxVMs:      256,
+		}
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switches := 0
+		sched := &fixed{deploy: deployEven, adapt: func(v *View, act Control) error {
+			if rng.Intn(3) == 0 {
+				gi := rng.Intn(len(g.Choices))
+				switches++
+				if err := act.SelectRoute(gi, rng.Intn(len(g.Choices[gi].Targets))); err != nil {
+					return err
+				}
+			}
+			if rng.Intn(3) == 0 {
+				pe := rng.Intn(g.N())
+				switches++
+				return act.SelectAlternate(pe, rng.Intn(len(g.PEs[pe].Alternates)))
+			}
+			return nil
+		}}
+		var flow dataflow.RoutedFlow
+		check := func(e *Engine) {
+			t.Helper()
+			sec := e.Now() - interval
+			in := dataflow.InputRates{}
+			for pe, p := range profiles {
+				in[pe] = p.Rate(sec)
+			}
+			if err := flow.Prepare(g, e.sel, e.routing, in); err != nil {
+				t.Fatal(err)
+			}
+			for pe, r := range flow.InRates() {
+				want := r * e.sel.Alt(g, pe).Selectivity
+				if math.Float64bits(e.lastPEExp[pe]) != math.Float64bits(want) {
+					t.Fatalf("seed %d t=%ds (selection %v, routing %v): PE %d expected output %v, RoutedFlow %v",
+						seed, sec, e.sel, e.routing, pe, e.lastPEExp[pe], want)
+				}
+			}
+		}
+		ctx := context.Background()
+		for e.Now() < horizon/2 {
+			if err := e.RunUntil(ctx, sched, e.Now()+interval); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			check(e)
+		}
+		snap, err := e.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Restore(snap, cfg)
+		if err != nil {
+			t.Fatalf("seed %d: restore: %v", seed, err)
+		}
+		check(restored)
+		for restored.Now() < horizon {
+			if err := restored.RunUntil(ctx, sched, restored.Now()+interval); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			check(restored)
+		}
+		if switches == 0 {
+			t.Fatalf("seed %d: no route or alternate switched", seed)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -202,8 +203,12 @@ func BenchmarkEngineStep(b *testing.B) {
 // intervals of a two-PE chain) bare and with each observation hook
 // attached: the tracer, the strict invariant checker, and the stage
 // profiler. ci.sh bounds profiler/bare and tracer/bare, and the tracer's
-// and the checker's allocations against bare's.
+// and the checker's allocations against bare's. Engines are built in
+// batches with the timer stopped once per batch: under -benchmem every
+// StopTimer/StartTimer pair reads the heap statistics, which stops the
+// world, and one pair per run made the ratios swing by half.
 func BenchmarkEngineRun(b *testing.B) {
+	const batch = 50
 	for _, hook := range []struct {
 		name   string
 		attach func(*Config)
@@ -214,17 +219,25 @@ func BenchmarkEngineRun(b *testing.B) {
 		{"profiler", func(cfg *Config) { cfg.Profiler = obs.NewStageProfiler(nil) }},
 	} {
 		b.Run(hook.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			engines := make([]*Engine, 0, batch)
+			for done := 0; done < b.N; done += len(engines) {
 				b.StopTimer()
-				cfg := baseConfig(chainGraph(1), 4, 3600)
-				hook.attach(&cfg)
-				e, err := NewEngine(cfg)
-				if err != nil {
-					b.Fatal(err)
+				engines = engines[:0]
+				for len(engines) < batch && done+len(engines) < b.N {
+					cfg := baseConfig(chainGraph(1), 4, 3600)
+					hook.attach(&cfg)
+					e, err := NewEngine(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					engines = append(engines, e)
 				}
+				runtime.GC()
 				b.StartTimer()
-				if _, err := e.Run(&fixed{deploy: deployEven}); err != nil {
-					b.Fatal(err)
+				for _, e := range engines {
+					if _, err := e.Run(&fixed{deploy: deployEven}); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})
