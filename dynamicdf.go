@@ -169,6 +169,8 @@ type (
 	// PerfProvider supplies runtime CPU/network behaviour to the simulator.
 	// Its methods must be pure functions of (ids, sec): the simulator
 	// replays past network probes on demand and re-reads traces on restore.
+	// It may also declare a bandwidth floor, BandwidthFloorMbps() float64,
+	// so that the simulator skips the links no sample could cap.
 	PerfProvider = trace.Provider
 	// IdealCloud is a perfectly stable provider.
 	IdealCloud = trace.Ideal

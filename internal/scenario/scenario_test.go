@@ -161,7 +161,7 @@ func TestBuildErrors(t *testing.T) {
 // TestBuildWithSharesReplayedPools: scenarios built through one memo share
 // the provider of a replayed infra config, while a csvdir scenario of the
 // same seed, which writes its loaded traces into its provider, leaves that
-// shared provider untouched in either order.
+// shared provider untouched in either order, network pools included.
 func TestBuildWithSharesReplayedPools(t *testing.T) {
 	dir := t.TempDir()
 	s, err := trace.NewSeries(60, []float64{0.5, 0.6, 0.7})
@@ -213,6 +213,10 @@ func TestBuildWithSharesReplayedPools(t *testing.T) {
 		if loaded == shared {
 			t.Fatal("the csvdir build shares the replayed provider")
 		}
+		// A network read draws both providers' network pools, so the
+		// comparison covers them too.
+		shared.BandwidthMbps(1, 2, 0)
+		fresh.BandwidthMbps(1, 2, 0)
 		if !reflect.DeepEqual(shared, trace.Provider(fresh)) {
 			t.Fatalf("csvFirst=%v: the shared replayed provider differs from a fresh one", csvFirst)
 		}

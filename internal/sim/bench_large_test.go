@@ -8,6 +8,7 @@ import (
 	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/dataflow"
 	"dynamicdf/internal/rates"
+	"dynamicdf/internal/trace"
 )
 
 // largeLayeredDAG builds a levels x width layered graph (level 0 PEs are the
@@ -72,30 +73,42 @@ func deployLargeDAG(v *View, act Control) error {
 }
 
 // BenchmarkEngineStepLargeDAG measures steady-state stepping on a 1000-PE
-// layered DAG (50 levels x 20 columns, 250 VMs).
+// layered DAG (50 levels x 20 columns, 250 VMs): /steady on an ideal cloud,
+// /replayed on the default replayed one (trace seed 1), whose CPU
+// coefficients and link bandwidths vary.
 func BenchmarkEngineStepLargeDAG(b *testing.B) {
-	b.Run("steady", func(b *testing.B) {
-		e, err := NewEngine(largeDAGConfig(50, 20))
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Deploy only (untilSec == clock), then warm the monitors so the
-		// benchmark loop measures pure steady-state stepping.
-		if err := e.RunUntil(context.Background(), &fixed{deploy: deployLargeDAG}, 0); err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if err := e.step(); err != nil {
+	for _, infra := range []struct {
+		name string
+		perf func() trace.Provider
+	}{
+		{"steady", func() trace.Provider { return nil }},
+		{"replayed", func() trace.Provider { return trace.MustReplayed(trace.ReplayedConfig{Seed: 1}) }},
+	} {
+		b.Run(infra.name, func(b *testing.B) {
+			cfg := largeDAGConfig(50, 20)
+			cfg.Perf = infra.perf()
+			e, err := NewEngine(cfg)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		e.Collector().Reserve(b.N)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := e.step(); err != nil {
+			// Deploy only (untilSec == clock), then warm the monitors so the
+			// benchmark loop measures pure steady-state stepping.
+			if err := e.RunUntil(context.Background(), &fixed{deploy: deployLargeDAG}, 0); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			for i := 0; i < 3; i++ {
+				if err := e.step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			e.Collector().Reserve(b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"unsafe"
 
@@ -56,10 +57,15 @@ type Engine struct {
 	gauges        *obs.RunGauges
 	collector     *metrics.Collector
 	stepped       bool
-	// listsBuilt marks fleetLists as built for the current interval; it sits
-	// here, in stepped's padding, to keep the Engine in its allocation size
-	// class.
+	// listsBuilt marks fleetLists as built for the current interval. It,
+	// gammaDirty and deployed sit here, in stepped's padding, to keep the
+	// Engine and its 8-byte allocation header in one 1408-byte size class.
 	listsBuilt bool
+	// gammaDirty forces gammaV's recompute.
+	gammaDirty bool
+	// deployed flips once the scheduler's Deploy phase has run, so a
+	// restored engine resumes without redeploying.
+	deployed bool
 
 	// Per-stage profiling: profIdx maps the pipeline's stage positions to
 	// the attached profiler's dense indices; nil profiler = zero overhead.
@@ -79,20 +85,21 @@ type Engine struct {
 	flowPreds  [][]int
 
 	// gammaV caches dataflow.RoutedValue, which only changes when the
-	// selection or routing does; gammaDirty forces a recompute.
-	gammaV     float64
-	gammaDirty bool
+	// selection or routing does (see gammaDirty).
+	gammaV float64
 
 	// ctx is the reused per-interval stage context.
 	ctx stepContext
 
-	// Run lifecycle. deployed flips once the scheduler's Deploy phase has
-	// run, so a restored engine resumes without redeploying; sched is the
-	// scheduler driving the current run (checkpointed when stateful);
-	// pendingSchedState carries a restored snapshot's scheduler blob until
-	// RunUntil hands it to the scheduler; restoredViolations preserves the
-	// violation count a restored snapshot was taken with.
-	deployed           bool
+	// bwFloor is the bandwidth floor cfg.Perf declares (bandwidthFloor), NaN
+	// when it declares none.
+	bwFloor float64
+
+	// Run lifecycle (and deployed, above). sched is the scheduler driving
+	// the current run (checkpointed when stateful); pendingSchedState
+	// carries a restored snapshot's scheduler blob until RunUntil hands it
+	// to the scheduler; restoredViolations preserves the violation count a
+	// restored snapshot was taken with.
 	sched              Scheduler
 	pendingSchedState  []byte
 	restoredViolations int
@@ -179,6 +186,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.isInput[pe] = true
 	}
 	e.outputs = cfg.Graph.Outputs()
+	e.bwFloor = math.NaN()
+	if f, ok := cfg.Perf.(bandwidthFloor); ok {
+		e.bwFloor = f.BandwidthFloorMbps()
+	}
 	e.rebuildFlowCaches()
 	e.ctx = stepContext{
 		extRate:     make([]float64, n),
@@ -414,9 +425,31 @@ func (e *Engine) linkMsgCap(srcVM, dstVM int, msgBytes int, sec int64) float64 {
 	if srcVM == dstVM {
 		return inf
 	}
-	bwMbps := e.cfg.Perf.BandwidthMbps(e.vmTraceID(srcVM), e.vmTraceID(dstVM), sec)
+	return msgRate(e.cfg.Perf.BandwidthMbps(e.vmTraceID(srcVM), e.vmTraceID(dstVM), sec), msgBytes)
+}
+
+// msgRate is how many msgBytes-large messages per second a link of bwMbps
+// carries.
+func msgRate(bwMbps float64, msgBytes int) float64 {
 	bytesPerSec := bwMbps * 1e6 / 8
 	return bytesPerSec / float64(msgBytes)
+}
+
+// bandwidthFloor is the optional method by which a trace.Provider declares
+// a value no BandwidthMbps result is below.
+type bandwidthFloor interface{ BandwidthFloorMbps() float64 }
+
+// linkFloorCap is linkMsgCap at the provider's bandwidth floor, through the
+// same msgRate, and at most the colocated cap. IEEE multiplication and
+// division by positive constants are monotone, so every link of an edge
+// whose messages are msgBytes large caps at or above it: a flow at or below
+// it is never capped, and its bandwidth need not be read. It is NaN, which
+// no flow is at or below, when the provider declares no floor.
+func (e *Engine) linkFloorCap(msgBytes int) float64 {
+	if msgBytes <= 0 {
+		return math.NaN()
+	}
+	return min(msgRate(e.bwFloor, msgBytes), inf)
 }
 
 const inf = 1e18

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/dataflow"
+	"dynamicdf/internal/obs"
 	"dynamicdf/internal/rates"
 	"dynamicdf/internal/trace"
 )
@@ -246,4 +248,108 @@ func TestActionSequenceInvariants(t *testing.T) {
 			}
 		}
 	}
+}
+
+// countLinks counts a provider's bandwidth reads. It declares no bandwidth
+// floor, whatever the provider it wraps declares.
+type countLinks struct {
+	trace.Provider
+	reads int
+}
+
+func (c *countLinks) BandwidthMbps(a, b int64, sec int64) float64 {
+	c.reads++
+	return c.Provider.BandwidthMbps(a, b, sec)
+}
+
+// floorLinks is countLinks declaring a bandwidth floor.
+type floorLinks struct {
+	countLinks
+	floor float64
+}
+
+func (f *floorLinks) BandwidthFloorMbps() float64 { return f.floor }
+
+// uncappedLinks reports links too fast to cap any flow.
+type uncappedLinks struct{ trace.Provider }
+
+func (uncappedLinks) BandwidthMbps(int64, int64, int64) float64 { return 1e12 }
+
+// TestBandwidthFloorSkipIsExact runs one fixture whose links sometimes bind
+// and sometimes do not on a replayed cloud three ways: declaring the
+// provider's bandwidth floor, hiding it, and with links too fast to bind.
+// The first two must write the same CSV, audit and trace bytes, the floor
+// run reading some links' bandwidth but fewer than the hidden one; the
+// third must differ, or no link bound.
+func TestBandwidthFloorSkipIsExact(t *testing.T) {
+	bw := trace.DefaultBandwidthConfig()
+	bw.Min, bw.Mean = 5, 30 // 100 KB messages: the floor caps a link at ~6.1 msg/s
+	replayed := trace.MustReplayed(trace.ReplayedConfig{Seed: 8, Bandwidth: bw})
+	run := func(perf trace.Provider) string {
+		t.Helper()
+		cfg := baseConfig(chainGraph(0.1), 20, 4*3600)
+		wave, err := rates.NewWave(20, 18, 1800)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Inputs[0] = wave
+		cfg.Perf = perf
+		var tr bytes.Buffer
+		cfg.Tracer = obs.NewTracer(&tr)
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two VMs per PE, and a third for work after two hours, so every
+		// edge splits over several links.
+		if _, err := e.Run(&fixed{
+			deploy: func(v *View, act Control) error {
+				for pe := 0; pe < 2; pe++ {
+					for k := 0; k < 2; k++ {
+						id, err := act.AcquireVM("m1.large")
+						if err != nil {
+							return err
+						}
+						if err := act.AssignCores(pe, id, 2); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			},
+			adapt: func(v *View, act Control) error {
+				if v.Now() != 2*3600 {
+					return nil
+				}
+				id, err := act.AcquireVM("m1.large")
+				if err != nil {
+					return err
+				}
+				return act.AssignCores(1, id, 2)
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := e.Collector().WriteCSV(&out); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.WriteAuditJSONL(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String() + tr.String()
+	}
+	floored := &floorLinks{countLinks: countLinks{Provider: replayed}, floor: replayed.BandwidthFloorMbps()}
+	hidden := &countLinks{Provider: replayed}
+	withFloor, without := run(floored), run(hidden)
+	if withFloor != without {
+		t.Fatal("declaring the bandwidth floor moved the run's CSV, audit or trace")
+	}
+	if floored.reads == 0 || floored.reads >= hidden.reads {
+		t.Fatalf("bandwidth reads: %d with the floor, %d without; want some, but fewer", floored.reads, hidden.reads)
+	}
+	if run(uncappedLinks{replayed}) == without {
+		t.Fatal("no link bound: the fixture does not exercise the cap")
+	}
+	t.Logf("bandwidth reads: %d with the floor, %d without", floored.reads, hidden.reads)
 }

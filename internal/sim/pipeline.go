@@ -249,7 +249,9 @@ func (e *Engine) stageRehome(c *stepContext) error {
 // successors capped by pairwise bandwidth — then derives Omega (Def. 4).
 //
 // PEs run in topological order, each pulling its arrivals from predecessor
-// output already computed this interval (processPE). Mutates: arena
+// output already computed this interval (processPE). A link's bandwidth is
+// read only when its flow exceeds the edge's cap at the provider's
+// bandwidth floor (linkFloorCap), the one case it can bind. Mutates: arena
 // queues/shares, invState.In/Processed.
 func (e *Engine) stageFlow(c *stepContext) error {
 	for _, pe := range e.topoOrder {
@@ -341,6 +343,7 @@ func (e *Engine) processPE(c *stepContext, pe int) {
 		}
 		src := &e.pes[u]
 		msgBytes := g.MsgBytes(u)
+		floorCap := e.linkFloorCap(msgBytes)
 		for t := 1; t < nslots; t++ {
 			sh := p.rshare[t]
 			if sh <= 0 {
@@ -363,8 +366,12 @@ func (e *Engine) processPE(c *stepContext, pe int) {
 					continue
 				}
 				flow := want * src.oshare[s]
-				if lcap := e.linkMsgCap(src.vms[s], dstVM, msgBytes, c.sec); flow > lcap {
-					flow = lcap
+				// Only a flow above the floor's cap (or NaN) can be
+				// capped, so only it reads its link's bandwidth.
+				if !(flow <= floorCap) {
+					if lcap := e.linkMsgCap(src.vms[s], dstVM, msgBytes, c.sec); flow > lcap {
+						flow = lcap
+					}
 				}
 				p.arr[t] += flow
 			}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dynamicdf/internal/invariant"
 	"dynamicdf/internal/obs"
@@ -202,14 +203,17 @@ func BenchmarkEngineStep(b *testing.B) {
 // BenchmarkEngineRun times one whole run (Deploy plus 60 one-minute
 // intervals of a two-PE chain) bare and with each observation hook
 // attached: the tracer, the strict invariant checker, and the stage
-// profiler. ci.sh bounds profiler/bare and tracer/bare, and the tracer's
-// and the checker's allocations against bare's. Engines are built in
-// batches with the timer stopped once per batch: under -benchmem every
+// profiler. /paired runs a bare, a traced and a profiled run per op, in
+// rotating order inside one timed loop, and reports tracer/bare and
+// profiler/bare from their summed times, so both sides of each ratio share
+// the host's state; ci.sh bounds those ratios, and the tracer's and the
+// checker's allocations against bare's. Engines are built in batches with
+// the timer stopped once per batch: under -benchmem every
 // StopTimer/StartTimer pair reads the heap statistics, which stops the
 // world, and one pair per run made the ratios swing by half.
 func BenchmarkEngineRun(b *testing.B) {
 	const batch = 50
-	for _, hook := range []struct {
+	hooks := []struct {
 		name   string
 		attach func(*Config)
 	}{
@@ -217,29 +221,64 @@ func BenchmarkEngineRun(b *testing.B) {
 		{"tracer", func(cfg *Config) { cfg.Tracer = obs.NewTracer(new(bytes.Buffer)) }},
 		{"checker", func(cfg *Config) { cfg.Checker = invariant.NewStrict() }},
 		{"profiler", func(cfg *Config) { cfg.Profiler = obs.NewStageProfiler(nil) }},
-	} {
+	}
+	build := func(b *testing.B, attach func(*Config)) *Engine {
+		cfg := baseConfig(chainGraph(1), 4, 3600)
+		attach(&cfg)
+		e, err := NewEngine(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	run := func(b *testing.B, e *Engine) {
+		if _, err := e.Run(&fixed{deploy: deployEven}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, hook := range hooks {
 		b.Run(hook.name, func(b *testing.B) {
 			engines := make([]*Engine, 0, batch)
 			for done := 0; done < b.N; done += len(engines) {
 				b.StopTimer()
 				engines = engines[:0]
 				for len(engines) < batch && done+len(engines) < b.N {
-					cfg := baseConfig(chainGraph(1), 4, 3600)
-					hook.attach(&cfg)
-					e, err := NewEngine(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					engines = append(engines, e)
+					engines = append(engines, build(b, hook.attach))
 				}
 				runtime.GC()
 				b.StartTimer()
 				for _, e := range engines {
-					if _, err := e.Run(&fixed{deploy: deployEven}); err != nil {
-						b.Fatal(err)
-					}
+					run(b, e)
 				}
 			}
 		})
 	}
+	b.Run("paired", func(b *testing.B) {
+		paired := [...]func(*Config){hooks[0].attach, hooks[1].attach, hooks[3].attach}
+		var spent [len(paired)]time.Duration
+		trios := make([][len(paired)]*Engine, 0, batch)
+		for done := 0; done < b.N; done += len(trios) {
+			b.StopTimer()
+			trios = trios[:0]
+			for len(trios) < batch && done+len(trios) < b.N {
+				var trio [len(paired)]*Engine
+				for k, attach := range paired {
+					trio[k] = build(b, attach)
+				}
+				trios = append(trios, trio)
+			}
+			runtime.GC()
+			b.StartTimer()
+			for i, trio := range trios {
+				for j := range trio {
+					k := (done + i + j) % len(trio)
+					start := time.Now()
+					run(b, trio[k])
+					spent[k] += time.Since(start)
+				}
+			}
+		}
+		b.ReportMetric(float64(spent[1])/float64(spent[0]), "tracer/bare")
+		b.ReportMetric(float64(spent[2])/float64(spent[0]), "profiler/bare")
+	})
 }

@@ -13,7 +13,10 @@ import (
 // trace pools — the path for replaying *real* cloud measurements instead
 // of the synthetic defaults. Any pool left nil falls back to generated
 // traces with the package defaults (seeded by seed), so partial real data
-// (e.g. CPU only) is usable.
+// (e.g. CPU only) is usable. Loading either network pool first generates
+// both, so the one left generated keeps the samples it always had; with
+// CPU alone loaded, the network pools wait for the first network read. A
+// loaded bandwidth pool declares a floor of 0.
 func NewReplayedFromSeries(cpu, lat, bw []*Series, seed int64) (*Replayed, error) {
 	base, err := NewReplayed(ReplayedConfig{Seed: seed})
 	if err != nil {
@@ -24,6 +27,9 @@ func NewReplayedFromSeries(cpu, lat, bw []*Series, seed int64) (*Replayed, error
 			return nil, err
 		}
 		base.cpu = cpu
+	}
+	if len(lat) > 0 || len(bw) > 0 {
+		base.network()
 	}
 	if len(lat) > 0 {
 		if err := validatePool("latency", lat); err != nil {
@@ -36,6 +42,7 @@ func NewReplayedFromSeries(cpu, lat, bw []*Series, seed int64) (*Replayed, error
 			return nil, err
 		}
 		base.bw = bw
+		base.bwFloor = 0
 	}
 	return base, nil
 }

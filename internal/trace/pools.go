@@ -8,14 +8,17 @@ import (
 // Pools memoizes replayed providers across the builds of one campaign.
 // The evaluation replays the same infrastructure traces under every policy,
 // dynamism setting and rate it compares, and a provider is a pure function
-// of its resolved config that nothing writes to once generated, so the
-// campaign's jobs can share one provider per distinct config instead of
-// each generating its own.
+// of its resolved config that nothing writes to once built (its network
+// pools are generated once, under a sync.Once, by whichever read comes
+// first), so the campaign's jobs can share one provider per distinct config
+// instead of each generating its own.
 //
 // A Pools holds every provider it has generated for as long as it lives
-// (about 1.2 MB for a default pool), so it belongs to one campaign and is
-// dropped with it; there is deliberately no process-wide instance. The zero
-// value is ready to use, and a nil *Pools generates afresh on every call.
+// (about 0.45 MB for a default provider, its CPU traces, and about 1.2 MB
+// once a network read has generated the rest), so it belongs to one
+// campaign and is dropped with it; there is deliberately no process-wide
+// instance. The zero value is ready to use, and a nil *Pools generates
+// afresh on every call.
 type Pools struct {
 	mu    sync.Mutex
 	byKey map[poolKey]*pooled

@@ -66,20 +66,23 @@ func sameBits(t *testing.T, what string, got *Series, want []float64, period int
 	}
 }
 
+// samePools generates p's network pools and compares all three with the
+// reference, bit for bit.
 func samePools(t *testing.T, what string, p *Replayed, cfg ReplayedConfig) {
 	t.Helper()
 	cfg = cfg.resolved()
 	cpu, lat, bw := referenceReplayed(cfg)
-	if len(p.cpu) != len(cpu) || len(p.lat) != len(lat) || len(p.bw) != len(bw) {
+	pLat, pBw := p.network()
+	if len(p.cpu) != len(cpu) || len(pLat) != len(lat) || len(pBw) != len(bw) {
 		t.Fatalf("%s: pool sizes %d/%d/%d, want %d/%d/%d", what,
-			len(p.cpu), len(p.lat), len(p.bw), len(cpu), len(lat), len(bw))
+			len(p.cpu), len(pLat), len(pBw), len(cpu), len(lat), len(bw))
 	}
 	for i := range cpu {
 		sameBits(t, what+" cpu", p.cpu[i], cpu[i], cfg.CPU.PeriodSec)
 	}
 	for i := range lat {
-		sameBits(t, what+" latency", p.lat[i], lat[i], cfg.Latency.PeriodSec)
-		sameBits(t, what+" bandwidth", p.bw[i], bw[i], cfg.Bandwidth.PeriodSec)
+		sameBits(t, what+" latency", pLat[i], lat[i], cfg.Latency.PeriodSec)
+		sameBits(t, what+" bandwidth", pBw[i], bw[i], cfg.Bandwidth.PeriodSec)
 	}
 }
 
@@ -108,9 +111,10 @@ func randomGenConfig(rng *rand.Rand) GenConfig {
 }
 
 // TestGenerateMatchesReference pins the tabulated diurnal term to the
-// per-sample math.Sin it replaced, bit for bit: NewReplayed on default
-// pools over many seeds, Generate and NewReplayed on random configs and
-// sample counts that are not whole days.
+// per-sample math.Sin it replaced, and the network pools generated on first
+// read to the eager generation, bit for bit: NewReplayed on default pools
+// over many seeds, Generate and NewReplayed on random configs and sample
+// counts that are not whole days.
 func TestGenerateMatchesReference(t *testing.T) {
 	for seed := int64(-3); seed < 21; seed++ {
 		cfg := ReplayedConfig{Seed: seed * 7919}
@@ -286,13 +290,26 @@ func TestNewReplayedRejectsSpanOverflow(t *testing.T) {
 	}
 }
 
-// BenchmarkNewReplayed generates one default pool: 24 traces of 5,760
-// samples (8 CPU, 8 latency, 8 bandwidth).
+// BenchmarkNewReplayed builds one default provider of 5,760-sample traces:
+// /cpu is construction, which generates the 8 CPU traces; /network adds the
+// first network read, which generates the 8 latency and 8 bandwidth traces,
+// so it is the whole pool.
 func BenchmarkNewReplayed(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewReplayed(ReplayedConfig{Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
+	for _, read := range []struct {
+		name    string
+		network bool
+	}{{"cpu", false}, {"network", true}} {
+		b.Run(read.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := NewReplayed(ReplayedConfig{Seed: int64(i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if read.network {
+					p.BandwidthMbps(1, 2, 0)
+				}
+			}
+		})
 	}
 }

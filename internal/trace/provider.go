@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Provider exposes the runtime infrastructure behaviour the monitoring
@@ -16,6 +17,15 @@ import (
 // The simulator relies on this. Its network monitor replays a pair's past
 // probes only when the pair is read or checkpointed, and a restored run
 // re-reads the traces the original run read.
+//
+// A Provider may also declare a bandwidth floor with a method
+//
+//	BandwidthFloorMbps() float64
+//
+// whose value no BandwidthMbps result is below (a NaN result is allowed: it
+// compares below nothing). The simulator then skips the bandwidth read of
+// every link whose flow stays within the floor's message-rate cap, since no
+// sample could cap it. A Provider without the method has every link read.
 type Provider interface {
 	// CPUCoeff returns the multiplicative coefficient applied to a VM's
 	// rated core speed at time sec: pi_runtime = coeff * pi_rated.
@@ -53,17 +63,57 @@ func (p *Ideal) LatencySec(int64, int64, int64) float64 { return p.FixedLatencyS
 // BandwidthMbps implements Provider.
 func (p *Ideal) BandwidthMbps(int64, int64, int64) float64 { return p.RatedMbps }
 
+// BandwidthFloorMbps declares the provider's bandwidth floor (see Provider):
+// every link reads RatedMbps.
+func (p *Ideal) BandwidthFloorMbps() float64 { return p.RatedMbps }
+
 // Replayed is a Provider that replays generated (or loaded) traces. A pool
 // of base traces is generated once; each VM trace id deterministically maps
 // to a (trace, window offset) pair, and each unordered VM pair maps to
 // latency/bandwidth traces the same way. This mirrors §8.1: "we assign a
 // random time period from the traces for each active VM to replay".
+//
+// The CPU pool is generated with the provider. The latency and bandwidth
+// pools, two thirds of a default provider, are generated on the first
+// network read, from the same random source in the same order, so every
+// sample equals what eager generation draws; a run whose links never read
+// the network never pays for them.
 type Replayed struct {
 	cpu []*Series
+	// lat and bw are nil until netOnce runs genNetwork.
 	lat []*Series
 	bw  []*Series
 	// seed decorrelates window assignment between Replayed instances.
 	seed int64
+	// bwFloor is no greater than any bandwidth sample (BandwidthFloorMbps).
+	bwFloor float64
+	netOnce sync.Once
+	// gen is the generation NewReplayed started; nil once the network
+	// pools are drawn.
+	gen *poolGen
+}
+
+// poolGen is a pool generation in progress: the resolved config, the random
+// source every trace draws from in turn, and the diurnal tables tabulated
+// so far.
+type poolGen struct {
+	cfg    ReplayedConfig
+	rng    *rand.Rand
+	shapes map[int64][]float64
+}
+
+// shape returns the diurnal table c.generate reads, nil when c has no
+// diurnal term. Kinds that share a period share one table.
+func (g *poolGen) shape(c GenConfig) []float64 {
+	if c.DiurnalAmp == 0 {
+		return nil
+	}
+	t, ok := g.shapes[c.PeriodSec]
+	if !ok {
+		t = diurnalShape(c.PeriodSec, g.cfg.Samples)
+		g.shapes[c.PeriodSec] = t
+	}
+	return t
 }
 
 // ReplayedConfig controls trace-pool construction.
@@ -78,41 +128,48 @@ type ReplayedConfig struct {
 	Seed int64
 }
 
-// NewReplayed generates the trace pools and returns the provider.
+// NewReplayed validates the config, generates the CPU pool and returns the
+// provider; the network pools follow on the first network read.
 func NewReplayed(cfg ReplayedConfig) (*Replayed, error) {
 	cfg = cfg.resolved()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Kinds that share a period share one diurnal table.
-	shapes := map[int64][]float64{}
-	shape := func(c GenConfig) []float64 {
-		if c.DiurnalAmp == 0 {
-			return nil
-		}
-		s, ok := shapes[c.PeriodSec]
-		if !ok {
-			s = diurnalShape(c.PeriodSec, cfg.Samples)
-			shapes[c.PeriodSec] = s
-		}
-		return s
-	}
-	cpuShape, latShape, bwShape := shape(cfg.CPU), shape(cfg.Latency), shape(cfg.Bandwidth)
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	g := &poolGen{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), shapes: map[int64][]float64{}}
 	p := &Replayed{
-		cpu:  make([]*Series, cfg.CPUTraces),
-		lat:  make([]*Series, cfg.NetTraces),
-		bw:   make([]*Series, cfg.NetTraces),
-		seed: cfg.Seed,
+		cpu:     make([]*Series, cfg.CPUTraces),
+		seed:    cfg.Seed,
+		bwFloor: cfg.Bandwidth.Min,
+		gen:     g,
 	}
+	cpuShape := g.shape(cfg.CPU)
 	for i := range p.cpu {
-		p.cpu[i] = cfg.CPU.generate(rng, cfg.Samples, cpuShape)
-	}
-	for i := range p.lat {
-		p.lat[i] = cfg.Latency.generate(rng, cfg.Samples, latShape)
-		p.bw[i] = cfg.Bandwidth.generate(rng, cfg.Samples, bwShape)
+		p.cpu[i] = cfg.CPU.generate(g.rng, cfg.Samples, cpuShape)
 	}
 	return p, nil
+}
+
+// network returns the latency and bandwidth pools, generating them on the
+// first call. Concurrent first calls on a shared provider wait for one
+// generation.
+func (p *Replayed) network() (lat, bw []*Series) {
+	p.netOnce.Do(p.genNetwork)
+	return p.lat, p.bw
+}
+
+// genNetwork draws the latency and bandwidth pools, interleaved trace by
+// trace, from where the CPU pool left the random source.
+func (p *Replayed) genNetwork() {
+	g := p.gen
+	cfg := g.cfg
+	latShape, bwShape := g.shape(cfg.Latency), g.shape(cfg.Bandwidth)
+	p.lat = make([]*Series, cfg.NetTraces)
+	p.bw = make([]*Series, cfg.NetTraces)
+	for i := range p.lat {
+		p.lat[i] = cfg.Latency.generate(g.rng, cfg.Samples, latShape)
+		p.bw[i] = cfg.Bandwidth.generate(g.rng, cfg.Samples, bwShape)
+	}
+	p.gen = nil
 }
 
 // resolved returns cfg with every unset field replaced by its default: the
@@ -210,13 +267,21 @@ func (p *Replayed) CPUCoeff(vmTraceID int64, sec int64) float64 {
 // on the same VM) are the simulator's job; the provider always reports the
 // network path.
 func (p *Replayed) LatencySec(a, b int64, sec int64) float64 {
-	return p.pickAt(pairID(a, b), p.lat, sec)
+	lat, _ := p.network()
+	return p.pickAt(pairID(a, b), lat, sec)
 }
 
 // BandwidthMbps implements Provider.
 func (p *Replayed) BandwidthMbps(a, b int64, sec int64) float64 {
-	return p.pickAt(pairID(a, b), p.bw, sec)
+	_, bw := p.network()
+	return p.pickAt(pairID(a, b), bw, sec)
 }
+
+// BandwidthFloorMbps declares the provider's bandwidth floor (see
+// Provider): the generator's Min, which clamps every generated sample, or 0
+// for a loaded pool, whose samples NewReplayedFromSeries checks are not
+// negative. Reading it generates nothing.
+func (p *Replayed) BandwidthFloorMbps() float64 { return p.bwFloor }
 
 // Scaled wraps a Provider and scales its CPU coefficient, for ablations
 // (e.g. uniformly slower clouds). Latency/bandwidth pass through.
