@@ -29,10 +29,10 @@
 # 1000 PEs and on 16 tenants' Adapt against the 8-tenant step, a memory
 # and deploy/step ratio guard on its Deploy (Alg. 1's
 # planner) on the same DAG, an allocations-per-job guard on expanding the
-# fig67 sweep grid, a bytes-per-job guard on running one cold sweep job,
-# and an engine-step, per-run, Adapt, Deploy, Expand, sweep-job and
-# output-encoder benchmark snapshot written to BENCH_step.json. Run from
-# the repo root.
+# fig67 sweep grid, bytes-per-job guards on running one cold and one
+# forked sweep job, and an engine-step, per-run, Adapt, Deploy, Expand,
+# sweep-job, trace-pool, checkpoint and output-encoder benchmark snapshot
+# written to BENCH_step.json. Run from the repo root.
 set -eu
 
 fmt=$(gofmt -l .)
@@ -130,8 +130,8 @@ rm -rf "$ckpt"
 # Snapshot equality across a restore: on a fixture with replayed infra,
 # monitoring faults, boot delays and crashes, a run restored at T1 and
 # checkpointed at T2 must write the same state/v1 bytes as a cold run
-# checkpointed at T2. This pins the network monitor's on-demand folding
-# across a restore, which the CSV, audit and trace checks above never read.
+# checkpointed at T2. This pins the state the CSV, audit and trace checks
+# above never read (the monitors' estimators, the fault counters).
 refold=$(mktemp -d)
 go run ./cmd/dfsim -config testdata/refold/scenario.json \
     -audit "$refold/cold.jsonl" -checkpoint "$refold/cold.json" -checkpoint-sec 4800 > /dev/null
@@ -266,7 +266,7 @@ echo "$stepbench" | grep -q ' 0 allocs/op' || {
 # at most 128 objects and cost at most 22x the steady engine step above
 # (observed ~6x). Both sides come from this run, so machine speed largely
 # cancels. An Adapt that issues no actions allocates nothing
-# (TestAdaptAllocs); what still allocates here (~63 per Adapt) is the fleet
+# (TestAdaptAllocs); what still allocates here (~45 per Adapt) is the fleet
 # still growing: VM acquisitions and the engine's arena slots for the new
 # VMs. The time limit catches an Adapt that goes O(V^2) in the fleet, as
 # the per-victim consolidation scans did. It used to be 3x of a step that
@@ -344,17 +344,24 @@ echo "$expandbench" | awk '
 # allocate at most 100 KB (observed ~79 KB). An engine that reserves the
 # job's 600 metric rows, as every job's did, makes it ~136 KB, so a job path
 # that keeps the per-interval series again fails here. The forked case, the
-# same job restored from a 5 h checkpoint, is recorded in the snapshot.
+# same job restored from a 5 h checkpoint, may allocate at most 72 KB
+# (observed ~62 KB): a snapshot carries only what a policy reads, and
+# importing the prefix's pairwise network estimators made it ~77 KB.
 jobbench=$(go test ./internal/sweep -run '^$' -bench 'BenchmarkExecuteJob' -benchtime 20x -benchmem)
 echo "$jobbench"
 echo "$jobbench" | awk '
     function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
     /^BenchmarkExecuteJob\/cold/ { bytes = field("B/op") }
+    /^BenchmarkExecuteJob\/forked/ { forked = field("B/op") }
     END {
-        if (bytes == "") { print "job guard: benchmark missing" > "/dev/stderr"; exit 1 }
-        printf "sweep job: %.1f KB per cold job\n", bytes / 1024
+        if (bytes == "" || forked == "") { print "job guard: benchmarks missing" > "/dev/stderr"; exit 1 }
+        printf "sweep job: %.1f KB per cold job, %.1f KB per forked job\n", bytes / 1024, forked / 1024
         if (bytes > 102400) {
             printf "a cold sweep job allocates %.1f KB (limit 100 KB)\n", bytes / 1024 > "/dev/stderr"
+            exit 1
+        }
+        if (forked > 73728) {
+            printf "a forked sweep job allocates %.1f KB (limit 72 KB)\n", forked / 1024 > "/dev/stderr"
             exit 1
         }
     }'
@@ -479,15 +486,22 @@ echo "$encbench" | awk '
 poolbench=$(go test ./internal/trace -run '^$' -bench 'BenchmarkNewReplayed' -benchtime 50x -benchmem)
 echo "$poolbench"
 
+# Checkpoint layer, recorded in the snapshot below: one Checkpoint, one
+# state.Encode, one state.Decode and one Restore of the 1000-PE large-DAG
+# run on replayed infrastructure after 30 intervals.
+ckptbench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkCheckpoint' -benchtime 20x -benchmem)
+echo "$ckptbench"
+
 # Benchmark snapshot: run the engine-step and per-run benchmark suites with
 # -benchmem, add the Adapt, Deploy, Expand, ExecuteJob, NewReplayed,
-# TracerEmit and WriteCSV benchmarks measured above, and record ns/op, B/op,
-# allocs/op per benchmark as BENCH_step.json, so perf regressions show up in
-# review diffs. Each row names what one op is: an engine step, a whole
-# one-hour run, a bare, a traced and a profiled run (/paired), one
-# disabled-hook call, one Adapt call, one Deploy, one expansion of the
-# 96-job fig67 grid, one sweep job, one replayed provider built (its CPU
-# pool), one whole generated trace pool, one traced event, or one metrics
+# Checkpoint, TracerEmit and WriteCSV benchmarks measured above, and record
+# ns/op, B/op, allocs/op per benchmark as BENCH_step.json, so perf
+# regressions show up in review diffs. Each row names what one op is: an
+# engine step, a whole one-hour run, a bare, a traced and a profiled run
+# (/paired), one disabled-hook call, one Adapt call, one Deploy, one
+# expansion of the 96-job fig67 grid, one sweep job, one replayed provider
+# built (its CPU pool), one whole generated trace pool, one checkpoint,
+# encode, decode or restore of a snapshot, one traced event, or one metrics
 # CSV. The numbers are machine-dependent; the file is a tracked
 # observation, not a gate.
 {
@@ -498,6 +512,7 @@ echo "$poolbench"
     echo "$expandbench"
     echo "$jobbench"
     echo "$poolbench"
+    echo "$ckptbench"
     echo "$encbench"
 } | awk '
     function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
@@ -511,6 +526,7 @@ echo "$poolbench"
         else if (name ~ /^BenchmarkExecuteJob/) unit = "job"
         else if (name ~ /^BenchmarkNewReplayed\/cpu/) unit = "provider"
         else if (name ~ /^BenchmarkNewReplayed/) unit = "pool"
+        else if (name ~ /^BenchmarkCheckpoint/) unit = "snapshot"
         else if (name ~ /^BenchmarkTracerEmit/) unit = "event"
         else if (name ~ /^BenchmarkWriteCSV/) unit = "csv"
         else if (name ~ /^BenchmarkEngineRun\/paired/) unit = "run-trio"

@@ -167,8 +167,8 @@ func NewSpike(base Profile, factor float64, intervalSec, durationSec int64) (*Sp
 // Infrastructure performance variability (paper §2.5, Figs. 2-3).
 type (
 	// PerfProvider supplies runtime CPU/network behaviour to the simulator.
-	// Its methods must be pure functions of (ids, sec): the simulator
-	// replays past network probes on demand and re-reads traces on restore.
+	// Its methods must be pure functions of (ids, sec): a checkpoint carries
+	// no trace values, so the simulator re-reads traces on restore.
 	// It may also declare a bandwidth floor, BandwidthFloorMbps() float64,
 	// so that the simulator skips the links no sample could cap.
 	PerfProvider = trace.Provider

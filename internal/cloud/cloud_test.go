@@ -219,22 +219,6 @@ func TestFleetErrors(t *testing.T) {
 	}
 }
 
-func TestHourlyBurnRate(t *testing.T) {
-	m := MustMenu(AWS2013Classes())
-	f := NewFleet(m)
-	s, _ := m.ByName("m1.small")
-	x, _ := m.ByName("m1.xlarge")
-	v1, _ := f.Acquire(s, 0)
-	_, _ = f.Acquire(x, 0)
-	if got := f.HourlyBurnRate(); math.Abs(got-0.54) > 1e-9 {
-		t.Fatalf("burn = %v", got)
-	}
-	_ = f.Release(v1.ID, 10)
-	if got := f.HourlyBurnRate(); math.Abs(got-0.48) > 1e-9 {
-		t.Fatalf("burn after release = %v", got)
-	}
-}
-
 func TestPropertyBillingMonotoneAndMinimum(t *testing.T) {
 	c := AWS2013Classes()[1]
 	f := func(startRaw, d1Raw, d2Raw uint32) bool {

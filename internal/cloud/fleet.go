@@ -314,14 +314,3 @@ func (f *Fleet) TotalCost(now int64) float64 {
 	}
 	return total
 }
-
-// HourlyBurnRate returns the dollars per hour the currently active VMs cost.
-func (f *Fleet) HourlyBurnRate() float64 {
-	total := 0.0
-	for _, v := range f.Live() {
-		if !v.pending {
-			total += v.Class.PricePerHour
-		}
-	}
-	return total
-}

@@ -179,8 +179,12 @@ func TestMaterializeRoundTrip(t *testing.T) {
 			t.Fatalf("PE %d: materialized %v ECU, planned %v", pe, got, wantECU[pe])
 		}
 	}
-	if diff := v.HourlyBurnRate() - plan.HourlyCost(); diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("burn rate %v != planned %v", v.HourlyBurnRate(), plan.HourlyCost())
+	burn := 0.0
+	for _, vm := range v.ActiveVMs() {
+		burn += vm.Class.PricePerHour
+	}
+	if diff := burn - plan.HourlyCost(); diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("burn rate %v != planned %v", burn, plan.HourlyCost())
 	}
 }
 

@@ -1,15 +1,15 @@
-// Package monitor implements the monitoring framework the paper presumes
-// (§4): a component that "periodically and noninvasively probes the
-// performance of the cloud VMs and their network connectivity" and measures
+// Package monitor implements the part of the paper's monitoring framework
+// (§4) that the runtime heuristics read: per-VM CPU performance probes and
 // dataflow message rates. In the simulator the probes read the trace
 // provider; the estimators here smooth those observations into the values
-// the runtime heuristics consume, exactly as a real deployment would smooth
-// noisy probe results.
+// the heuristics consume, exactly as a real deployment would smooth noisy
+// probe results. The paper's monitor also probes pairwise network latency
+// and bandwidth, but Alg. 1 and Alg. 2 as reproduced here read neither, so
+// no pairwise estimator is kept.
 //
 // All pools store their estimators in dense slices indexed by the small
 // integer ids the simulator hands out (PE indices, VM ids), so estimator
-// lookup never hashes. The pairwise network monitor folds its probes on
-// demand (see NetMonitor), so an observe pass costs O(V), not O(V^2).
+// lookup never hashes.
 package monitor
 
 import (
@@ -112,7 +112,7 @@ func (r *RateEstimator) Estimate(key int, def float64) float64 {
 // Keys returns the number of tracked keys.
 func (r *RateEstimator) Keys() int { return r.n }
 
-// Probe is one synthetic-benchmark measurement of a VM or VM pair.
+// Probe is one synthetic-benchmark measurement of a VM.
 type Probe struct {
 	// Sec is the probe time.
 	Sec int64
@@ -194,206 +194,3 @@ func (m *VMMonitor) Forget(vmID int) {
 
 // Tracked returns how many VMs have state.
 func (m *VMMonitor) Tracked() int { return m.n }
-
-// NetProbe returns one probe of the VM pair a < b, taken by the observe pass
-// at clock sec: the measured latency (seconds) and bandwidth (Mbps), or ok
-// false when the probe was dropped. It must be a pure function of its
-// arguments, because NetMonitor may call it long after sec, and more than
-// once for the same arguments.
-type NetProbe func(a, b int, sec int64) (latSec, bwMbps float64, ok bool)
-
-// netCell holds both estimators of one live VM pair, unpacked: the smoothing
-// factor lives once on the monitor, so a cell is 4 words instead of 2 EWMA
-// structs and a clock. folded is the observe clock the cell is current to
-// (0 before its first fold).
-type netCell struct {
-	lat, bw     float64
-	folded      int64
-	latOK, bwOK bool // primed
-	present     bool
-}
-
-// isFinite reports x is neither NaN nor an infinity (x-x is 0 exactly for
-// finite x, NaN otherwise).
-func isFinite(x float64) bool { return x-x == 0 }
-
-// NetMonitor smooths pairwise latency/bandwidth probes, folding them on
-// demand. A pair of VMs is probed at every observe pass at which both are
-// active. A VM stays active from the first pass that saw it until it is
-// forgotten, so a pair's probes are every pass from the later of the two
-// first sightings up to the latest pass. The observe stage therefore records
-// only each VM's first pass (O(V)); a pair's estimators catch up on its
-// probes, in clock order, when the pair is read or exported. Both VMs of a
-// tracked pair are seen by every pass, so the latest pass that saw any VM
-// is the latest pass for every tracked pair.
-//
-// Internally each tracked VM id maps to a compact slot (slots are recycled
-// by ForgetVM), and pair state lives in a triangular slice indexed by the
-// slot pair. The slice is built when a pair is first read, imported or
-// exported, and from then on grows by one row per new slot.
-type NetMonitor struct {
-	alpha    float64
-	interval int64     // seconds between observe passes
-	probe    NetProbe  // the pair probe folded on demand
-	now      int64     // clock of the latest pass that saw a VM
-	slot     []int32   // VM id -> slot, -1 when untracked
-	ids      []int     // slot -> VM id, -1 when free
-	since    []int64   // slot -> clock of the first pass that saw the VM
-	free     []int32   // recycled slots
-	cells    []netCell // nil until a pair is first read, imported or exported
-}
-
-// NewNetMonitor returns a pairwise network monitor whose observe passes are
-// intervalSec apart and whose pairs are probed by probe.
-func NewNetMonitor(alpha float64, intervalSec int64, probe NetProbe) (*NetMonitor, error) {
-	if !(alpha > 0 && alpha <= 1) {
-		return nil, fmt.Errorf("monitor: net alpha %v outside (0,1]", alpha)
-	}
-	if intervalSec <= 0 {
-		return nil, fmt.Errorf("monitor: net probe interval %ds not positive", intervalSec)
-	}
-	return &NetMonitor{alpha: alpha, interval: intervalSec, probe: probe}, nil
-}
-
-// cellIndex maps an ordered slot pair s < t into the triangular cell slice.
-// Rows are laid out by the larger slot, so adding a slot only appends cells.
-func cellIndex(s, t int32) int { return int(t)*int(t-1)/2 + int(s) }
-
-// slotOf returns the VM's slot or -1.
-func (m *NetMonitor) slotOf(vmID int) int32 {
-	if vmID < 0 || vmID >= len(m.slot) {
-		return -1
-	}
-	return m.slot[vmID]
-}
-
-// ensureSlot returns the VM's slot, assigning one if needed.
-func (m *NetMonitor) ensureSlot(vmID int) int32 {
-	for len(m.slot) <= vmID {
-		m.slot = append(m.slot, -1)
-	}
-	if s := m.slot[vmID]; s >= 0 {
-		return s
-	}
-	var s int32
-	if n := len(m.free); n > 0 {
-		s = m.free[n-1]
-		m.free = m.free[:n-1]
-		m.ids[s] = vmID
-	} else {
-		s = int32(len(m.ids))
-		m.ids = append(m.ids, vmID)
-		m.since = append(m.since, 0)
-		if m.cells != nil {
-			m.cells = append(m.cells, make([]netCell, s)...)
-		}
-	}
-	m.slot[vmID] = s
-	return s
-}
-
-// buildCells sizes the cell table for the current slots, once.
-func (m *NetMonitor) buildCells() {
-	if m.cells == nil {
-		m.cells = make([]netCell, cellIndex(0, int32(len(m.ids))))
-	}
-}
-
-// Observe records that the VM was active in the observe pass at clock sec.
-// Call it for every active VM of every pass, passes in clock order. A VM's
-// first pass starts its pairs' probe history.
-func (m *NetMonitor) Observe(vmID int, sec int64) {
-	m.now = sec
-	if m.slotOf(vmID) < 0 {
-		m.since[m.ensureSlot(vmID)] = sec
-	}
-}
-
-// fold brings the cell of slots s < t up to the latest pass, replaying the
-// pair's probes since it was last folded in clock order. A probe with a
-// negative latency or a non-positive bandwidth is dropped without making the
-// pair present; a NaN or infinite half is dropped on its own.
-func (m *NetMonitor) fold(s, t int32) *netCell {
-	c := &m.cells[cellIndex(s, t)]
-	from := max(c.folded+m.interval, m.since[s], m.since[t])
-	if from > m.now {
-		return c
-	}
-	a, b := m.ids[s], m.ids[t]
-	if a > b {
-		a, b = b, a
-	}
-	for k := from; k <= m.now; k += m.interval {
-		lat, bw, ok := m.probe(a, b, k)
-		if !ok || lat < 0 || bw <= 0 {
-			continue
-		}
-		c.present = true
-		if isFinite(lat) {
-			if c.latOK {
-				c.lat += m.alpha * (lat - c.lat)
-			} else {
-				c.lat, c.latOK = lat, true
-			}
-		}
-		if isFinite(bw) {
-			if c.bwOK {
-				c.bw += m.alpha * (bw - c.bw)
-			} else {
-				c.bw, c.bwOK = bw, true
-			}
-		}
-	}
-	c.folded = m.now
-	return c
-}
-
-// pair returns the folded cell of two tracked VMs, or nil.
-func (m *NetMonitor) pair(a, b int) *netCell {
-	sa, sb := m.slotOf(a), m.slotOf(b)
-	if sa < 0 || sb < 0 || sa == sb {
-		return nil
-	}
-	if sa > sb {
-		sa, sb = sb, sa
-	}
-	m.buildCells()
-	return m.fold(sa, sb)
-}
-
-// Latency returns the smoothed latency for the pair or def.
-func (m *NetMonitor) Latency(a, b int, def float64) float64 {
-	if c := m.pair(a, b); c != nil && c.present && c.latOK {
-		return c.lat
-	}
-	return def
-}
-
-// Bandwidth returns the smoothed bandwidth for the pair or def — the paper
-// uses rated values at deployment and monitored values at runtime.
-func (m *NetMonitor) Bandwidth(a, b int, def float64) float64 {
-	if c := m.pair(a, b); c != nil && c.present && c.bwOK {
-		return c.bw
-	}
-	return def
-}
-
-// ForgetVM drops all pairs touching the VM and recycles its slot.
-func (m *NetMonitor) ForgetVM(vmID int) {
-	s := m.slotOf(vmID)
-	if s < 0 {
-		return
-	}
-	if m.cells != nil {
-		for t := int32(0); t < int32(len(m.ids)); t++ {
-			if t == s || m.ids[t] < 0 {
-				continue
-			}
-			m.cells[cellIndex(min(s, t), max(s, t))] = netCell{}
-		}
-	}
-	m.slot[vmID] = -1
-	m.ids[s] = -1
-	m.since[s] = 0
-	m.free = append(m.free, s)
-}

@@ -159,7 +159,6 @@ func (a *Actions) ReleaseVM(vmID int) error {
 	}
 	a.e.listReleased(vmID)
 	a.e.vmMon.Forget(vmID)
-	a.e.netMon.ForgetVM(vmID)
 	a.e.audit(AuditEntry{Action: "release-vm", VM: vmID})
 	return nil
 }

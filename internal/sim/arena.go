@@ -44,20 +44,39 @@ type peState struct {
 	srcEmpty bool
 }
 
+// rowSlots is how many slots a new arena row holds before an array grows:
+// the unassigned slot and the first VMs the PE is placed on.
+const rowSlots = 4
+
 // newPEState returns an arena row holding only the virtual unassigned slot.
+// Its ten slot arrays are carved from three blocks, one per element type, so
+// a PE's first placements allocate nothing, and an array that grows past
+// rowSlots reallocates alone.
 func newPEState() peState {
-	return peState{
-		vms:    []int{-1},
-		cores:  []int{0},
-		queue:  []float64{0},
-		hasQ:   []bool{false},
-		arr:    []float64{0},
-		hasArr: []bool{false},
-		capa:   []float64{0},
-		host:   []bool{false},
-		rshare: []float64{0},
-		oshare: []float64{0},
+	ints := make([]int, 2*rowSlots)
+	floats := make([]float64, 5*rowSlots)
+	bools := make([]bool, 3*rowSlots)
+	p := peState{
+		vms:    carve(ints, 0),
+		cores:  carve(ints, 1),
+		queue:  carve(floats, 0),
+		arr:    carve(floats, 1),
+		capa:   carve(floats, 2),
+		rshare: carve(floats, 3),
+		oshare: carve(floats, 4),
+		hasQ:   carve(bools, 0),
+		hasArr: carve(bools, 1),
+		host:   carve(bools, 2),
 	}
+	p.vms[0] = -1
+	return p
+}
+
+// carve returns block's k-th rowSlots-long array, holding one zero slot and
+// capped at its own end, so that appending to it never writes into the
+// next array.
+func carve[T any](block []T, k int) []T {
+	return block[k*rowSlots : k*rowSlots+1 : (k+1)*rowSlots]
 }
 
 // slotOf returns the VM's slot, or -1 if the PE never touched it.

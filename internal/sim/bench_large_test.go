@@ -8,6 +8,7 @@ import (
 	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/dataflow"
 	"dynamicdf/internal/rates"
+	"dynamicdf/internal/state"
 	"dynamicdf/internal/trace"
 )
 
@@ -109,6 +110,54 @@ func BenchmarkEngineStepLargeDAG(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkCheckpoint measures the checkpoint layer on
+// BenchmarkEngineStepLargeDAG's /replayed run after 30 intervals (1,000
+// PEs on 250 VMs). One op of /checkpoint is one Engine.Checkpoint, of
+// /encode one state.Encode of that snapshot, of /decode one state.Decode
+// of its encoding, and of /restore one Restore of the decoded snapshot.
+func BenchmarkCheckpoint(b *testing.B) {
+	cfg := largeDAGConfig(50, 20)
+	cfg.Perf = trace.MustReplayed(trace.ReplayedConfig{Seed: 1})
+	e, err := NewEngine(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := e.RunUntil(context.Background(), &fixed{deploy: deployLargeDAG}, 30*e.cfg.IntervalSec); err != nil {
+		b.Fatal(err)
+	}
+	snap, err := e.Checkpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err := state.Encode(snap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec, err := state.Decode(blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, layer := range []struct {
+		name string
+		op   func() error
+	}{
+		{"checkpoint", func() error { _, err := e.Checkpoint(); return err }},
+		{"encode", func() error { _, err := state.Encode(snap); return err }},
+		{"decode", func() error { _, err := state.Decode(blob); return err }},
+		{"restore", func() error { _, err := Restore(dec, cfg); return err }},
+	} {
+		b.Run(layer.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := layer.op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(blob)), "snapshot-bytes")
 		})
 	}
 }

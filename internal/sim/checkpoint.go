@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"dynamicdf/internal/dataflow"
-	"dynamicdf/internal/monitor"
 	"dynamicdf/internal/obs"
 	"dynamicdf/internal/state"
 )
@@ -93,7 +92,6 @@ func (e *Engine) Checkpoint() (*state.Snapshot, error) {
 	}
 	s.RateEst = e.rateEst.Export()
 	s.VMCPU = e.vmMon.Export()
-	s.NetLat, s.NetBW = e.netMon.Export()
 
 	if nt := len(e.cfg.Tenants); nt > 0 {
 		s.TenantOmega = append([]float64(nil), e.tenLastOmega...)
@@ -226,25 +224,14 @@ func Restore(snap *state.Snapshot, cfg Config) (*Engine, error) {
 		}
 	}
 	for _, en := range snap.VMCPU {
-		if err := e.checkProbedVM("cpu-monitor", en.VM); err != nil {
+		if err := e.checkProbedVM(en.VM); err != nil {
 			return nil, err
 		}
 	}
-	for _, list := range [][]monitor.NetEntry{snap.NetLat, snap.NetBW} {
-		for _, en := range list {
-			if en.A == en.B {
-				return nil, fmt.Errorf("sim: restore: net-monitor entry with A == B == %d", en.A)
-			}
-			for _, id := range [2]int{en.A, en.B} {
-				if err := e.checkProbedVM("net-monitor", id); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
+	// Older snapshots also carry pairwise network estimators (NetLat,
+	// NetBW); no engine state reads them, so they are ignored.
 	e.rateEst.Import(snap.RateEst)
 	e.vmMon.Import(snap.VMCPU)
-	e.netMon.Import(snap.NetLat, snap.NetBW, e.clock)
 	e.rebuildFlowCaches()
 
 	e.lastOmega = snap.LastOmega
@@ -307,20 +294,20 @@ func Restore(snap *state.Snapshot, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// checkProbedVM rejects a restored monitor entry for a VM the monitors could
-// not be tracking: one the fleet never had, or one that is not active.
+// checkProbedVM rejects a restored monitor entry for a VM the CPU monitor
+// could not be tracking: one the fleet never had, or one that is not active.
 // Pending VMs are never probed and both release paths forget a VM, so only
 // a crafted snapshot names them; imported, such an entry would be exported
 // again forever.
-func (e *Engine) checkProbedVM(kind string, id int) error {
+func (e *Engine) checkProbedVM(id int) error {
 	vm, err := e.fleet.Get(id)
 	switch {
 	case err != nil:
-		return fmt.Errorf("sim: restore: %s entry for unknown VM %d", kind, id)
+		return fmt.Errorf("sim: restore: cpu-monitor entry for unknown VM %d", id)
 	case vm.Stopped():
-		return fmt.Errorf("sim: restore: %s entry for released VM %d", kind, id)
+		return fmt.Errorf("sim: restore: cpu-monitor entry for released VM %d", id)
 	case vm.Pending():
-		return fmt.Errorf("sim: restore: %s entry for pending VM %d", kind, id)
+		return fmt.Errorf("sim: restore: cpu-monitor entry for pending VM %d", id)
 	}
 	return nil
 }

@@ -331,7 +331,7 @@ func TestRestoreSharedSnapshotIsolated(t *testing.T) {
 	}
 }
 
-// churnSnapshot steps eagerConfig under churnSched, one interval at a time
+// churnSnapshot steps churnConfig under churnSched, one interval at a time
 // from the clock the engine is at, until a checkpoint holds an active, a
 // released and a pending VM, and returns that checkpoint with one VM id of
 // each kind.
@@ -364,37 +364,30 @@ func churnSnapshot(t testing.TB, e *Engine, cfg Config) (snap *state.Snapshot, a
 	return snap, active, released, pending
 }
 
-// TestRestoreRejectsMonitorEntriesForUnprobedVMs: the monitors only ever
-// hold active VMs, so a snapshot whose CPU or network entries name a
-// released or still-booting VM is crafted, and restoring it fails with an
-// error that names the VM.
+// TestRestoreRejectsMonitorEntriesForUnprobedVMs: the CPU monitor only
+// ever holds active VMs, so a snapshot whose CPU entries name a released or
+// still-booting VM is crafted, and restoring it fails with an error that
+// names the VM.
 func TestRestoreRejectsMonitorEntriesForUnprobedVMs(t *testing.T) {
-	cfg := eagerConfig(t, 3)
+	cfg := churnConfig(t, 3)
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Step until the fleet holds an active, a released and a pending VM.
-	snap, active, released, pending := churnSnapshot(t, e, cfg)
+	snap, _, released, pending := churnSnapshot(t, e, cfg)
 	if _, err := Restore(snap, cfg); err != nil {
 		t.Fatalf("the untouched snapshot does not restore: %v", err)
-	}
-	entry := func(a, b int) []monitor.NetEntry {
-		return []monitor.NetEntry{{A: min(a, b), B: max(a, b), E: monitor.EWMAState{Value: 1, Primed: true}}}
 	}
 	for _, tc := range []struct {
 		name string
 		vm   int
-		edit func(s *state.Snapshot)
 	}{
-		{"cpu entry for a released VM", released, func(s *state.Snapshot) {
-			s.VMCPU = append(s.VMCPU, monitor.VMCPUEntry{VM: released, E: monitor.EWMAState{Value: 1, Primed: true}})
-		}},
-		{"net entry for a pending VM", pending, func(s *state.Snapshot) { s.NetLat = entry(active, pending) }},
-		{"net entry for a released VM", released, func(s *state.Snapshot) { s.NetBW = entry(active, released) }},
+		{"cpu entry for a released VM", released},
+		{"cpu entry for a pending VM", pending},
 	} {
 		bad := *snap
-		tc.edit(&bad)
+		bad.VMCPU = append(slices.Clone(snap.VMCPU), monitor.VMCPUEntry{VM: tc.vm, E: monitor.EWMAState{Value: 1, Primed: true}})
 		_, err := Restore(&bad, cfg)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("VM %d", tc.vm)) {
 			t.Errorf("%s: restore error %v, want one naming VM %d", tc.name, err, tc.vm)
@@ -408,7 +401,7 @@ func TestRestoreRejectsMonitorEntriesForUnprobedVMs(t *testing.T) {
 // do not sum to a VM's recorded cores, or hold more cores than the VM has
 // is crafted, and restoring it fails with an error that names the VM.
 func TestRestoreRejectsCoreCellsContradictingTheFleet(t *testing.T) {
-	cfg := eagerConfig(t, 3)
+	cfg := churnConfig(t, 3)
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

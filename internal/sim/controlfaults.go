@@ -158,17 +158,18 @@ func (c *ControlFaults) normalize() error {
 }
 
 // Draw-domain tags keep the fault streams independent of one another even
-// when their keys collide.
+// when their keys collide. A tag's value seeds its stream: the blank entry
+// keeps the value of a retired tag (the pairwise network probes' stale
+// draw) unused, so that the tags after it keep theirs.
 const (
 	drawBoot = iota + 1
 	drawAcquire
 	drawBurstOffset
 	drawStaleRate
 	drawStaleCPU
-	drawStaleNet
+	_
 	drawNoiseRate
 	drawNoiseCPU
-	drawNoiseNet
 )
 
 // unit maps a draw identity to a deterministic uniform value in [0,1).
@@ -240,15 +241,11 @@ func (c *ControlFaults) acquireFails(class string, attempt, sec int64) bool {
 	return c.unit(drawAcquire, hashString(class)^uint64(attempt)*0x9e3779b97f4a7c15, sec) < p
 }
 
-// probesGoStale reports whether any probe can be dropped.
-func (c *ControlFaults) probesGoStale() bool {
-	return c != nil && c.Monitoring != nil && c.Monitoring.StaleProb > 0
-}
-
 // probeStale reports whether the probe identified by (domain, key) at time
 // sec is dropped, leaving the monitor at its last-known-good value.
 func (c *ControlFaults) probeStale(domain int, key uint64, sec int64) bool {
-	return c.probesGoStale() && c.unit(domain, key, sec) < c.Monitoring.StaleProb
+	return c != nil && c.Monitoring != nil && c.Monitoring.StaleProb > 0 &&
+		c.unit(domain, key, sec) < c.Monitoring.StaleProb
 }
 
 // probeNoise returns the multiplicative perturbation applied to the probe

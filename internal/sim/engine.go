@@ -39,7 +39,6 @@ type Engine struct {
 	// Monitoring state exposed through View.
 	rateEst   *monitor.RateEstimator
 	vmMon     *monitor.VMMonitor
-	netMon    *monitor.NetMonitor
 	lastOmega float64
 	omegaSum  float64
 	omegaN    int
@@ -229,7 +228,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.collector.Reserve(reservedRows(cfg.HorizonSec/cfg.IntervalSec, len(cfg.Tenants)))
 	e.rateEst, _ = monitor.NewRateEstimator(cfg.MonitorAlpha)
 	e.vmMon, _ = monitor.NewVMMonitor(cfg.MonitorAlpha)
-	e.netMon, _ = monitor.NewNetMonitor(cfg.MonitorAlpha, cfg.IntervalSec, e.netProbe)
 	e.tracer = cfg.Tracer
 	e.gauges = cfg.Gauges
 	e.bindTenantGauges()
@@ -401,24 +399,6 @@ func (e *Engine) coeff(vmID int, sec int64) float64 {
 	return e.cfg.Perf.CPUCoeff(e.vmTraceID(vmID), sec)
 }
 
-// netProbe is the pairwise network probe the monitor folds on demand: VM
-// pair a < b as the observe pass at clock sec probed it — both links' trace
-// values at the start of the interval that pass closed, through the
-// monitoring-fault filters — with ok false when the probe went stale. The
-// trace provider is pure, so a probe replayed later reads the same values.
-func (e *Engine) netProbe(a, b int, sec int64) (lat, bw float64, ok bool) {
-	cf := e.cfg.ControlFaults
-	pair := uint64(a)<<32 | uint64(b)
-	if cf.probeStale(drawStaleNet, pair, sec) {
-		return 0, 0, false
-	}
-	ta, tb, at := e.vmTraceID(a), e.vmTraceID(b), sec-e.cfg.IntervalSec
-	lat = e.cfg.Perf.LatencySec(ta, tb, at)
-	bw = e.cfg.Perf.BandwidthMbps(ta, tb, at)
-	noise := cf.probeNoise(drawNoiseNet, pair, sec)
-	return lat * noise, bw * noise, true
-}
-
 // linkMsgCap converts pairwise bandwidth into a message rate cap for an
 // edge whose messages are msgBytes large. Colocated VMs short-circuit.
 func (e *Engine) linkMsgCap(srcVM, dstVM int, msgBytes int, sec int64) float64 {
@@ -469,8 +449,8 @@ func sortedKeys[V any](m map[int]V) []int {
 // insufficient-capacity error so far.
 func (e *Engine) AcquireFailures() int { return e.acquireFailures }
 
-// StaleProbes reports how many monitor probes were dropped by degraded
-// monitoring so far.
+// StaleProbes reports how many monitor probes (input rates and VM CPU
+// coefficients) were dropped by degraded monitoring so far.
 func (e *Engine) StaleProbes() int { return e.staleProbes }
 
 // MigratedBytes reports the cumulative message-buffer bytes moved by core

@@ -119,7 +119,6 @@ func (e *Engine) crashDueVMs(sec int64) error {
 		}
 		e.crashCount++
 		e.vmMon.Forget(vm.ID)
-		e.netMon.ForgetVM(vm.ID)
 		detail := vm.Class.Name
 		if wasPending {
 			detail += " (pending)"

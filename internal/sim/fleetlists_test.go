@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -16,13 +15,12 @@ import (
 // fleetOracle is the scheduler's picture of the fleet as it was built
 // before the engine kept an index: fresh walks over the whole VM history,
 // kept verbatim — View.ActiveVMsInto's loop with its vmInfo, and
-// cloud.Fleet's ActiveCount, PendingCount, Pending and HourlyBurnRate.
+// cloud.Fleet's ActiveCount, PendingCount and Pending.
 type fleetOracle struct {
-	active         []VMInfo
-	pending        []PendingVM
-	nActive        int
-	nPending       int
-	hourlyBurnRate float64
+	active   []VMInfo
+	pending  []PendingVM
+	nActive  int
+	nPending int
 }
 
 func walkFleet(e *Engine) fleetOracle {
@@ -56,11 +54,6 @@ func walkFleet(e *Engine) fleetOracle {
 				ReadySec: vm.ReadySec, StartSec: vm.StartSec})
 		}
 	}
-	for _, vm := range e.fleet.All() {
-		if vm.Active() {
-			o.hourlyBurnRate += vm.Class.PricePerHour
-		}
-	}
 	return o
 }
 
@@ -90,9 +83,6 @@ func diffFleetIndex(e *Engine) error {
 	}
 	if a, p := v.FleetCounts(); a != want.nActive || p != want.nPending {
 		return fmt.Errorf("FleetCounts %d active, %d pending; the walk counts %d, %d", a, p, want.nActive, want.nPending)
-	}
-	if got := v.HourlyBurnRate(); math.Float64bits(got) != math.Float64bits(want.hourlyBurnRate) {
-		return fmt.Errorf("HourlyBurnRate %v, the walk sums %v", got, want.hourlyBurnRate)
 	}
 	for i := 0; i < v.TenantCount(); i++ {
 		tv := v.Tenant(i)

@@ -512,8 +512,7 @@ func (e *Engine) stageObserve(c *stepContext) error {
 		}
 		e.rateEst.Observe(pe, c.extRate[pe]*cf.probeNoise(drawNoiseRate, uint64(pe), e.clock))
 	}
-	live := e.fleet.Live()
-	for _, vm := range live {
+	for _, vm := range e.fleet.Live() {
 		if vm.Pending() {
 			continue
 		}
@@ -523,27 +522,6 @@ func (e *Engine) stageObserve(c *stepContext) error {
 		}
 		coeff := e.coeff(vm.ID, c.sec) * cf.probeNoise(drawNoiseCPU, uint64(vm.ID), e.clock)
 		_ = e.vmMon.ObserveCPU(vm.ID, monitor.Probe{Sec: e.clock, CPUCoeff: coeff})
-	}
-	// Every pair of active VMs is probed (netProbe), but the network monitor
-	// folds those probes only when a pair is read or checkpointed: the pass
-	// just tells it which VMs are active. Dropped probes are still counted
-	// here, so under stale faults the pass draws every pair's stale flag.
-	for _, vm := range live {
-		if !vm.Pending() {
-			e.netMon.Observe(vm.ID, e.clock)
-		}
-	}
-	if cf.probesGoStale() {
-		for i, a := range live {
-			if a.Pending() {
-				continue
-			}
-			for _, b := range live[i+1:] {
-				if !b.Pending() && cf.probeStale(drawStaleNet, uint64(a.ID)<<32|uint64(b.ID), e.clock) {
-					e.staleProbes++
-				}
-			}
-		}
 	}
 
 	e.lastOmega = c.omega

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,7 +14,7 @@ import (
 	"dynamicdf/internal/state"
 )
 
-// restoreFuzzBases are checkpoints of eagerConfig under churnSched — boot
+// restoreFuzzBases are checkpoints of churnConfig under churnSched — boot
 // delays, crashes, spot preemption and releases — each holding active,
 // booting and released VMs, taken a few intervals apart.
 func restoreFuzzBases(t testing.TB, cfg Config) []*state.Snapshot {
@@ -35,8 +37,8 @@ func restoreFuzzBases(t testing.TB, cfg Config) []*state.Snapshot {
 const maxRestoreEdits = 8
 
 // editSnapshot applies one edit, decoded from four fuzz bytes, to the
-// fleet records, core cells, queue cells or monitor entries of s. The
-// edited collections must be s's own copies.
+// fleet records, core cells, queue cells, monitor entries or legacy network
+// lists of s. The edited collections must be s's own copies.
 func editSnapshot(s *state.Snapshot, menu []string, op, a, b, c byte) {
 	nVM := len(s.Fleet)
 	vmID := func(x byte) int { return int(x)%(nVM+2) - 1 } // -1 and one past the fleet included
@@ -101,7 +103,8 @@ func editSnapshot(s *state.Snapshot, menu []string, op, a, b, c byte) {
 			s.VMCPU = append(s.VMCPU, e)
 		}
 	case 14:
-		e := monitor.NetEntry{A: vmID(b), B: vmID(c), E: monitor.EWMAState{Value: float64(a) + 1, Primed: true}}
+		// The legacy network lists, which Restore ignores.
+		e := state.NetEntry{A: vmID(b), B: vmID(c), E: monitor.EWMAState{Value: float64(a) + 1, Primed: true}}
 		list := &s.NetLat
 		if a%2 == 1 {
 			list = &s.NetBW
@@ -118,18 +121,47 @@ func editSnapshot(s *state.Snapshot, menu []string, op, a, b, c byte) {
 	}
 }
 
+// sameRestore reports whether restoring snap onto cfg gives what Restore
+// gave as (e, err): the same error, or an engine whose checkpoint encodes
+// to the same bytes.
+func sameRestore(e *Engine, err error, snap *state.Snapshot, cfg Config) error {
+	other, otherErr := Restore(snap, cfg)
+	if err != nil || otherErr != nil {
+		if fmt.Sprint(err) != fmt.Sprint(otherErr) {
+			return fmt.Errorf("restore error %v, the other %v", err, otherErr)
+		}
+		return nil
+	}
+	var blobs [2][]byte
+	for i, en := range []*Engine{e, other} {
+		s, err := en.Checkpoint()
+		if err != nil {
+			return err
+		}
+		if blobs[i], err = state.Encode(s); err != nil {
+			return err
+		}
+	}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		return errors.New("the restored engines' checkpoints differ")
+	}
+	return nil
+}
+
 // FuzzRestore edits checkpoints of a churning run — fleet records, core
-// cells, queue cells, monitor entries — and restores them. Restore is the
-// state/v1 trust boundary past the digest check: a snapshot it accepts must
-// run on. Either Restore errors, or the restored engine runs up to three
-// intervals under a scheduler that mutates the fleet at random, with a
-// strict invariant checker attached, without a panic or a violated law, and
-// its fleet counts and shared VM lists equal the history walk after every
-// control call and every interval (TestFleetIndexMatchesHistoryWalk's
-// oracle). Other run errors end the input. The input's first byte picks
+// cells, queue cells, monitor entries, the legacy network lists — and
+// restores them. Restore is the state/v1 trust boundary past the digest
+// check: a snapshot it accepts must run on. Either Restore errors, or the
+// restored engine runs up to three intervals under a scheduler that mutates
+// the fleet at random, with a strict invariant checker attached, without a
+// panic or a violated law, and its fleet counts and shared VM lists equal
+// the history walk after every control call and every interval
+// (TestFleetIndexMatchesHistoryWalk's oracle). Other run errors end the
+// input. Restore ignores the legacy network lists: with them dropped it
+// gives the same error or the same checkpoint. The input's first byte picks
 // the checkpoint; each following four bytes are one edit.
 func FuzzRestore(f *testing.F) {
-	cfg := eagerConfig(f, 3)
+	cfg := churnConfig(f, 3)
 	bases := restoreFuzzBases(f, cfg)
 	var menu []string
 	for _, c := range cfg.Menu.Classes() {
@@ -162,6 +194,13 @@ func FuzzRestore(f *testing.F) {
 		checked := cfg
 		checked.Checker = invariant.NewStrict()
 		e, err := Restore(&snap, checked)
+		if len(snap.NetLat)+len(snap.NetBW) > 0 {
+			bare := snap
+			bare.NetLat, bare.NetBW = nil, nil
+			if err := sameRestore(e, err, &bare, cfg); err != nil {
+				t.Fatalf("legacy network entries: %v", err)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"slices"
@@ -13,12 +14,10 @@ import (
 	"dynamicdf/internal/state"
 )
 
-// TestRestoreRejectsMetricRowCountMismatch: Ω's tally and the metric series
-// both advance once per interval, so a snapshot with a metric row dropped or
-// duplicated — re-encoded, so its digest holds — is refused with an error
-// naming both counts, instead of resuming a run that reports one interval
-// too few or too many. The committed pre-refactor snapshot still restores.
-func TestRestoreRejectsMetricRowCountMismatch(t *testing.T) {
+// prerefactor builds the committed pre-refactor scenario and reads its
+// state/v1 snapshot.
+func prerefactor(t *testing.T) (*scenario.Built, []byte) {
+	t.Helper()
 	doc, err := os.ReadFile("../../testdata/prerefactor/scenario.json")
 	if err != nil {
 		t.Fatal(err)
@@ -35,6 +34,71 @@ func TestRestoreRejectsMetricRowCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return built, blob
+}
+
+// TestLegacyNetworkEntriesAreIgnored: the committed pre-refactor snapshot
+// was written while the engine kept pairwise network estimators, so it
+// carries netLat and netBw. It still decodes and re-encodes to its own
+// bytes, and it restores and runs to the horizon, ending in the same state
+// as a restore with both lists dropped; that end state's checkpoint encodes
+// neither key.
+func TestLegacyNetworkEntriesAreIgnored(t *testing.T) {
+	_, blob := prerefactor(t)
+	snap, err := state.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.NetLat) == 0 || len(snap.NetBW) == 0 {
+		t.Fatalf("fixture carries %d/%d legacy network entries", len(snap.NetLat), len(snap.NetBW))
+	}
+	again, err := state.Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, bytes.TrimSpace(blob)) {
+		t.Fatal("the legacy snapshot does not re-encode to its own bytes")
+	}
+	bare, err := state.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare.NetLat, bare.NetBW = nil, nil
+	var ends [2][]byte
+	for i, s := range []*state.Snapshot{snap, bare} {
+		built, _ := prerefactor(t)
+		e, err := sim.Restore(s, built.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(built.Scheduler); err != nil {
+			t.Fatal(err)
+		}
+		end, err := e.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ends[i], err = state.Encode(end); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(ends[0], ends[1]) {
+		t.Fatal("the legacy network entries changed the restored run")
+	}
+	for _, key := range []string{`"netLat"`, `"netBw"`} {
+		if bytes.Contains(ends[0], []byte(key)) {
+			t.Fatalf("a fresh checkpoint encodes %s", key)
+		}
+	}
+}
+
+// TestRestoreRejectsMetricRowCountMismatch: Ω's tally and the metric series
+// both advance once per interval, so a snapshot with a metric row dropped or
+// duplicated — re-encoded, so its digest holds — is refused with an error
+// naming both counts, instead of resuming a run that reports one interval
+// too few or too many. The committed pre-refactor snapshot still restores.
+func TestRestoreRejectsMetricRowCountMismatch(t *testing.T) {
+	built, blob := prerefactor(t)
 	snap, err := state.Decode(blob)
 	if err != nil {
 		t.Fatal(err)

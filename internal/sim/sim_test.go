@@ -512,7 +512,7 @@ func TestViewBeforeFirstInterval(t *testing.T) {
 	cfg := baseConfig(g, 7, 600)
 	e, _ := NewEngine(cfg)
 	v := &View{e: e}
-	if v.Omega() != 1 || v.MeanOmega() != 1 || v.PEThroughput(0) != 1 {
+	if v.Omega() != 1 || v.MeanOmega() != 1 {
 		t.Fatal("pre-t0 view should report optimistic defaults")
 	}
 	if got := v.EstimatedInputRate(0); got != 7 {

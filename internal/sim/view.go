@@ -6,10 +6,11 @@ import (
 )
 
 // View is the read-only window a scheduler gets onto the running system. It
-// exposes exactly what the paper's monitoring framework provides (§4-§5):
-// measured data rates, smoothed per-VM performance coefficients, pairwise
-// network behaviour, current allocation, queue lengths and throughput — not
-// the engine's internal ground truth.
+// exposes what the paper's monitoring framework provides (§4-§5) and the
+// heuristics read: measured data rates, smoothed per-VM performance
+// coefficients, current allocation, queue lengths and throughput — not the
+// engine's internal ground truth. Alg. 1 and Alg. 2 read no pairwise
+// network estimate, so the View offers none.
 type View struct {
 	e *Engine
 	// ten scopes the view to one tenant of a multi-tenant run: 0 is the
@@ -216,29 +217,6 @@ func (v *View) AssignedCores(pe int) int {
 	return total
 }
 
-// MonitoredCapacity returns the PE's processing capacity in msg/s computed
-// from monitored coefficients (what the heuristics believe, not ground
-// truth).
-func (v *View) MonitoredCapacity(pe int) float64 {
-	pe = v.gpe(pe)
-	alt := v.e.sel.Alt(v.e.cfg.Graph, pe)
-	total := 0.0
-	p := &v.e.pes[pe]
-	for s, vmID := range p.vms {
-		n := p.cores[s]
-		if n <= 0 {
-			continue
-		}
-		vm, err := v.e.fleet.Get(vmID)
-		if err != nil || !vm.Active() {
-			continue
-		}
-		coeff := v.e.vmMon.CPUCoeff(vmID, 1.0)
-		total += float64(n) * vm.Class.CoreSpeed * coeff / alt.Cost
-	}
-	return total
-}
-
 // EstimatedLatencySec returns the mean queueing latency observed over the
 // last interval (backlog over capacity, averaged across hosting VMs), or 0
 // before any interval has run.
@@ -275,25 +253,6 @@ func (v *View) MeanOmega() float64 {
 	return v.e.omegaSum / float64(v.e.omegaN)
 }
 
-// PEThroughput returns the PE's own last-interval relative throughput
-// (observed output / expected output), 1 before any interval. The
-// deployment heuristics use the lowest value to find the bottleneck.
-func (v *View) PEThroughput(pe int) float64 {
-	if !v.e.stepped {
-		return 1
-	}
-	pe = v.gpe(pe)
-	exp := v.e.lastPEExp[pe]
-	if exp <= 0 {
-		return 1
-	}
-	r := v.e.lastPEOut[pe] / exp
-	if r > 1 {
-		r = 1
-	}
-	return r
-}
-
 // ObservedArrivalRate returns the PE's measured arrival rate (msg/s) over
 // the last interval.
 func (v *View) ObservedArrivalRate(pe int) float64 {
@@ -308,29 +267,12 @@ func (v *View) Backlog(pe int) float64 {
 	return v.e.pes[v.gpe(pe)].totalQueue()
 }
 
-// Bandwidth returns the monitored bandwidth (Mbps) between two VMs, falling
-// back to the rated 100 Mbps deployment assumption. The monitor folds the
-// pair's probes on this read, so, like stepping the engine, it must not run
-// concurrently with other calls on the engine.
-func (v *View) Bandwidth(a, b int) float64 {
-	return v.e.netMon.Bandwidth(a, b, 100)
-}
-
-// Latency returns the monitored latency (seconds) between two VMs. Like
-// Bandwidth, it folds the pair's probes on the read.
-func (v *View) Latency(a, b int) float64 {
-	return v.e.netMon.Latency(a, b, 0.0005)
-}
-
 // TotalCost returns mu(t): dollars billed so far.
 func (v *View) TotalCost() float64 { return v.e.fleet.TotalCost(v.e.clock) }
 
 // MaxVMs returns the acquisition quota (the elasticity limit policies must
 // plan within).
 func (v *View) MaxVMs() int { return v.e.cfg.MaxVMs }
-
-// HourlyBurnRate returns the active fleet's $/hour.
-func (v *View) HourlyBurnRate() float64 { return v.e.fleet.HourlyBurnRate() }
 
 // TenantCount returns the number of tenants (0 for single-tenant runs).
 func (v *View) TenantCount() int { return len(v.e.cfg.Tenants) }

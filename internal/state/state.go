@@ -48,6 +48,14 @@ type QueueCell struct {
 	Queue float64 `json:"queue"`
 }
 
+// NetEntry is one VM pair's latency or bandwidth estimator (A < B), as
+// older snapshots carry it.
+type NetEntry struct {
+	A int               `json:"a"`
+	B int               `json:"b"`
+	E monitor.EWMAState `json:"e"`
+}
+
 // Snapshot is the full engine state at an interval boundary. All collections
 // are slices in a deterministic order (no maps), so the canonical JSON of a
 // given engine state is unique.
@@ -88,8 +96,11 @@ type Snapshot struct {
 	// Monitor estimator state, sorted by key.
 	RateEst []monitor.RateEntry  `json:"rateEst,omitempty"`
 	VMCPU   []monitor.VMCPUEntry `json:"vmCpu,omitempty"`
-	NetLat  []monitor.NetEntry   `json:"netLat,omitempty"`
-	NetBW   []monitor.NetEntry   `json:"netBw,omitempty"`
+	// NetLat and NetBW are written only by older snapshots, whose engine
+	// kept pairwise network estimators. They are decoded so that those
+	// snapshots still verify and restore; a restore ignores them.
+	NetLat []NetEntry `json:"netLat,omitempty"`
+	NetBW  []NetEntry `json:"netBw,omitempty"`
 
 	// Last-interval observations and period tallies.
 	LastOmega   float64   `json:"lastOmega,omitempty"`

@@ -35,8 +35,8 @@ func sampleSnapshot() *Snapshot {
 		VMCPU: []monitor.VMCPUEntry{
 			{VM: 0, E: monitor.EWMAState{Value: 0.93, Primed: true}, LastSec: 1740},
 		},
-		NetLat:         []monitor.NetEntry{{A: 0, B: 1, E: monitor.EWMAState{Value: 0.01, Primed: true}}},
-		NetBW:          []monitor.NetEntry{{A: 0, B: 1, E: monitor.EWMAState{Value: 800, Primed: true}}},
+		NetLat:         []NetEntry{{A: 0, B: 1, E: monitor.EWMAState{Value: 0.01, Primed: true}}},
+		NetBW:          []NetEntry{{A: 0, B: 1, E: monitor.EWMAState{Value: 800, Primed: true}}},
 		LastOmega:      0.875,
 		OmegaSum:       26.25,
 		OmegaN:         30,

@@ -14,9 +14,8 @@ import (
 //
 // Every method must be a pure function of its arguments: the same ids and
 // sec always give the same value, whenever and however often it is called.
-// The simulator relies on this. Its network monitor replays a pair's past
-// probes only when the pair is read or checkpointed, and a restored run
-// re-reads the traces the original run read.
+// The simulator relies on this: a checkpoint carries no trace values, so a
+// restored run re-reads the traces the original run read.
 //
 // A Provider may also declare a bandwidth floor with a method
 //
