@@ -1,5 +1,6 @@
 #!/bin/sh
-# Repository gate: vet, build, the full test suite under the race detector
+# Repository gate: a code-size report (non-test Go lines outside bench/,
+# printed, not gated), vet, build, the full test suite under the race detector
 # plus a shuffled re-run, a race-enabled fabric chaos smoke (coordinator +
 # three crash-prone workers, seeded faults, aggregate CSV byte-equal to the
 # single-pool baseline), a dfserve end-to-end smoke (start the service,
@@ -41,6 +42,12 @@ if [ -n "$fmt" ]; then
     echo "$fmt" >&2
     exit 1
 fi
+
+# Code size, reported and not gated: the non-test Go lines outside bench/
+# (a module of its own) and .bench_build/ (the benchmark's build output), so
+# that every change reads its line delta the same way.
+lines=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l)
+echo "non-test Go lines outside bench/: $lines"
 
 go vet ./...
 # bench/ is a module of its own, so the root vet skips it; it calls

@@ -540,8 +540,8 @@ type (
 	// TraceEvent is one structured, sim-timestamped trace record
 	// (schema obs/v1).
 	TraceEvent = obs.Event
-	// Tracer streams trace events as NDJSON; attach with Engine.SetTracer
-	// or Config.Tracer. A nil *Tracer is a no-op.
+	// Tracer streams trace events as NDJSON; attach with
+	// Engine.SetTracer. A nil *Tracer is a no-op.
 	Tracer = obs.Tracer
 	// MetricsRegistry holds counters/gauges/histograms and serves them in
 	// Prometheus text exposition format (Handler, WriteText).
@@ -551,8 +551,8 @@ type (
 	// PoolMetrics instruments a sweep worker pool.
 	PoolMetrics = obs.PoolMetrics
 	// StageProfiler records per-stage wall time and allocation deltas for
-	// the engine's step pipeline; attach with Config.Profiler or
-	// Engine.SetProfiler. A nil *StageProfiler is a no-op.
+	// the engine's step pipeline; attach with Engine.SetProfiler. A nil
+	// *StageProfiler is a no-op.
 	StageProfiler = obs.StageProfiler
 	// Decision is the structured provenance payload of "decision" trace
 	// events: inputs, candidates with scores, and rejection reasons.

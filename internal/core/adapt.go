@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/dataflow"
 	"dynamicdf/internal/obs"
 	"dynamicdf/internal/sim"
@@ -39,21 +40,20 @@ type scratch struct {
 
 	// consolidate's fleet index: positions are indices into the active
 	// fleet list.
-	pos    []int   // VM id -> position
-	order  []int   // positions in victim order
-	free   []int   // free cores by position
-	start  []int   // chunks of position i are chunks[start[i]:start[i+1]]
-	flat   []chunk // every assignment, PE order
-	chunks []chunk // flat bucketed by position
-	moves  []move  // the victim being planned
+	pos    []int       // VM id -> position, then the candidate positions
+	order  []int       // positions in victim order
+	free   []int       // free cores by position
+	start  []int       // chunks of position i are chunks[start[i]:start[i+1]]
+	flat   []chunk     // every assignment, PE order
+	chunks []planChunk // flat bucketed by position
+	moves  []coreMove  // the victim being planned
 }
 
-// chunk is one PE's cores on the VM at position at.
-type chunk struct{ pe, at, cores int }
-
-// move plans a PE's cores on the victim as need cores on the VM with id to
-// (an id, since carrying out the plan changes the fleet list).
-type move struct{ pe, cores, to, need int }
+// chunk is a planChunk on the VM at position at.
+type chunk struct {
+	planChunk
+	at int
+}
 
 // shedOption is one core removeCore may take away.
 type shedOption struct {
@@ -424,14 +424,15 @@ func (h *Heuristic) removeCore(v *sim.View, act sim.Control, pe int, maxRemove f
 
 // consolidate (global strategy) empties at most one lightly used VM per
 // stage by moving its core chunks into free cores elsewhere, so the idle VM
-// can be released at its hour boundary. Chunk conversion preserves rated
-// capacity: n cores at speed s need ceil(n*s/s') cores at speed s'.
+// can be released at its hour boundary.
 //
-// Victims are tried in stable ascending-utilization order; each chunk goes
-// to the tightest-fitting destination, the lowest VM id among ties. The
-// fleet is indexed once per call — positions in id order, per-VM chunk
-// lists in PE order — and each victim is planned against one free-core
-// array that a failed plan gives back.
+// Victims are tried in stable ascending-utilization order, and each is
+// planned by planEvacuation against the positions with free cores in id
+// order, so the lowest VM id wins a best-fit tie. The fleet is indexed once
+// per call — positions in id order, per-VM chunk lists in PE order — and
+// every victim is planned against one free-core array that a failed plan
+// gives back. On a tenant's view the chunks are that tenant's, while free
+// cores and utilization are the fleet's.
 func (h *Heuristic) consolidate(v *sim.View, act sim.Control) error {
 	s := &h.scratch
 	vms := v.ActiveVMs()
@@ -472,7 +473,7 @@ func (h *Heuristic) consolidate(v *sim.View, act sim.Control) error {
 		s.asg = v.AssignmentsInto(pe, s.asg[:0])
 		for _, a := range s.asg {
 			at := s.pos[a.VMID]
-			s.flat = append(s.flat, chunk{pe: pe, at: at, cores: a.Cores})
+			s.flat = append(s.flat, chunk{planChunk{pe: pe, cores: a.Cores}, at})
 			s.start[at]++
 		}
 	}
@@ -483,53 +484,37 @@ func (h *Heuristic) consolidate(v *sim.View, act sim.Control) error {
 	for i := len(s.flat) - 1; i >= 0; i-- {
 		c := s.flat[i]
 		s.start[c.at]--
-		s.chunks[s.start[c.at]] = c
+		s.chunks[s.start[c.at]] = c.planChunk
 	}
 
+	// The id table is done with; its storage, as long as the highest id,
+	// holds the candidates: the positions with free cores, in id order.
+	spare := s.pos[:0]
+	for i, f := range s.free {
+		if f > 0 {
+			spare = append(spare, i)
+		}
+	}
+	classAt := func(i int) *cloud.Class { return vms[i].Class }
 	for _, vp := range s.order {
 		victim := vms[vp]
 		if victim.UsedCores == 0 {
 			continue
 		}
-		s.moves = s.moves[:0]
-		ok := true
-		for _, c := range s.chunks[s.start[vp]:s.start[vp+1]] {
-			ecu := float64(c.cores) * victim.Class.CoreSpeed
-			bestDst, bestNeed := -1, 0
-			for dst := range vms {
-				dstClass := vms[dst].Class
-				// Never consolidate on-demand capacity onto spot VMs: the
-				// constraint-critical base must survive reclamations.
-				if dst == vp || dstClass.Preemptible && !victim.Class.Preemptible {
-					continue
-				}
-				f := s.free[dst]
-				need := coresNeeded(ecu, dstClass)
-				if need == 0 {
-					need = 1
-				}
-				if need <= f && (bestDst < 0 || f-need < s.free[bestDst]-bestNeed) {
-					bestDst, bestNeed = dst, need
-				}
-			}
-			if bestDst < 0 {
-				ok = false
-				break
-			}
-			s.free[bestDst] -= bestNeed
-			s.moves = append(s.moves, move{pe: c.pe, cores: c.cores, to: vms[bestDst].ID, need: bestNeed})
-		}
-		if !ok {
-			for _, m := range s.moves {
-				s.free[s.pos[m.to]] += m.need
-			}
+		chunks := s.chunks[s.start[vp]:s.start[vp+1]]
+		var ok bool
+		if s.moves, ok = planEvacuation(vp, chunks, spare, classAt, s.free, s.moves[:0]); !ok {
 			continue
 		}
-		for _, m := range s.moves {
-			if err := act.AssignCores(m.pe, m.to, m.need); err != nil {
+		// Acting changes the fleet list: name the destinations by id first.
+		for i := range s.moves {
+			s.moves[i].dst = vms[s.moves[i].dst].ID
+		}
+		for i, m := range s.moves {
+			if err := act.AssignCores(m.pe, m.dst, m.cores); err != nil {
 				return err
 			}
-			if err := act.UnassignCores(m.pe, victim.ID, m.cores); err != nil {
+			if err := act.UnassignCores(m.pe, victim.ID, chunks[i].cores); err != nil {
 				return err
 			}
 		}

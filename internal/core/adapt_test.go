@@ -308,9 +308,10 @@ func classOf(vms []sim.VMInfo, id int) *cloud.Class {
 // of several PEs to a per-fleet fullness (sparse fleets consolidate, dense
 // ones do not), and a few empty VMs released so VM ids have gaps. Every
 // fourth fleet is uniform — one class, one fill — so victims tie on
-// utilization and destinations tie on best fit. The same seed builds the
-// same fleet.
-func randomFleet(t *testing.T, seed int64) (*sim.Engine, *sim.View, *sim.Actions) {
+// utilization and destinations tie on best fit. With tenants set, the
+// engine runs two chain tenants on the one fleet instead, and the VMs mix
+// both tenants' chunks. The same seed builds the same fleet.
+func randomFleet(t *testing.T, seed int64, tenants bool) (*sim.Engine, *sim.View, *sim.Actions) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	classes := cloud.WithSpotMarket(cloud.AWS2013Classes(), 0.3)
@@ -321,22 +322,36 @@ func randomFleet(t *testing.T, seed int64) (*sim.Engine, *sim.View, *sim.Actions
 			{Name: "c3", Cores: 8, CoreSpeed: 2.5, NetMbps: 100, PricePerHour: 0.9},
 		}, 0.3)
 	}
-	nPE := 2 + r.Intn(10)
-	b := dataflow.NewBuilder()
-	names := make([]string, nPE)
-	for i := range names {
-		names[i] = fmt.Sprintf("pe%d", i)
-		b.AddPE(names[i], dataflow.Alt("a", 1, 0.1, 1))
-	}
-	g := b.Chain(names...).MustBuild()
 	prof, _ := rates.NewConstant(1)
-	e, err := sim.NewEngine(sim.Config{
-		Graph:      g,
+	cfg := sim.Config{
 		Menu:       cloud.MustMenu(classes),
 		Inputs:     map[int]rates.Profile{0: prof},
 		HorizonSec: 3600,
 		Audit:      true,
-	})
+	}
+	chain := func(b *dataflow.Builder, prefix string, n int) *dataflow.Builder {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("%spe%d", prefix, i)
+			b.AddPE(names[i], dataflow.Alt("a", 1, 0.1, 1))
+		}
+		return b.Chain(names...)
+	}
+	var nPE int
+	if tenants {
+		nA, nB := 2+r.Intn(5), 2+r.Intn(5)
+		nPE = nA + nB
+		cfg.Graph = chain(chain(dataflow.NewBuilder(), "a/", nA), "b/", nB).MustBuild()
+		cfg.Inputs[nA] = prof
+		cfg.Tenants = []sim.Tenant{
+			{Name: "a", LoPE: 0, HiPE: nA, Graph: chain(dataflow.NewBuilder(), "", nA).MustBuild()},
+			{Name: "b", LoPE: nA, HiPE: nPE, Graph: chain(dataflow.NewBuilder(), "", nB).MustBuild()},
+		}
+	} else {
+		nPE = 2 + r.Intn(10)
+		cfg.Graph = chain(dataflow.NewBuilder(), "", nPE).MustBuild()
+	}
+	e, err := sim.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,19 +413,36 @@ func fleetState(e *sim.Engine, v *sim.View) string {
 // reference on identical seeded fleets and requires the same actions, in
 // the same order, and the same fleet and assignments afterwards. One
 // Heuristic serves every fleet, so stale scratch from a larger fleet must
-// never leak into a smaller one.
+// never leak into a smaller one. Seeds past 400 host two tenants and
+// consolidate through one tenant's view and MultiTenant's control: only
+// that tenant's chunks move, while free cores and utilization are the
+// whole fleet's.
 func TestConsolidateMatchesReference(t *testing.T) {
 	h := MustHeuristic(Options{Strategy: Global, Adaptive: true,
 		Objective: Objective{OmegaHat: 0.7, Epsilon: 0.05, Sigma: 0.01}})
-	var moved, stayed, tiedMoved int
-	for seed := int64(1); seed <= 400; seed++ {
-		refE, refV, refAct := randomFleet(t, seed)
-		gotE, gotV, gotAct := randomFleet(t, seed)
+	m, err := NewMultiTenant([]sim.Scheduler{h, h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var moved, stayed, tiedMoved, tenantMoved, tenantStayed int
+	for seed := int64(1); seed <= 480; seed++ {
+		tenants := seed > 400
+		// scope is the view and control consolidation runs on: the
+		// engine's own, or tenant seed%2's.
+		scope := func(v *sim.View, act *sim.Actions) (*sim.View, sim.Control) {
+			if !tenants {
+				return v, act
+			}
+			k := int(seed % 2)
+			return v.Tenant(k), m.control(v, act, k)
+		}
+		refE, refV, refAct := randomFleet(t, seed, tenants)
+		gotE, gotV, gotAct := randomFleet(t, seed, tenants)
 		before := len(refE.AuditLog())
-		if err := referenceConsolidate(refV, refAct); err != nil {
+		if err := referenceConsolidate(scope(refV, refAct)); err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
-		if err := h.consolidate(gotV, gotAct); err != nil {
+		if err := h.consolidate(scope(gotV, gotAct)); err != nil {
 			t.Fatalf("seed %d: consolidate: %v", seed, err)
 		}
 		want, got := refE.AuditLog(), gotE.AuditLog()
@@ -421,6 +453,10 @@ func TestConsolidateMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: fleet state differs:\ngot\n%s\nwant\n%s", seed, gs, ws)
 		}
 		switch {
+		case tenants && len(want) == before:
+			tenantStayed++
+		case tenants:
+			tenantMoved++
 		case len(want) == before:
 			stayed++
 		case seed%4 == 0:
@@ -430,8 +466,10 @@ func TestConsolidateMatchesReference(t *testing.T) {
 			moved++
 		}
 	}
-	if moved < 40 || stayed < 40 || tiedMoved < 10 {
-		t.Fatalf("fleets too one-sided: %d consolidated (%d uniform), %d left alone", moved, tiedMoved, stayed)
+	if moved < 40 || stayed < 40 || tiedMoved < 10 || tenantMoved < 10 || tenantStayed < 10 {
+		t.Fatalf("fleets too one-sided: %d consolidated (%d uniform), %d left alone; tenants: %d consolidated, %d left alone",
+			moved, tiedMoved, stayed, tenantMoved, tenantStayed)
 	}
-	t.Logf("%d fleets consolidated (%d uniform), %d left alone", moved, tiedMoved, stayed)
+	t.Logf("%d fleets consolidated (%d uniform), %d left alone; tenants: %d consolidated, %d left alone",
+		moved, tiedMoved, stayed, tenantMoved, tenantStayed)
 }

@@ -274,15 +274,16 @@ func (p *Plan) RepackPE(demandECU []float64) {
 }
 
 // IterativeRepack empties lightly used VMs by relocating their core chunks
-// into free cores elsewhere (the global strategy's RepackFreeVMs). A chunk
-// of n cores at speed s needs ceil(n*s/s') cores at the destination so the
-// PE keeps its rated capacity. Each round orders the VMs by utilization and
-// evacuates the first victim whose every chunk fits.
+// into free cores elsewhere (the global strategy's RepackFreeVMs). Each
+// round orders the VMs by utilization and evacuates, through
+// planEvacuation, the first victim whose every chunk fits into the round's
+// spare positions in plan order.
 func (p *Plan) IterativeRepack() {
 	// free[i] is VM i's spare cores this round and spare the positions
 	// with any; a victim that fails gives back what it took.
 	var free, spare []int
 	var moves []coreMove
+	classAt := func(i int) *cloud.Class { return p.VMs[i].Class }
 	for {
 		sort.SliceStable(p.VMs, func(i, j int) bool {
 			ui := float64(p.VMs[i].used) / float64(p.VMs[i].Class.Cores)
@@ -303,7 +304,7 @@ func (p *Plan) IterativeRepack() {
 				continue
 			}
 			var ok bool
-			if moves, ok = p.planEvacuation(vi, free, spare, moves[:0]); ok {
+			if moves, ok = planEvacuation(vi, victim.chunks, spare, classAt, free, moves[:0]); ok {
 				p.applyEvacuation(victim, moves)
 				moved = true
 				break
@@ -317,26 +318,37 @@ func (p *Plan) IterativeRepack() {
 	p.dropEmpty()
 }
 
-// coreMove sends one victim chunk to the VM at position dst.
+// coreMove sends one victim chunk to the position dst, as cores cores of
+// the class there.
 type coreMove struct {
 	pe, dst, cores int
 }
 
-// planEvacuation best-fits every chunk of the VM at position vi, in PE
-// order, onto the spare positions: the destination left with the least
-// slack, the earliest in plan order on ties. It takes the cores it plans
-// from free and, if some chunk fits nowhere, gives them all back.
-func (p *Plan) planEvacuation(vi int, free, spare []int, moves []coreMove) ([]coreMove, bool) {
-	victim := p.VMs[vi]
-	for _, c := range victim.chunks {
-		ecu := float64(c.cores) * victim.Class.CoreSpeed
+// planEvacuation is the one bin packer behind both heuristics: Alg. 1's
+// RepackFreeVMs (IterativeRepack) and Alg. 2's consolidation (consolidate).
+// It plans moving every chunk of the victim at position vi, in the order
+// given, onto the candidate positions cands; class gives a position's class
+// and free its spare cores. A chunk of n cores at speed s needs
+// coresFor(n·s, class) cores at the destination, so the PE keeps its rated
+// capacity. It goes to the candidate left with the least slack, the first
+// in cands on ties, and on-demand cores never go onto a spot VM. The plan
+// takes its cores from free; if some chunk fits nowhere, it gives them all
+// back and reports false. The caller's victim and candidate orders are the
+// tie-breaks.
+func planEvacuation(vi int, chunks []planChunk, cands []int, class func(int) *cloud.Class, free []int, moves []coreMove) ([]coreMove, bool) {
+	victim := class(vi)
+	for _, c := range chunks {
+		ecu := float64(c.cores) * victim.CoreSpeed
 		best, bestNeed := -1, 0
-		for _, i := range spare {
-			if i == vi {
+		for _, i := range cands {
+			dst := class(i)
+			// Spot capacity may be reclaimed, and the constraint-critical
+			// on-demand base must survive reclamations.
+			if i == vi || dst.Preemptible && !victim.Preemptible {
 				continue
 			}
 			f := free[i]
-			need := coresFor(ecu, p.VMs[i].Class)
+			need := coresFor(ecu, dst)
 			if need <= f && (best < 0 || f-need < free[best]-bestNeed) {
 				best, bestNeed = i, need
 			}

@@ -7,6 +7,7 @@ import (
 	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/core"
 	"dynamicdf/internal/metrics"
+	"dynamicdf/internal/sim"
 )
 
 // AblationRow is one variant's outcome.
@@ -66,10 +67,11 @@ func RunAblations(c Config) (AblationResult, error) {
 			return AblationResult{}, fmt.Errorf("ablation %q: %w", vnt.name, err)
 		}
 		b.Config.MonitorAlpha = vnt.alpha
-		if err := b.BuildEngine(); err != nil {
+		eng, err := sim.NewEngine(b.Config)
+		if err != nil {
 			return AblationResult{}, err
 		}
-		sum, err := b.Engine.Run(h)
+		sum, err := eng.Run(h)
 		if err != nil {
 			return AblationResult{}, fmt.Errorf("ablation %q: %w", vnt.name, err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"dynamicdf/internal/metrics"
 	"dynamicdf/internal/rates"
+	"dynamicdf/internal/sim"
 )
 
 // LatencyRow is one latency-bound setting's outcome.
@@ -51,17 +52,18 @@ func RunLatencyQoS(c Config, rate float64) (LatencyQoSResult, error) {
 			return LatencyQoSResult{}, err
 		}
 		b.Config.Inputs = map[int]rates.Profile{b.Graph.Inputs()[0]: prof}
-		if err := b.BuildEngine(); err != nil {
+		eng, err := sim.NewEngine(b.Config)
+		if err != nil {
 			return LatencyQoSResult{}, err
 		}
-		sum, err := b.Engine.Run(b.Scheduler)
+		sum, err := eng.Run(b.Scheduler)
 		if err != nil {
 			return LatencyQoSResult{}, err
 		}
 		out.Rows = append(out.Rows, LatencyRow{
 			BoundSec:    bound,
 			MeanLatency: sum.MeanLatencySec,
-			P95Latency:  b.Engine.Collector().Quantile(0.95, func(p metrics.Point) float64 { return p.LatencySec }),
+			P95Latency:  eng.Collector().Quantile(0.95, func(p metrics.Point) float64 { return p.LatencySec }),
 			MeanOmega:   sum.MeanOmega,
 			CostUSD:     sum.TotalCostUSD,
 		})

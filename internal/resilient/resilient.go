@@ -50,9 +50,6 @@ type Config struct {
 	MaxCooldownSec int64
 	// Seed decorrelates the deterministic cooldown jitter between runs.
 	Seed int64
-	// NoFallback disables trying other classes; acquisitions then fail fast
-	// whenever the requested class is broken or exhausted its retries.
-	NoFallback bool
 	// DegradeOmega, when positive, arms the degradation hook: while any VM is
 	// still provisioning or any breaker is open AND the last observed Omega
 	// is below this floor, every PE is switched to its cheapest alternate.
@@ -352,9 +349,6 @@ func (a *Actions) AcquireVM(className string) (int, error) {
 				Rejected: "capacity error after retries"})
 		}
 		lastErr = err
-		if a.s.cfg.NoFallback {
-			break
-		}
 	}
 	if lastErr == nil {
 		// Every candidate was behind an open breaker: fail fast without
@@ -407,9 +401,6 @@ func (a *Actions) acquireWithRetry(class string, now int64) (int, error) {
 // price (next-cheapest first), then the pricier ones by ascending price.
 func (s *Scheduler) ladder(menu *cloud.Menu, requested *cloud.Class) []*cloud.Class {
 	out := []*cloud.Class{requested}
-	if s.cfg.NoFallback {
-		return out
-	}
 	var cheaper, pricier []*cloud.Class
 	for _, c := range menu.Classes() {
 		if c.Name == requested.Name || c.Preemptible != requested.Preemptible {

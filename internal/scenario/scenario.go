@@ -291,39 +291,28 @@ type Built struct {
 	TenantObjectives []core.Objective
 }
 
-// Build validates the scenario and constructs the engine and scheduler.
-func (sc *Scenario) Build() (*Built, error) { return sc.BuildWith(nil) }
-
-// BuildWith is Build drawing a replayed infrastructure from pools, the memo
-// of the campaign the scenario runs in: scenarios that replay the same
-// config share one read-only provider. A nil pools generates afresh, as
-// Build does. The run is the same either way. It is Lower followed by
-// BuildEngine.
-func (sc *Scenario) BuildWith(pools *trace.Pools) (*Built, error) {
-	b, err := sc.Lower(pools)
+// Build validates the scenario and constructs the engine and scheduler: it
+// is Lower(nil) followed by sim.NewEngine on the lowered Config.
+func (sc *Scenario) Build() (*Built, error) {
+	b, err := sc.Lower(nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := b.BuildEngine(); err != nil {
+	if b.Engine, err = sim.NewEngine(b.Config); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-// BuildEngine builds Engine from Config. BuildWith does so for the scenario
-// as lowered; a caller of Lower that first sets engine options the schema
-// does not carry on Config (monitor smoothing, a hand-made input profile)
-// calls it after setting them.
-func (b *Built) BuildEngine() (err error) {
-	b.Engine, err = sim.NewEngine(b.Config)
-	return err
-}
-
 // Lower validates the scenario and lowers it onto a sim.Config, a scheduler
-// and its objectives, drawing replayed infrastructure from pools as
-// BuildWith does, but builds no engine: Built.Engine is nil. A caller that
-// restores a checkpoint (sim.Restore) or sets engine options on the Config
-// builds its one engine from Built.Config itself (see BuildEngine).
+// and its objectives, but builds no engine: Built.Engine is nil. It draws a
+// replayed infrastructure from pools, the memo of the campaign the scenario
+// runs in, so that scenarios replaying the same config share one read-only
+// provider; a nil pools generates afresh, and the run is the same either
+// way. A caller that restores a checkpoint (sim.Restore), runs in a
+// campaign or sets engine options the schema does not carry on the Config
+// (monitor smoothing, a hand-made input profile) builds its one engine from
+// Built.Config itself with sim.NewEngine.
 func (sc *Scenario) Lower(pools *trace.Pools) (*Built, error) {
 	if len(sc.Tenants) > 0 {
 		if len(sc.Graph.PEs) > 0 {

@@ -158,7 +158,7 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-// TestBuildWithSharesReplayedPools: scenarios built through one memo share
+// TestBuildWithSharesReplayedPools: scenarios lowered through one memo share
 // the provider of a replayed infra config, while a csvdir scenario of the
 // same seed, which writes its loaded traces into its provider, leaves that
 // shared provider untouched in either order, network pools included.
@@ -189,7 +189,7 @@ func TestBuildWithSharesReplayedPools(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc.Infra = infra
-		built, err := sc.BuildWith(pools)
+		built, err := sc.Lower(pools)
 		if err != nil {
 			t.Fatal(err)
 		}

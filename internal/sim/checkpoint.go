@@ -52,8 +52,6 @@ func (e *Engine) Checkpoint() (*state.Snapshot, error) {
 		LastOmega:   e.lastOmega,
 		OmegaSum:    e.omegaSum,
 		OmegaN:      e.omegaN,
-		LastPEOut:   append([]float64(nil), e.lastPEOut...),
-		LastPEExp:   append([]float64(nil), e.lastPEExp...),
 		LastPEIn:    append([]float64(nil), e.lastPEIn...),
 		LastLatency: e.lastLatency,
 
@@ -122,9 +120,10 @@ func (e *Engine) Checkpoint() (*state.Snapshot, error) {
 
 // Restore builds a fresh engine from a snapshot and a config. The config
 // must agree with the snapshot on the identity guards (graph size, interval,
-// seed) — everything deterministic about the world — while observer wiring
-// (tracer, gauges, checker, audit) comes from the config, so a restored run
-// can be observed differently than the original. Driving the restored
+// seed) — everything deterministic about the world — while the checker and
+// audit come from the config, and a tracer, gauges or profiler is attached
+// to the restored engine (SetTracer, SetGauges, SetProfiler), so a restored
+// run can be observed differently than the original. Driving the restored
 // engine with RunUntil/RunContext and the same scheduler continues the run
 // bit-identically to one that was never checkpointed; multiple engines may
 // be restored from one snapshot (for forked what-if runs) since no state is
@@ -229,7 +228,8 @@ func Restore(snap *state.Snapshot, cfg Config) (*Engine, error) {
 		}
 	}
 	// Older snapshots also carry pairwise network estimators (NetLat,
-	// NetBW); no engine state reads them, so they are ignored.
+	// NetBW) and last-interval output rates (LastPEOut, LastPEExp); no
+	// engine state reads them, so they are ignored.
 	e.rateEst.Import(snap.RateEst)
 	e.vmMon.Import(snap.VMCPU)
 	e.rebuildFlowCaches()
@@ -237,12 +237,6 @@ func Restore(snap *state.Snapshot, cfg Config) (*Engine, error) {
 	e.lastOmega = snap.LastOmega
 	e.omegaSum = snap.OmegaSum
 	e.omegaN = snap.OmegaN
-	if len(snap.LastPEOut) == n {
-		copy(e.lastPEOut, snap.LastPEOut)
-	}
-	if len(snap.LastPEExp) == n {
-		copy(e.lastPEExp, snap.LastPEExp)
-	}
 	if len(snap.LastPEIn) == n {
 		copy(e.lastPEIn, snap.LastPEIn)
 	}

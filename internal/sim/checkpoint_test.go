@@ -97,7 +97,7 @@ func (s *ckptSched) RestoreState(blob []byte) error {
 
 var _ StatefulScheduler = (*ckptSched)(nil)
 
-func ckptConfig(t *testing.T, seed int64, tracer *obs.Tracer) Config {
+func ckptConfig(t *testing.T, seed int64) Config {
 	rng := rand.New(rand.NewSource(seed))
 	g := randomPipelineDAG(rng)
 	profiles := map[int]rates.Profile{}
@@ -124,7 +124,6 @@ func ckptConfig(t *testing.T, seed int64, tracer *obs.Tracer) Config {
 			Seed:         seed,
 		},
 		Audit:   true,
-		Tracer:  tracer,
 		Checker: invariant.New(),
 	}
 }
@@ -138,11 +137,11 @@ func ckptConfig(t *testing.T, seed int64, tracer *obs.Tracer) Config {
 func TestCheckpointRestoreByteIdentical(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		var coldTrace bytes.Buffer
-		coldCfg := ckptConfig(t, seed, obs.NewTracer(&coldTrace))
-		coldEng, err := NewEngine(coldCfg)
+		coldEng, err := NewEngine(ckptConfig(t, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
+		coldEng.SetTracer(obs.NewTracer(&coldTrace))
 		coldSum, err := coldEng.Run(&ckptSched{})
 		if err != nil {
 			t.Fatalf("seed %d: cold run: %v", seed, err)
@@ -152,11 +151,13 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 		// prefix and the resumed run share one trace buffer, so the
 		// concatenated stream must equal the cold one byte for byte.
 		var warmTrace bytes.Buffer
-		warmCfg := ckptConfig(t, seed, obs.NewTracer(&warmTrace))
+		warmTracer := obs.NewTracer(&warmTrace)
+		warmCfg := ckptConfig(t, seed)
 		prefixEng, err := NewEngine(warmCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		prefixEng.SetTracer(warmTracer)
 		intervals := warmCfg.HorizonSec / warmCfg.IntervalSec
 		k := 1 + seed%(intervals-1)
 		if err := prefixEng.RunUntil(context.Background(), &ckptSched{}, k*warmCfg.IntervalSec); err != nil {
@@ -178,6 +179,7 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: restore: %v", seed, err)
 		}
+		warmEng.SetTracer(warmTracer)
 		warmSum, err := warmEng.Run(&ckptSched{})
 		if err != nil {
 			t.Fatalf("seed %d: resumed run: %v", seed, err)
@@ -221,21 +223,21 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 // consumed.
 func TestCheckpointDoesNotPerturbRun(t *testing.T) {
 	var plain, observed bytes.Buffer
-	cfgA := ckptConfig(t, 3, obs.NewTracer(&plain))
-	a, err := NewEngine(cfgA)
+	a, err := NewEngine(ckptConfig(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.SetTracer(obs.NewTracer(&plain))
 	sumA, err := a.Run(&ckptSched{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cfgB := ckptConfig(t, 3, obs.NewTracer(&observed))
-	b, err := NewEngine(cfgB)
+	b, err := NewEngine(ckptConfig(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	b.SetTracer(obs.NewTracer(&observed))
 	sched := &ckptSched{}
 	for _, at := range []int64{300, 600, 1200} {
 		if err := b.RunUntil(context.Background(), sched, at); err != nil {
@@ -257,7 +259,7 @@ func TestCheckpointDoesNotPerturbRun(t *testing.T) {
 // TestRestoreRejectsMismatchedConfig: a snapshot only restores onto a config
 // that agrees on the deterministic world.
 func TestRestoreRejectsMismatchedConfig(t *testing.T) {
-	cfg := ckptConfig(t, 1, nil)
+	cfg := ckptConfig(t, 1)
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +282,7 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	if _, err := Restore(snap, badInterval); err == nil {
 		t.Error("restore accepted a different interval")
 	}
-	badGraph := ckptConfig(t, 6, nil) // different random DAG size with high probability
+	badGraph := ckptConfig(t, 6) // different random DAG size with high probability
 	if badGraph.Graph.N() != cfg.Graph.N() {
 		if _, err := Restore(snap, badGraph); err == nil {
 			t.Error("restore accepted a different graph")
@@ -298,7 +300,7 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 // TestRestoreSharedSnapshotIsolated: two engines restored from one snapshot
 // do not share mutable state.
 func TestRestoreSharedSnapshotIsolated(t *testing.T) {
-	cfg := ckptConfig(t, 2, nil)
+	cfg := ckptConfig(t, 2)
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,6 @@ import (
 	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/dataflow"
 	"dynamicdf/internal/invariant"
-	"dynamicdf/internal/obs"
 	"dynamicdf/internal/rates"
 	"dynamicdf/internal/trace"
 )
@@ -58,20 +57,6 @@ type Config struct {
 	ControlFaults *ControlFaults
 	// Audit records every scheduler action (AuditLog / WriteAuditJSONL).
 	Audit bool
-	// Tracer, when non-nil, receives a structured obs event for every
-	// control action plus run/step spans and QoS violations. Equivalent to
-	// calling Engine.SetTracer before Run.
-	Tracer *obs.Tracer
-	// Gauges, when non-nil, is updated with live run state (omega, cores,
-	// fleet, backlog, cost) at the end of every interval. Equivalent to
-	// calling Engine.SetGauges before Run.
-	Gauges *obs.RunGauges
-	// Profiler, when non-nil, records per-stage wall time and allocation
-	// deltas for every interval (obs.StageProfiler). Wall-clock readings
-	// never enter the trace stream, so determinism is unaffected; nil costs
-	// zero allocations on the hot path, like the tracer and checker hooks.
-	// Equivalent to calling Engine.SetProfiler before Run.
-	Profiler *obs.StageProfiler
 	// OmegaFloor, when positive, is the QoS constraint Ω̃: intervals whose
 	// relative throughput falls below it emit an omega-violation trace
 	// event. Purely observational — it never alters the simulation.

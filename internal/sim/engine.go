@@ -42,8 +42,6 @@ type Engine struct {
 	lastOmega float64
 	omegaSum  float64
 	omegaN    int
-	lastPEOut []float64 // observed output rate per PE, last interval
-	lastPEExp []float64 // expected output rate per PE, last interval
 	lastPEIn  []float64 // observed arrival rate per PE, last interval
 
 	migratedBytes float64
@@ -166,8 +164,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		sel:       dataflow.DefaultSelection(cfg.Graph),
 		routing:   dataflow.DefaultRouting(cfg.Graph),
 		pes:       make([]peState, n),
-		lastPEOut: make([]float64, n),
-		lastPEExp: make([]float64, n),
 		lastPEIn:  make([]float64, n),
 		collector: newCollector(),
 	}
@@ -228,11 +224,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.collector.Reserve(reservedRows(cfg.HorizonSec/cfg.IntervalSec, len(cfg.Tenants)))
 	e.rateEst, _ = monitor.NewRateEstimator(cfg.MonitorAlpha)
 	e.vmMon, _ = monitor.NewVMMonitor(cfg.MonitorAlpha)
-	e.tracer = cfg.Tracer
-	e.gauges = cfg.Gauges
-	e.bindTenantGauges()
-	e.profiler = cfg.Profiler
-	e.registerStages()
 	if cfg.Checker != nil {
 		e.checker = cfg.Checker
 		e.invState = &invariant.State{

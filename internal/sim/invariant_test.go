@@ -99,14 +99,16 @@ func TestCorruptedStateTripsChecker(t *testing.T) {
 func TestLenientCheckerRecordsAndContinues(t *testing.T) {
 	cfg := baseConfig(chainGraph(1), 4, 10*60)
 	cfg.Checker = invariant.New()
-	reg := obs.NewRegistry()
-	cfg.Gauges = obs.NewRunGauges(reg)
-	var sink bytes.Buffer
-	cfg.Tracer = obs.NewTracer(&sink)
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	gauges := obs.NewRunGauges(reg)
+	e.SetGauges(gauges)
+	var sink bytes.Buffer
+	tracer := obs.NewTracer(&sink)
+	e.SetTracer(tracer)
 	corrupted := false
 	_, err = e.Run(&fixed{deploy: deployEven, adapt: func(v *View, act Control) error {
 		if !corrupted {
@@ -123,13 +125,13 @@ func TestLenientCheckerRecordsAndContinues(t *testing.T) {
 	if n := e.InvariantViolations(); n != 9 {
 		t.Fatalf("recorded %d violations, want 9", n)
 	}
-	if err := cfg.Tracer.Flush(); err != nil {
+	if err := tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sink.String(), obs.EventInvariantViolation) {
 		t.Fatal("no invariant-violation event in the trace stream")
 	}
-	if got := cfg.Gauges.Violations.Value(); got != 9 {
+	if got := gauges.Violations.Value(); got != 9 {
 		t.Fatalf("violations gauge = %v, want 9", got)
 	}
 	var expo bytes.Buffer

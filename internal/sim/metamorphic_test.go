@@ -213,8 +213,6 @@ func TestMetamorphicZeroProbFaultsIdentical(t *testing.T) {
 			Audit:      true,
 			Checker:    invariant.NewStrict(),
 		}
-		var sink bytes.Buffer
-		cfg.Tracer = obs.NewTracer(&sink)
 		if withZeroFaults {
 			cfg.Failures = sim.NoFailures{}
 			cfg.Preemption = sim.NoFailures{}
@@ -229,10 +227,13 @@ func TestMetamorphicZeroProbFaultsIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var sink bytes.Buffer
+		tracer := obs.NewTracer(&sink)
+		e.SetTracer(tracer)
 		if _, err := e.Run(evenDeploy("m1.large", 2)); err != nil {
 			t.Fatal(err)
 		}
-		if err := cfg.Tracer.Flush(); err != nil {
+		if err := tracer.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		var auditBuf, csvBuf bytes.Buffer

@@ -294,12 +294,12 @@ func TestBandwidthFloorSkipIsExact(t *testing.T) {
 		}
 		cfg.Inputs[0] = wave
 		cfg.Perf = perf
-		var tr bytes.Buffer
-		cfg.Tracer = obs.NewTracer(&tr)
 		e, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var tr bytes.Buffer
+		e.SetTracer(obs.NewTracer(&tr))
 		// Two VMs per PE, and a third for work after two hours, so every
 		// edge splits over several links.
 		if _, err := e.Run(&fixed{

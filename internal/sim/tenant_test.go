@@ -158,13 +158,13 @@ func TestTenantViewScoping(t *testing.T) {
 // tagged with the tenant's name.
 func TestTenantOmegaFloorViolation(t *testing.T) {
 	cfg := twoTenantConfig(5, 5, 600)
-	var traced bytes.Buffer
-	tracer := obs.NewTracer(&traced)
-	cfg.Tracer = tracer
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var traced bytes.Buffer
+	tracer := obs.NewTracer(&traced)
+	e.SetTracer(tracer)
 	// Deploy only tenant a; tenant b starves.
 	sum, err := e.Run(&fixed{deploy: deployTenantA})
 	if err != nil {

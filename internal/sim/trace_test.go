@@ -16,18 +16,19 @@ import (
 // raw NDJSON stream.
 func traceChaos(t *testing.T) []byte {
 	t.Helper()
-	var buf bytes.Buffer
 	cfg := chaosConfig(t)
-	cfg.Tracer = obs.NewTracer(&buf)
 	cfg.OmegaFloor = 0.99 // the chaos scenario degrades; force violations
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	tracer := obs.NewTracer(&buf)
+	e.SetTracer(tracer)
 	if _, err := e.Run(&fixed{deploy: chaosRepair, adapt: chaosRepair}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cfg.Tracer.Flush(); err != nil {
+	if err := tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -70,17 +71,17 @@ func TestTraceByteIdenticalAcrossRuns(t *testing.T) {
 // TestTracerAndAuditAgree: the audit log must be the scheduler-action
 // subset of the trace, so the two views of one run stay correlatable.
 func TestTracerAndAuditAgree(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := chaosConfig(t)
-	cfg.Tracer = obs.NewTracer(&buf)
-	e, err := NewEngine(cfg)
+	e, err := NewEngine(chaosConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	tracer := obs.NewTracer(&buf)
+	e.SetTracer(tracer)
 	if _, err := e.Run(&fixed{deploy: chaosRepair, adapt: chaosRepair}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cfg.Tracer.Flush(); err != nil {
+	if err := tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	events, err := obs.ReadEvents(&buf)
@@ -213,21 +214,30 @@ func BenchmarkEngineStep(b *testing.B) {
 // world, and one pair per run made the ratios swing by half.
 func BenchmarkEngineRun(b *testing.B) {
 	const batch = 50
-	hooks := []struct {
+	// A hook is set on the config (the checker) or attached to the built
+	// engine (the observers).
+	type hook struct {
 		name   string
-		attach func(*Config)
-	}{
-		{"bare", func(*Config) {}},
-		{"tracer", func(cfg *Config) { cfg.Tracer = obs.NewTracer(new(bytes.Buffer)) }},
-		{"checker", func(cfg *Config) { cfg.Checker = invariant.NewStrict() }},
-		{"profiler", func(cfg *Config) { cfg.Profiler = obs.NewStageProfiler(nil) }},
+		config func(*Config)
+		attach func(*Engine)
 	}
-	build := func(b *testing.B, attach func(*Config)) *Engine {
+	hooks := []hook{
+		{name: "bare"},
+		{name: "tracer", attach: func(e *Engine) { e.SetTracer(obs.NewTracer(new(bytes.Buffer))) }},
+		{name: "checker", config: func(cfg *Config) { cfg.Checker = invariant.NewStrict() }},
+		{name: "profiler", attach: func(e *Engine) { e.SetProfiler(obs.NewStageProfiler(nil)) }},
+	}
+	build := func(b *testing.B, h hook) *Engine {
 		cfg := baseConfig(chainGraph(1), 4, 3600)
-		attach(&cfg)
+		if h.config != nil {
+			h.config(&cfg)
+		}
 		e, err := NewEngine(cfg)
 		if err != nil {
 			b.Fatal(err)
+		}
+		if h.attach != nil {
+			h.attach(e)
 		}
 		return e
 	}
@@ -243,7 +253,7 @@ func BenchmarkEngineRun(b *testing.B) {
 				b.StopTimer()
 				engines = engines[:0]
 				for len(engines) < batch && done+len(engines) < b.N {
-					engines = append(engines, build(b, hook.attach))
+					engines = append(engines, build(b, hook))
 				}
 				runtime.GC()
 				b.StartTimer()
@@ -254,7 +264,7 @@ func BenchmarkEngineRun(b *testing.B) {
 		})
 	}
 	b.Run("paired", func(b *testing.B) {
-		paired := [...]func(*Config){hooks[0].attach, hooks[1].attach, hooks[3].attach}
+		paired := [...]hook{hooks[0], hooks[1], hooks[3]}
 		var spent [len(paired)]time.Duration
 		trios := make([][len(paired)]*Engine, 0, batch)
 		for done := 0; done < b.N; done += len(trios) {
@@ -262,8 +272,8 @@ func BenchmarkEngineRun(b *testing.B) {
 			trios = trios[:0]
 			for len(trios) < batch && done+len(trios) < b.N {
 				var trio [len(paired)]*Engine
-				for k, attach := range paired {
-					trio[k] = build(b, attach)
+				for k, h := range paired {
+					trio[k] = build(b, h)
 				}
 				trios = append(trios, trio)
 			}

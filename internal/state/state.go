@@ -103,9 +103,13 @@ type Snapshot struct {
 	NetBW  []NetEntry `json:"netBw,omitempty"`
 
 	// Last-interval observations and period tallies.
-	LastOmega   float64   `json:"lastOmega,omitempty"`
-	OmegaSum    float64   `json:"omegaSum,omitempty"`
-	OmegaN      int       `json:"omegaN,omitempty"`
+	LastOmega float64 `json:"lastOmega,omitempty"`
+	OmegaSum  float64 `json:"omegaSum,omitempty"`
+	OmegaN    int     `json:"omegaN,omitempty"`
+	// LastPEOut and LastPEExp are written only by older snapshots, whose
+	// engine kept each PE's last observed and expected output rates. They
+	// are decoded so that those snapshots still verify and restore; a
+	// restore ignores them.
 	LastPEOut   []float64 `json:"lastPeOut,omitempty"`
 	LastPEExp   []float64 `json:"lastPeExp,omitempty"`
 	LastPEIn    []float64 `json:"lastPeIn,omitempty"`

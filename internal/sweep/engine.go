@@ -385,14 +385,18 @@ type prefixRun struct {
 // this path, so warm and cold runs stay byte-equivalent across topologies.
 func RunPrefix(ctx context.Context, sc *scenario.Scenario, untilSec int64, pools *trace.Pools) (snap *state.Snapshot) {
 	defer func() { recover() }() // a panicking prefix falls back to cold runs
-	built, err := sc.BuildWith(pools)
+	built, err := sc.Lower(pools)
 	if err != nil {
 		return nil
 	}
-	if err := built.Engine.RunUntil(ctx, built.Scheduler, untilSec); err != nil {
+	eng, err := sim.NewEngine(built.Config)
+	if err != nil {
 		return nil
 	}
-	s, err := built.Engine.Checkpoint()
+	if err := eng.RunUntil(ctx, built.Scheduler, untilSec); err != nil {
+		return nil
+	}
+	s, err := eng.Checkpoint()
 	if err != nil {
 		return nil
 	}

@@ -31,7 +31,7 @@ func BenchmarkExecuteJob(b *testing.B) {
 	}
 	job := Job{ID: "bench", Scenario: sc, Pools: new(trace.Pools)}
 	ctx := context.Background()
-	if _, err := sc.BuildWith(job.Pools); err != nil {
+	if _, err := sc.Lower(job.Pools); err != nil {
 		b.Fatal(err)
 	}
 	snap := RunPrefix(ctx, sc, 5*3600, job.Pools)

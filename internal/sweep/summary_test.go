@@ -26,30 +26,33 @@ const warmTenantSpecDoc = `{
 }`
 
 // rowsKeepingResult runs a job the way sweep jobs ran before they became
-// summary-only: a rows-keeping engine from BuildWith, replaced by one
+// summary-only: a rows-keeping engine built from the lowered Config, or
 // restored from snap for a fork, summarized at the end of RunContext.
 func rowsKeepingResult(t *testing.T, job Job, snap *state.Snapshot) Result {
 	t.Helper()
 	res := Result{JobID: job.ID, Key: job.Key, Group: job.Group, Seed: job.Seed}
-	built, err := job.Scenario.BuildWith(job.Pools)
+	built, err := job.Scenario.Lower(job.Pools)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var eng *sim.Engine
 	if snap != nil {
-		eng, err := sim.Restore(snap, built.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		built.Engine, res.Forked = eng, true
+		eng, err = sim.Restore(snap, built.Config)
+		res.Forked = true
+	} else {
+		eng, err = sim.NewEngine(built.Config)
 	}
-	sum, err := built.Engine.RunContext(context.Background(), built.Scheduler)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := built.Engine.Collector().Len(); n != sum.Intervals {
+	sum, err := eng.RunContext(context.Background(), built.Scheduler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.Collector().Len(); n != sum.Intervals {
 		t.Fatalf("%s: the rows-keeping engine holds %d rows for %d intervals", job.ID, n, sum.Intervals)
 	}
-	res.Violations = built.Engine.InvariantViolations()
+	res.Violations = eng.InvariantViolations()
 	res.SetSummary(built, sum)
 	return res
 }
