@@ -499,18 +499,25 @@ echo "$poolbench"
 ckptbench=$(go test ./internal/sim -run '^$' -bench 'BenchmarkCheckpoint' -benchtime 20x -benchmem)
 echo "$ckptbench"
 
+# Fabric layer, recorded in the snapshot below: one lease and one result
+# delivery over loopback HTTP against the coordinator's handler, with a
+# stub result and no simulation. Nothing is gated on it until the row has a
+# history.
+leasebench=$(go test ./internal/sweep/fabric -run '^$' -bench 'BenchmarkLeaseRoundTrip' -benchtime 2000x -benchmem)
+echo "$leasebench"
+
 # Benchmark snapshot: run the engine-step and per-run benchmark suites with
 # -benchmem, add the Adapt, Deploy, Expand, ExecuteJob, NewReplayed,
-# Checkpoint, TracerEmit and WriteCSV benchmarks measured above, and record
-# ns/op, B/op, allocs/op per benchmark as BENCH_step.json, so perf
-# regressions show up in review diffs. Each row names what one op is: an
-# engine step, a whole one-hour run, a bare, a traced and a profiled run
-# (/paired), one disabled-hook call, one Adapt call, one Deploy, one
+# Checkpoint, LeaseRoundTrip, TracerEmit and WriteCSV benchmarks measured
+# above, and record ns/op, B/op, allocs/op per benchmark as BENCH_step.json,
+# so perf regressions show up in review diffs. Each row names what one op
+# is: an engine step, a whole one-hour run, a bare, a traced and a profiled
+# run (/paired), one disabled-hook call, one Adapt call, one Deploy, one
 # expansion of the 96-job fig67 grid, one sweep job, one replayed provider
 # built (its CPU pool), one whole generated trace pool, one checkpoint,
-# encode, decode or restore of a snapshot, one traced event, or one metrics
-# CSV. The numbers are machine-dependent; the file is a tracked
-# observation, not a gate.
+# encode, decode or restore of a snapshot, one fabric lease-and-ack round
+# trip, one traced event, or one metrics CSV. The numbers are
+# machine-dependent; the file is a tracked observation, not a gate.
 {
     go test ./internal/sim -run '^$' -bench 'BenchmarkEngine(Step|Run)' -benchtime 100x -benchmem
     echo "$adaptbench"
@@ -520,6 +527,7 @@ echo "$ckptbench"
     echo "$jobbench"
     echo "$poolbench"
     echo "$ckptbench"
+    echo "$leasebench"
     echo "$encbench"
 } | awk '
     function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
@@ -534,6 +542,7 @@ echo "$ckptbench"
         else if (name ~ /^BenchmarkNewReplayed\/cpu/) unit = "provider"
         else if (name ~ /^BenchmarkNewReplayed/) unit = "pool"
         else if (name ~ /^BenchmarkCheckpoint/) unit = "snapshot"
+        else if (name ~ /^BenchmarkLeaseRoundTrip/) unit = "trip"
         else if (name ~ /^BenchmarkTracerEmit/) unit = "event"
         else if (name ~ /^BenchmarkWriteCSV/) unit = "csv"
         else if (name ~ /^BenchmarkEngineRun\/paired/) unit = "run-trio"

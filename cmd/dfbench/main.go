@@ -225,24 +225,25 @@ func runSweep(cfg experiments.Config, arg string, replicas, workers int, journal
 		return submitSweep(ctx, coordinator, spec)
 	}
 
-	eng := &sweep.Engine{Workers: workers}
-	if journalPath != "" {
-		j, err := sweep.OpenJournal(journalPath)
-		if err != nil {
-			return err
-		}
-		defer j.Close()
-		eng.Journal = j
+	jobs, err := spec.Expand()
+	if err != nil {
+		return err
 	}
-	eng.OnProgress = func(p sweep.Progress) {
+	opts := sweep.RunOpts{OnProgress: func(p sweep.Progress) {
 		fmt.Fprintf(os.Stderr, "\rsweep %s: %d/%d done (%d cached, %d errors)",
 			spec.Name, p.Done, p.Total, p.CacheHits, p.Errors)
 		if p.Done == p.Total {
 			fmt.Fprintln(os.Stderr)
 		}
+	}}
+	if journalPath != "" {
+		if opts.Journal, err = sweep.OpenJournal(journalPath); err != nil {
+			return err
+		}
+		defer opts.Journal.Close()
 	}
 
-	rep, err := eng.Run(ctx, spec)
+	rep, err := (&sweep.Engine{Workers: workers}).RunCampaign(ctx, spec, jobs, opts)
 	if err != nil {
 		return err
 	}

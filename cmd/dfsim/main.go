@@ -228,9 +228,9 @@ func main() {
 		fmt.Printf("control plane: %d failed acquisitions, %d stale probes\n",
 			built.Engine.AcquireFailures(), built.Engine.StaleProbes())
 	}
-	if built.Checker != nil {
+	if ck := built.Config.Checker; ck != nil {
 		fmt.Printf("invariants: %d laws over %d intervals, %d violations\n",
-			len(invariant.DefaultLaws()), sum.Intervals, built.Checker.Count())
+			len(invariant.DefaultLaws()), sum.Intervals, ck.Count())
 	}
 	if rs, ok := built.Scheduler.(*resilient.Scheduler); ok {
 		fmt.Printf("resilience: %d retries, %d fallbacks, %d breaker trips, %d degrade rounds\n",

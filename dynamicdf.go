@@ -452,6 +452,9 @@ type (
 	SweepJob = sweep.Job
 	// SweepEngine executes expanded jobs on a bounded worker pool.
 	SweepEngine = sweep.Engine
+	// SweepRunOpts carries one campaign's journal, progress sink and drain
+	// signal to SweepEngine.RunCampaign.
+	SweepRunOpts = sweep.RunOpts
 	// SweepJournal is the append-only completion log enabling crash-safe
 	// resume and cross-run caching.
 	SweepJournal = sweep.Journal

@@ -93,7 +93,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("composite dataflow: %d PEs across %d tenants, policy %s\n",
-		built.Graph.N(), len(built.TenantNames), built.Scheduler.Name())
+		built.Config.Graph.N(), len(built.Config.Tenants), built.Scheduler.Name())
 
 	sum, err := built.Engine.Run(built.Scheduler)
 	if err != nil {

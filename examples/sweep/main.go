@@ -3,7 +3,7 @@
 // policy axis and a rate axis, replicated over seeds — and executed on a
 // bounded worker pool. Every job is content-addressed by the hash of its
 // canonical scenario JSON, and completions are journaled, so the second
-// Run below finishes instantly from cache: the engine re-executes only
+// run below finishes instantly from cache: the engine re-executes only
 // what is missing, which is also how a killed campaign resumes.
 package main
 
@@ -66,8 +66,12 @@ func main() {
 			log.Fatal(err)
 		}
 		defer j.Close()
-		eng := &dynamicdf.SweepEngine{Workers: 4, Journal: j}
-		rep, err := eng.Run(context.Background(), spec)
+		jobs, err := spec.Expand()
+		if err != nil {
+			log.Fatal(err)
+		}
+		eng := &dynamicdf.SweepEngine{Workers: 4}
+		rep, err := eng.RunCampaign(context.Background(), spec, jobs, dynamicdf.SweepRunOpts{Journal: j})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Class describes a VM resource class C_i: the number of dedicated CPU
@@ -204,17 +203,4 @@ func (m *Menu) CheapestPreemptibleFitting(need float64) *Class {
 		}
 	}
 	return best
-}
-
-// SortedByCapacity returns the classes sorted by decreasing capacity
-// (ties: cheaper first). The returned slice is fresh.
-func (m *Menu) SortedByCapacity() []*Class {
-	out := append([]*Class(nil), m.classes...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Capacity() != out[j].Capacity() {
-			return out[i].Capacity() > out[j].Capacity()
-		}
-		return out[i].PricePerHour < out[j].PricePerHour
-	})
-	return out
 }

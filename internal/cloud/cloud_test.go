@@ -85,19 +85,6 @@ func TestMenuRejectsDuplicates(t *testing.T) {
 	}
 }
 
-func TestSortedByCapacity(t *testing.T) {
-	m := MustMenu(AWS2013Classes())
-	s := m.SortedByCapacity()
-	for i := 1; i < len(s); i++ {
-		if s[i-1].Capacity() < s[i].Capacity() {
-			t.Fatalf("not sorted: %v", s)
-		}
-	}
-	if s[0].Name != "m1.xlarge" {
-		t.Fatalf("first = %s", s[0].Name)
-	}
-}
-
 func TestBilledHoursRoundsUp(t *testing.T) {
 	c := AWS2013Classes()[0]
 	cases := []struct {

@@ -15,7 +15,6 @@ import (
 // countingControl applies nothing and counts the control actions issued to
 // it, so a converged Adapt can be called again and again on one frozen view.
 type countingControl struct {
-	menu    *cloud.Menu
 	actions int
 }
 
@@ -25,8 +24,6 @@ func (c *countingControl) AcquireVM(string) (int, error)       { c.actions++; re
 func (c *countingControl) ReleaseVM(int) error                 { c.actions++; return nil }
 func (c *countingControl) AssignCores(pe, vmID, n int) error   { c.actions++; return nil }
 func (c *countingControl) UnassignCores(pe, vmID, n int) error { c.actions++; return nil }
-func (c *countingControl) MovePE(pe, from, to, n int) error    { c.actions++; return nil }
-func (c *countingControl) Menu() *cloud.Menu                   { return c.menu }
 func (c *countingControl) Log(action, detail string)           {}
 
 // adaptAllocsRun is a run whose policy converges within warm-up: tenants
@@ -118,7 +115,7 @@ func TestAdaptAllocs(t *testing.T) {
 			if omega := v.MeanOmega(); omega < obj.OmegaHat+obj.Epsilon {
 				t.Fatalf("mean omega %v inside or under the band: the alternate stage would return early", omega)
 			}
-			ctl := &countingControl{menu: v.Menu()}
+			ctl := &countingControl{}
 			adapt := func() {
 				if err := sched.Adapt(v, ctl); err != nil {
 					t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 
-	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/obs"
 	"dynamicdf/internal/sim"
 )
@@ -294,12 +293,6 @@ func (c *tenantControl) AssignCores(pe, vmID, n int) error {
 func (c *tenantControl) UnassignCores(pe, vmID, n int) error {
 	return c.act.UnassignCores(pe+c.t.LoPE, vmID, n)
 }
-
-func (c *tenantControl) MovePE(pe, fromVM, toVM, n int) error {
-	return c.act.MovePE(pe+c.t.LoPE, fromVM, toVM, n)
-}
-
-func (c *tenantControl) Menu() *cloud.Menu { return c.act.Menu() }
 
 func (c *tenantControl) Log(action, detail string) { c.act.Log(action, detail) }
 

@@ -285,7 +285,7 @@ func TestArbiterRulingAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := &countingControl{menu: v.Menu()}
+	ctl := &countingControl{}
 	grant := func() {
 		if _, err := m.control(v, ctl, 1).AcquireVM("m1.small"); err != nil {
 			t.Fatal(err)

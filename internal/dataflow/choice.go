@@ -363,13 +363,3 @@ func RouteCosts(g *Graph, sel Selection, routing Routing, group int) ([]float64,
 	}
 	return out, nil
 }
-
-// ChoiceIndex returns the index of the named group, or -1.
-func (g *Graph) ChoiceIndex(name string) int {
-	for i, c := range g.Choices {
-		if c.Name == name {
-			return i
-		}
-	}
-	return -1
-}

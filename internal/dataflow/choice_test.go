@@ -27,11 +27,8 @@ func choiceGraph() *Graph {
 
 func TestChoiceGraphValidates(t *testing.T) {
 	g := choiceGraph()
-	if len(g.Choices) != 1 {
-		t.Fatalf("choices = %d", len(g.Choices))
-	}
-	if g.ChoiceIndex("depth") != 0 || g.ChoiceIndex("ghost") != -1 {
-		t.Fatal("ChoiceIndex wrong")
+	if len(g.Choices) != 1 || g.Choices[0].Name != "depth" {
+		t.Fatalf("choices = %+v", g.Choices)
 	}
 }
 

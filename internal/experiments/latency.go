@@ -51,7 +51,7 @@ func RunLatencyQoS(c Config, rate float64) (LatencyQoSResult, error) {
 		if err != nil {
 			return LatencyQoSResult{}, err
 		}
-		b.Config.Inputs = map[int]rates.Profile{b.Graph.Inputs()[0]: prof}
+		b.Config.Inputs = map[int]rates.Profile{b.Config.Graph.Inputs()[0]: prof}
 		eng, err := sim.NewEngine(b.Config)
 		if err != nil {
 			return LatencyQoSResult{}, err

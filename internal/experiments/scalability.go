@@ -101,7 +101,7 @@ func RunScalability(c Config) (ScalabilityResult, error) {
 			return ScalabilityResult{}, err
 		}
 		row := ScalabilityRow{
-			PEs:        b.Graph.N(),
+			PEs:        b.Config.Graph.N(),
 			Alternates: s.alts,
 			Rate:       s.rate,
 			PeakVMs:    sum.PeakVMs,

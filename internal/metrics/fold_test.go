@@ -243,7 +243,7 @@ func TestSummaryCollectorKeepsNoRows(t *testing.T) {
 		t.Fatal("SetTenants after a point accepted")
 	}
 	omega, _, _ := c.TenantSeries()
-	if c.Len() != 0 || len(c.Points()) != 0 || len(c.OmegaSeries()) != 0 || len(omega) != 0 {
+	if c.Len() != 0 || len(c.Points()) != 0 || len(omega) != 0 {
 		t.Fatalf("summary-only collector holds rows: %d points, %d tenant cells", c.Len(), len(omega))
 	}
 	if s := c.Summarize(); s.Intervals != 1 || s.MeanOmega != 0.5 || len(s.Tenants) != 2 || s.Tenants[1].SpendUSD != 0.2 {

@@ -54,8 +54,8 @@ type Collector struct {
 func NewCollector() *Collector { return &Collector{} }
 
 // NewSummaryCollector returns an empty collector that keeps no rows: it only
-// folds them into its Summary. Its Points, OmegaSeries, Quantile, WriteCSV
-// and TenantSeries see an empty series and Len is 0, while Summarize reports
+// folds them into its Summary. Its Points, Quantile, WriteCSV and
+// TenantSeries see an empty series and Len is 0, while Summarize reports
 // every row added.
 func NewSummaryCollector() *Collector { return &Collector{summaryOnly: true} }
 
@@ -204,17 +204,6 @@ func (f *fold) summary(tenants []string) Summary {
 		MeanUsedCores:  f.cores / n,
 		Tenants:        f.tenantSummaries(tenants),
 	}
-}
-
-// OmegaSeries extracts the Omega(t) series for plotting.
-func (c *Collector) OmegaSeries() []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]float64, len(c.points))
-	for i, p := range c.points {
-		out[i] = p.Omega
-	}
-	return out
 }
 
 // Quantile returns the q-quantile (0..1) of an arbitrary per-point metric.

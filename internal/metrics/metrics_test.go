@@ -76,16 +76,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestOmegaSeries(t *testing.T) {
-	c := NewCollector()
-	_ = c.Add(Point{Sec: 0, Omega: 0.9})
-	_ = c.Add(Point{Sec: 60, Omega: 0.7})
-	got := c.OmegaSeries()
-	if len(got) != 2 || got[0] != 0.9 || got[1] != 0.7 {
-		t.Fatalf("series = %v", got)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	c := NewCollector()
 	for i, v := range []float64{1, 2, 3, 4, 5} {

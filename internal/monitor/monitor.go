@@ -24,15 +24,6 @@ type EWMA struct {
 	primed bool
 }
 
-// NewEWMA returns an estimator with smoothing factor alpha in (0, 1]:
-// higher alpha weights recent observations more.
-func NewEWMA(alpha float64) (*EWMA, error) {
-	if !(alpha > 0 && alpha <= 1) {
-		return nil, fmt.Errorf("monitor: ewma alpha %v outside (0,1]", alpha)
-	}
-	return &EWMA{alpha: alpha}, nil
-}
-
 // Observe folds a new observation into the estimate. The first observation
 // primes the estimator directly.
 func (e *EWMA) Observe(x float64) {
@@ -109,9 +100,6 @@ func (r *RateEstimator) Estimate(key int, def float64) float64 {
 	return r.est[key].ValueOr(def)
 }
 
-// Keys returns the number of tracked keys.
-func (r *RateEstimator) Keys() int { return r.n }
-
 // Probe is one synthetic-benchmark measurement of a VM.
 type Probe struct {
 	// Sec is the probe time.
@@ -173,14 +161,6 @@ func (m *VMMonitor) CPUCoeff(vmID int, def float64) float64 {
 	return m.cpu[vmID].ValueOr(def)
 }
 
-// LastProbe returns the time of the VM's latest probe.
-func (m *VMMonitor) LastProbe(vmID int) (int64, bool) {
-	if vmID < 0 || vmID >= len(m.cpu) || !m.has[vmID] {
-		return 0, false
-	}
-	return m.last[vmID], true
-}
-
 // Forget drops state for a released VM.
 func (m *VMMonitor) Forget(vmID int) {
 	if vmID < 0 || vmID >= len(m.cpu) || !m.has[vmID] {
@@ -191,6 +171,3 @@ func (m *VMMonitor) Forget(vmID int) {
 	m.last[vmID] = 0
 	m.n--
 }
-
-// Tracked returns how many VMs have state.
-func (m *VMMonitor) Tracked() int { return m.n }

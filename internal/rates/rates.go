@@ -235,29 +235,6 @@ func (s *Scaled) Mean() float64 { return s.Base.Mean() * s.Factor }
 // Name implements Profile.
 func (s *Scaled) Name() string { return s.Base.Name() }
 
-// PaperProfiles returns the three §8.1 workload profiles at the given mean
-// data rate: constant, periodic wave (amplitude 40% of mean, 20 min period)
-// and random walk (10% steps each minute). Seed controls the walk.
-func PaperProfiles(mean float64, seed int64) (map[string]Profile, error) {
-	c, err := NewConstant(mean)
-	if err != nil {
-		return nil, err
-	}
-	w, err := NewWave(mean, 0.4*mean, 1200)
-	if err != nil {
-		return nil, err
-	}
-	rw, err := NewRandomWalk(mean, 0.1, 60, seed)
-	if err != nil {
-		return nil, err
-	}
-	return map[string]Profile{
-		"constant":   c,
-		"wave":       w,
-		"randomwalk": rw,
-	}, nil
-}
-
 // PaperDataRates lists the mean data rates (msg/s) the evaluation sweeps
 // (§8.1: "2 msgs/sec to 50 msgs/sec").
 func PaperDataRates() []float64 { return []float64{2, 5, 10, 20, 35, 50} }

@@ -177,27 +177,6 @@ func TestScaled(t *testing.T) {
 	}
 }
 
-func TestPaperProfiles(t *testing.T) {
-	ps, err := PaperProfiles(10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 3 {
-		t.Fatalf("%d profiles", len(ps))
-	}
-	for name, p := range ps {
-		if p.Mean() != 10 {
-			t.Fatalf("%s mean = %v", name, p.Mean())
-		}
-		if p.Rate(0) < 0 {
-			t.Fatalf("%s negative at 0", name)
-		}
-	}
-	if _, err := PaperProfiles(-5, 1); err == nil {
-		t.Fatal("negative mean accepted")
-	}
-}
-
 func TestPaperDataRatesSpanPaperRange(t *testing.T) {
 	rs := PaperDataRates()
 	if rs[0] != 2 || rs[len(rs)-1] != 50 {
@@ -214,11 +193,21 @@ func TestPropertyProfilesNonNegative(t *testing.T) {
 	f := func(seed int64, secRaw uint32, meanRaw uint16) bool {
 		mean := 1 + float64(meanRaw%100)
 		sec := int64(secRaw % 864000)
-		ps, err := PaperProfiles(mean, seed)
+		// The three §8.1 profiles: constant, a wave of 40 % amplitude and
+		// a 20 min period, and a walk of 10 % steps each minute.
+		c, err := NewConstant(mean)
 		if err != nil {
 			return false
 		}
-		for _, p := range ps {
+		w, err := NewWave(mean, 0.4*mean, 1200)
+		if err != nil {
+			return false
+		}
+		rw, err := NewRandomWalk(mean, 0.1, 60, seed)
+		if err != nil {
+			return false
+		}
+		for _, p := range []Profile{c, w, rw} {
 			if p.Rate(sec) < 0 {
 				return false
 			}

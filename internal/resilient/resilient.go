@@ -258,12 +258,6 @@ func (a *Actions) AssignCores(pe, vmID, n int) error { return a.inner.AssignCore
 // UnassignCores passes through.
 func (a *Actions) UnassignCores(pe, vmID, n int) error { return a.inner.UnassignCores(pe, vmID, n) }
 
-// MovePE passes through.
-func (a *Actions) MovePE(pe, fromVM, toVM, n int) error { return a.inner.MovePE(pe, fromVM, toVM, n) }
-
-// Menu passes through.
-func (a *Actions) Menu() *cloud.Menu { return a.inner.Menu() }
-
 // Log passes through.
 func (a *Actions) Log(action, detail string) { a.inner.Log(action, detail) }
 
@@ -302,7 +296,7 @@ func (a *Actions) DecisionsObserved() bool {
 // fallback order. Classes whose breaker is open are skipped without a single
 // request. Returns the last CapacityError when every avenue fails.
 func (a *Actions) AcquireVM(className string) (int, error) {
-	requested, ok := a.inner.Menu().ByName(className)
+	requested, ok := a.v.Menu().ByName(className)
 	if !ok {
 		// Unknown class: let the engine produce its canonical error.
 		return a.inner.AcquireVM(className)
@@ -315,7 +309,7 @@ func (a *Actions) AcquireVM(className string) (int, error) {
 		dec = &obs.Decision{Kind: "fallback", PE: -1,
 			Inputs: map[string]float64{"requestedPricePerHour": requested.PricePerHour}}
 	}
-	for _, class := range a.s.ladder(a.inner.Menu(), requested) {
+	for _, class := range a.s.ladder(a.v.Menu(), requested) {
 		br := a.s.breakerFor(class.Name)
 		if now < br.openUntil {
 			if dec != nil {

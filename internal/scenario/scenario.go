@@ -276,18 +276,14 @@ type Built struct {
 	Engine    *sim.Engine
 	Scheduler sim.Scheduler
 	Objective core.Objective
-	Graph     *dataflow.Graph
-	// Checker is the invariant checker attached to Engine (nil unless the
-	// scenario's check block enabled it).
-	Checker *invariant.Checker
 	// Config is the exact sim.Config the Engine was built from, so callers
 	// can restore a checkpoint of an identical scenario onto it
-	// (sim.Restore) instead of stepping Engine from zero.
+	// (sim.Restore) instead of stepping Engine from zero. Its Graph, its
+	// Checker (nil unless the scenario's check block enabled one) and its
+	// Tenants are the run's.
 	Config sim.Config
-	// TenantNames and TenantObjectives describe the tenants of a
-	// multi-tenant scenario in declaration order (nil for single-tenant
-	// runs). TenantObjectives[i] carries tenant i's own Θ calibration.
-	TenantNames      []string
+	// TenantObjectives carries each tenant's own Θ calibration, in
+	// Config.Tenants order (nil for single-tenant runs).
 	TenantObjectives []core.Objective
 }
 
@@ -334,46 +330,59 @@ func (sc *Scenario) Lower(pools *trace.Pools) (*Built, error) {
 		return nil, err
 	}
 
-	hours := sc.HorizonHours
-	if hours == 0 {
-		hours = 4
-	}
-	obj, err := sc.objective(g, prof.Mean(), hours)
+	obj, err := sc.objective(g, prof.Mean(), sc.hours())
 	if err != nil {
 		return nil, err
 	}
 
-	sched, err := sc.scheduler(obj, hours)
+	sched, err := sc.scheduler(obj)
 	if err != nil {
 		return nil, err
 	}
 
+	cfg, err := sc.config(g, perf, map[int]rates.Profile{g.Inputs()[0]: prof}, obj.OmegaHat)
+	if err != nil {
+		return nil, err
+	}
+	return &Built{Scheduler: sched, Objective: obj, Config: cfg}, nil
+}
+
+// hours is the scenario's horizon in hours (default 4).
+func (sc *Scenario) hours() float64 {
+	if sc.HorizonHours == 0 {
+		return 4
+	}
+	return sc.HorizonHours
+}
+
+// config assembles the run's sim.Config around the lowered graph, its
+// infrastructure, its input profiles and the Ω floor; the platform, the
+// timing and the control, audit and check blocks are the scenario's own.
+func (sc *Scenario) config(g *dataflow.Graph, perf trace.Provider, inputs map[int]rates.Profile, omegaFloor float64) (sim.Config, error) {
 	menu, failures, preemption, err := sc.platform()
 	if err != nil {
-		return nil, err
+		return sim.Config{}, err
 	}
 	interval := sc.IntervalSec
 	if interval == 0 {
 		interval = 60
 	}
-	checker := sc.Check.checker()
-	cfg := sim.Config{
+	return sim.Config{
 		Graph:         g,
 		Menu:          menu,
 		Perf:          perf,
-		Inputs:        map[int]rates.Profile{g.Inputs()[0]: prof},
+		Inputs:        inputs,
 		IntervalSec:   interval,
-		HorizonSec:    int64(hours * 3600),
+		HorizonSec:    int64(sc.hours() * 3600),
 		Seed:          sc.Seed,
 		MaxVMs:        sc.MaxVMs,
 		Failures:      failures,
 		Preemption:    preemption,
 		ControlFaults: sc.Control.faults(sc.Seed),
 		Audit:         sc.Audit,
-		OmegaFloor:    obj.OmegaHat,
-		Checker:       checker,
-	}
-	return &Built{Scheduler: sched, Objective: obj, Graph: g, Checker: checker, Config: cfg}, nil
+		OmegaFloor:    omegaFloor,
+		Checker:       sc.Check.checker(),
+	}, nil
 }
 
 // buildGraph constructs one dataflow graph from its spec form.
@@ -567,26 +576,16 @@ func (sc *Scenario) perf(pools *trace.Pools) (trace.Provider, error) {
 	}
 }
 
-func (sc *Scenario) scheduler(obj core.Objective, hours float64) (sim.Scheduler, error) {
-	dynamic := true
-	if sc.Policy.Dynamic != nil {
-		dynamic = *sc.Policy.Dynamic
-	}
+// scheduler builds a single-tenant run's policy: the paper's heuristics or,
+// for this one dataflow alone, the brute-force planner, wrapped in the
+// resilient middleware when the policy block asks for it.
+func (sc *Scenario) scheduler(obj core.Objective) (sim.Scheduler, error) {
 	var sched sim.Scheduler
 	var err error
-	switch sc.Policy.Kind {
-	case "local":
-		sched, err = core.NewHeuristic(core.Options{
-			Strategy: core.Local, Dynamic: dynamic, Adaptive: !sc.Policy.Static,
-			Objective: obj, UseSpot: sc.Policy.UseSpot})
-	case "global", "":
-		sched, err = core.NewHeuristic(core.Options{
-			Strategy: core.Global, Dynamic: dynamic, Adaptive: !sc.Policy.Static,
-			Objective: obj, UseSpot: sc.Policy.UseSpot})
-	case "bruteforce":
-		sched, err = core.NewBruteForce(obj, hours)
-	default:
-		return nil, fmt.Errorf("scenario: unknown policy kind %q", sc.Policy.Kind)
+	if sc.Policy.Kind == "bruteforce" {
+		sched, err = core.NewBruteForce(obj, sc.hours())
+	} else {
+		sched, err = sc.Policy.heuristic(obj)
 	}
 	if err != nil {
 		return nil, err
@@ -596,4 +595,24 @@ func (sc *Scenario) scheduler(obj core.Objective, hours float64) (sim.Scheduler,
 			Seed: sc.Seed, DegradeOmega: sc.Policy.DegradeOmega})
 	}
 	return sched, nil
+}
+
+// heuristic builds the policy block's local or global heuristic (§6)
+// against obj; any other kind is unknown. Single-tenant and per-tenant
+// policies both lower through it.
+func (ps PolicySpec) heuristic(obj core.Objective) (sim.Scheduler, error) {
+	dynamic := true
+	if ps.Dynamic != nil {
+		dynamic = *ps.Dynamic
+	}
+	opts := core.Options{Dynamic: dynamic, Adaptive: !ps.Static, Objective: obj, UseSpot: ps.UseSpot}
+	switch ps.Kind {
+	case "local":
+		opts.Strategy = core.Local
+	case "global", "":
+		opts.Strategy = core.Global
+	default:
+		return nil, fmt.Errorf("scenario: unknown policy kind %q", ps.Kind)
+	}
+	return core.NewHeuristic(opts)
 }

@@ -36,8 +36,8 @@ func TestParseAndBuildMinimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if built.Graph.N() != 2 {
-		t.Fatalf("N = %d", built.Graph.N())
+	if built.Config.Graph.N() != 2 {
+		t.Fatalf("N = %d", built.Config.Graph.N())
 	}
 	if built.Scheduler.Name() != "global" {
 		t.Fatalf("default policy = %q", built.Scheduler.Name())
@@ -284,8 +284,8 @@ func TestBuildWithChoices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(built.Graph.Choices) != 1 {
-		t.Fatalf("choices = %d", len(built.Graph.Choices))
+	if len(built.Config.Graph.Choices) != 1 {
+		t.Fatalf("choices = %d", len(built.Config.Graph.Choices))
 	}
 	if _, err := built.Engine.Run(built.Scheduler); err != nil {
 		t.Fatal(err)

@@ -42,18 +42,9 @@ type TenantSpec struct {
 // input PEs, its own Θ objective calibrated, and one core.MultiTenant
 // scheduler arbitrates the per-tenant heuristics over the shared fleet.
 func (sc *Scenario) lowerTenants(pools *trace.Pools) (*Built, error) {
-	hours := sc.HorizonHours
-	if hours == 0 {
-		hours = 4
-	}
-	interval := sc.IntervalSec
-	if interval == 0 {
-		interval = 60
-	}
-
+	hours := sc.hours()
 	comp := dataflow.NewBuilder()
 	tenants := make([]sim.Tenant, 0, len(sc.Tenants))
-	names := make([]string, 0, len(sc.Tenants))
 	objs := make([]core.Objective, 0, len(sc.Tenants))
 	inner := make([]sim.Scheduler, 0, len(sc.Tenants))
 	inputs := map[int]rates.Profile{}
@@ -110,7 +101,6 @@ func (sc *Scenario) lowerTenants(pools *trace.Pools) (*Built, error) {
 			LoChoice: loCh, HiChoice: loCh + len(tg.Choices),
 			OmegaFloor: floor, Priority: t.Priority, Graph: tg,
 		})
-		names = append(names, t.Name)
 		objs = append(objs, obj)
 		inner = append(inner, policy)
 		lo += tg.N()
@@ -142,33 +132,12 @@ func (sc *Scenario) lowerTenants(pools *trace.Pools) (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	menu, failures, preemption, err := sc.platform()
+	cfg, err := sc.config(g, perf, inputs, obj.OmegaHat)
 	if err != nil {
 		return nil, err
 	}
-	checker := sc.Check.checker()
-	cfg := sim.Config{
-		Graph:         g,
-		Menu:          menu,
-		Perf:          perf,
-		Inputs:        inputs,
-		IntervalSec:   interval,
-		HorizonSec:    int64(hours * 3600),
-		Seed:          sc.Seed,
-		MaxVMs:        sc.MaxVMs,
-		Failures:      failures,
-		Preemption:    preemption,
-		ControlFaults: sc.Control.faults(sc.Seed),
-		Audit:         sc.Audit,
-		OmegaFloor:    obj.OmegaHat,
-		Checker:       checker,
-		Tenants:       tenants,
-	}
-	return &Built{
-		Scheduler: sched, Objective: obj, Graph: g,
-		Checker: checker, Config: cfg,
-		TenantNames: names, TenantObjectives: objs,
-	}, nil
+	cfg.Tenants = tenants
+	return &Built{Scheduler: sched, Objective: obj, Config: cfg, TenantObjectives: objs}, nil
 }
 
 // objective calibrates one Θ objective (PaperSigma at the given graph and
@@ -196,25 +165,11 @@ func (sc *Scenario) objective(g *dataflow.Graph, meanRate, hours float64) (core.
 // single-tenant only; per-tenant resilience is likewise rejected — set the
 // scenario-level flag to wrap the arbitrated policy as a whole.
 func tenantHeuristic(ps PolicySpec, obj core.Objective) (sim.Scheduler, error) {
-	if ps.Resilient {
+	switch {
+	case ps.Resilient:
 		return nil, fmt.Errorf("scenario: per-tenant resilient policy unsupported; set the scenario-level policy.resilient")
-	}
-	dynamic := true
-	if ps.Dynamic != nil {
-		dynamic = *ps.Dynamic
-	}
-	switch ps.Kind {
-	case "local":
-		return core.NewHeuristic(core.Options{
-			Strategy: core.Local, Dynamic: dynamic, Adaptive: !ps.Static,
-			Objective: obj, UseSpot: ps.UseSpot})
-	case "global", "":
-		return core.NewHeuristic(core.Options{
-			Strategy: core.Global, Dynamic: dynamic, Adaptive: !ps.Static,
-			Objective: obj, UseSpot: ps.UseSpot})
-	case "bruteforce":
+	case ps.Kind == "bruteforce":
 		return nil, fmt.Errorf("scenario: policy kind bruteforce is single-tenant only")
-	default:
-		return nil, fmt.Errorf("scenario: unknown policy kind %q", ps.Kind)
 	}
+	return ps.heuristic(obj)
 }

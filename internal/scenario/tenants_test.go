@@ -47,11 +47,11 @@ func TestBuildTwoTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if built.Graph.N() != 4 {
-		t.Fatalf("composite N = %d", built.Graph.N())
+	if built.Config.Graph.N() != 4 {
+		t.Fatalf("composite N = %d", built.Config.Graph.N())
 	}
-	if built.Graph.PEs[0].Name != "analytics/src" || built.Graph.PEs[2].Name != "alerts/src" {
-		t.Fatalf("prefixed names = %v, %v", built.Graph.PEs[0].Name, built.Graph.PEs[2].Name)
+	if built.Config.Graph.PEs[0].Name != "analytics/src" || built.Config.Graph.PEs[2].Name != "alerts/src" {
+		t.Fatalf("prefixed names = %v, %v", built.Config.Graph.PEs[0].Name, built.Config.Graph.PEs[2].Name)
 	}
 	if built.Scheduler.Name() != "multi-tenant[2]" {
 		t.Fatalf("scheduler = %q", built.Scheduler.Name())
@@ -67,8 +67,8 @@ func TestBuildTwoTenants(t *testing.T) {
 	if tens[1].OmegaFloor != built.TenantObjectives[1].OmegaHat {
 		t.Fatalf("tenant 1 floor = %v, objective = %v", tens[1].OmegaFloor, built.TenantObjectives[1].OmegaHat)
 	}
-	if len(built.TenantNames) != 2 || built.TenantNames[0] != "analytics" || built.TenantNames[1] != "alerts" {
-		t.Fatalf("tenant names = %v", built.TenantNames)
+	if tens[0].Name != "analytics" || tens[1].Name != "alerts" {
+		t.Fatalf("tenant names = %q, %q", tens[0].Name, tens[1].Name)
 	}
 	sum, err := built.Engine.Run(built.Scheduler)
 	if err != nil {
@@ -78,7 +78,7 @@ func TestBuildTwoTenants(t *testing.T) {
 		t.Fatalf("tenant summaries = %+v", sum.Tenants)
 	}
 	for i, ts := range sum.Tenants {
-		if ts.Name != built.TenantNames[i] {
+		if ts.Name != tens[i].Name {
 			t.Fatalf("summary %d name = %q", i, ts.Name)
 		}
 		if !built.TenantObjectives[i].MeetsConstraint(ts.MeanOmega) {

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"dynamicdf/internal/cloud"
 	"dynamicdf/internal/obs"
 )
 
@@ -28,11 +27,6 @@ type Control interface {
 	AssignCores(pe, vmID, n int) error
 	// UnassignCores takes n cores of PE pe on VM vmID back.
 	UnassignCores(pe, vmID, n int) error
-	// MovePE migrates n of the PE's cores from one VM to another.
-	MovePE(pe, fromVM, toVM, n int) error
-	// Menu is a convenience passthrough for policies constructing class
-	// names.
-	Menu() *cloud.Menu
 	// Log appends a free-form entry to the audit log (no-op unless
 	// Config.Audit), so middleware decisions — breaker trips, fallbacks,
 	// degradations — land in the same decision trace as the actions.
@@ -230,9 +224,6 @@ func (a *Actions) MovePE(pe, fromVM, toVM, n int) error {
 	}
 	return nil
 }
-
-// Menu is a convenience passthrough for policies constructing class names.
-func (a *Actions) Menu() *cloud.Menu { return a.e.cfg.Menu }
 
 // Log implements Control: it appends a free-form audit entry (no-op unless
 // Config.Audit is set).

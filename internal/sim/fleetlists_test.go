@@ -137,12 +137,6 @@ func (c *checkedControl) UnassignCores(pe, id, n int) error {
 	return err
 }
 
-func (c *checkedControl) MovePE(pe, from, to, n int) error {
-	err := c.Control.MovePE(pe, from, to, n)
-	c.after(fmt.Sprintf("MovePE %d %d %d %d", pe, from, to, n))
-	return err
-}
-
 // indexChurn drives every fleet mutation of the control surface at random,
 // through a checkedControl: acquisitions of on-demand and spot classes
 // (some boot late, some fail), assignments onto active and booting VMs,
@@ -195,11 +189,14 @@ func (s *indexChurn) Adapt(v *View, act Control) error {
 				_ = ctl.UnassignCores(pe, p.vms[sl], 1+s.rng.Intn(p.cores[sl]))
 			}
 		case 5:
+			// A move: a core onto an active VM, then off the VM it left.
 			pe := s.rng.Intn(n)
 			vms := rv.ActiveVMs()
 			if as := v.Assignments(pe); len(as) > 0 && len(vms) > 0 {
 				from, to := as[0].VMID, vms[s.rng.Intn(len(vms))].ID
-				_ = ctl.MovePE(pe, from, to, 1)
+				if from != to && ctl.AssignCores(pe, to, 1) == nil {
+					_ = ctl.UnassignCores(pe, from, 1)
+				}
 			}
 		case 6:
 			var idle []int

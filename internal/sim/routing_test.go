@@ -91,7 +91,7 @@ func TestSelectRouteValidationInEngine(t *testing.T) {
 	if v.IntervalSec() != 60 {
 		t.Fatalf("interval = %d", v.IntervalSec())
 	}
-	if v.Menu() == nil || act.Menu() == nil {
+	if v.Menu() == nil {
 		t.Fatal("menu accessors broken")
 	}
 	if len(v.Selection()) != g.N() {

@@ -439,7 +439,7 @@ func TestMovePE(t *testing.T) {
 				return err
 			}
 			as := v.Assignments(1)
-			return act.MovePE(1, as[0].VMID, nv, as[0].Cores)
+			return act.(*Actions).MovePE(1, as[0].VMID, nv, as[0].Cores)
 		},
 	})
 	if err != nil {
@@ -497,7 +497,11 @@ func TestDeterminism(t *testing.T) {
 		if _, err := e.Run(&fixed{deploy: deployEven}); err != nil {
 			t.Fatal(err)
 		}
-		return e.Collector().OmegaSeries()
+		var omega []float64
+		for _, p := range e.Collector().Points() {
+			omega = append(omega, p.Omega)
+		}
+		return omega
 	}
 	a, b := run(), run()
 	for i := range a {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 
 	"dynamicdf/internal/metrics"
@@ -118,19 +117,12 @@ func (r *Report) HitRate() float64 {
 	return float64(r.CacheHits) / float64(r.Total)
 }
 
-// Engine executes sweep campaigns on a bounded worker pool.
+// Engine executes sweep campaigns on a bounded worker pool. Its fields are
+// the pool's own; a campaign's journal, progress sink and drain signal come
+// through RunOpts.
 type Engine struct {
 	// Workers bounds concurrent jobs (default GOMAXPROCS, min 1).
 	Workers int
-	// Journal, when set, caches completions and enables resume.
-	Journal *Journal
-	// OnProgress, when set, observes each job completion. It is invoked
-	// serially and must not call back into the engine.
-	OnProgress func(Progress)
-	// Drain, when non-nil, requests a graceful stop once closed: in-flight
-	// jobs finish and are journaled, queued jobs are abandoned, and Run
-	// returns ErrDrained.
-	Drain <-chan struct{}
 	// Tracer, when non-nil, receives a sweep-job span per executed job plus
 	// every traced event the per-job sim engines emit. Concurrent workers
 	// interleave their events arbitrarily.
@@ -143,70 +135,48 @@ type Engine struct {
 	Gauges *obs.RunGauges
 }
 
-// Run expands the spec and executes every job not already journaled.
-// Cancelling ctx aborts in-flight simulations mid-horizon (via
-// sim.RunContext); those jobs are not journaled and re-run on resume. The
-// returned report is valid — with Missing > 0 — even when the error is
-// non-nil.
+// Run expands the spec and runs it (RunCampaign) with no journal, progress
+// sink or drain signal.
 func (e *Engine) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	jobs, err := spec.Expand()
 	if err != nil {
 		return nil, err
 	}
-	return e.run(ctx, spec, jobs)
+	return e.RunCampaign(ctx, spec, jobs, RunOpts{})
 }
 
-// run executes the spec's expanded jobs, which it owns: it sets their Pools.
-func (e *Engine) run(ctx context.Context, spec *Spec, jobs []Job) (*Report, error) {
-	// The run's jobs and warm-start prefixes share its replayed trace pools.
-	pools := new(trace.Pools)
-	for i := range jobs {
-		jobs[i].Pools = pools
-	}
-	report := &Report{Name: spec.Name, Total: len(jobs)}
-	results := make([]*Result, len(jobs))
+// RunOpts carries a campaign's execution context for a CampaignRunner: the
+// per-campaign journal, progress sink, and drain signal. OnProgress is
+// invoked serially and must not call back into the runner. Closing Drain
+// requests a graceful stop: in-flight jobs finish and are journaled, queued
+// jobs are abandoned, and the run returns ErrDrained.
+type RunOpts struct {
+	Journal    *Journal
+	OnProgress func(Progress)
+	Drain      <-chan struct{}
+}
 
-	// Serve journaled completions without touching the pool.
-	var pending []int
-	for i := range jobs {
-		if e.Journal != nil {
-			if r, ok := e.Journal.Lookup(jobs[i].Key); ok {
-				r.JobID = jobs[i].ID
-				r.Group = jobs[i].Group
-				r.Seed = jobs[i].Seed
-				r.Cached = true
-				results[i] = &r
-				report.CacheHits++
-				if e.Pool != nil {
-					e.Pool.CacheHits.Inc()
-				}
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
+// CampaignRunner executes an expanded spec to completion. The in-process
+// Engine is the built-in implementation; internal/sweep/fabric provides a
+// distributed one (lease-based coordinator + HTTP workers). The Server
+// picks whichever its config names. jobs is spec.Expand()'s result, which
+// the caller already holds; a runner reads it and never writes into it.
+// Both keep the campaign's books in a Ledger.
+type CampaignRunner interface {
+	RunCampaign(ctx context.Context, spec *Spec, jobs []Job, opts RunOpts) (*Report, error)
+}
+
+// RunCampaign implements CampaignRunner on the in-process pool: it executes
+// every job the journal does not already hold. Cancelling ctx aborts
+// in-flight simulations mid-horizon (via sim.RunContext); those jobs are
+// not journaled and re-run on resume. The returned report is valid — with
+// Missing > 0 — even when the error is non-nil.
+func (e *Engine) RunCampaign(ctx context.Context, spec *Spec, jobs []Job, opts RunOpts) (*Report, error) {
+	l := NewLedger(spec, jobs, opts)
+	pending := l.Pending()
 	if e.Pool != nil {
+		e.Pool.CacheHits.Add(float64(len(jobs) - len(pending)))
 		e.Pool.JobsQueued.Set(float64(len(pending)))
-	}
-
-	// Warm-start: pending jobs that share a prefix key fork one checkpointed
-	// prefix run instead of each simulating its first PrefixSec from zero.
-	// Only groups with at least two pending members benefit; singletons run
-	// cold. The prefix simulates lazily — the first worker to reach a group
-	// runs it, the rest of the group reuses the snapshot.
-	prefixes := map[string]*prefixRun{}
-	if spec.WarmStart != nil {
-		count := map[string]int{}
-		for _, i := range pending {
-			if jobs[i].Prefix != nil {
-				count[jobs[i].PrefixKey]++
-			}
-		}
-		for key, n := range count {
-			if n >= 2 {
-				prefixes[key] = &prefixRun{untilSec: spec.WarmStart.PrefixSec}
-			}
-		}
 	}
 
 	workers := e.Workers
@@ -217,38 +187,26 @@ func (e *Engine) run(ctx context.Context, spec *Spec, jobs []Job) (*Report, erro
 		workers = len(pending)
 	}
 
+	// The run's jobs share one memo; mu guards the ledger and running.
 	var (
-		mu         sync.Mutex
-		journalErr error
+		memo    ForkMemo
+		mu      sync.Mutex
+		running int
 	)
-	running := 0
-	emit := func(last string) {
-		if e.OnProgress == nil {
-			return
-		}
-		e.OnProgress(Progress{
-			Total:     report.Total,
-			Done:      report.CacheHits + report.Executed,
-			Running:   running,
-			CacheHits: report.CacheHits,
-			Executed:  report.Executed,
-			Errors:    report.Errors,
-			ForkHits:  report.ForkHits,
-			LastJob:   last,
-		})
-	}
-	mu.Lock()
-	emit("")
-	mu.Unlock()
+	l.Emit(0, 0)
 
-	ch := make(chan int)
+	// The dispatcher also stops once every worker has: a worker quits on a
+	// journal failure, and the dispatcher must not wait on it for ever.
+	ch, quit := make(chan int), make(chan struct{})
 	go func() {
 		defer close(ch)
 		for _, i := range pending {
 			select {
 			case <-ctx.Done():
 				return
-			case <-e.Drain:
+			case <-opts.Drain:
+				return
+			case <-quit:
 				return
 			case ch <- i:
 			}
@@ -270,7 +228,7 @@ func (e *Engine) run(ctx context.Context, spec *Spec, jobs []Job) (*Report, erro
 				}
 				e.Tracer.Emit(obs.Event{Type: obs.EventSweepJob,
 					Phase: obs.PhaseStart, N: i, Detail: jobs[i].ID})
-				r, canceled := e.runJob(ctx, i, jobs[i], prefixes[jobs[i].PrefixKey])
+				r, canceled := memo.Execute(ctx, jobs[i], l.ForkSec(i), e.Tracer, e.Gauges, i)
 				if e.Pool != nil {
 					e.Pool.JobsRunning.Add(-1)
 					if !canceled {
@@ -280,110 +238,37 @@ func (e *Engine) run(ctx context.Context, spec *Spec, jobs []Job) (*Report, erro
 						}
 					}
 				}
+				var err error
 				mu.Lock()
 				running--
-				mu.Unlock()
-				if canceled {
-					continue
-				}
-				if e.Journal != nil {
-					if err := e.Journal.Append(r); err != nil {
-						mu.Lock()
-						if journalErr == nil {
-							journalErr = err
-						}
-						mu.Unlock()
-						return
+				if !canceled {
+					if err = l.Complete(i, r); err == nil {
+						l.Emit(running, 0)
 					}
 				}
-				mu.Lock()
-				results[i] = &r
-				report.Executed++
-				if r.Error != "" {
-					report.Errors++
-				}
-				if r.Forked {
-					report.ForkHits++
-				}
-				emit(r.JobID)
 				mu.Unlock()
+				if err != nil {
+					return // the journal failed; Report returns its error
+				}
 			}
 		}()
 	}
 	wg.Wait()
-
-	for i := range results {
-		if results[i] == nil {
-			report.Missing++
-			continue
-		}
-		report.Results = append(report.Results, *results[i])
-	}
-	report.Rows = Aggregate(jobs, results)
-
-	switch {
-	case journalErr != nil:
-		return report, journalErr
-	case ctx.Err() != nil:
-		return report, fmt.Errorf("sweep: %d/%d jobs incomplete: %w", report.Missing, report.Total, ctx.Err())
-	case report.Missing > 0:
-		return report, fmt.Errorf("%w (%d/%d jobs incomplete)", ErrDrained, report.Missing, report.Total)
-	}
-	return report, nil
+	close(quit)
+	return l.Report(ctx)
 }
 
-// RunOpts carries a campaign's execution context for a CampaignRunner: the
-// per-campaign journal, progress sink, and drain signal the hosting server
-// owns.
-type RunOpts struct {
-	Journal    *Journal
-	OnProgress func(Progress)
-	Drain      <-chan struct{}
-}
-
-// CampaignRunner executes an expanded spec to completion. The in-process
-// Engine is the built-in implementation; internal/sweep/fabric provides a
-// distributed one (lease-based coordinator + HTTP workers). The Server
-// picks whichever its config names. jobs is spec.Expand()'s result, which
-// the caller already holds; a runner reads it and never writes into it.
-type CampaignRunner interface {
-	RunCampaign(ctx context.Context, spec *Spec, jobs []Job, opts RunOpts) (*Report, error)
-}
-
-// RunCampaign implements CampaignRunner on the in-process pool. The
-// receiver acts as a template (Workers, Pool, Gauges, Tracer); the
-// per-campaign journal, progress sink, and drain channel come from opts.
-// The jobs run as copies, so the caller's slice is left as it was.
-func (e *Engine) RunCampaign(ctx context.Context, spec *Spec, jobs []Job, opts RunOpts) (*Report, error) {
-	eng := *e
-	eng.Journal = opts.Journal
-	eng.OnProgress = opts.OnProgress
-	eng.Drain = opts.Drain
-	return eng.run(ctx, spec, slices.Clone(jobs))
-}
-
-// prefixRun is one shared warm-start prefix: the first worker to need it
-// simulates the prefix scenario to untilSec and checkpoints; everyone else
-// waits on the Once and forks the snapshot. A nil snap after the Once means
-// the prefix failed (build error, cancellation, ...) and the group's jobs
-// fall back to cold runs — warm-starting is an optimization, never a new
-// failure mode.
-type prefixRun struct {
-	once     sync.Once
-	untilSec int64
-	snap     *state.Snapshot
-}
-
-// RunPrefix simulates a warm-start prefix scenario to untilSec and returns
+// runPrefix simulates a warm-start prefix scenario to untilSec and returns
 // its checkpoint, or nil on any failure (build error, cancellation, panic):
 // warm-starting is an optimization, never a new failure mode. No tracer or
 // gauges are attached — the prefix's events would otherwise appear once for
 // the whole group instead of once per job, breaking per-job trace
 // accounting. The prefix builds through pools, its campaign's trace memo
 // (nil generates afresh), onto an engine that keeps its metric rows, which
-// the checkpoint carries. Both the in-process pool and fabric workers share
-// this path, so warm and cold runs stay byte-equivalent across topologies.
-func RunPrefix(ctx context.Context, sc *scenario.Scenario, untilSec int64, pools *trace.Pools) (snap *state.Snapshot) {
+// the checkpoint carries. Both the in-process pool and fabric workers reach
+// it through a ForkMemo, so warm and cold runs stay byte-equivalent across
+// topologies.
+func runPrefix(ctx context.Context, sc *scenario.Scenario, untilSec int64, pools *trace.Pools) (snap *state.Snapshot) {
 	defer func() { recover() }() // a panicking prefix falls back to cold runs
 	built, err := sc.Lower(pools)
 	if err != nil {
@@ -401,17 +286,6 @@ func RunPrefix(ctx context.Context, sc *scenario.Scenario, untilSec int64, pools
 		return nil
 	}
 	return s
-}
-
-// runJob resolves the group's shared prefix checkpoint (simulating it once
-// per group) and hands the job to ExecuteJob.
-func (e *Engine) runJob(ctx context.Context, idx int, job Job, pr *prefixRun) (Result, bool) {
-	var snap *state.Snapshot
-	if pr != nil {
-		pr.once.Do(func() { pr.snap = RunPrefix(ctx, job.Prefix, pr.untilSec, job.Pools) })
-		snap = pr.snap
-	}
-	return ExecuteJob(ctx, job, snap, e.Tracer, e.Gauges, idx)
 }
 
 // ExecuteJob builds and runs one resolved job in isolation: a fresh engine

@@ -214,15 +214,10 @@ func (c *Client) Heartbeat(ctx context.Context, worker string, held []LeaseRef) 
 	return resp.Expired, nil
 }
 
-// SendResult delivers one result line on the NDJSON results channel and
-// returns the coordinator's ack status. Safe to call repeatedly for the
-// same result: acks are idempotent by job key.
-func (c *Client) SendResult(ctx context.Context, campaign string, res sweep.Result) (string, error) {
-	return c.SendResultSpanned(ctx, campaign, "", "", res)
-}
-
-// SendResultSpanned is SendResult carrying the worker id and lease span,
-// attributing the coordinator's result-ack event to this delivery.
+// SendResultSpanned delivers one result line on the NDJSON results channel
+// and returns the coordinator's ack status. Safe to call repeatedly for the
+// same result: acks are idempotent by job key. The worker id and lease span
+// attribute the coordinator's result-ack event to this delivery.
 func (c *Client) SendResultSpanned(ctx context.Context, campaign, worker, span string, res sweep.Result) (string, error) {
 	line, err := json.Marshal(resultEnvelope{Campaign: campaign, Worker: worker, Span: span, Result: res})
 	if err != nil {

@@ -46,42 +46,32 @@ const (
 
 // slot is one job's lease state.
 type slot struct {
-	job         sweep.Job
-	state       jobState
-	attempts    int // leases granted
-	failures    int // leases that died without a result
-	worker      string
-	expiry      time.Time
-	notBefore   time.Time // backoff gate for requeued jobs
-	lastErr     string
-	quarantined bool
-	result      *sweep.Result
+	job       sweep.Job
+	state     jobState
+	attempts  int // leases granted
+	failures  int // leases that died without a result
+	worker    string
+	expiry    time.Time
+	notBefore time.Time // backoff gate for requeued jobs
+	lastErr   string
 }
 
-// campaign is one spec's jobs moving through the lease state machine.
+// campaign is one spec's jobs moving through the lease state machine. Its
+// ledger keeps the books: journal, fork groups, counters and report.
 type campaign struct {
-	id         string
-	spec       *sweep.Spec
-	jobs       []sweep.Job
-	slots      []slot
-	byKey      map[string]int
-	journal    *sweep.Journal
-	onProgress func(sweep.Progress)
+	id     string
+	slots  []slot
+	byKey  map[string]int
+	ledger *sweep.Ledger
 
 	// prefixOwner maps a warm-start prefix key to the worker owning the
-	// fork group; prefixEligible marks groups with >= 2 pending members
-	// at campaign start (singletons run cold, as on the in-process pool).
-	prefixOwner    map[string]string
-	prefixEligible map[string]bool
+	// fork group.
+	prefixOwner map[string]string
 
-	drained    bool
-	canceled   bool
-	journalErr error
-	closed     bool
-	done       chan struct{}
-
-	cacheHits, executed, errors, forkHits, requeues, quarantined int
-	lastJob                                                      string
+	drained  bool
+	canceled bool
+	closed   bool
+	done     chan struct{}
 }
 
 // RunCampaign implements sweep.CampaignRunner: it registers the spec's
@@ -97,41 +87,19 @@ func (h *Hub) RunCampaign(ctx context.Context, spec *sweep.Spec, jobs []sweep.Jo
 		return nil, err
 	}
 	c := &campaign{
-		id:             id,
-		spec:           spec,
-		jobs:           jobs,
-		slots:          make([]slot, len(jobs)),
-		byKey:          make(map[string]int, len(jobs)),
-		journal:        opts.Journal,
-		onProgress:     opts.OnProgress,
-		prefixOwner:    map[string]string{},
-		prefixEligible: map[string]bool{},
-		done:           make(chan struct{}),
+		id:          id,
+		slots:       make([]slot, len(jobs)),
+		byKey:       make(map[string]int, len(jobs)),
+		ledger:      sweep.NewLedger(spec, jobs, opts),
+		prefixOwner: map[string]string{},
+		done:        make(chan struct{}),
 	}
-	pendingPerPrefix := map[string]int{}
 	for i := range jobs {
-		c.slots[i].job = jobs[i]
+		c.slots[i] = slot{job: jobs[i], state: jobDone}
 		c.byKey[jobs[i].Key] = i
-		if opts.Journal != nil {
-			if r, ok := opts.Journal.Lookup(jobs[i].Key); ok {
-				r.JobID = jobs[i].ID
-				r.Group = jobs[i].Group
-				r.Seed = jobs[i].Seed
-				r.Cached = true
-				c.slots[i].state = jobDone
-				c.slots[i].result = &r
-				c.cacheHits++
-				continue
-			}
-		}
-		if spec.WarmStart != nil && jobs[i].PrefixKey != "" {
-			pendingPerPrefix[jobs[i].PrefixKey]++
-		}
 	}
-	for key, n := range pendingPerPrefix {
-		if n >= 2 {
-			c.prefixEligible[key] = true
-		}
+	for _, i := range c.ledger.Pending() {
+		c.slots[i].state = jobQueued
 	}
 
 	h.mu.Lock()
@@ -154,7 +122,10 @@ func (h *Hub) RunCampaign(ctx context.Context, spec *sweep.Spec, jobs []sweep.Jo
 	for {
 		select {
 		case <-c.done:
-			return h.buildReport(ctx, c)
+			h.mu.Lock()
+			report, err := c.ledger.Report(ctx)
+			h.mu.Unlock()
+			return report, err
 		case <-ctxDone:
 			ctxDone = nil
 			h.mu.Lock()
@@ -196,41 +167,6 @@ func (h *Hub) remove(c *campaign) {
 	}
 }
 
-// buildReport assembles the terminal report in grid order.
-func (h *Hub) buildReport(ctx context.Context, c *campaign) (*sweep.Report, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	report := &sweep.Report{
-		Name:        c.spec.Name,
-		Total:       len(c.slots),
-		CacheHits:   c.cacheHits,
-		Executed:    c.executed,
-		Errors:      c.errors,
-		ForkHits:    c.forkHits,
-		Requeues:    c.requeues,
-		Quarantined: c.quarantined,
-	}
-	results := make([]*sweep.Result, len(c.slots))
-	for i := range c.slots {
-		if c.slots[i].result == nil {
-			report.Missing++
-			continue
-		}
-		results[i] = c.slots[i].result
-		report.Results = append(report.Results, *c.slots[i].result)
-	}
-	report.Rows = sweep.Aggregate(c.jobs, results)
-	switch {
-	case c.journalErr != nil:
-		return report, c.journalErr
-	case ctx.Err() != nil:
-		return report, fmt.Errorf("fabric: %d/%d jobs incomplete: %w", report.Missing, report.Total, ctx.Err())
-	case report.Missing > 0:
-		return report, fmt.Errorf("%w (%d/%d jobs incomplete)", sweep.ErrDrained, report.Missing, report.Total)
-	}
-	return report, nil
-}
-
 // Register records a worker. Workers re-register freely (e.g. after a
 // crash under the same id); registration also counts as liveness.
 func (h *Hub) Register(workerID string) RegisterInfo {
@@ -257,7 +193,7 @@ func (h *Hub) Lease(workerID string) *Lease {
 	h.touchLocked(workerID, now)
 	h.expireLocked(now)
 	for _, c := range h.campaigns {
-		if c.closed || c.drained || c.canceled || c.journalErr != nil {
+		if c.closed || c.drained || c.canceled || c.ledger.Err() != nil {
 			continue
 		}
 		i := h.pickLocked(c, workerID, now)
@@ -279,11 +215,11 @@ func (h *Hub) Lease(workerID string) *Lease {
 			TTLMillis: h.cfg.LeaseTTL.Milliseconds(),
 			Scenario:  append([]byte(nil), s.job.Canonical...),
 		}
-		if pk := s.job.PrefixKey; pk != "" && c.prefixEligible[pk] && c.spec.WarmStart != nil {
-			c.prefixOwner[pk] = workerID
+		if sec := c.ledger.ForkSec(i); sec > 0 {
+			c.prefixOwner[s.job.PrefixKey] = workerID
 			grant.Prefix = append([]byte(nil), s.job.PrefixCanonical...)
-			grant.PrefixKey = pk
-			grant.PrefixSec = c.spec.WarmStart.PrefixSec
+			grant.PrefixKey = s.job.PrefixKey
+			grant.PrefixSec = sec
 		}
 		grant.TraceID = c.id
 		grant.SpanID = spanID(s.job.Key, s.attempts)
@@ -311,14 +247,13 @@ func (h *Hub) pickLocked(c *campaign, workerID string, now time.Time) int {
 		if s.state != jobQueued || now.Before(s.notBefore) {
 			continue
 		}
-		pk := s.job.PrefixKey
-		if pk == "" || !c.prefixEligible[pk] {
+		if c.ledger.ForkSec(i) == 0 {
 			if fallback < 0 {
 				fallback = i
 			}
 			continue
 		}
-		owner, owned := c.prefixOwner[pk]
+		owner, owned := c.prefixOwner[s.job.PrefixKey]
 		switch {
 		case owned && owner == workerID:
 			return i // own group: take it immediately
@@ -365,18 +300,14 @@ func (h *Hub) Heartbeat(workerID string, held []LeaseRef) (expired []LeaseRef) {
 	return expired
 }
 
-// Ack records one job result idempotently: the first delivery for a key
-// wins (and is journaled); repeats — from retries, duplicated deliveries,
-// or stale workers whose lease already expired — are counted and dropped.
-// Results are deterministic per key, so any delivery carries the same
-// payload and accepting the first preserves exactly-once aggregation.
-func (h *Hub) Ack(campaignID string, res sweep.Result) string {
-	return h.AckSpanned(campaignID, "", "", res)
-}
-
-// AckSpanned is Ack carrying the delivering worker's identity and the
-// lease's span id (both optional), so the coordinator's result-ack event
-// closes the same span the worker's job-run events opened.
+// AckSpanned records one job result idempotently: the first delivery for a
+// key wins (and is journaled); repeats — from retries, duplicated
+// deliveries, or stale workers whose lease already expired — are counted
+// and dropped. Results are deterministic per key, so any delivery carries
+// the same payload and accepting the first preserves exactly-once
+// aggregation. The delivering worker's identity and the lease's span id
+// (both optional) let the coordinator's result-ack event close the same
+// span the worker's job-run events opened.
 func (h *Hub) AckSpanned(campaignID, worker, span string, res sweep.Result) string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -402,19 +333,10 @@ func (h *Hub) AckSpanned(campaignID, worker, span string, res sweep.Result) stri
 			Trace: c.id, Span: span, Worker: worker})
 		return AckDuplicate
 	}
-	// Trust the coordinator's identity for the slot, not the wire's.
-	res.JobID = s.job.ID
-	res.Group = s.job.Group
-	res.Seed = s.job.Seed
-	res.Cached = false
-	if c.journal != nil {
-		if err := c.journal.Append(res); err != nil {
-			if c.journalErr == nil {
-				c.journalErr = err
-			}
-			c.maybeFinishLocked()
-			return AckUnknown
-		}
+	// The ledger stamps the slot's identity on the result, not the wire's.
+	if err := c.ledger.Complete(i, res); err != nil {
+		c.maybeFinishLocked()
+		return AckUnknown
 	}
 	if s.state == jobLeased {
 		if m := h.cfg.Metrics; m != nil {
@@ -428,15 +350,6 @@ func (h *Hub) AckSpanned(campaignID, worker, span string, res sweep.Result) stri
 		Trace: c.id, Span: span, Worker: worker})
 	s.state = jobDone
 	s.worker = ""
-	s.result = &res
-	c.executed++
-	if res.Error != "" {
-		c.errors++
-	}
-	if res.Forked {
-		c.forkHits++
-	}
-	c.lastJob = res.JobID
 	c.emitProgressLocked(h)
 	c.maybeFinishLocked()
 	return AckAccepted
@@ -470,14 +383,7 @@ func (h *Hub) expireLocked(now time.Time) {
 				// operational, not deterministic, so a resumed campaign
 				// retries the job.
 				s.state = jobDone
-				s.quarantined = true
-				res := sweep.Result{
-					JobID: s.job.ID, Key: s.job.Key, Group: s.job.Group, Seed: s.job.Seed,
-					Error: fmt.Sprintf("quarantined after %d failed leases: %s", s.failures, s.lastErr),
-				}
-				s.result = &res
-				c.quarantined++
-				c.errors++
+				c.ledger.Quarantine(i, fmt.Sprintf("quarantined after %d failed leases: %s", s.failures, s.lastErr))
 				h.emit(obs.Event{Type: obs.EventQuarantine, N: s.failures, Detail: s.job.ID,
 					Trace: c.id, Span: span})
 				if m := h.cfg.Metrics; m != nil {
@@ -491,7 +397,7 @@ func (h *Hub) expireLocked(now time.Time) {
 				s.state = jobQueued
 				s.worker = ""
 				s.notBefore = now.Add(backoff)
-				c.requeues++
+				c.ledger.Requeued()
 				h.emit(obs.Event{Type: obs.EventRequeue, N: s.failures, Detail: s.job.ID,
 					Trace: c.id, Span: span})
 				if m := h.cfg.Metrics; m != nil {
@@ -505,14 +411,19 @@ func (h *Hub) expireLocked(now time.Time) {
 		}
 	}
 	if m := h.cfg.Metrics; m != nil {
-		live := 0
-		for _, w := range h.workers {
-			if !now.After(w.lastSeen.Add(h.cfg.LeaseTTL)) {
-				live++
-			}
-		}
-		m.WorkersLive.Set(float64(live))
+		m.WorkersLive.Set(float64(h.liveLocked(now)))
 	}
+}
+
+// liveLocked counts the workers seen within one lease TTL.
+func (h *Hub) liveLocked(now time.Time) int {
+	live := 0
+	for _, w := range h.workers {
+		if !now.After(w.lastSeen.Add(h.cfg.LeaseTTL)) {
+			live++
+		}
+	}
+	return live
 }
 
 // touchLocked records worker liveness.
@@ -549,7 +460,7 @@ func (c *campaign) maybeFinishLocked() {
 		}
 	}
 	complete := done == len(c.slots)
-	aborted := c.canceled || c.journalErr != nil
+	aborted := c.canceled || c.ledger.Err() != nil
 	drainedOut := c.drained && leased == 0
 	if complete || aborted || drainedOut {
 		c.closed = true
@@ -561,34 +472,13 @@ func (c *campaign) maybeFinishLocked() {
 // under the hub lock and must not call back into the hub (the sweep
 // server's sink only touches its own state).
 func (c *campaign) emitProgressLocked(h *Hub) {
-	if c.onProgress == nil {
-		return
-	}
-	running, live := 0, 0
+	running := 0
 	for i := range c.slots {
 		if c.slots[i].state == jobLeased {
 			running++
 		}
 	}
-	now := h.cfg.Now()
-	for _, w := range h.workers {
-		if !now.After(w.lastSeen.Add(h.cfg.LeaseTTL)) {
-			live++
-		}
-	}
-	c.onProgress(sweep.Progress{
-		Total:       len(c.slots),
-		Done:        c.cacheHits + c.executed + c.quarantined,
-		Running:     running,
-		CacheHits:   c.cacheHits,
-		Executed:    c.executed,
-		Errors:      c.errors,
-		ForkHits:    c.forkHits,
-		Requeues:    c.requeues,
-		Quarantined: c.quarantined,
-		Workers:     live,
-		LastJob:     c.lastJob,
-	})
+	c.ledger.Emit(running, h.liveLocked(h.cfg.Now()))
 }
 
 // emit forwards a coordinator event to the tracer (nil-safe).

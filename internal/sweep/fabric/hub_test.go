@@ -182,7 +182,7 @@ func TestLeaseExpiryRequeuesExactlyOnce(t *testing.T) {
 		t.Fatalf("heartbeat from the dead leaseholder returned %v, want [%v]", expired, ref)
 	}
 
-	if st := h.Ack(lease2.Campaign, sweep.Result{Key: lease2.Key, Theta: 1}); st != AckAccepted {
+	if st := h.AckSpanned(lease2.Campaign, "", "", sweep.Result{Key: lease2.Key, Theta: 1}); st != AckAccepted {
 		t.Fatalf("ack status %q, want %q", st, AckAccepted)
 	}
 	rep, err := waitReport(t, ch)
@@ -218,7 +218,7 @@ func TestHeartbeatRenewalPreventsExpiry(t *testing.T) {
 			t.Fatalf("renewed lease lost its job to worker B: %+v", l)
 		}
 	}
-	if st := h.Ack(lease.Campaign, sweep.Result{Key: lease.Key, Theta: 2}); st != AckAccepted {
+	if st := h.AckSpanned(lease.Campaign, "", "", sweep.Result{Key: lease.Key, Theta: 2}); st != AckAccepted {
 		t.Fatalf("ack status %q", st)
 	}
 	rep, err := waitReport(t, ch)
@@ -252,11 +252,11 @@ func TestDuplicateAckIdempotent(t *testing.T) {
 		t.Fatal("no lease")
 	}
 	res := sweep.Result{Key: lease.Key, Theta: 3}
-	if st := h.Ack(lease.Campaign, res); st != AckAccepted {
+	if st := h.AckSpanned(lease.Campaign, "", "", res); st != AckAccepted {
 		t.Fatalf("first ack %q, want %q", st, AckAccepted)
 	}
 	for i := 0; i < 3; i++ {
-		if st := h.Ack(lease.Campaign, res); st != AckDuplicate {
+		if st := h.AckSpanned(lease.Campaign, "", "", res); st != AckDuplicate {
 			t.Fatalf("repeat ack %d returned %q, want %q", i, st, AckDuplicate)
 		}
 	}
@@ -267,7 +267,7 @@ func TestDuplicateAckIdempotent(t *testing.T) {
 	if last == nil {
 		t.Fatal("no lease for the second job")
 	}
-	if st := h.Ack(last.Campaign, sweep.Result{Key: last.Key, Theta: 3}); st != AckAccepted {
+	if st := h.AckSpanned(last.Campaign, "", "", sweep.Result{Key: last.Key, Theta: 3}); st != AckAccepted {
 		t.Fatalf("second job's ack %q, want %q", st, AckAccepted)
 	}
 	rep, err := waitReport(t, ch)
@@ -360,7 +360,7 @@ func TestPrefixAffinityPartitionsGroups(t *testing.T) {
 		t.Fatalf("both workers leased the same fork group: %v", got)
 	}
 	for _, l := range leases {
-		h.Ack(l.Campaign, sweep.Result{Key: l.Key, Theta: 1, Forked: true})
+		h.AckSpanned(l.Campaign, "", "", sweep.Result{Key: l.Key, Theta: 1, Forked: true})
 	}
 	rep, err := waitReport(t, ch)
 	if err != nil {
@@ -398,7 +398,7 @@ func TestLeaseCarriesExpandedBytes(t *testing.T) {
 		if !bytes.Equal(l.Scenario, j.Canonical) {
 			t.Fatalf("lease %s scenario\n%s\nexpansion's\n%s", l.JobID, l.Scenario, j.Canonical)
 		}
-		h.Ack(l.Campaign, sweep.Result{Key: l.Key, Theta: 1, Forked: true})
+		h.AckSpanned(l.Campaign, "", "", sweep.Result{Key: l.Key, Theta: 1, Forked: true})
 	}
 	if _, err := waitReport(t, ch); err != nil {
 		t.Fatal(err)
@@ -438,8 +438,8 @@ func TestPrefixAffinityFallsBackWhenOwnerDies(t *testing.T) {
 	if third.Key != first.Key || third.Attempt != 2 {
 		t.Fatalf("expected the expired job re-leased to B (attempt 2), got %+v", third)
 	}
-	h.Ack(second.Campaign, sweep.Result{Key: second.Key, Theta: 1})
-	h.Ack(third.Campaign, sweep.Result{Key: third.Key, Theta: 1})
+	h.AckSpanned(second.Campaign, "", "", sweep.Result{Key: second.Key, Theta: 1})
+	h.AckSpanned(third.Campaign, "", "", sweep.Result{Key: third.Key, Theta: 1})
 	rep, err := waitReport(t, ch)
 	if err != nil {
 		t.Fatal(err)

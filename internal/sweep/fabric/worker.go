@@ -9,9 +9,7 @@ import (
 
 	"dynamicdf/internal/obs"
 	"dynamicdf/internal/scenario"
-	"dynamicdf/internal/state"
 	"dynamicdf/internal/sweep"
-	"dynamicdf/internal/trace"
 )
 
 // ErrCrashed is returned by Worker.Run when an injected crash fault killed
@@ -48,9 +46,9 @@ type WorkerConfig struct {
 // double-count a completion. A heartbeat loop renews every held lease at
 // the cadence the coordinator dictates; when a heartbeat response revokes
 // a lease (expired, re-assigned, campaign gone) the matching run is
-// cancelled. Warm-start prefixes are simulated once per fork group per
-// worker and forked per job, and replayed trace pools are generated once
-// per campaign per worker.
+// cancelled. Each campaign's jobs run through one sweep.ForkMemo per
+// worker, so its warm-start prefixes are simulated once per fork group and
+// its replayed trace pools generated once.
 type Worker struct {
 	cfg WorkerConfig
 
@@ -60,18 +58,11 @@ type Worker struct {
 }
 
 // campaignState is what a worker keeps for one campaign it is working on:
-// the trace memo its jobs build through and its fork groups' prefix
-// checkpoints. It lives while the worker works on the campaign (see enter).
+// the memo its jobs run through. It lives while the worker works on the
+// campaign (see enter).
 type campaignState struct {
-	active   int // leases of the campaign in process on this worker
-	pools    trace.Pools
-	prefixes map[string]*prefixOnce
-}
-
-// prefixOnce checkpoints one fork group's prefix at most once per worker.
-type prefixOnce struct {
-	once sync.Once
-	snap *state.Snapshot
+	active int // leases of the campaign in process on this worker
+	memo   sweep.ForkMemo
 }
 
 // NewWorker returns an idle worker.
@@ -207,7 +198,7 @@ func (w *Worker) enter(campaign string) *campaignState {
 	}
 	c := w.campaigns[campaign]
 	if c == nil {
-		c = &campaignState{prefixes: map[string]*prefixOnce{}}
+		c = &campaignState{}
 		w.campaigns[campaign] = c
 	}
 	c.active++
@@ -276,45 +267,25 @@ func (w *Worker) process(ctx context.Context, lease *Lease) error {
 }
 
 // runLease rebuilds the job from the lease and executes it through its
-// campaign's state; nil means the run was cancelled before completing. The
-// worker's tracer is stamped with the lease's trace context so every event
-// this run emits carries the campaign trace id, the job's span, and this
-// worker's identity — the capture stitches against the coordinator's by
-// span.
+// campaign's memo, forking the prefix the lease names; nil means the run
+// was cancelled before completing. The worker's tracer is stamped with the
+// lease's trace context so every event this run emits carries the campaign
+// trace id, the job's span, and this worker's identity — the capture
+// stitches against the coordinator's by span.
 func (w *Worker) runLease(ctx context.Context, lease *Lease, camp *campaignState) *sweep.Result {
 	job, err := JobFromLease(lease)
 	if err != nil {
 		return &sweep.Result{JobID: lease.JobID, Key: lease.Key, Group: lease.Group,
 			Seed: lease.Seed, Error: err.Error()}
 	}
-	job.Pools = &camp.pools
-	var snap *state.Snapshot
-	if job.Prefix != nil && lease.PrefixSec > 0 && lease.PrefixKey != "" {
-		snap = w.prefixSnapshot(ctx, camp, lease.PrefixKey, job, lease.PrefixSec)
-	}
 	tracer := w.cfg.Tracer.With(lease.TraceID, lease.SpanID, w.cfg.ID)
 	tracer.Emit(obs.Event{Type: obs.EventSweepJob, Phase: obs.PhaseStart,
 		N: lease.Attempt, Detail: job.ID})
-	res, canceled := sweep.ExecuteJob(ctx, job, snap, tracer, w.cfg.Gauges, lease.Attempt)
+	res, canceled := camp.memo.Execute(ctx, job, lease.PrefixSec, tracer, w.cfg.Gauges, lease.Attempt)
 	if canceled {
 		return nil
 	}
 	return &res
-}
-
-// prefixSnapshot simulates the job's fork-group prefix at most once per
-// campaign on this worker and returns its checkpoint (nil on any failure:
-// the job runs cold).
-func (w *Worker) prefixSnapshot(ctx context.Context, camp *campaignState, key string, job sweep.Job, untilSec int64) *state.Snapshot {
-	w.mu.Lock()
-	p := camp.prefixes[key]
-	if p == nil {
-		p = &prefixOnce{}
-		camp.prefixes[key] = p
-	}
-	w.mu.Unlock()
-	p.once.Do(func() { p.snap = sweep.RunPrefix(ctx, job.Prefix, untilSec, job.Pools) })
-	return p.snap
 }
 
 // JobFromLease reconstructs the runnable job from a lease's canonical

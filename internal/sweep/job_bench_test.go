@@ -34,7 +34,7 @@ func BenchmarkExecuteJob(b *testing.B) {
 	if _, err := sc.Lower(job.Pools); err != nil {
 		b.Fatal(err)
 	}
-	snap := RunPrefix(ctx, sc, 5*3600, job.Pools)
+	snap := runPrefix(ctx, sc, 5*3600, job.Pools)
 	if snap == nil {
 		b.Fatal("prefix run failed")
 	}

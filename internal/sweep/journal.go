@@ -19,7 +19,6 @@ import (
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
-	path string
 	seen map[string]Result
 }
 
@@ -30,7 +29,7 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: open journal: %w", err)
 	}
-	j := &Journal{f: f, path: path, seen: map[string]Result{}}
+	j := &Journal{f: f, seen: map[string]Result{}}
 	data, err := io.ReadAll(f)
 	if err != nil {
 		f.Close()
@@ -64,9 +63,6 @@ func OpenJournal(path string) (*Journal, error) {
 	}
 	return j, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Len returns the number of distinct completed jobs on record.
 func (j *Journal) Len() int {

@@ -254,16 +254,7 @@ func (r *sweepRun) finish(report *Report, state, errMsg string) {
 	r.state = state
 	r.errMsg = errMsg
 	if report != nil {
-		r.progress = Progress{
-			Total:       report.Total,
-			Done:        report.CacheHits + report.Executed + report.Quarantined,
-			CacheHits:   report.CacheHits,
-			Executed:    report.Executed,
-			Errors:      report.Errors,
-			ForkHits:    report.ForkHits,
-			Requeues:    report.Requeues,
-			Quarantined: report.Quarantined,
-		}
+		r.progress = report.progress(0, 0, "")
 	}
 	close(r.notify)
 	r.notify = make(chan struct{})

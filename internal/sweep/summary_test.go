@@ -79,7 +79,7 @@ func TestExecuteJobMatchesRowsKeepingRuns(t *testing.T) {
 			var snap *state.Snapshot
 			if job.Prefix != nil {
 				if prefixes[job.PrefixKey] == nil {
-					prefixes[job.PrefixKey] = RunPrefix(context.Background(), job.Prefix, spec.WarmStart.PrefixSec, pools)
+					prefixes[job.PrefixKey] = runPrefix(context.Background(), job.Prefix, spec.WarmStart.PrefixSec, pools)
 				}
 				if snap = prefixes[job.PrefixKey]; snap == nil {
 					t.Fatalf("%s: prefix run failed", job.ID)

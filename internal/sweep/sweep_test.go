@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // testBase is a small 2-PE scenario that runs in milliseconds.
@@ -252,6 +254,16 @@ func TestRunDeterministicOutput(t *testing.T) {
 	}
 }
 
+// runWith expands spec and runs it on a pool of workers with one
+// campaign's opts.
+func runWith(ctx context.Context, workers int, spec *Spec, opts RunOpts) (*Report, error) {
+	jobs, err := spec.Expand()
+	if err != nil {
+		return nil, err
+	}
+	return (&Engine{Workers: workers}).RunCampaign(ctx, spec, jobs, opts)
+}
+
 // TestKillAndResume is the crash-resume half of the acceptance criterion:
 // cancel a sweep mid-run, then resume against the same journal and verify
 // only the missing jobs execute (the journal proves it via the hit count).
@@ -265,16 +277,14 @@ func TestKillAndResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	eng := &Engine{
-		Workers: 2,
+	rep, err := runWith(ctx, 2, spec, RunOpts{
 		Journal: j1,
 		OnProgress: func(p Progress) {
 			if p.Executed >= 5 {
 				once.Do(cancel) // kill mid-campaign
 			}
 		},
-	}
-	rep, err := eng.Run(ctx, spec)
+	})
 	if err == nil || rep.Missing == 0 {
 		t.Fatalf("cancelled run: err=%v missing=%d", err, rep.Missing)
 	}
@@ -295,8 +305,7 @@ func TestKillAndResume(t *testing.T) {
 	if j2.Len() != completed {
 		t.Fatalf("journal replay lost entries: %d != %d", j2.Len(), completed)
 	}
-	eng2 := &Engine{Workers: 2, Journal: j2}
-	rep2, err := eng2.Run(context.Background(), spec)
+	rep2, err := runWith(context.Background(), 2, spec, RunOpts{Journal: j2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +329,7 @@ func TestKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j3.Close()
-	rep3, err := (&Engine{Workers: 2, Journal: j3}).Run(context.Background(), spec)
+	rep3, err := runWith(context.Background(), 2, spec, RunOpts{Journal: j3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,21 +403,45 @@ func TestJournalTornTail(t *testing.T) {
 func TestDrain(t *testing.T) {
 	drain := make(chan struct{})
 	var once sync.Once
-	eng := &Engine{
-		Workers: 1,
-		Drain:   drain,
+	rep, err := runWith(context.Background(), 1, testSpec(t), RunOpts{
+		Drain: drain,
 		OnProgress: func(p Progress) {
 			if p.Executed >= 3 {
 				once.Do(func() { close(drain) })
 			}
 		},
-	}
-	rep, err := eng.Run(context.Background(), testSpec(t))
+	})
 	if !errors.Is(err, ErrDrained) {
 		t.Fatalf("err = %v, want ErrDrained", err)
 	}
 	if rep.Missing == 0 || rep.Executed == 0 || rep.Executed+rep.Missing != 12 {
 		t.Fatalf("drained report: %+v", rep)
+	}
+}
+
+// TestJournalFailureStopsTheRun: when the journal refuses a completion the
+// run returns that error, and once its one worker has stopped, nothing of
+// the run is left waiting to dispatch the jobs it abandoned.
+func TestJournalFailureStopsTheRun(t *testing.T) {
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.f.Close(); err != nil { // every Append fails from here on
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	rep, err := runWith(context.Background(), 1, testSpec(t), RunOpts{Journal: j})
+	if err == nil || !strings.Contains(err.Error(), "journal append") {
+		t.Fatalf("err = %v, want the journal's append error", err)
+	}
+	if rep.Executed != 0 || rep.Missing != 12 {
+		t.Fatalf("report counts %d executed and %d missing, want 0 and 12", rep.Executed, rep.Missing)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the run, %d before it", runtime.NumGoroutine(), before)
+		}
 	}
 }
 
@@ -433,7 +466,7 @@ func TestJobErrorIsCachedNotFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := (&Engine{Workers: 2, Journal: j}).Run(context.Background(), spec)
+	rep, err := runWith(context.Background(), 2, spec, RunOpts{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +490,7 @@ func TestJobErrorIsCachedNotFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	rep2, err := (&Engine{Workers: 2, Journal: j2}).Run(context.Background(), spec)
+	rep2, err := runWith(context.Background(), 2, spec, RunOpts{Journal: j2})
 	if err != nil {
 		t.Fatal(err)
 	}

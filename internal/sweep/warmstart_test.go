@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -173,7 +174,7 @@ func TestWarmStartJournalRecordsForks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := (&Engine{Workers: 2, Journal: j}).Run(context.Background(), spec)
+	rep, err := runWith(context.Background(), 2, spec, RunOpts{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestWarmStartJournalRecordsForks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	rep2, err := (&Engine{Workers: 2, Journal: j2}).Run(context.Background(), spec)
+	rep2, err := runWith(context.Background(), 2, spec, RunOpts{Journal: j2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,5 +224,49 @@ func TestWarmStartValidation(t *testing.T) {
 		if _, err := ParseSpec([]byte(doc)); err == nil {
 			t.Errorf("case %d: bad warm-start spec accepted", i)
 		}
+	}
+}
+
+// TestForkMemoCheckpointsEachGroupOnce runs every job of a warm grid
+// through one ForkMemo at once: the memo keeps one prefix checkpoint per
+// fork group, shared by the group's jobs, and a job given no fork second
+// runs cold.
+func TestForkMemoCheckpointsEachGroupOnce(t *testing.T) {
+	spec, err := ParseSpec([]byte(warmSpecDoc(true)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var memo ForkMemo
+	results := make([]Result, len(jobs))
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], _ = memo.Execute(context.Background(), jobs[i], spec.WarmStart.PrefixSec, nil, nil, i)
+		}()
+	}
+	wg.Wait()
+	groups := map[string]bool{}
+	for i, r := range results {
+		groups[jobs[i].PrefixKey] = true
+		if r.Error != "" || !r.Forked {
+			t.Fatalf("job %s: forked=%v error=%q", r.JobID, r.Forked, r.Error)
+		}
+	}
+	if len(memo.prefixes) != len(groups) || len(groups) != 4 {
+		t.Fatalf("memo keeps %d prefix checkpoints for %d fork groups, want 4", len(memo.prefixes), len(groups))
+	}
+	for key, p := range memo.prefixes {
+		if p.snap == nil {
+			t.Fatalf("group %s has no checkpoint", key)
+		}
+	}
+	if r, _ := memo.Execute(context.Background(), jobs[0], 0, nil, nil, 0); r.Forked {
+		t.Fatal("a job with no fork second forked")
 	}
 }
