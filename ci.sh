@@ -30,8 +30,10 @@
 # 1000 PEs and on 16 tenants' Adapt against the 8-tenant step, a memory
 # and deploy/step ratio guard on its Deploy (Alg. 1's
 # planner) on the same DAG, an allocations-per-job guard on expanding the
-# fig67 sweep grid, bytes-per-job guards on running one cold and one
-# forked sweep job, and an engine-step, per-run, Adapt, Deploy, Expand,
+# fig67 sweep grid and a bytes-per-job guard on expanding a paper-grid-shaped
+# one, bytes-per-job guards on running one cold and one forked sweep job, a
+# guard on a fabric lease round trip in a large campaign against a small
+# one, and an engine-step, per-run, Adapt, Deploy, Expand,
 # sweep-job, trace-pool, checkpoint and output-encoder benchmark snapshot
 # written to BENCH_step.json. Run from the repo root.
 set -eu
@@ -328,32 +330,44 @@ printf '%s\n%s\n' "$stepbench" "$deploybench" | awk '
 
 # Expanding a sweep grid must stay cheap per job: the fig67 grid at the
 # default configuration with 4 replicas (96 jobs) may allocate at most 64
-# objects per job (observed ~22 resolving jobs in struct space). Encoding
+# objects per job (observed ~20 resolving jobs in struct space). Encoding
 # and re-parsing every job's merged tree took ~330 and merging byte
-# documents ~1,170, so a silent fallback to the tree path fails here.
+# documents ~1,170, so a silent fallback to the tree path fails here. A
+# grid shaped like the benchmark's paper grid (5 axes, replicas as an axis,
+# 1 seed, 72 jobs) may allocate at most 8 KB per job (observed ~5.3 KB):
+# merging every level's tree as well, and a strict json.Decoder per level,
+# made it ~10.9 KB.
 expandbench=$(go test ./internal/sweep -run '^$' -bench 'BenchmarkExpand' -benchtime 20x -benchmem)
 echo "$expandbench"
 echo "$expandbench" | awk '
     function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
-    /^BenchmarkExpand/ { jobs = field("jobs/op"); allocs = field("allocs/op") }
+    /^BenchmarkExpand\/fig67(-[0-9]+)?[ \t]/ { jobs = field("jobs/op"); allocs = field("allocs/op") }
+    /^BenchmarkExpand\/paper-grid(-[0-9]+)?[ \t]/ { gridJobs = field("jobs/op"); gridBytes = field("B/op") }
     END {
-        if (jobs == "" || allocs == "" || jobs == 0) { print "expand guard: benchmark missing" > "/dev/stderr"; exit 1 }
+        if (jobs == "" || allocs == "" || jobs == 0 || gridJobs == "" || gridBytes == "" || gridJobs == 0) { print "expand guard: benchmark missing" > "/dev/stderr"; exit 1 }
         per = allocs / jobs
         printf "expand: %.0f allocs per job over %d jobs\n", per, jobs
         if (per > 64) {
             printf "Expand allocates %.0f objects per job (limit 64)\n", per > "/dev/stderr"
             exit 1
         }
+        kb = gridBytes / gridJobs / 1024
+        printf "expand: %.1f KB per job over the %d-job paper grid\n", kb, gridJobs
+        if (kb > 8) {
+            printf "Expand allocates %.1f KB per paper-grid job (limit 8 KB)\n", kb > "/dev/stderr"
+            exit 1
+        }
     }'
 
 # A sweep job keeps only its run's summary: one cold 10 h job of the
 # evaluation graph (replayed infra, wave+walk input, strict checker) may
-# allocate at most 100 KB (observed ~79 KB). An engine that reserves the
+# allocate at most 68 KB (observed ~61 KB). An engine that reserves the
 # job's 600 metric rows, as every job's did, makes it ~136 KB, so a job path
-# that keeps the per-interval series again fails here. The forked case, the
-# same job restored from a 5 h checkpoint, may allocate at most 72 KB
-# (observed ~62 KB): a snapshot carries only what a policy reads, and
-# importing the prefix's pairwise network estimators made it ~77 KB.
+# that keeps the per-interval series again fails here, and so does a job
+# that draws its own random walk instead of the campaign memo's (~75 KB).
+# The forked case, the same job restored from a 5 h checkpoint, may
+# allocate at most 56 KB (observed ~49 KB): its own walk made it ~62 KB,
+# and importing the prefix's pairwise network estimators ~77 KB.
 jobbench=$(go test ./internal/sweep -run '^$' -bench 'BenchmarkExecuteJob' -benchtime 20x -benchmem)
 echo "$jobbench"
 echo "$jobbench" | awk '
@@ -363,12 +377,12 @@ echo "$jobbench" | awk '
     END {
         if (bytes == "" || forked == "") { print "job guard: benchmarks missing" > "/dev/stderr"; exit 1 }
         printf "sweep job: %.1f KB per cold job, %.1f KB per forked job\n", bytes / 1024, forked / 1024
-        if (bytes > 102400) {
-            printf "a cold sweep job allocates %.1f KB (limit 100 KB)\n", bytes / 1024 > "/dev/stderr"
+        if (bytes > 69632) {
+            printf "a cold sweep job allocates %.1f KB (limit 68 KB)\n", bytes / 1024 > "/dev/stderr"
             exit 1
         }
-        if (forked > 73728) {
-            printf "a forked sweep job allocates %.1f KB (limit 72 KB)\n", forked / 1024 > "/dev/stderr"
+        if (forked > 57344) {
+            printf "a forked sweep job allocates %.1f KB (limit 56 KB)\n", forked / 1024 > "/dev/stderr"
             exit 1
         }
     }'
@@ -501,10 +515,27 @@ echo "$ckptbench"
 
 # Fabric layer, recorded in the snapshot below: one lease and one result
 # delivery over loopback HTTP against the coordinator's handler, with a
-# stub result and no simulation. Nothing is gated on it until the row has a
-# history.
+# stub result and no simulation, in campaigns of 256 and of 16,384 jobs.
+# The coordinator's work per event must not grow with the jobs a campaign
+# has finished: a trip in the large campaign may cost at most 2x one in the
+# small (observed ~1.1x). Scanning and recounting every slot on each lease,
+# ack and expiry scan made it ~5x. Both rows come from one run, so the
+# ratio survives a change of host.
 leasebench=$(go test ./internal/sweep/fabric -run '^$' -bench 'BenchmarkLeaseRoundTrip' -benchtime 2000x -benchmem)
 echo "$leasebench"
+echo "$leasebench" | awk '
+    function field(unit,   i) { for (i = 3; i < NF; i++) if ($(i + 1) == unit) return $i; return "" }
+    /^BenchmarkLeaseRoundTrip\/jobs=256(-[0-9]+)?[ \t]/ { small = field("ns/op") }
+    /^BenchmarkLeaseRoundTrip\/jobs=16384(-[0-9]+)?[ \t]/ { large = field("ns/op") }
+    END {
+        if (small == "" || large == "" || small == 0) { print "lease guard: benchmarks missing" > "/dev/stderr"; exit 1 }
+        ratio = large / small
+        printf "lease round trip: %.2fx in a 16,384-job campaign vs a 256-job one\n", ratio
+        if (ratio > 2.0) {
+            printf "a lease round trip in a 16,384-job campaign costs %.2fx one in a 256-job campaign (limit 2.0x)\n", ratio > "/dev/stderr"
+            exit 1
+        }
+    }'
 
 # Benchmark snapshot: run the engine-step and per-run benchmark suites with
 # -benchmem, add the Adapt, Deploy, Expand, ExecuteJob, NewReplayed,
@@ -513,7 +544,8 @@ echo "$leasebench"
 # so perf regressions show up in review diffs. Each row names what one op
 # is: an engine step, a whole one-hour run, a bare, a traced and a profiled
 # run (/paired), one disabled-hook call, one Adapt call, one Deploy, one
-# expansion of the 96-job fig67 grid, one sweep job, one replayed provider
+# expansion of the 96-job fig67 grid or the 72-job paper grid, one sweep
+# job, one replayed provider
 # built (its CPU pool), one whole generated trace pool, one checkpoint,
 # encode, decode or restore of a snapshot, one fabric lease-and-ack round
 # trip, one traced event, or one metrics CSV. The numbers are

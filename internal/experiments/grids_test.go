@@ -8,7 +8,6 @@ import (
 
 	"dynamicdf/internal/scenario"
 	"dynamicdf/internal/sweep"
-	"dynamicdf/internal/trace"
 )
 
 // gridConfig keeps grid tests fast: tiny horizon, two rates.
@@ -65,7 +64,7 @@ func coordinate(group, axis string) (string, bool) {
 // labels of the runs they report.
 func TestFigureGridPolicyLabels(t *testing.T) {
 	c := gridConfig()
-	pools := new(trace.Pools)
+	memo := new(scenario.Memo)
 	for _, name := range []string{"fig4", "fig5", "fig67", "fig8"} {
 		spec, err := NamedGrid(name, c, 1)
 		if err != nil {
@@ -80,7 +79,7 @@ func TestFigureGridPolicyLabels(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s job %s has no policy coordinate", name, j.ID)
 			}
-			b, err := j.Scenario.Lower(pools)
+			b, err := j.Scenario.Lower(memo)
 			if err != nil {
 				t.Fatalf("%s job %s: %v", name, j.ID, err)
 			}

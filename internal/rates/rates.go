@@ -87,6 +87,10 @@ func (w *Wave) Name() string { return "wave" }
 // walk around a mean" workload. The walk is mean-reverting so the long-run
 // average stays near Mean, and it is precomputed lazily per step interval so
 // Rate(sec) is a pure function of (seed, sec).
+//
+// The walks of one campaign's jobs are often the same walk: a walk may start
+// from a read-only prefix of its steps that another generated (Prefix,
+// Share), and continues privately past it.
 type RandomWalk struct {
 	MeanRate float64
 	// Step is the maximum relative step per StepSec interval (e.g. 0.1
@@ -98,8 +102,9 @@ type RandomWalk struct {
 	Lo, Hi float64
 	Seed   int64
 
-	// cache holds the walk's steps generated so far; src is the source
-	// that continues it.
+	// cache holds the walk's steps generated so far, or a shared prefix of
+	// them that is never written; src is the source that continues cache,
+	// nil while there is nothing of the walk's own to continue.
 	cache []float64
 	src   rand.Source
 }
@@ -121,6 +126,23 @@ func NewRandomWalk(mean, step float64, stepSec int64, seed int64) (*RandomWalk, 
 	}, nil
 }
 
+// Prefix generates the walk's first n steps (at least one) afresh, as Rate
+// reads them, for Share to hand to walks of the same parameters. It leaves
+// rw as it is.
+func (rw *RandomWalk) Prefix(n int) []float64 {
+	steps := make([]float64, max(n, 1))
+	rw.fill(steps, 0, rand.NewSource(rw.Seed))
+	return steps
+}
+
+// Share makes the walk read its first len(prefix) steps from prefix, which
+// Prefix made for a walk of the same mean, step, step period, clamps and
+// seed. The walk never writes prefix, so any number of walks can share it:
+// a read past it regenerates the walk from the seed into a slice of its own.
+func (rw *RandomWalk) Share(prefix []float64) {
+	rw.cache, rw.src = prefix, nil
+}
+
 // ensure extends the cached walk to cover step index n. The first block
 // holds at least 1,024 steps, and each extension at least doubles the
 // cache, so a run that reads the walk step by step costs amortized O(1)
@@ -131,21 +153,32 @@ func (rw *RandomWalk) ensure(n int) {
 	if have > n {
 		return
 	}
-	x := rw.MeanRate
-	if have == 0 {
+	if rw.src == nil {
+		// Nothing generated yet, or only a shared prefix, which is not
+		// ours to extend: start over from the seed.
 		rw.src = rand.NewSource(rw.Seed)
-	} else {
-		x = rw.cache[have-1]
+		have = 0
+	}
+	walk := make([]float64, max(n+1, 1024, 2*len(rw.cache)))
+	copy(walk, rw.cache[:have])
+	rw.fill(walk, have, rw.src)
+	rw.cache = walk
+}
+
+// fill generates walk[from:] from src, which has produced the draws of the
+// steps before from and no more.
+func (rw *RandomWalk) fill(walk []float64, from int, src rand.Source) {
+	x := rw.MeanRate
+	if from > 0 {
+		x = walk[from-1]
 	}
 	// Float64 keeps no state outside the source, so a fresh wrapper (which
 	// stays on the stack) continues the stream exactly.
-	rng := rand.New(rw.src)
-	walk := make([]float64, max(n+1, 1024, 2*have))
-	copy(walk, rw.cache)
-	for i := have; i < len(walk); i++ {
+	rng := rand.New(src)
+	lo, hi := rw.Lo*rw.MeanRate, rw.Hi*rw.MeanRate
+	for i := from; i < len(walk); i++ {
 		// Mean reversion plus a bounded uniform step.
 		x += 0.1*(rw.MeanRate-x) + (rng.Float64()*2-1)*rw.Step*rw.MeanRate
-		lo, hi := rw.Lo*rw.MeanRate, rw.Hi*rw.MeanRate
 		if x < lo {
 			x = lo
 		}
@@ -154,7 +187,6 @@ func (rw *RandomWalk) ensure(n int) {
 		}
 		walk[i] = x
 	}
-	rw.cache = walk
 }
 
 // Rate implements Profile.

@@ -2,6 +2,7 @@ package rates
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -331,6 +332,57 @@ func TestRandomWalkStepwiseReadsStayLinear(t *testing.T) {
 	for i, v := range got {
 		if want := onePass.Rate(int64(i) * 60); math.Float64bits(v) != math.Float64bits(want) {
 			t.Fatalf("step %d: stepwise %v, one pass %v", i, v, want)
+		}
+	}
+}
+
+// TestRandomWalkSharedPrefix: a walk that starts from a shared prefix of n
+// steps (Prefix, Share) returns the bits a fresh walk of the same
+// parameters returns at every step up to 3n, whether it is read forward,
+// backward or in random order, and never writes the shared slice.
+func TestRandomWalkSharedPrefix(t *testing.T) {
+	const n = 700 // shorter than ensure's first 1,024-step block
+	fresh, err := NewRandomWalk(10, 0.2, 60, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]uint64, 3*n+1)
+	for i := range want {
+		want[i] = math.Float64bits(fresh.Rate(int64(i) * 60))
+	}
+	prefix := fresh.Prefix(n)
+	if len(prefix) != n {
+		t.Fatalf("Prefix(%d) has %d steps", n, len(prefix))
+	}
+	kept := append([]float64(nil), prefix...)
+	reverse := make([]int, len(want))
+	for i := range reverse {
+		reverse[i] = len(want) - 1 - i
+	}
+	shuffled := rand.New(rand.NewSource(7)).Perm(len(want))
+	forward := make([]int, len(want))
+	for i := range forward {
+		forward[i] = i
+	}
+	for name, order := range map[string][]int{"forward": forward, "reverse": reverse, "random": shuffled} {
+		rw, err := NewRandomWalk(10, 0.2, 60, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw.Share(prefix)
+		for _, i := range order {
+			// Steps inside the prefix and past it, each at a second inside
+			// its step too.
+			for _, sec := range []int64{int64(i) * 60, int64(i)*60 + 59} {
+				if got := math.Float64bits(rw.Rate(sec)); got != want[i] {
+					t.Fatalf("%s: Rate(%d) bits %x, fresh walk %x", name, sec, got, want[i])
+				}
+			}
+		}
+	}
+	for i := range kept {
+		if math.Float64bits(prefix[i]) != math.Float64bits(kept[i]) {
+			t.Fatalf("shared prefix step %d changed from %v to %v", i, kept[i], prefix[i])
 		}
 	}
 }

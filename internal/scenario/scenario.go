@@ -302,30 +302,32 @@ func (sc *Scenario) Build() (*Built, error) {
 
 // Lower validates the scenario and lowers it onto a sim.Config, a scheduler
 // and its objectives, but builds no engine: Built.Engine is nil. It draws a
-// replayed infrastructure from pools, the memo of the campaign the scenario
-// runs in, so that scenarios replaying the same config share one read-only
-// provider; a nil pools generates afresh, and the run is the same either
-// way. A caller that restores a checkpoint (sim.Restore), runs in a
-// campaign or sets engine options the schema does not carry on the Config
-// (monitor smoothing, a hand-made input profile) builds its one engine from
-// Built.Config itself with sim.NewEngine.
-func (sc *Scenario) Lower(pools *trace.Pools) (*Built, error) {
+// replayed infrastructure and its input's random walks from memo, the memo
+// of the campaign the scenario runs in, so that scenarios replaying the same
+// config or drawing the same walk share one read-only copy; a nil memo
+// generates afresh, and the run is the same either way. A caller that
+// restores a checkpoint (sim.Restore), runs in a campaign or sets engine
+// options the schema does not carry on the Config (monitor smoothing, a
+// hand-made input profile) builds its one engine from Built.Config itself
+// with sim.NewEngine.
+func (sc *Scenario) Lower(memo *Memo) (*Built, error) {
 	if len(sc.Tenants) > 0 {
 		if len(sc.Graph.PEs) > 0 {
 			return nil, fmt.Errorf("scenario: graph and tenants blocks are mutually exclusive")
 		}
-		return sc.lowerTenants(pools)
+		return sc.lowerTenants(memo)
 	}
 	g, err := buildGraph(sc.Graph, sc.Choices)
 	if err != nil {
 		return nil, err
 	}
 
-	prof, err := sc.profile()
+	prof, err := sc.Rate.profile(sc.IntervalSec)
 	if err != nil {
 		return nil, err
 	}
-	perf, err := sc.perf(pools)
+	memo.shareWalk(prof, sc.horizonSec())
+	perf, err := sc.perf(memo)
 	if err != nil {
 		return nil, err
 	}
@@ -355,6 +357,11 @@ func (sc *Scenario) hours() float64 {
 	return sc.HorizonHours
 }
 
+// horizonSec is the scenario's horizon in simulated seconds.
+func (sc *Scenario) horizonSec() int64 {
+	return int64(sc.hours() * 3600)
+}
+
 // config assembles the run's sim.Config around the lowered graph, its
 // infrastructure, its input profiles and the Ω floor; the platform, the
 // timing and the control, audit and check blocks are the scenario's own.
@@ -373,7 +380,7 @@ func (sc *Scenario) config(g *dataflow.Graph, perf trace.Provider, inputs map[in
 		Perf:          perf,
 		Inputs:        inputs,
 		IntervalSec:   interval,
-		HorizonSec:    int64(sc.hours() * 3600),
+		HorizonSec:    sc.horizonSec(),
 		Seed:          sc.Seed,
 		MaxVMs:        sc.MaxVMs,
 		Failures:      failures,
@@ -462,10 +469,6 @@ func (sc *Scenario) platform() (*cloud.Menu, sim.FailureModel, sim.FailureModel,
 	return cloud.MustMenu(classes), failures, preemption, nil
 }
 
-func (sc *Scenario) profile() (rates.Profile, error) {
-	return sc.Rate.profile(sc.IntervalSec)
-}
-
 // profile builds the rate spec's input profile. intervalSec is the
 // scenario's adaptation interval (0 means the 60s default); the wavewalk
 // kind steps its random walk at that cadence.
@@ -531,16 +534,19 @@ func (r RateSpec) profile(intervalSec int64) (rates.Profile, error) {
 
 // wavewalk averages a wave and a random walk so periodic and stochastic
 // variation are both present while the mean stays put.
-type wavewalk struct{ a, b rates.Profile }
+type wavewalk struct {
+	a *rates.Wave
+	b *rates.RandomWalk
+}
 
 func (m *wavewalk) Rate(sec int64) float64 { return (m.a.Rate(sec) + m.b.Rate(sec)) / 2 }
 func (m *wavewalk) Mean() float64          { return (m.a.Mean() + m.b.Mean()) / 2 }
 func (m *wavewalk) Name() string           { return "wave+walk" }
 
-// perf builds the infrastructure provider. A replayed one comes from pools;
+// perf builds the infrastructure provider. A replayed one comes from memo;
 // a csvdir one writes its loaded traces into a provider of its own, so it is
 // never shared.
-func (sc *Scenario) perf(pools *trace.Pools) (trace.Provider, error) {
+func (sc *Scenario) perf(memo *Memo) (trace.Provider, error) {
 	switch sc.Infra.Kind {
 	case "ideal", "":
 		return trace.NewIdeal(), nil
@@ -564,7 +570,7 @@ func (sc *Scenario) perf(pools *trace.Pools) (trace.Provider, error) {
 				return nil, fmt.Errorf("scenario: infra bandwidth: %w", err)
 			}
 		}
-		return pools.Replayed(cfg)
+		return memo.replayed(cfg)
 	case "csvdir":
 		pool, err := trace.LoadDir(sc.Infra.Dir)
 		if err != nil {

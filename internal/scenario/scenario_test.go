@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"dynamicdf/internal/rates"
 	"dynamicdf/internal/trace"
 	"dynamicdf/internal/workload"
 )
@@ -182,14 +181,14 @@ func TestBuildWithSharesReplayedPools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(pools *trace.Pools, infra InfraSpec) trace.Provider {
+	build := func(memo *Memo, infra InfraSpec) trace.Provider {
 		t.Helper()
 		sc, err := Parse(strings.NewReader(minimal))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc.Infra = infra
-		built, err := sc.Lower(pools)
+		built, err := sc.Lower(memo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,16 +197,16 @@ func TestBuildWithSharesReplayedPools(t *testing.T) {
 	replayed := InfraSpec{Kind: "replayed", Seed: 4}
 	csvdir := InfraSpec{Kind: "csvdir", Seed: 4, Dir: dir}
 	for _, csvFirst := range []bool{true, false} {
-		pools := new(trace.Pools)
+		memo := new(Memo)
 		var loaded trace.Provider
 		if csvFirst {
-			loaded = build(pools, csvdir)
+			loaded = build(memo, csvdir)
 		}
-		shared := build(pools, replayed)
+		shared := build(memo, replayed)
 		if !csvFirst {
-			loaded = build(pools, csvdir)
+			loaded = build(memo, csvdir)
 		}
-		if again := build(pools, replayed); again != shared {
+		if again := build(memo, replayed); again != shared {
 			t.Fatal("two builds of one replayed config did not share a provider")
 		}
 		if loaded == shared {
@@ -305,17 +304,11 @@ func TestRateSpecWavewalkDefaults(t *testing.T) {
 	if !ok {
 		t.Fatalf("profile = %T", p)
 	}
-	w, ok := ww.a.(*rates.Wave)
-	if !ok {
-		t.Fatalf("wave half = %T", ww.a)
-	}
+	w := ww.a
 	if w.Amplitude != 4 || w.PeriodSec != 1800 || w.PhaseSec != 3*1800/4 {
 		t.Fatalf("wave defaults = %+v", w)
 	}
-	rw, ok := ww.b.(*rates.RandomWalk)
-	if !ok {
-		t.Fatalf("walk half = %T", ww.b)
-	}
+	rw := ww.b
 	if rw.Step != 0.08 || rw.StepSec != 60 || rw.Seed != 3 {
 		t.Fatalf("walk defaults = %+v", rw)
 	}
@@ -324,7 +317,7 @@ func TestRateSpecWavewalkDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rw2 := p2.(*wavewalk).b.(*rates.RandomWalk); rw2.StepSec != 120 {
+	if rw2 := p2.(*wavewalk).b; rw2.StepSec != 120 {
 		t.Fatalf("walk step period = %d, want 120", rw2.StepSec)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"dynamicdf/internal/rates"
 	"dynamicdf/internal/resilient"
 	"dynamicdf/internal/sim"
-	"dynamicdf/internal/trace"
 	"dynamicdf/internal/workload"
 )
 
@@ -41,7 +40,7 @@ type TenantSpec struct {
 // graph is lowered onto one composite dataflow, its rate fanned across its
 // input PEs, its own Θ objective calibrated, and one core.MultiTenant
 // scheduler arbitrates the per-tenant heuristics over the shared fleet.
-func (sc *Scenario) lowerTenants(pools *trace.Pools) (*Built, error) {
+func (sc *Scenario) lowerTenants(memo *Memo) (*Built, error) {
 	hours := sc.hours()
 	comp := dataflow.NewBuilder()
 	tenants := make([]sim.Tenant, 0, len(sc.Tenants))
@@ -64,6 +63,7 @@ func (sc *Scenario) lowerTenants(pools *trace.Pools) (*Built, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario: tenant %q: %w", t.Name, err)
 		}
+		memo.shareWalk(prof, sc.horizonSec())
 		meanSum += prof.Mean()
 
 		obj, err := sc.objective(tg, prof.Mean(), hours)
@@ -128,7 +128,7 @@ func (sc *Scenario) lowerTenants(pools *trace.Pools) (*Built, error) {
 			Seed: sc.Seed, DegradeOmega: sc.Policy.DegradeOmega})
 	}
 
-	perf, err := sc.perf(pools)
+	perf, err := sc.perf(memo)
 	if err != nil {
 		return nil, err
 	}

@@ -205,6 +205,17 @@ func Decode(data []byte) (*Snapshot, error) {
 	if got := hex.EncodeToString(sum[:]); got != want {
 		return nil, fmt.Errorf("state: digest mismatch: snapshot says %s, content is %s", want, got)
 	}
+	// The digest covers what the input decodes to, so a rewrite that
+	// decodes alike (a member name in another case, reordered members,
+	// white space) passes it. The input must also be the encoding itself:
+	// body with the digest member after the version, the first member.
+	in := bytes.TrimSpace(data)
+	head := len(`{"version":"` + Version + `"`)
+	member := `,"digest":"` + want + `"`
+	if len(in) != len(body)+len(member) || !bytes.Equal(in[:head], body[:head]) ||
+		string(in[head:head+len(member)]) != member || !bytes.Equal(in[head+len(member):], body[head:]) {
+		return nil, errors.New("state: decode: snapshot is not in canonical form")
+	}
 	s.Digest = want
 	return &s, nil
 }

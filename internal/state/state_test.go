@@ -122,6 +122,31 @@ func TestDecodeErrorNamesDigest(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonCanonical: the digest covers what a snapshot decodes
+// to, so rewrites that decode alike pass it; Decode must still refuse them,
+// and accept the encoding with white space around it.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	blob, err := Encode(sampleSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(append(append([]byte("\n "), blob...), '\n')); err != nil {
+		t.Fatalf("padded encoding: %v", err)
+	}
+	for name, rewrite := range map[string]func(string) string{
+		"member case": func(s string) string { return strings.Replace(s, `"deployed"`, `"depLoyed"`, 1) },
+		"white space": func(s string) string { return strings.Replace(s, `"seed":`, `"seed": `, 1) },
+	} {
+		data := rewrite(string(blob))
+		if data == string(blob) {
+			t.Fatalf("%s: rewrite left the encoding as it was", name)
+		}
+		if _, err := Decode([]byte(data)); err == nil || !strings.Contains(err.Error(), "canonical") {
+			t.Errorf("%s: Decode = %v, want a canonical-form error", name, err)
+		}
+	}
+}
+
 func TestEncodeNil(t *testing.T) {
 	if _, err := Encode(nil); err == nil {
 		t.Fatal("Encode(nil) succeeded")

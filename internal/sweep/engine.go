@@ -12,7 +12,6 @@ import (
 	"dynamicdf/internal/scenario"
 	"dynamicdf/internal/sim"
 	"dynamicdf/internal/state"
-	"dynamicdf/internal/trace"
 )
 
 // ErrDrained is returned by Engine.Run when a drain request stopped the
@@ -263,14 +262,14 @@ func (e *Engine) RunCampaign(ctx context.Context, spec *Spec, jobs []Job, opts R
 // warm-starting is an optimization, never a new failure mode. No tracer or
 // gauges are attached — the prefix's events would otherwise appear once for
 // the whole group instead of once per job, breaking per-job trace
-// accounting. The prefix builds through pools, its campaign's trace memo
-// (nil generates afresh), onto an engine that keeps its metric rows, which
+// accounting. The prefix lowers through memo, its campaign's memo (nil
+// generates afresh), onto an engine that keeps its metric rows, which
 // the checkpoint carries. Both the in-process pool and fabric workers reach
 // it through a ForkMemo, so warm and cold runs stay byte-equivalent across
 // topologies.
-func runPrefix(ctx context.Context, sc *scenario.Scenario, untilSec int64, pools *trace.Pools) (snap *state.Snapshot) {
+func runPrefix(ctx context.Context, sc *scenario.Scenario, untilSec int64, memo *scenario.Memo) (snap *state.Snapshot) {
 	defer func() { recover() }() // a panicking prefix falls back to cold runs
-	built, err := sc.Lower(pools)
+	built, err := sc.Lower(memo)
 	if err != nil {
 		return nil
 	}
@@ -295,8 +294,8 @@ func runPrefix(ctx context.Context, sc *scenario.Scenario, untilSec int64, pools
 // job's outcome (Value = Theta, or the error in Detail) with n tagging the
 // span. A non-nil snap forks the job from a warm-start prefix checkpoint
 // when restorable; any warm-start failure silently degrades to a cold run.
-// The job builds through job.Pools, its campaign's trace memo; a job as
-// Expand returns it has none and generates its own traces. Fabric workers
+// The job lowers through job.Memo, its campaign's memo; a job as Expand
+// returns it has none and generates its own traces and walks. Fabric workers
 // share this path with the in-process pool, so a job's result is identical
 // regardless of where it executes. A job reports only its run's summary, so
 // its one engine, restored or fresh, is SummaryOnly and keeps no rows.
@@ -316,7 +315,7 @@ func ExecuteJob(ctx context.Context, job Job, snap *state.Snapshot, tracer *obs.
 		}
 		tracer.Emit(ev)
 	}()
-	built, err := job.Scenario.Lower(job.Pools)
+	built, err := job.Scenario.Lower(job.Memo)
 	if err != nil {
 		res.Error = err.Error()
 		return res, false

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"dynamicdf/internal/dataflow"
 	"dynamicdf/internal/experiments"
 	"dynamicdf/internal/scenario"
 	"dynamicdf/internal/sweep"
@@ -412,6 +413,26 @@ var edgeSpecDocs = func() []string {
 		    {"label": "pair", "patch": {"tenants": [{"name": "a", "graph": `+graph+`, "rate": {"mean": 4}},
 		                                            {"name": "b", "graph": `+graph+`, "policy": {"kind": "global"}}]}},
 		    {"label": "none", "patch": {}}]}, `+maxVMs, ""),
+		// Arrays of objects replace a slice wholesale. Their elements must
+		// name only fields the schema knows, exactly and without nulls, or
+		// the patch takes the tree.
+		spec("array-elements", choicesBase, `
+		  {"name": "c", "values": [
+		    {"label": "exact", "patch": {"choices": [{"name": "d", "from": "src", "targets": ["work"]}]}},
+		    {"label": "case", "patch": {"choices": [{"Name": "d", "from": "src", "TARGETS": ["work"]}]}},
+		    {"label": "null", "patch": {"choices": [{"name": "d", "from": null, "targets": ["work"]}]}},
+		    {"label": "null-element", "patch": {"choices": [null, {"name": "e"}]}},
+		    {"label": "deep", "patch": {"graph": {"pes": [{"name": "src", "alternates": [{"name": "e", "value": 2, "Cost": 0.1}]},
+		                                                {"name": "work", "alternates": [{"name": "full", "value": 1, "cost": null}]}]}}},
+		    {"label": "none", "patch": {}}]}, `+maxVMs, ""),
+		spec("array-unknown", choicesBase, `
+		  {"name": "c", "values": [
+		    {"label": "exact", "patch": {"choices": [{"name": "d", "from": "src", "targets": ["work"]}]}},
+		    {"label": "unknown", "patch": {"choices": [{"name": "d", "from": "src", "typo": 1}]}}]}, `+maxVMs, ""),
+		spec("array-unknown-deep", randomBase, `
+		  {"name": "g", "values": [
+		    {"label": "exact", "patch": {"graph": {"pes": [{"name": "src", "alternates": [{"name": "e", "value": 2}]}]}}},
+		    {"label": "unknown", "patch": {"graph": {"pes": [{"name": "src", "alternates": [{"name": "e", "weight": 2}]}]}}}]}`, ""),
 	}
 }()
 
@@ -450,8 +471,10 @@ func TestExpandMatchesReference(t *testing.T) {
 	}
 	// A spec built in code can carry data after its base or a patch, which
 	// ParseSpec refuses. Both expansions refuse it after the base, which
-	// Validate parses strictly, and read only a patch's first value.
+	// Validate parses strictly, and read only a patch's first value. The
+	// paper-grid-shaped spec comes as is and with a case-variant patch.
 	for _, s := range []*sweep.Spec{
+		paperGridShapedSpec(), caseVariantPaperGrid(),
 		{Name: "base-trailing", Base: json.RawMessage(randomBase + ` {"seed": 2}`), Seeds: []int64{1, 2}},
 		{Name: "patch-trailing", Base: json.RawMessage(randomBase), Seeds: []int64{1, 2},
 			Axes: []sweep.Axis{{Name: "a", Values: []sweep.AxisValue{
@@ -545,6 +568,9 @@ func FuzzExpand(f *testing.F) {
 	                           {"label": "y", "patch": [1]}]},
 	  {"name": "b", "warm": true, "values": [{"label": "z", "patch": {"rate": {"mean": null}}}]}],
 	  "warmStart": {"prefixSec": 120}}`))
+	if doc, err := json.Marshal(paperGridShapedSpec()); err == nil {
+		f.Add(doc)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := sweep.ParseSpec(data)
 		if err != nil {
@@ -565,23 +591,121 @@ func FuzzExpand(f *testing.F) {
 	})
 }
 
+// paperGridShapedSpec is shaped like the benchmark's paper grid: the
+// evaluation dataflow under 5 axes (policy, dynamism, variability, rate and
+// a replica axis that sets the rate and infra seeds) and 1 seed, 72 jobs.
+// Every patch overlays.
+func paperGridShapedSpec() *sweep.Spec {
+	gs, choices := scenario.FromGraph(dataflow.EvalGraph())
+	base, err := json.Marshal(scenario.Scenario{
+		Graph:        gs,
+		Choices:      choices,
+		Rate:         scenario.RateSpec{Kind: "constant", Mean: 2},
+		Infra:        scenario.InfraSpec{Kind: "ideal"},
+		Policy:       scenario.PolicySpec{Kind: "global"},
+		HorizonHours: 10,
+		IntervalSec:  60,
+		Seed:         7,
+		Check:        &scenario.CheckSpec{Enabled: true, Strict: true},
+	})
+	if err != nil {
+		panic(err)
+	}
+	axis := func(name string, labelPatch ...string) sweep.Axis {
+		ax := sweep.Axis{Name: name}
+		for i := 0; i+1 < len(labelPatch); i += 2 {
+			ax.Values = append(ax.Values, sweep.AxisValue{Label: labelPatch[i], Patch: json.RawMessage(labelPatch[i+1])})
+		}
+		return ax
+	}
+	rate := axis("rate")
+	for _, m := range []int{2, 5, 10, 20, 35, 50} {
+		rate.Values = append(rate.Values, sweep.AxisValue{Label: fmt.Sprint(m), Patch: json.RawMessage(fmt.Sprintf(`{"rate":{"mean":%d}}`, m))})
+	}
+	return &sweep.Spec{Name: "paper-grid-shaped", Base: base, Seeds: []int64{7}, Axes: []sweep.Axis{
+		axis("policy", "local", `{"policy":{"kind":"local"}}`, "global", `{"policy":{"kind":"global"}}`),
+		axis("dynamism", "dyn", `{"policy":{"dynamic":true}}`, "nodyn", `{"policy":{"dynamic":false}}`),
+		axis("var", "infra", `{"infra":{"kind":"replayed"}}`, "data", `{"rate":{"kind":"wavewalk"}}`,
+			"both", `{"infra":{"kind":"replayed"},"rate":{"kind":"wavewalk"}}`),
+		rate,
+		axis("replica", "r00", `{"rate":{"seed":11},"infra":{"seed":12}}`),
+	}}
+}
+
+// caseVariantPaperGrid is paperGridShapedSpec with one policy patch that
+// spells a member other than by its exact json name, so it takes the tree.
+func caseVariantPaperGrid() *sweep.Spec {
+	s := paperGridShapedSpec()
+	s.Name = "paper-grid-case-variant"
+	s.Axes[0].Values[1].Patch = json.RawMessage(`{"policy":{"Kind":"global"}}`)
+	return s
+}
+
+// TestExpandMergesNoTreeWhenPatchesOverlay: when every patch of a spec
+// overlays, Expand resolves every level in struct space and merges no tree
+// after the base's, on the paper-grid-shaped spec, every named grid and
+// the warm-start test grid; a spec whose patch must take the tree merges
+// only the levels it resolves through. TestExpandMatchesReference checks
+// the jobs of each.
+func TestExpandMergesNoTreeWhenPatchesOverlay(t *testing.T) {
+	specs := []*sweep.Spec{paperGridShapedSpec()}
+	for _, name := range experiments.GridNames() {
+		s, err := experiments.NamedGrid(name, experiments.Default(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, s)
+	}
+	warm, err := sweep.ParseSpec([]byte(sweep.TestSpecDocs[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs = append(specs, warm)
+	for _, s := range specs {
+		jobs, merges, err := s.ExpandCountingMerges()
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if merges != 0 {
+			t.Errorf("%s: %d trees merged for %d jobs, want 0", s.Name, merges, len(jobs))
+		}
+	}
+	// The case-variant patch sends one value of the first axis down the
+	// tree: its level and the levels below it merge, once each.
+	_, merges, err := caseVariantPaperGrid().ExpandCountingMerges()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + 2 + 2*3 + 2*3*6 + 2*3*6*1; merges != want {
+		t.Fatalf("case-variant policy patch: %d trees merged, want %d", merges, want)
+	}
+}
+
 // benchJobs keeps BenchmarkExpand's result alive.
 var benchJobs []sweep.Job
 
-// BenchmarkExpand expands the fig67 named grid at the default
-// configuration with 4 replicas (96 jobs) and reports the job count, so
-// ci.sh can gate allocations per job.
+// BenchmarkExpand expands two grids and reports each one's job count, so
+// ci.sh can gate allocations per job: fig67, the fig67 named grid at the
+// default configuration with 4 replicas (96 jobs), and paper-grid, shaped
+// like the benchmark's paper grid (72 jobs).
 func BenchmarkExpand(b *testing.B) {
-	s, err := experiments.NamedGrid("fig67", experiments.Default(), 4)
+	fig67, err := experiments.NamedGrid("fig67", experiments.Default(), 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if benchJobs, err = s.Expand(); err != nil {
-			b.Fatal(err)
-		}
+	for _, row := range []struct {
+		name string
+		spec *sweep.Spec
+	}{{"fig67", fig67}, {"paper-grid", paperGridShapedSpec()}} {
+		s := row.spec
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if benchJobs, err = s.Expand(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(benchJobs)), "jobs/op")
+		})
 	}
-	b.ReportMetric(float64(len(benchJobs)), "jobs/op")
 }

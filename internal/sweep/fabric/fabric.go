@@ -107,7 +107,8 @@ func (ri RegisterInfo) HeartbeatEvery() time.Duration {
 // Lease is one job granted to a worker: everything needed to rebuild and
 // run the job remotely, plus the lease bookkeeping the worker echoes back
 // in heartbeats and acks. Scenario and Prefix are canonical scenario JSON
-// (the same bytes the job key hashes).
+// (the same bytes the job key hashes); a grant from Hub.Lease shares them
+// with the campaign's job, so they are read-only.
 type Lease struct {
 	Campaign  string          `json:"campaign"`
 	JobID     string          `json:"jobId"`

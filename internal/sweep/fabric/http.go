@@ -175,7 +175,13 @@ func (c *Client) post(ctx context.Context, path string, body interface{}, out in
 		return resp.StatusCode, fmt.Errorf("fabric: %s: status %d: %s", path, resp.StatusCode, msg)
 	}
 	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		// Read the body to EOF, which also frees the connection for reuse,
+		// and decode it in one pass.
+		b, err := io.ReadAll(resp.Body)
+		if err == nil {
+			err = json.Unmarshal(b, out)
+		}
+		if err != nil {
 			return resp.StatusCode, fmt.Errorf("fabric: %s: decode: %w", path, err)
 		}
 	}

@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -64,6 +65,15 @@ type campaign struct {
 	byKey  map[string]int
 	ledger *sweep.Ledger
 
+	// The slots by state, kept by setState so that no event walks every
+	// slot: leased holds the leased slots in slot order, ndone counts the
+	// done ones, next is the lowest slot that may be queued, and
+	// queuedForks counts the queued slots that fork a prefix.
+	leased      []int
+	ndone       int
+	next        int
+	queuedForks int
+
 	// prefixOwner maps a warm-start prefix key to the worker owning the
 	// fork group.
 	prefixOwner map[string]string
@@ -98,8 +108,9 @@ func (h *Hub) RunCampaign(ctx context.Context, spec *sweep.Spec, jobs []sweep.Jo
 		c.slots[i] = slot{job: jobs[i], state: jobDone}
 		c.byKey[jobs[i].Key] = i
 	}
+	c.ndone, c.next = len(jobs), len(jobs)
 	for _, i := range c.ledger.Pending() {
-		c.slots[i].state = jobQueued
+		c.setState(i, jobQueued)
 	}
 
 	h.mu.Lock()
@@ -201,7 +212,7 @@ func (h *Hub) Lease(workerID string) *Lease {
 			continue
 		}
 		s := &c.slots[i]
-		s.state = jobLeased
+		c.setState(i, jobLeased)
 		s.attempts++
 		s.worker = workerID
 		s.expiry = now.Add(h.cfg.LeaseTTL)
@@ -213,11 +224,11 @@ func (h *Hub) Lease(workerID string) *Lease {
 			Seed:      s.job.Seed,
 			Attempt:   s.attempts,
 			TTLMillis: h.cfg.LeaseTTL.Milliseconds(),
-			Scenario:  append([]byte(nil), s.job.Canonical...),
+			Scenario:  s.job.Canonical,
 		}
 		if sec := c.ledger.ForkSec(i); sec > 0 {
 			c.prefixOwner[s.job.PrefixKey] = workerID
-			grant.Prefix = append([]byte(nil), s.job.PrefixCanonical...)
+			grant.Prefix = s.job.PrefixCanonical
 			grant.PrefixKey = s.job.PrefixKey
 			grant.PrefixSec = sec
 		}
@@ -239,15 +250,20 @@ func (h *Hub) Lease(workerID string) *Lease {
 // honoring prefix affinity: first the worker's own fork-group jobs, then
 // unpinned jobs (claiming their group), then groups whose owner is
 // presumed dead. Jobs pinned to another live worker wait — affinity beats
-// stealing, because moving the job means re-simulating the prefix.
+// stealing, because moving the job means re-simulating the prefix. The
+// scan starts at the lowest slot that may be queued, and with no fork-group
+// job queued it takes the first slot whose backoff has passed.
 func (h *Hub) pickLocked(c *campaign, workerID string, now time.Time) int {
 	fallback := -1
-	for i := range c.slots {
+	for i := c.next; i < len(c.slots); i++ {
 		s := &c.slots[i]
 		if s.state != jobQueued || now.Before(s.notBefore) {
 			continue
 		}
 		if c.ledger.ForkSec(i) == 0 {
+			if c.queuedForks == 0 {
+				return i
+			}
 			if fallback < 0 {
 				fallback = i
 			}
@@ -348,7 +364,7 @@ func (h *Hub) AckSpanned(campaignID, worker, span string, res sweep.Result) stri
 	}
 	h.emit(obs.Event{Type: obs.EventResultAck, Detail: s.job.ID + " <- " + worker,
 		Trace: c.id, Span: span, Worker: worker})
-	s.state = jobDone
+	c.setState(i, jobDone)
 	s.worker = ""
 	c.emitProgressLocked(h)
 	c.maybeFinishLocked()
@@ -357,15 +373,18 @@ func (h *Hub) AckSpanned(campaignID, worker, span string, res sweep.Result) stri
 
 // expireLocked advances the lease state machine to now: dead leases
 // requeue with exponential backoff or quarantine their job once the
-// failure cap is reached.
+// failure cap is reached. It visits only the leased slots, in slot order.
 func (h *Hub) expireLocked(now time.Time) {
 	for _, c := range h.campaigns {
 		dirty := false
-		for i := range c.slots {
+		for k := 0; k < len(c.leased); {
+			i := c.leased[k]
 			s := &c.slots[i]
-			if s.state != jobLeased || !now.After(s.expiry) {
+			if !now.After(s.expiry) {
+				k++
 				continue
 			}
+			// Either way the slot leaves c.leased, and slot k+1 moves to k.
 			dirty = true
 			s.failures++
 			s.lastErr = fmt.Sprintf("lease %d expired on worker %s", s.attempts, s.worker)
@@ -382,7 +401,7 @@ func (h *Hub) expireLocked(now time.Time) {
 				// Deliberately NOT journaled — lease failures are
 				// operational, not deterministic, so a resumed campaign
 				// retries the job.
-				s.state = jobDone
+				c.setState(i, jobDone)
 				c.ledger.Quarantine(i, fmt.Sprintf("quarantined after %d failed leases: %s", s.failures, s.lastErr))
 				h.emit(obs.Event{Type: obs.EventQuarantine, N: s.failures, Detail: s.job.ID,
 					Trace: c.id, Span: span})
@@ -394,7 +413,7 @@ func (h *Hub) expireLocked(now time.Time) {
 				if backoff > h.cfg.BackoffMax || backoff <= 0 {
 					backoff = h.cfg.BackoffMax
 				}
-				s.state = jobQueued
+				c.setState(i, jobQueued)
 				s.worker = ""
 				s.notBefore = now.Add(backoff)
 				c.ledger.Requeued()
@@ -443,6 +462,40 @@ func (h *Hub) workerDeadLocked(workerID string, now time.Time) bool {
 	return w == nil || now.After(w.lastSeen.Add(h.cfg.LeaseTTL))
 }
 
+// setState moves slot i to state to and keeps the campaign's slot
+// bookkeeping current.
+func (c *campaign) setState(i int, to jobState) {
+	from := c.slots[i].state
+	c.slots[i].state = to
+	fork := c.ledger.ForkSec(i) > 0
+	switch from {
+	case jobQueued:
+		if fork {
+			c.queuedForks--
+		}
+	case jobLeased:
+		k, _ := slices.BinarySearch(c.leased, i)
+		c.leased = slices.Delete(c.leased, k, k+1)
+	case jobDone:
+		c.ndone--
+	}
+	switch to {
+	case jobQueued:
+		if fork {
+			c.queuedForks++
+		}
+		c.next = min(c.next, i)
+	case jobLeased:
+		k, _ := slices.BinarySearch(c.leased, i)
+		c.leased = slices.Insert(c.leased, k, i)
+	case jobDone:
+		c.ndone++
+	}
+	for c.next < len(c.slots) && c.slots[c.next].state != jobQueued {
+		c.next++
+	}
+}
+
 // maybeFinishLocked closes the campaign when every slot is terminal, or —
 // after drain/cancel/journal failure — when no leases remain in flight
 // (drain lets in-flight jobs finish; cancel abandons them immediately).
@@ -450,18 +503,9 @@ func (c *campaign) maybeFinishLocked() {
 	if c.closed {
 		return
 	}
-	leased, done := 0, 0
-	for i := range c.slots {
-		switch c.slots[i].state {
-		case jobLeased:
-			leased++
-		case jobDone:
-			done++
-		}
-	}
-	complete := done == len(c.slots)
+	complete := c.ndone == len(c.slots)
 	aborted := c.canceled || c.ledger.Err() != nil
-	drainedOut := c.drained && leased == 0
+	drainedOut := c.drained && len(c.leased) == 0
 	if complete || aborted || drainedOut {
 		c.closed = true
 		close(c.done)
@@ -472,13 +516,7 @@ func (c *campaign) maybeFinishLocked() {
 // under the hub lock and must not call back into the hub (the sweep
 // server's sink only touches its own state).
 func (c *campaign) emitProgressLocked(h *Hub) {
-	running := 0
-	for i := range c.slots {
-		if c.slots[i].state == jobLeased {
-			running++
-		}
-	}
-	c.ledger.Emit(running, h.liveLocked(h.cfg.Now()))
+	c.ledger.Emit(len(c.leased), h.liveLocked(h.cfg.Now()))
 }
 
 // emit forwards a coordinator event to the tracer (nil-safe).

@@ -14,10 +14,16 @@ import (
 // BenchmarkLeaseRoundTrip times one fabric round trip over loopback HTTP: a
 // worker's Client.Lease and its Client.SendResultSpanned of a stub result,
 // against Hub.Handler, with no simulation. Allocations count both ends.
-// The jobs come in campaigns of tripBatch, each started outside the timer,
-// so a lease scans a queue of bounded length whatever b.N is.
+// The jobs come in campaigns of 256 or 16,384, each started outside the
+// timer, so the rows tell whether the coordinator's work per event grows
+// with the jobs a campaign has finished.
 func BenchmarkLeaseRoundTrip(b *testing.B) {
-	const tripBatch = 256
+	for _, tripBatch := range []int{256, 16384} {
+		b.Run(fmt.Sprintf("jobs=%d", tripBatch), func(b *testing.B) { leaseRoundTrips(b, tripBatch) })
+	}
+}
+
+func leaseRoundTrips(b *testing.B, tripBatch int) {
 	hub := NewHub(Config{})
 	ts := httptest.NewServer(hub.Handler())
 	defer ts.Close()

@@ -48,7 +48,7 @@ type WorkerConfig struct {
 // a lease (expired, re-assigned, campaign gone) the matching run is
 // cancelled. Each campaign's jobs run through one sweep.ForkMemo per
 // worker, so its warm-start prefixes are simulated once per fork group and
-// its replayed trace pools generated once.
+// its replayed trace pools and random walks generated once.
 type Worker struct {
 	cfg WorkerConfig
 

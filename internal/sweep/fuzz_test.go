@@ -8,7 +8,6 @@ import (
 
 	"dynamicdf/internal/scenario"
 	"dynamicdf/internal/sweep"
-	"dynamicdf/internal/trace"
 )
 
 // FuzzSweepSpec runs the jobs an arbitrary spec document expands to: dfserve
@@ -36,13 +35,13 @@ func FuzzSweepSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		pools := new(trace.Pools)
+		memo := new(scenario.Memo)
 		for _, job := range jobs {
 			sc, ok := clampFuzzScenario(job.Scenario)
 			if !ok {
 				continue
 			}
-			job.Scenario, job.Pools = sc, pools
+			job.Scenario, job.Memo = sc, memo
 			res, _ := sweep.ExecuteJob(context.Background(), job, nil, nil, nil, 0)
 			if strings.HasPrefix(res.Error, "panic:") || res.Violations > 0 {
 				t.Fatalf("job %s: %s (%d violations)\nspec: %s", job.ID, res.Error, res.Violations, data)

@@ -7,7 +7,6 @@ import (
 	"dynamicdf/internal/dataflow"
 	"dynamicdf/internal/scenario"
 	"dynamicdf/internal/state"
-	"dynamicdf/internal/trace"
 )
 
 // BenchmarkExecuteJob times one sweep job, the unit of every campaign: a
@@ -29,12 +28,12 @@ func BenchmarkExecuteJob(b *testing.B) {
 		Seed:         7,
 		Check:        &scenario.CheckSpec{Enabled: true, Strict: true},
 	}
-	job := Job{ID: "bench", Scenario: sc, Pools: new(trace.Pools)}
+	job := Job{ID: "bench", Scenario: sc, Memo: new(scenario.Memo)}
 	ctx := context.Background()
-	if _, err := sc.Lower(job.Pools); err != nil {
+	if _, err := sc.Lower(job.Memo); err != nil {
 		b.Fatal(err)
 	}
-	snap := runPrefix(ctx, sc, 5*3600, job.Pools)
+	snap := runPrefix(ctx, sc, 5*3600, job.Memo)
 	if snap == nil {
 		b.Fatal("prefix run failed")
 	}

@@ -6,8 +6,8 @@ import (
 	"sync"
 
 	"dynamicdf/internal/obs"
+	"dynamicdf/internal/scenario"
 	"dynamicdf/internal/state"
-	"dynamicdf/internal/trace"
 )
 
 // Ledger is one campaign's bookkeeping, kept the same way by both runners,
@@ -190,12 +190,12 @@ func (r *Report) progress(running, workers int, last string) Progress {
 }
 
 // ForkMemo is what one runner keeps of a campaign to run its jobs: the
-// replayed trace pools they build through and each warm-start group's
-// prefix checkpoint, simulated at most once. The pool keeps one per run and
-// a fabric worker one per campaign it works on. Safe for concurrent use;
-// the zero value is ready.
+// scenario memo they lower through (replayed trace pools and random-walk
+// prefixes) and each warm-start group's prefix checkpoint, simulated at
+// most once. The pool keeps one per run and a fabric worker one per
+// campaign it works on. Safe for concurrent use; the zero value is ready.
 type ForkMemo struct {
-	pools    trace.Pools
+	memo     scenario.Memo
 	mu       sync.Mutex
 	prefixes map[string]*prefixRun
 }
@@ -209,11 +209,11 @@ type prefixRun struct {
 	snap *state.Snapshot
 }
 
-// Execute runs job (ExecuteJob) on the memo's trace pools. With forkSec > 0
+// Execute runs job (ExecuteJob) through the scenario memo. With forkSec > 0
 // the job forks its group's prefix checkpoint at forkSec, which the
 // group's first job simulates; with 0 it runs cold.
 func (m *ForkMemo) Execute(ctx context.Context, job Job, forkSec int64, tracer *obs.Tracer, gauges *obs.RunGauges, n int) (Result, bool) {
-	job.Pools = &m.pools
+	job.Memo = &m.memo
 	var snap *state.Snapshot
 	if forkSec > 0 && job.Prefix != nil && job.PrefixKey != "" {
 		m.mu.Lock()
@@ -226,7 +226,7 @@ func (m *ForkMemo) Execute(ctx context.Context, job Job, forkSec int64, tracer *
 			m.prefixes[job.PrefixKey] = p
 		}
 		m.mu.Unlock()
-		p.once.Do(func() { p.snap = runPrefix(ctx, job.Prefix, forkSec, job.Pools) })
+		p.once.Do(func() { p.snap = runPrefix(ctx, job.Prefix, forkSec, job.Memo) })
 		snap = p.snap
 	}
 	return ExecuteJob(ctx, job, snap, tracer, gauges, n)

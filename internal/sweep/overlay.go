@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bytes"
 	"encoding"
 	"encoding/json"
 	"reflect"
@@ -12,22 +11,22 @@ import (
 
 // Struct-space resolution. A job's scenario is, by definition, the strict
 // parse of the encoded tree its level's patches merge to. Expand gets the
-// same scenario without encoding and parsing the whole document per job:
-// it decodes each patch onto a copy of the parent level's scenario. A
-// struct decode over a scenario and an RFC 7386 merge over its document
-// agree on an object patch with no null member whose every member is
-// spelled as its field's exact json name and lands objects on structs,
-// arrays on slices and scalars on scalars (overlayable), provided the
-// parent's document spells its members exactly too (exactNames). Every
-// other patch, every level whose decode fails and every level below one
-// of those goes through the tree, so what it gives and the errors it
-// reports are unchanged.
+// same scenario without merging, encoding and parsing the whole document
+// per level: it decodes each patch onto a copy of the parent level's
+// scenario. A struct decode over a scenario and an RFC 7386 merge over its
+// document agree on an object patch with no null member whose every member
+// is spelled as its field's exact json name and lands objects on structs,
+// arrays on slices and scalars on scalars, the elements of its arrays
+// included (overlayable), provided the parent's document spells its members
+// exactly too (exactNames). Every other patch, every level whose decode
+// fails and every level below one of those goes through the tree, so what
+// it gives and the errors it reports are unchanged.
 
 var (
 	scenarioType = reflect.TypeOf(scenario.Scenario{})
 	// fieldIndex maps each struct type a scenario document's objects decode
-	// onto, through struct and pointer-to-struct fields, to its fields by
-	// exact json name. A type with an embedded field or a repeated json
+	// onto, through struct, pointer, slice and array fields, to its fields
+	// by exact json name. A type with an embedded field or a repeated json
 	// name maps to nil, which no patch or document passes.
 	fieldIndex = indexFields(scenarioType, map[reflect.Type]map[string]int{})
 
@@ -56,7 +55,11 @@ func indexFields(t reflect.Type, index map[reflect.Type]map[string]int) map[refl
 			return index
 		}
 		fields[name] = i
-		if st := structType(f.Type); st != nil {
+		et := f.Type
+		for et.Kind() == reflect.Pointer || et.Kind() == reflect.Slice || et.Kind() == reflect.Array {
+			et = et.Elem()
+		}
+		if st := structType(et); st != nil {
 			indexFields(st, index)
 		}
 	}
@@ -89,53 +92,64 @@ func decodesItself(t reflect.Type) bool {
 
 // overlayable reports whether decoding patch onto a value of struct type t
 // gives what merging patch into that value's document and decoding the
-// result gives. It requires of every member, at every depth:
+// result gives. It requires of every member, at every depth and in every
+// element of an array (fits):
 //   - its name is its field's exact json name, since decoding also matches
 //     names case-insensitively, and two spellings of one field in a merged
 //     document let the later in key order win;
 //   - it is not null, which merging deletes and decoding leaves alone;
 //   - an object lands on a struct or a pointer to one, merged field by
-//     field either way; an array on a slice and a scalar on a scalar field
-//     or a pointer to one, replaced wholesale either way;
+//     field either way; an array on a slice or an array, and a scalar on a
+//     scalar field or a pointer to one, replaced wholesale either way;
 //   - it lands on no map (decoding keeps the map's other keys and turns a
 //     null into a zero), interface, or type that decodes itself.
+//
+// So no member the decode reads is unknown to the schema, and overlay's
+// decode needs no strict decoder to match Parse's.
 func overlayable(patch map[string]interface{}, t reflect.Type) bool {
 	fields := fieldIndex[t]
 	for k, v := range patch {
 		i, ok := fields[k]
-		if !ok {
+		if !ok || !fits(v, t.Field(i).Type) {
 			return false
-		}
-		ft := t.Field(i).Type
-		if ft.Kind() == reflect.Pointer {
-			ft = ft.Elem()
-		}
-		if decodesItself(ft) {
-			return false
-		}
-		switch v := v.(type) {
-		case map[string]interface{}:
-			if ft.Kind() != reflect.Struct || !overlayable(v, ft) {
-				return false
-			}
-		case []interface{}:
-			if ft.Kind() != reflect.Slice {
-				return false
-			}
-		case nil:
-			return false
-		default:
-			switch ft.Kind() {
-			case reflect.Bool, reflect.String,
-				reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-				reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-				reflect.Float32, reflect.Float64:
-			default:
-				return false
-			}
 		}
 	}
 	return true
+}
+
+// fits reports whether v, a member or array element of an overlayable
+// patch, lands on type t by overlayable's rules.
+func fits(v interface{}, t reflect.Type) bool {
+	if t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	if decodesItself(t) {
+		return false
+	}
+	switch v := v.(type) {
+	case map[string]interface{}:
+		return t.Kind() == reflect.Struct && overlayable(v, t)
+	case []interface{}:
+		if t.Kind() != reflect.Slice && t.Kind() != reflect.Array {
+			return false
+		}
+		for _, e := range v {
+			if !fits(e, t.Elem()) {
+				return false
+			}
+		}
+		return true
+	case nil:
+		return false
+	}
+	switch t.Kind() {
+	case reflect.Bool, reflect.String,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64:
+		return true
+	}
+	return false
 }
 
 // exactNames reports whether every member of doc, an object that decodes
@@ -177,16 +191,15 @@ func parseTree(tree interface{}) *scenario.Scenario {
 	return sc
 }
 
-// overlay strictly decodes encoded, an overlayable patch, onto a shallow
-// copy of sc, and returns the copy, or nil when the decode fails. The copy
-// is detached first, so the decode writes nothing sc or any other scenario
-// shares.
+// overlay decodes encoded, an overlayable patch, onto a shallow copy of sc,
+// and returns the copy, or nil when the decode fails. The copy is detached
+// first, so the decode writes nothing sc or any other scenario shares. One
+// json.Unmarshal is as strict as Parse's decoder here: overlayable admits
+// no member unknown to the schema.
 func overlay(sc *scenario.Scenario, patch map[string]interface{}, encoded []byte) *scenario.Scenario {
 	c := *sc
 	detach(reflect.ValueOf(&c).Elem(), patch)
-	dec := json.NewDecoder(bytes.NewReader(encoded))
-	dec.DisallowUnknownFields()
-	if dec.Decode(&c) != nil {
+	if json.Unmarshal(encoded, &c) != nil {
 		return nil
 	}
 	return &c

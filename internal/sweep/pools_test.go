@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -47,8 +48,8 @@ func TestRunSharedPoolsMatchesColdJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, job := range jobs {
-		if job.Pools != nil {
-			t.Fatalf("Expand set %s's trace memo", job.ID)
+		if job.Memo != nil {
+			t.Fatalf("Expand set %s's memo", job.ID)
 		}
 		cold, canceled := ExecuteJob(context.Background(), job, nil, nil, nil, i)
 		if canceled {
@@ -81,5 +82,91 @@ func TestRunGeneratesEachPoolOnce(t *testing.T) {
 	t.Logf("campaign allocated %.2f MB (a pool is %.2f MB)", mb, poolMB)
 	if mb > 6*poolMB {
 		t.Fatalf("campaign allocated %.1f MB, more than 6 pools: are jobs generating their own?", mb)
+	}
+}
+
+// sharedWalkSpecDoc is a warm-start grid whose 32 jobs draw 8 random walks:
+// wavewalk and randomwalk inputs at two means and two walk seeds, each
+// asked for by four jobs and two warm prefixes.
+const sharedWalkSpecDoc = `{
+  "name": "shared-walks",
+  "base": ` + testBase + `,
+  "axes": [
+    {"name": "input", "values": [
+      {"label": "wavewalk", "patch": {"rate": {"kind": "wavewalk"}}},
+      {"label": "randomwalk", "patch": {"rate": {"kind": "randomwalk"}}}
+    ]},
+    {"name": "mean", "values": [
+      {"label": "4", "patch": {"rate": {"mean": 4}}},
+      {"label": "9", "patch": {"rate": {"mean": 9}}}
+    ]},
+    {"name": "walk", "values": [
+      {"label": "s3", "patch": {"rate": {"seed": 3}}},
+      {"label": "s4", "patch": {"rate": {"seed": 4}}}
+    ]},
+    {"name": "faults", "warm": true, "values": [
+      {"label": "off", "patch": {"control": {"faultFreeSec": 120}}},
+      {"label": "on",  "patch": {"control": {"acquireFailProb": 0.5, "faultFreeSec": 120}}}
+    ]}
+  ],
+  "warmStart": {"prefixSec": 120},
+  "seeds": [1, 2]
+}`
+
+// TestRunSharedWalksMatchesColdJobs: a two-worker warm-start campaign whose
+// jobs and prefixes share their random walks through the campaign memo
+// gives exactly the result of each job run cold and alone, which draws its
+// own walk. The same jobs run through one ForkMemo from two goroutines, as
+// a fabric worker runs its campaign, generate each of the 8 distinct walks
+// once.
+func TestRunSharedWalksMatchesColdJobs(t *testing.T) {
+	spec, err := ParseSpec([]byte(sharedWalkSpecDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := (&Engine{Workers: 2}).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Total != 32 || rep.Executed != 32 || rep.Errors != 0 || rep.ForkHits != 32 {
+		t.Fatalf("report = total %d executed %d errors %d forks %d, want 32/32/0/32",
+			rep.Total, rep.Executed, rep.Errors, rep.ForkHits)
+	}
+	jobs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := make([]Result, len(jobs))
+	for i, job := range jobs {
+		var canceled bool
+		if cold[i], canceled = ExecuteJob(context.Background(), job, nil, nil, nil, i); canceled {
+			t.Fatalf("%s canceled", job.ID)
+		}
+		got := rep.Results[i]
+		got.Forked = false // a forked job is otherwise identical to its cold run
+		if !reflect.DeepEqual(got, cold[i]) {
+			t.Fatalf("%s: campaign result\n%+v\ncold result\n%+v", job.ID, got, cold[i])
+		}
+	}
+
+	var memo ForkMemo
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(jobs); i += 2 {
+				got, _ := memo.Execute(context.Background(), jobs[i], spec.WarmStart.PrefixSec, nil, nil, i)
+				if got.Forked = false; !reflect.DeepEqual(got, cold[i]) {
+					t.Errorf("%s through one ForkMemo: %+v, cold %+v", jobs[i].ID, got, cold[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	// The memo keeps one prefix per distinct walk it generated, under a
+	// sync.Once each.
+	if n := reflect.ValueOf(&memo.memo).Elem().FieldByName("walks").Len(); n != 8 {
+		t.Fatalf("the campaign generated %d walks, want 8", n)
 	}
 }

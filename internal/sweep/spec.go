@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"dynamicdf/internal/scenario"
-	"dynamicdf/internal/trace"
 )
 
 // SchemaVersion names the simulator semantics a cached result depends on.
@@ -116,10 +115,11 @@ type Job struct {
 	Prefix          *scenario.Scenario
 	PrefixCanonical []byte
 	PrefixKey       string
-	// Pools, when set, is the memo of replayed trace pools the job and its
-	// prefix build through, shared by the campaign's jobs. Expand leaves it
-	// nil; the runners set it on their own copies of the jobs.
-	Pools *trace.Pools
+	// Memo, when set, is the campaign memo the job and its prefix lower
+	// through (replayed trace pools and random-walk prefixes), shared by the
+	// campaign's jobs. Expand leaves it nil; the runners set it on their own
+	// copies of the jobs.
+	Memo *scenario.Memo
 }
 
 // ParseSpec decodes and validates a sweep spec document: one JSON value,
@@ -251,25 +251,32 @@ func (s *Spec) ID() (string, error) {
 // vary slowest-first in declaration order, seeds fastest.
 //
 // The base document and every axis value's patch are decoded once. Each
-// axis level keeps its merged tree, and under warm start its prefix tree;
-// when the axis counter advances, only the levels from the changed axis on
-// are merged again. Merges are copy-on-write, so levels share every
-// subtree a patch leaves alone and no tree changes once built. Beside its
-// tree a level keeps the scenario the tree parses to, resolved from the
-// parent level's by decoding the patch onto a copy of it wherever that
-// provably gives the same scenario (see overlay.go), and a job is its
-// level's scenario with the seed set. Every other job, including every job
-// below a level without a scenario, is encoded from its tree and parsed
-// strictly, as a document read from a file is.
+// axis level, and under warm start each prefix level, keeps the scenario
+// its merged document parses to, resolved from the parent level's by
+// decoding the patch onto a copy of it wherever that provably gives the
+// same scenario (see overlay.go); a job is its level's scenario with the
+// seed set. When the axis counter advances, only the levels from the
+// changed axis on are resolved again. A level's merged tree is built only
+// when a job at or below it has no scenario, and is then encoded and parsed
+// strictly, as a document read from a file is; the merge is copy-on-write
+// and memoized, so levels share every subtree a patch leaves alone and
+// sibling levels share their parent's tree.
 func (s *Spec) Expand() ([]Job, error) {
+	jobs, _, err := s.expand()
+	return jobs, err
+}
+
+// expand is Expand, and also returns how many trees it merged after the
+// base's.
+func (s *Spec) expand() ([]Job, int, error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	seeds := s.Seeds
 	if len(seeds) == 0 {
 		base, err := scenario.ParseBytes(s.Base)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		seeds = []int64{base.Seed}
 	}
@@ -297,13 +304,14 @@ func (s *Spec) Expand() ([]Job, error) {
 	// axis a's current value. Level 0 is parsed from the base tree, not
 	// from Base: the tree keeps the last of duplicate members, which a
 	// struct decode of Base would merge.
-	docs := make([]level, n+1)
-	prefixes := make([]level, n+1)
+	docs := make([]*level, n+1)
+	prefixes := make([]*level, n+1)
 	var tree interface{}
 	if err := decodeNumbers(s.Base, &tree); err != nil {
-		return nil, fmt.Errorf("sweep: spec %q base: %w", s.Name, err)
+		return nil, 0, fmt.Errorf("sweep: spec %q base: %w", s.Name, err)
 	}
-	docs[0] = level{tree: tree, sc: parseTree(tree)}
+	merges := 0
+	docs[0] = &level{tree: tree, sc: parseTree(tree), merges: &merges}
 	prefixes[0] = docs[0]
 	labels := make([]string, n)
 	idx := make([]int, n)
@@ -311,13 +319,18 @@ func (s *Spec) Expand() ([]Job, error) {
 	for changed := 0; ; {
 		for a := changed; a < n; a++ {
 			ax, v := s.Axes[a], idx[a]
-			p := patches[a][v]
+			p := &patches[a][v]
 			if p.err != nil {
-				return nil, fmt.Errorf("sweep: axis %q value %q: merge patch: %w", ax.Name, ax.Values[v].Label, p.err)
+				return nil, 0, fmt.Errorf("sweep: axis %q value %q: merge patch: %w", ax.Name, ax.Values[v].Label, p.err)
 			}
 			docs[a+1] = docs[a].apply(p)
-			prefixes[a+1] = prefixes[a]
-			if s.WarmStart != nil && !ax.Warm {
+			switch {
+			case s.WarmStart == nil || ax.Warm:
+				prefixes[a+1] = prefixes[a]
+			case prefixes[a] == docs[a]:
+				// No warm axis so far: the prefix level is the job's.
+				prefixes[a+1] = docs[a+1]
+			default:
 				// The prefix identity is the job with warm-axis patches
 				// dropped: jobs differing only along warm axes converge on
 				// one prefix document.
@@ -331,24 +344,17 @@ func (s *Spec) Expand() ([]Job, error) {
 			if group != "" {
 				id = group + "/" + id
 			}
-			sc, canonical, err := docs[n].resolve(seed, seedPatches[i], id, "")
+			r, err := docs[n].resolve(i, seed, seedPatches[i], id, "")
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
-			job := Job{
-				ID:        id,
-				Group:     group,
-				Seed:      seed,
-				Scenario:  sc,
-				Canonical: canonical,
-				Key:       JobKey(canonical),
-			}
+			job := Job{ID: id, Group: group, Seed: seed, Scenario: r.sc, Canonical: r.canonical, Key: r.key}
 			if s.WarmStart != nil {
-				psc, pCanonical, err := prefixes[n].resolve(seed, seedPatches[i], id, " prefix")
+				p, err := prefixes[n].resolve(i, seed, seedPatches[i], id, " prefix")
 				if err != nil {
-					return nil, err
+					return nil, 0, err
 				}
-				job.Prefix, job.PrefixCanonical, job.PrefixKey = psc, pCanonical, JobKey(pCanonical)
+				job.Prefix, job.PrefixCanonical, job.PrefixKey = p.sc, p.canonical, p.key
 			}
 			jobs = append(jobs, job)
 		}
@@ -369,54 +375,88 @@ func (s *Spec) Expand() ([]Job, error) {
 	keySeen := make(map[string]string, len(jobs))
 	for _, j := range jobs {
 		if prev, dup := keySeen[j.Key]; dup {
-			return nil, fmt.Errorf("sweep: jobs %q and %q resolve to the same scenario (key %s)", prev, j.ID, j.Key)
+			return nil, 0, fmt.Errorf("sweep: jobs %q and %q resolve to the same scenario (key %s)", prev, j.ID, j.Key)
 		}
 		keySeen[j.Key] = j.ID
 	}
-	return jobs, nil
+	return jobs, merges, nil
 }
 
 // level is one axis level of an expansion: the base document merged with
 // the patches of the axes so far, and the scenario that document parses
 // to.
 type level struct {
-	tree interface{}
-	// sc is the strict parse of tree's encoding, or nil where the level's
-	// jobs are resolved from its tree instead: the base tree does not parse
-	// or spells a member other than by its field's exact json name (see
-	// exactNames), or a patch on the way to the level could not be
+	// parent and patch make the level's tree, the parent's tree merged with
+	// patch, until tree first builds it; the base level has its tree from
+	// the start.
+	parent *level
+	patch  *decodedPatch
+	tree   interface{}
+	// sc is the strict parse of the tree's encoding, or nil where the
+	// level's jobs are resolved from its tree instead: the base tree does
+	// not parse or spells a member other than by its field's exact json
+	// name (see exactNames), or a patch on the way to the level could not be
 	// overlaid.
 	sc *scenario.Scenario
+	// resolved holds the level's jobs by seed index as resolve makes them:
+	// the jobs that differ only along warm axes share a prefix level.
+	resolved []resolvedJob
+	// merges counts the trees the expansion merged.
+	merges *int
 }
 
-// apply returns the level after patch p: its tree merged, and its scenario
-// overlaid in struct space where the parent has one and p allows that.
-func (l level) apply(p decodedPatch) level {
+// resolvedJob is a level's scenario for one seed, its canonical bytes and
+// its key.
+type resolvedJob struct {
+	sc        *scenario.Scenario
+	canonical []byte
+	key       string
+}
+
+// apply returns the level after patch p, with its scenario overlaid in
+// struct space where the parent has one and p allows that. Its tree is
+// left to build on first need.
+func (l *level) apply(p *decodedPatch) *level {
 	if p.empty {
 		return l
 	}
-	next := level{tree: merge(l.tree, p.tree)}
+	next := &level{parent: l, patch: p, merges: l.merges}
 	if l.sc != nil && p.encoded != nil {
 		next.sc = overlay(l.sc, p.tree.(map[string]interface{}), p.encoded)
 	}
 	return next
 }
 
-// resolve returns the level's job for seed: its scenario with the seed set,
-// and that scenario's canonical bytes. A level without a scenario splices
-// seedPatch into its tree, encodes the result once and parses it strictly,
-// so a parse error is the one the same document read from a file gives,
-// prefixed with the job id and what.
-func (l level) resolve(seed int64, seedPatch interface{}, id, what string) (*scenario.Scenario, []byte, error) {
+// doc returns the level's merged tree, merging it, and any parent's not
+// merged yet, on the first call.
+func (l *level) doc() interface{} {
+	if l.parent != nil {
+		l.tree = merge(l.parent.doc(), l.patch.tree)
+		l.parent, l.patch = nil, nil
+		*l.merges++
+	}
+	return l.tree
+}
+
+// resolve returns the level's job for seeds[i]: its scenario with the seed
+// set, that scenario's canonical bytes and its key, made on the level's
+// first call for i. A level without a scenario splices seedPatch into its
+// tree, encodes the result once and parses it strictly, so a parse error is
+// the one the same document read from a file gives, prefixed with the job
+// id and what.
+func (l *level) resolve(i int, seed int64, seedPatch interface{}, id, what string) (resolvedJob, error) {
+	if i < len(l.resolved) {
+		return l.resolved[i], nil
+	}
 	sc := l.sc
 	switch {
 	case sc == nil:
-		b, err := json.Marshal(merge(l.tree, seedPatch))
+		b, err := json.Marshal(merge(l.doc(), seedPatch))
 		if err != nil {
-			return nil, nil, err
+			return resolvedJob{}, err
 		}
 		if sc, err = scenario.ParseBytes(b); err != nil {
-			return nil, nil, fmt.Errorf("sweep: job %s%s: %w", id, what, err)
+			return resolvedJob{}, fmt.Errorf("sweep: job %s%s: %w", id, what, err)
 		}
 	case sc.Seed != seed:
 		c := *sc
@@ -425,9 +465,11 @@ func (l level) resolve(seed int64, seedPatch interface{}, id, what string) (*sce
 	}
 	canonical, err := sc.CanonicalJSON()
 	if err != nil {
-		return nil, nil, err
+		return resolvedJob{}, err
 	}
-	return sc, canonical, nil
+	r := resolvedJob{sc: sc, canonical: canonical, key: JobKey(canonical)}
+	l.resolved = append(l.resolved, r)
+	return r, nil
 }
 
 // JobKey computes the content-addressed cache key for a canonical scenario

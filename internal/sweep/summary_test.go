@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"testing"
 
+	"dynamicdf/internal/scenario"
 	"dynamicdf/internal/sim"
 	"dynamicdf/internal/state"
-	"dynamicdf/internal/trace"
 )
 
 // warmTenantSpecDoc is a warm-start grid over the two-tenant scenario, so
@@ -31,7 +31,7 @@ const warmTenantSpecDoc = `{
 func rowsKeepingResult(t *testing.T, job Job, snap *state.Snapshot) Result {
 	t.Helper()
 	res := Result{JobID: job.ID, Key: job.Key, Group: job.Group, Seed: job.Seed}
-	built, err := job.Scenario.Lower(job.Pools)
+	built, err := job.Scenario.Lower(job.Memo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +71,15 @@ func TestExecuteJobMatchesRowsKeepingRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pools := new(trace.Pools)
+		memo := new(scenario.Memo)
 		prefixes := map[string]*state.Snapshot{}
 		forks := 0
 		for i, job := range jobs {
-			job.Pools = pools
+			job.Memo = memo
 			var snap *state.Snapshot
 			if job.Prefix != nil {
 				if prefixes[job.PrefixKey] == nil {
-					prefixes[job.PrefixKey] = runPrefix(context.Background(), job.Prefix, spec.WarmStart.PrefixSec, pools)
+					prefixes[job.PrefixKey] = runPrefix(context.Background(), job.Prefix, spec.WarmStart.PrefixSec, memo)
 				}
 				if snap = prefixes[job.PrefixKey]; snap == nil {
 					t.Fatalf("%s: prefix run failed", job.ID)

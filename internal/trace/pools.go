@@ -16,9 +16,10 @@ import (
 // A Pools holds every provider it has generated for as long as it lives
 // (about 0.45 MB for a default provider, its CPU traces, and about 1.2 MB
 // once a network read has generated the rest), so it belongs to one
-// campaign and is dropped with it; there is deliberately no process-wide
-// instance. The zero value is ready to use, and a nil *Pools generates
-// afresh on every call.
+// campaign and is dropped with it: the campaign memo, scenario.Memo, holds
+// it beside the campaign's shared random walks. There is deliberately no
+// process-wide instance. The zero value is ready to use, and a nil *Pools
+// generates afresh on every call.
 type Pools struct {
 	mu    sync.Mutex
 	byKey map[poolKey]*pooled
