@@ -25,6 +25,19 @@ func (t timedAdapt) Adapt(v *sim.View, act sim.Control) error {
 	return err
 }
 
+// timedStep adapts nothing and starts the benchmark timer where Adapt would
+// run, so that the timer covers the interval's engine step; benchIntervals
+// stops it when RunUntil returns.
+type timedStep struct {
+	sim.Scheduler
+	b *testing.B
+}
+
+func (t timedStep) Adapt(*sim.View, sim.Control) error {
+	t.b.StartTimer()
+	return nil
+}
+
 // largeDAG builds the scheduler benchmarks' run: the global adaptive
 // heuristic on the 1002-PE layered DAG (50 chains of 20 stages, 3
 // alternates each) under a 1 msg/s wave on replayed infrastructure.
@@ -70,12 +83,27 @@ func BenchmarkDeployLargeDAG(b *testing.B) {
 	b.ReportMetric(float64(built.Engine.Fleet().ActiveCount()), "vms")
 }
 
-// BenchmarkAdaptLargeDAG measures one converged Adapt call on the largeDAG
-// run. Ten warm-up intervals grow the fleet to about 1,300 VMs; each op
-// then steps one interval and times only its Adapt (benchAdapt). ci.sh
-// gates its allocs/op and its ns/op against
-// BenchmarkEngineStepLargeDAG/steady.
+// BenchmarkAdaptLargeDAG measures one Adapt call on the largeDAG run while
+// its fleet still converges. Ten warm-up intervals grow the fleet to about
+// 1,300 VMs, and the next hundred shrink it to about 1,250; each op steps
+// one interval and times only its Adapt (benchAdapt). ci.sh gates its
+// allocs/op and its ns/op against BenchmarkEngineStepLargeDAG/steady.
 func BenchmarkAdaptLargeDAG(b *testing.B) { benchAdapt(b, largeDAG, 10) }
+
+// convergedWarm is how many warm-up intervals the converged largeDAG rows
+// step first: by then the fleet has settled at about 1,030 VMs and moves
+// by a few VMs an interval.
+const convergedWarm = 1000
+
+// BenchmarkConvergedLargeDAG measures the largeDAG run once it has
+// converged, after convergedWarm intervals: /adapt times one Adapt call
+// (benchAdapt), /step one interval's engine step under a no-op Adapt
+// (benchStep), over the same fleet and arena rows. ci.sh gates /adapt's
+// allocs/op and prints its ratio to /step.
+func BenchmarkConvergedLargeDAG(b *testing.B) {
+	b.Run("adapt", func(b *testing.B) { benchAdapt(b, largeDAG, convergedWarm) })
+	b.Run("step", func(b *testing.B) { benchStep(b, largeDAG, convergedWarm) })
+}
 
 // multiTenant builds the shape of the benchmark's tenants-scarce workload:
 // 16 tenants, each a 14-PE layered graph (4 chains of 3 stages, 5
@@ -132,15 +160,28 @@ func multiTenant(b *testing.B) *scenario.Built {
 // allocs/op and its ns/op against BenchmarkEngineStepMultiTenant.
 func BenchmarkAdaptMultiTenant(b *testing.B) { benchAdapt(b, multiTenant, 30) }
 
-// benchAdapt times converged Adapt calls: it builds a run, steps warm
-// intervals, then each op steps one interval and times only its Adapt.
-// When the next op would pass the horizon, the run and its warm-up are
-// built again with the timer stopped, so b.N is not bounded by the horizon.
+// benchAdapt times Adapt calls: each op steps one interval and times only
+// its Adapt.
 func benchAdapt(b *testing.B, build func(*testing.B) *scenario.Built, warm int64) {
+	benchIntervals(b, build, warm, func(s sim.Scheduler) sim.Scheduler { return timedAdapt{Scheduler: s, b: b} })
+}
+
+// benchStep times engine steps: each op steps one interval under a no-op
+// Adapt and times the step.
+func benchStep(b *testing.B, build func(*testing.B) *scenario.Built, warm int64) {
+	benchIntervals(b, build, warm, func(s sim.Scheduler) sim.Scheduler { return timedStep{Scheduler: s, b: b} })
+}
+
+// benchIntervals builds a run, steps warm intervals, then steps one
+// interval per op under the scheduler timed returns, which starts the
+// benchmark timer around what the op measures. When the next op would pass
+// the horizon, the run and its warm-up are built again with the timer
+// stopped, so b.N is not bounded by the horizon.
+func benchIntervals(b *testing.B, build func(*testing.B) *scenario.Built, warm int64, timed func(sim.Scheduler) sim.Scheduler) {
 	ctx := context.Background()
 	var (
 		built       *scenario.Built
-		sched       timedAdapt
+		sched       sim.Scheduler
 		step, steps int64
 	)
 	b.ReportAllocs()
@@ -153,13 +194,14 @@ func benchAdapt(b *testing.B, build func(*testing.B) *scenario.Built, warm int64
 			if err := built.Engine.RunUntil(ctx, built.Scheduler, warm*interval); err != nil {
 				b.Fatal(err)
 			}
-			sched = timedAdapt{Scheduler: built.Scheduler, b: b}
+			sched = timed(built.Scheduler)
 			step, steps = warm, built.Config.HorizonSec/interval
 		}
 		step++
 		if err := built.Engine.RunUntil(ctx, sched, step*built.Config.IntervalSec); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
 	}
 	b.ReportMetric(float64(built.Engine.Fleet().ActiveCount()), "vms")
 }

@@ -141,11 +141,17 @@ func (a *Actions) AcquireVM(className string) (int, error) {
 // ReleaseVM stops a VM. All cores must have been unassigned first;
 // remaining message buffers were already migrated by UnassignCores.
 func (a *Actions) ReleaseVM(vmID int) error {
-	// Migrate any residual buffered messages before the VM disappears.
+	// Migrate any residual buffered messages before the VM disappears. A
+	// slot that held them without cores is one a restore left behind: it is
+	// empty now, and goes. A slot with cores stays, so that a release that
+	// then fails leaves the PE's placement as it was.
 	for pe := range a.e.pes {
 		p := &a.e.pes[pe]
 		if s := p.slotOf(vmID); s >= 0 && p.queue[s] > 0 {
 			a.e.migrateQueue(pe, vmID)
+			if p.cores[s] == 0 {
+				p.dropSlot(s)
+			}
 		}
 	}
 	if err := a.e.fleet.Release(vmID, a.e.clock); err != nil {
@@ -200,6 +206,7 @@ func (a *Actions) UnassignCores(pe, vmID, n int) error {
 		if p.queue[s] > 0 {
 			a.e.migrateQueue(pe, vmID)
 		}
+		p.dropSlot(s)
 	} else {
 		p.cores[s] = have - n
 	}

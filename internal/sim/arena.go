@@ -1,35 +1,40 @@
 package sim
 
 import (
+	"slices"
+
 	"dynamicdf/internal/dataflow"
 )
 
 // This file is the flow arena: the engine's per-(PE, VM) state laid out as
 // struct-of-arrays slices instead of per-PE maps. Every slice of a peState
 // is indexed by a dense slot; slot 0 is always the virtual unassigned queue
-// (VM id -1), and the remaining slots are the VMs the PE has ever touched,
-// ascending by id. Slots are created on the control path (core assignment,
-// queue writes, checkpoint restore) and never removed — a VM that leaves
-// keeps a zombie slot with zeroed state — so the steady-state step pipeline
-// iterates and mutates flow state without a single map operation or heap
-// allocation.
+// (VM id -1), and each other slot is a VM the PE holds cores on or buffers
+// messages at, ascending by id. Slots change only on the control path: a
+// core assignment or a restored cell inserts one, and a slot is dropped as
+// soon as it holds neither cores nor messages — when the PE's last core on
+// the VM is unassigned (its queue migrates first), when the VM crashes, or
+// when a release migrates messages that a restore left on a VM the PE has
+// no cores on. A row is therefore at most slot 0 plus the PE's live
+// placements and the VMs still holding its messages, however many VMs the
+// run has acquired, and the steady-state step pipeline iterates and mutates
+// flow state without a single map operation or heap allocation.
 //
 // Two invariants keep the arena byte-compatible with the map engine:
 //
-//   - Entry existence is tracked explicitly. The old maps distinguished "no
-//     entry" from "entry with value 0" (checkpoint encoding and the drain
-//     phase both depend on it): hasQ mirrors queue-map entry existence and
-//     hasArr mirrors the per-interval arrivals-map entry set. cores needs no
-//     flag — the map engine deleted core entries at zero.
+//   - Entry existence is tracked only where a fold reads it: hasArr mirrors
+//     the per-interval arrivals-map entry set. cores and queue need no flag,
+//     since a checkpoint writes a cell exactly where one is > 0.
 //   - Every float accumulation the map engine performed over sorted keys now
 //     runs over slots in ascending-VM order, which is the same sequence of
-//     additions, so results are bit-identical.
+//     additions, so results are bit-identical. An empty slot could only
+//     have added an exact +0.0 and never hosts, so dropping it moves no
+//     term of any fold.
 type peState struct {
 	vms   []int // slot -> VM id, ascending; vms[0] == -1
 	cores []int // assigned cores (0 = no entry)
 
 	queue []float64 // buffered messages
-	hasQ  []bool    // queue-map entry existence
 
 	// Per-interval scratch, valid only inside one step.
 	arr    []float64 // arriving msg/s this interval
@@ -49,13 +54,13 @@ type peState struct {
 const rowSlots = 4
 
 // newPEState returns an arena row holding only the virtual unassigned slot.
-// Its ten slot arrays are carved from three blocks, one per element type, so
+// Its nine slot arrays are carved from three blocks, one per element type, so
 // a PE's first placements allocate nothing, and an array that grows past
 // rowSlots reallocates alone.
 func newPEState() peState {
 	ints := make([]int, 2*rowSlots)
 	floats := make([]float64, 5*rowSlots)
-	bools := make([]bool, 3*rowSlots)
+	bools := make([]bool, 2*rowSlots)
 	p := peState{
 		vms:    carve(ints, 0),
 		cores:  carve(ints, 1),
@@ -64,9 +69,8 @@ func newPEState() peState {
 		capa:   carve(floats, 2),
 		rshare: carve(floats, 3),
 		oshare: carve(floats, 4),
-		hasQ:   carve(bools, 0),
-		hasArr: carve(bools, 1),
-		host:   carve(bools, 2),
+		hasArr: carve(bools, 0),
+		host:   carve(bools, 1),
 	}
 	p.vms[0] = -1
 	return p
@@ -114,7 +118,6 @@ func (p *peState) ensureSlot(vmID int) int {
 	p.vms = insertAt(p.vms, lo, vmID)
 	p.cores = insertAt(p.cores, lo, 0)
 	p.queue = insertAt(p.queue, lo, 0)
-	p.hasQ = insertAt(p.hasQ, lo, false)
 	p.arr = insertAt(p.arr, lo, 0)
 	p.hasArr = insertAt(p.hasArr, lo, false)
 	p.capa = insertAt(p.capa, lo, 0)
@@ -132,6 +135,23 @@ func insertAt[T any](s []T, i int, v T) []T {
 	return s
 }
 
+// dropSlot removes slot s >= 1, a VM the PE no longer holds cores or
+// messages on, keeping the ids ascending. Every array keeps its capacity and
+// shifts only within its own length, so no array writes into its
+// neighbour's block, and a later ensureSlot reuses the room without
+// allocating. Control-path only.
+func (p *peState) dropSlot(s int) {
+	p.vms = slices.Delete(p.vms, s, s+1)
+	p.cores = slices.Delete(p.cores, s, s+1)
+	p.queue = slices.Delete(p.queue, s, s+1)
+	p.arr = slices.Delete(p.arr, s, s+1)
+	p.hasArr = slices.Delete(p.hasArr, s, s+1)
+	p.capa = slices.Delete(p.capa, s, s+1)
+	p.host = slices.Delete(p.host, s, s+1)
+	p.rshare = slices.Delete(p.rshare, s, s+1)
+	p.oshare = slices.Delete(p.oshare, s, s+1)
+}
+
 // coresOf returns the cores assigned to the PE on a VM (0 when none).
 func (p *peState) coresOf(vmID int) int {
 	if s := p.slotOf(vmID); s >= 0 {
@@ -141,7 +161,7 @@ func (p *peState) coresOf(vmID int) int {
 }
 
 // totalQueue sums the PE's buffered messages across all slots (ascending,
-// like the map engine's sorted-key fold; zombie slots add exact zeros).
+// like the map engine's sorted-key fold).
 func (p *peState) totalQueue() float64 {
 	tot := 0.0
 	for s := range p.queue {
@@ -219,7 +239,6 @@ func (e *Engine) migrateQueue(pe, fromVM int) {
 	}
 	q := p.queue[s]
 	p.queue[s] = 0
-	p.hasQ[s] = false
 	if q <= 0 {
 		return
 	}
@@ -234,12 +253,10 @@ func (e *Engine) migrateQueue(pe, fromVM int) {
 	if total <= 0 {
 		// Nowhere to go: hold at the unassigned queue.
 		p.queue[0] += q
-		p.hasQ[0] = true
 	} else {
 		for t := 0; t < len(p.vms); t++ {
 			if p.host[t] && p.vms[t] != fromVM {
 				p.queue[t] += q * p.capa[t] / total
-				p.hasQ[t] = true
 			}
 		}
 	}

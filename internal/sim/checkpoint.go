@@ -71,7 +71,8 @@ func (e *Engine) Checkpoint() (*state.Snapshot, error) {
 		Audit:   append([]obs.Event(nil), e.auditLog...),
 	}
 	// Arena slots are ascending by VM id (-1 first), the same order the
-	// map engine's sorted-key export produced.
+	// map engine's sorted-key export produced. A cell is written where
+	// cores are placed or messages wait, never for an empty queue.
 	for pe := range e.pes {
 		p := &e.pes[pe]
 		for sl, vmID := range p.vms {
@@ -83,7 +84,7 @@ func (e *Engine) Checkpoint() (*state.Snapshot, error) {
 	for pe := range e.pes {
 		p := &e.pes[pe]
 		for sl, vmID := range p.vms {
-			if p.hasQ[sl] {
+			if p.queue[sl] > 0 {
 				s.Queues = append(s.Queues, state.QueueCell{PE: pe, VM: vmID, Queue: p.queue[sl]})
 			}
 		}
@@ -202,17 +203,37 @@ func Restore(snap *state.Snapshot, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("sim: restore: VM %d records %d used cores, its core cells hold %d", id, vm.UsedCores, cellCores[id])
 		}
 	}
+	// A queue cell holds messages at the unassigned queue (VM -1) or on a
+	// VM the fleet had, once per (PE, VM) pair, and none on a released VM,
+	// where they would wait forever at zero capacity. Older snapshots also
+	// carry zero-valued cells, for queues that emptied or whose VM was
+	// released or crashed; those are dropped, so a restored row holds
+	// exactly the slots a cold run's does.
 	for _, cell := range snap.Queues {
 		if cell.PE < 0 || cell.PE >= n {
 			return nil, fmt.Errorf("sim: restore: queue cell for PE %d outside graph", cell.PE)
 		}
-		if cell.VM < -1 || cell.Queue < 0 {
+		if cell.VM < -1 || !(cell.Queue >= 0) {
 			return nil, fmt.Errorf("sim: restore: bad queue cell (%d,%d,%g)", cell.PE, cell.VM, cell.Queue)
+		}
+		if cell.VM >= 0 {
+			vm, err := e.fleet.Get(cell.VM)
+			if err != nil {
+				return nil, fmt.Errorf("sim: restore: queue cell for unknown VM %d", cell.VM)
+			}
+			if cell.Queue > 0 && vm.Stopped() {
+				return nil, fmt.Errorf("sim: restore: queue cell (%d,%d) holds %g messages on released VM %d", cell.PE, cell.VM, cell.Queue, cell.VM)
+			}
+		}
+		if cell.Queue == 0 {
+			continue
 		}
 		p := &e.pes[cell.PE]
 		sl := p.ensureSlot(cell.VM)
+		if p.queue[sl] != 0 {
+			return nil, fmt.Errorf("sim: restore: repeated queue cell (%d,%d) for VM %d", cell.PE, cell.VM, cell.VM)
+		}
 		p.queue[sl] = cell.Queue
-		p.hasQ[sl] = true
 	}
 	// The dense monitor pools size themselves by the largest imported id, so
 	// reject ids a legitimate snapshot cannot contain (the fleet export covers

@@ -450,3 +450,63 @@ func TestRestoreRejectsCoreCellsContradictingTheFleet(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRejectsQueueCellsContradictingTheFleet: a queue cell is one
+// PE's messages at the unassigned queue (VM -1) or on a VM of the fleet.
+// A snapshot whose cells name a VM the fleet never had, hold messages on a
+// released VM, where they would wait forever at zero capacity, or repeat a
+// (PE, VM) pair is crafted, and restoring it fails with an error that names
+// the VM. Empty cells, which older snapshots carry, restore and are
+// dropped: the engine checkpoints as if they were never there.
+func TestRestoreRejectsQueueCellsContradictingTheFleet(t *testing.T) {
+	cfg := churnConfig(t, 3)
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, active, released, _ := churnSnapshot(t, e, cfg)
+	clean, err := Restore(snap, cfg)
+	if err != nil {
+		t.Fatalf("the untouched snapshot does not restore: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		vm    int
+		cells []state.QueueCell
+	}{
+		{"a cell on a VM the fleet never had", 999999, []state.QueueCell{{PE: 0, VM: 999999, Queue: 1}}},
+		{"messages on a released VM", released, []state.QueueCell{{PE: 0, VM: released, Queue: 5}}},
+		{"a repeated (PE, VM) cell", active, []state.QueueCell{{PE: 1, VM: active, Queue: 2}, {PE: 1, VM: active, Queue: 3}}},
+	} {
+		bad := *snap
+		bad.Queues = append(slices.Clone(snap.Queues), tc.cells...)
+		_, err := Restore(&bad, cfg)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("VM %d", tc.vm)) {
+			t.Errorf("%s: restore error %v, want one naming VM %d", tc.name, err, tc.vm)
+		}
+	}
+
+	old := *snap
+	old.Queues = append(slices.Clone(snap.Queues),
+		state.QueueCell{PE: 0, VM: -1, Queue: 0},
+		state.QueueCell{PE: 1, VM: active, Queue: 0},
+		state.QueueCell{PE: 0, VM: released, Queue: 0},
+		state.QueueCell{PE: 0, VM: released, Queue: 0})
+	r, err := Restore(&old, cfg)
+	if err != nil {
+		t.Fatalf("empty queue cells: %v", err)
+	}
+	var blobs [2][]byte
+	for i, en := range []*Engine{clean, r} {
+		s, err := en.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blobs[i], err = state.Encode(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Fatal("empty queue cells survived the restore")
+	}
+}

@@ -102,15 +102,10 @@ func (e *Engine) crashDueVMs(sec int64) error {
 				if err := e.fleet.UnassignCores(vm.ID, n); err != nil {
 					return fmt.Errorf("sim: crash cleanup: %w", err)
 				}
-				p.cores[s] = 0
 			}
-			// A zero-valued queue entry survives the crash (the map engine
-			// only deleted entries with q > 0).
-			if q := p.queue[s]; q > 0 {
-				lost += q
-				p.queue[s] = 0
-				p.hasQ[s] = false
-			}
+			// The slot's messages die with the VM, and the slot with them.
+			lost += p.queue[s]
+			p.dropSlot(s)
 		}
 		e.lostMessages += lost
 		wasPending := vm.Pending()

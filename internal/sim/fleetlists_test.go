@@ -95,10 +95,11 @@ func diffFleetIndex(e *Engine) error {
 	return nil
 }
 
-// checkedControl checks the fleet index after every call it forwards.
+// checkedControl checks the engine with check after every call it forwards.
 type checkedControl struct {
 	Control
 	e     *Engine
+	check func(*Engine) error
 	calls int
 	err   error
 }
@@ -108,7 +109,7 @@ func (c *checkedControl) after(what string) {
 	if c.err != nil {
 		return
 	}
-	if err := checkFleetIndex(c.e); err != nil {
+	if err := c.check(c.e); err != nil {
 		c.err = fmt.Errorf("t=%d after %s: %w", c.e.clock, what, err)
 	}
 }
@@ -141,11 +142,13 @@ func (c *checkedControl) UnassignCores(pe, id, n int) error {
 // through a checkedControl: acquisitions of on-demand and spot classes
 // (some boot late, some fail), assignments onto active and booting VMs,
 // unassignments, moves, and releases of idle active and booting VMs. It
-// reads the fleet through the tenant views, and checks the index at the
-// start of every call, that is after every interval.
+// reads the fleet through the tenant views, and checks the engine with
+// check (checkFleetIndex when nil) at the start of every call, that is
+// after every interval, and after every control call.
 type indexChurn struct {
 	e     *Engine
 	rng   *rand.Rand
+	check func(*Engine) error
 	calls int
 }
 
@@ -154,10 +157,13 @@ func (s *indexChurn) Name() string { return "index-churn" }
 func (s *indexChurn) Deploy(v *View, act Control) error { return s.Adapt(v, act) }
 
 func (s *indexChurn) Adapt(v *View, act Control) error {
-	if err := checkFleetIndex(s.e); err != nil {
+	ctl := &checkedControl{Control: act, e: s.e, check: s.check}
+	if ctl.check == nil {
+		ctl.check = checkFleetIndex
+	}
+	if err := ctl.check(s.e); err != nil {
 		return fmt.Errorf("t=%d at the interval: %w", s.e.clock, err)
 	}
-	ctl := &checkedControl{Control: act, e: s.e}
 	defer func() { s.calls += ctl.calls }()
 	classes := []string{"m1.small", "m1.large", "m1.small-spot", "m1.medium-spot"}
 	n := v.Graph().N()
@@ -180,13 +186,19 @@ func (s *indexChurn) Adapt(v *View, act Control) error {
 			}
 		case 4:
 			// Unassign anywhere the PE holds cores, booting VMs included.
+			// The draw is over those VMs only, so empty slots in a row
+			// change nothing (TestEmptySlotsAddExactZeros pads rows).
 			pe := s.rng.Intn(n)
 			p := &s.e.pes[pe]
-			if len(p.vms) == 0 {
-				break
+			var held []int
+			for sl, vm := range p.vms {
+				if p.cores[sl] > 0 {
+					held = append(held, vm)
+				}
 			}
-			if sl := s.rng.Intn(len(p.vms)); p.cores[sl] > 0 {
-				_ = ctl.UnassignCores(pe, p.vms[sl], 1+s.rng.Intn(p.cores[sl]))
+			if len(held) > 0 {
+				vm := held[s.rng.Intn(len(held))]
+				_ = ctl.UnassignCores(pe, vm, 1+s.rng.Intn(p.coresOf(vm)))
 			}
 		case 5:
 			// A move: a core onto an active VM, then off the VM it left.

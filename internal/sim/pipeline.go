@@ -228,11 +228,9 @@ func (e *Engine) stageRehome(c *stepContext) error {
 			total := p.computeCapacity(e, c.sec, alt)
 			if total > 0 {
 				p.queue[0] = 0
-				p.hasQ[0] = false
 				for s := 1; s < len(p.vms); s++ {
 					if p.host[s] {
 						p.queue[s] += q * p.capa[s] / total
-						p.hasQ[s] = true
 					}
 				}
 			}
@@ -400,7 +398,6 @@ func (e *Engine) processPE(c *stepContext, pe int) {
 			newQ = 0
 		}
 		p.queue[s] = newQ
-		p.hasQ[s] = true
 		processed += pr
 		if vcap > 0 {
 			c.latencyAccum += newQ / vcap

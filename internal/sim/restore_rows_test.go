@@ -94,6 +94,39 @@ func TestLegacyNetworkEntriesAreIgnored(t *testing.T) {
 	}
 }
 
+// TestRestoreDropsEmptyQueueCells: the committed pre-refactor snapshot
+// was written while a queue cell outlived its messages, so 7 of its 11
+// queue cells are empty, 3 of them on VMs released since. Restore drops
+// them, and a checkpoint taken right after it carries exactly the file's 4
+// cells that hold messages.
+func TestRestoreDropsEmptyQueueCells(t *testing.T) {
+	built, blob := prerefactor(t)
+	snap, err := state.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []state.QueueCell
+	for _, c := range snap.Queues {
+		if c.Queue > 0 {
+			held = append(held, c)
+		}
+	}
+	if len(snap.Queues) != 11 || len(held) != 4 {
+		t.Fatalf("fixture carries %d queue cells, %d of them holding messages; want 11 and 4", len(snap.Queues), len(held))
+	}
+	e, err := sim.Restore(snap, built.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := e.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(again.Queues, held) {
+		t.Fatalf("the restored engine checkpoints queue cells\n%+v\nwant the file's cells holding messages\n%+v", again.Queues, held)
+	}
+}
+
 // TestRestoreRejectsMetricRowCountMismatch: Ω's tally and the metric series
 // both advance once per interval, so a snapshot with a metric row dropped or
 // duplicated — re-encoded, so its digest holds — is refused with an error
